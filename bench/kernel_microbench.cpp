@@ -99,6 +99,7 @@ void bm_fast_detect_seq(benchmark::State& state) {
 BENCHMARK(bm_fast_detect_seq);
 
 void bm_orb_extract(benchmark::State& state) {
+  const scoped_simd scalar(core::simd::level::scalar);
   const auto& frame = test_frame();
   feat::orb_params params;
   for (auto _ : state) {
@@ -106,6 +107,16 @@ void bm_orb_extract(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_orb_extract);
+
+void bm_orb_extract_simd(benchmark::State& state) {
+  const scoped_simd best(core::simd::detected());
+  const auto& frame = test_frame();
+  feat::orb_params params;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(feat::orb_extract(frame, params));
+  }
+}
+BENCHMARK(bm_orb_extract_simd);
 
 void bm_orb_extract_seq(benchmark::State& state) {
   const auto& frame = test_frame();

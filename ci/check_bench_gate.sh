@@ -37,7 +37,7 @@ out_json="$(mktemp)"
 trap 'rm -f "$out_json"' EXIT
 
 "$bench_bin" \
-  --benchmark_filter='bm_(fast_detect|match_descriptors|warp_perspective|resize_bilinear|blend_feather)(_simd)?$' \
+  --benchmark_filter='bm_(fast_detect|orb_extract|match_descriptors|warp_perspective|resize_bilinear|blend_feather)(_simd)?$' \
   --benchmark_repetitions=5 \
   --benchmark_report_aggregates_only=true \
   --benchmark_out="$out_json" \

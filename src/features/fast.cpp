@@ -16,9 +16,8 @@ namespace vs::feat {
 
 namespace {
 
-// Bresenham circle of radius 3: the 16 segment-test offsets, in order.
-constexpr int circle_dx[16] = {0, 1, 2, 3, 3, 3, 2, 1, 0, -1, -2, -3, -3, -3, -2, -1};
-constexpr int circle_dy[16] = {-3, -3, -2, -1, 0, 1, 2, 3, 3, 3, 2, 1, 0, -1, -2, -3};
+using simd::circle_dx;
+using simd::circle_dy;
 constexpr int segment_length = 9;  // FAST-9
 
 // Classifies circle pixel i against center p with threshold t:
@@ -60,50 +59,25 @@ std::vector<keypoint> fast_detect_clean(const img::image_u8& gray,
   const int threshold = std::max(1, params.threshold);
 
   img::basic_image<float> scores(w, h, 1);
-  const std::uint8_t* data = gray.data();
   auto& pool = core::thread_pool::current();
 
   // Score pass: rows are independent; each band writes disjoint rows.  The
-  // compass pre-test vectorizes (exact saturating byte math, so the
-  // candidate set is identical at every SIMD level); survivors run the
-  // unchanged scalar arc/score computation in ascending column order.
-  const auto compass =
-      feat::simd::select_compass_row(core::simd::active());
+  // row kernel returns fast_score for every column (exact integer math at
+  // every SIMD level), so only the corners' entries are written here.
+  const auto score_row = simd::select_score_row(core::simd::active());
   pool.parallel_for(
       border, h - border, row_band,
       [&](std::int64_t y0, std::int64_t y1, std::size_t) {
-        std::vector<std::uint8_t> candidate;
-        if (compass != nullptr) candidate.resize(static_cast<std::size_t>(w));
-        for (std::int64_t y = y0; y < y1; ++y) {
-          const std::int64_t row = y * w;
-          if (compass != nullptr) {
-            compass(data, row, w, border, w - border, threshold,
-                    candidate.data());
-          }
+        std::vector<std::int16_t> row_scores(static_cast<std::size_t>(w));
+        for (int y = static_cast<int>(y0); y < y1; ++y) {
+          score_row(gray, y, border, w - border, threshold,
+                    row_scores.data());
           for (int x = border; x < w - border; ++x) {
-            if (compass != nullptr) {
-              if (candidate[static_cast<std::size_t>(x)] == 0) continue;
-            } else {
-              const std::int64_t center_off = row + x;
-              const int center = data[center_off];
-              const int top = data[center_off - 3 * w];
-              const int bottom = data[center_off + 3 * w];
-              const int left = data[center_off - 3];
-              const int right = data[center_off + 3];
-              int extreme = 0;
-              extreme += classify(top, center, threshold) != 0;
-              extreme += classify(bottom, center, threshold) != 0;
-              extreme += classify(left, center, threshold) != 0;
-              extreme += classify(right, center, threshold) != 0;
-              if (extreme < 2) continue;
-            }
-            const int score =
-                fast_score(gray, x, static_cast<int>(y), threshold);
+            const int score = row_scores[static_cast<std::size_t>(x)];
             if (score <= 0) continue;
-            scores.at(x, static_cast<int>(y)) =
+            scores.at(x, y) =
                 params.score == corner_score::harris
-                    ? static_cast<float>(
-                          1e6 * harris_response(gray, x, static_cast<int>(y)))
+                    ? static_cast<float>(1e6 * harris_response(gray, x, y))
                     : static_cast<float>(score);
           }
         }

@@ -1,7 +1,11 @@
 #include "features/orb.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include "core/dispatch.h"
 #include "core/error.h"
@@ -94,78 +98,134 @@ struct rotated_pattern {
 
 constexpr int orientation_bins = 30;
 
-const rotated_pattern& rotated_for(int bin, int patch_radius) {
-  // The pattern is scale-fixed per process (one patch radius in practice);
-  // built lazily once for the first radius seen (magic-static, thread-safe).
-  static const int built_radius = patch_radius;
-  static const std::array<rotated_pattern, orientation_bins> bins = [] {
-    std::array<rotated_pattern, orientation_bins> out{};
-    const brief_pattern& pat = pattern_for_radius(built_radius);
-    for (int b = 0; b < orientation_bins; ++b) {
-      const double angle = 2.0 * 3.14159265358979323846 * b / orientation_bins;
-      const double c = std::cos(angle);
-      const double s = std::sin(angle);
-      for (int i = 0; i < pattern_size; ++i) {
-        const double scale = built_radius;
-        out[b].ax[i] = static_cast<std::int16_t>(
-            std::lround((pat.ax[i] * c - pat.ay[i] * s) * scale));
-        out[b].ay[i] = static_cast<std::int16_t>(
-            std::lround((pat.ax[i] * s + pat.ay[i] * c) * scale));
-        out[b].bx[i] = static_cast<std::int16_t>(
-            std::lround((pat.bx[i] * c - pat.by[i] * s) * scale));
-        out[b].by[i] = static_cast<std::int16_t>(
-            std::lround((pat.bx[i] * s + pat.by[i] * c) * scale));
-      }
+using rotated_bins = std::array<rotated_pattern, orientation_bins>;
+
+std::unique_ptr<const rotated_bins> build_rotated(int patch_radius) {
+  auto out = std::make_unique<rotated_bins>();
+  const brief_pattern& pat = pattern_for_radius(patch_radius);
+  for (int b = 0; b < orientation_bins; ++b) {
+    const double angle = 2.0 * 3.14159265358979323846 * b / orientation_bins;
+    const double c = std::cos(angle);
+    const double s = std::sin(angle);
+    for (int i = 0; i < pattern_size; ++i) {
+      const double scale = patch_radius;
+      (*out)[b].ax[i] = static_cast<std::int16_t>(
+          std::lround((pat.ax[i] * c - pat.ay[i] * s) * scale));
+      (*out)[b].ay[i] = static_cast<std::int16_t>(
+          std::lround((pat.ax[i] * s + pat.ay[i] * c) * scale));
+      (*out)[b].bx[i] = static_cast<std::int16_t>(
+          std::lround((pat.bx[i] * c - pat.by[i] * s) * scale));
+      (*out)[b].by[i] = static_cast<std::int16_t>(
+          std::lround((pat.bx[i] * s + pat.by[i] * c) * scale));
     }
-    return out;
-  }();
-  return bins[static_cast<std::size_t>(bin % orientation_bins)];
+  }
+  return out;
 }
 
-// Clean lane: hook-free twins of the per-keypoint kernels.  Same arithmetic
-// as the instrumented versions (whose hooks are value-preserving when
-// disabled), with direct loads instead of guarded address arithmetic.
+// The rotated pattern scaled to `patch_radius`.  Each radius is built once,
+// on first use, and kept for the life of the process (a run uses one or
+// two radii).  The instrumented lane asks once per keypoint, so each
+// thread remembers its last answer and skips the shared lock.
+const rotated_bins& rotated_for_radius(int patch_radius) {
+  thread_local int last_radius = 0;
+  thread_local const rotated_bins* last = nullptr;
+  if (last != nullptr && last_radius == patch_radius) return *last;
+  static std::mutex mutex;
+  static std::map<int, std::unique_ptr<const rotated_bins>> built;
+  const std::lock_guard lock(mutex);
+  auto& slot = built[patch_radius];
+  if (!slot) slot = build_rotated(patch_radius);
+  last_radius = patch_radius;
+  last = slot.get();
+  return *slot;
+}
+
+int orientation_bin(double angle) {
+  constexpr double two_pi = 2.0 * 3.14159265358979323846;
+  const double positive = angle < 0 ? angle + two_pi : angle;
+  return static_cast<int>(positive / two_pi * orientation_bins + 0.5) %
+         orientation_bins;
+}
+
+// Clean lane: hook-free twins of the per-keypoint kernels, computing the
+// same integers as the instrumented versions (whose hooks are
+// value-preserving when disabled) from tables built once per extraction:
+//
+//   * the rotated pairs flattened to row-major offsets from the keypoint
+//     for one image width, so a pair costs two loads and a compare;
+//   * the orientation disc's half-width per row, so the moment sums walk
+//     row spans instead of testing dx^2 + dy^2 <= r^2 at every pixel.
+struct describe_tables {
+  int radius = 0;
+  std::vector<int> disc_half;          ///< index dy + radius
+  std::vector<std::int32_t> offsets;   ///< per bin: 256 a's, then 256 b's
+
+  describe_tables(int patch_radius, int width) : radius(patch_radius) {
+    for (int dy = -radius; dy <= radius; ++dy) {
+      int half = 0;
+      while ((half + 1) * (half + 1) + dy * dy <= radius * radius) ++half;
+      disc_half.push_back(half);
+    }
+    const rotated_bins& bins = rotated_for_radius(patch_radius);
+    offsets.resize(static_cast<std::size_t>(orientation_bins) * 2 *
+                   pattern_size);
+    std::int32_t* out = offsets.data();
+    for (const rotated_pattern& pat : bins) {
+      for (int i = 0; i < pattern_size; ++i) {
+        out[i] = pat.ay[i] * width + pat.ax[i];
+        out[pattern_size + i] = pat.by[i] * width + pat.bx[i];
+      }
+      out += 2 * pattern_size;
+    }
+  }
+
+  [[nodiscard]] const std::int32_t* pairs(int bin) const {
+    return offsets.data() + static_cast<std::size_t>(bin) * 2 * pattern_size;
+  }
+};
 
 float intensity_centroid_angle_clean(const img::image_u8& gray, int x, int y,
-                                     int radius) {
-  const std::uint8_t* data = gray.data();
+                                     const describe_tables& tables) {
   const int w = gray.width();
+  const int r = tables.radius;
+  const std::uint8_t* center =
+      gray.data() + static_cast<std::ptrdiff_t>(y) * w + x;
   std::int64_t m01 = 0;
   std::int64_t m10 = 0;
-  for (int dy = -radius; dy <= radius; ++dy) {
-    for (int dx = -radius; dx <= radius; ++dx) {
-      if (dx * dx + dy * dy > radius * radius) continue;
-      const int v = data[static_cast<std::int64_t>(y + dy) * w + (x + dx)];
-      m10 += static_cast<std::int64_t>(dx) * v;
-      m01 += static_cast<std::int64_t>(dy) * v;
+  for (int dy = -r; dy <= r; ++dy) {
+    const int half = tables.disc_half[static_cast<std::size_t>(dy + r)];
+    const std::uint8_t* row = center + static_cast<std::ptrdiff_t>(dy) * w;
+    int row_sum = 0;
+    int row_moment = 0;
+    for (int dx = -half; dx <= half; ++dx) {
+      row_sum += row[dx];
+      row_moment += dx * row[dx];
     }
+    m10 += row_moment;
+    m01 += static_cast<std::int64_t>(dy) * row_sum;
   }
   return static_cast<float>(
       std::atan2(static_cast<double>(m01), static_cast<double>(m10)));
 }
 
 descriptor orb_describe_one_clean(const img::image_u8& gray,
-                                  const keypoint& kp, int patch_radius) {
-  constexpr double two_pi = 2.0 * 3.14159265358979323846;
-  const double positive = kp.angle < 0 ? kp.angle + two_pi : kp.angle;
-  const int bin = static_cast<int>(positive / two_pi * orientation_bins + 0.5) %
-                  orientation_bins;
-  const rotated_pattern& pat = rotated_for(bin, patch_radius);
-
-  const std::uint8_t* data = gray.data();
-  const int w = gray.width();
-  const auto cx = static_cast<int>(kp.x);
-  const auto cy = static_cast<int>(kp.y);
+                                  const keypoint& kp,
+                                  const describe_tables& tables) {
+  const std::int32_t* a = tables.pairs(orientation_bin(kp.angle));
+  const std::int32_t* b = a + pattern_size;
+  const std::uint8_t* center =
+      gray.data() + static_cast<std::ptrdiff_t>(static_cast<int>(kp.y)) *
+                        gray.width() +
+      static_cast<int>(kp.x);
 
   descriptor d;
-  for (int i = 0; i < pattern_size; ++i) {
-    const std::int64_t off_a =
-        static_cast<std::int64_t>(cy + pat.ay[i]) * w + (cx + pat.ax[i]);
-    const std::int64_t off_b =
-        static_cast<std::int64_t>(cy + pat.by[i]) * w + (cx + pat.bx[i]);
-    if (data[off_a] < data[off_b]) {
-      d.bits[static_cast<std::size_t>(i >> 6)] |= 1ULL << (i & 63);
+  for (std::size_t word = 0; word < d.bits.size(); ++word) {
+    std::uint64_t bits = 0;
+    for (int j = 0; j < 64; ++j) {
+      const std::size_t i = word * 64 + static_cast<std::size_t>(j);
+      bits |= static_cast<std::uint64_t>(center[a[i]] < center[b[i]]) << j;
     }
+    d.bits[word] = bits;
   }
   return d;
 }
@@ -183,24 +243,20 @@ frame_features orb_extract_clean(const img::image_u8& gray,
   out.keypoints = fast_detect(gray, fp);
   const img::image_u8 smooth = img::box_blur3(gray);
   out.descriptors.resize(out.keypoints.size());
+  if (out.keypoints.empty()) return out;
+  const describe_tables tables(params.patch_radius, gray.width());
 
   constexpr double two_pi = 2.0 * 3.14159265358979323846;
-  constexpr int angle_bins = 30;
   core::thread_pool::current().parallel_for(
       0, static_cast<std::int64_t>(out.keypoints.size()), 32,
       [&](std::int64_t i0, std::int64_t i1, std::size_t) {
         for (std::int64_t i = i0; i < i1; ++i) {
           auto& kp = out.keypoints[static_cast<std::size_t>(i)];
-          const float raw = intensity_centroid_angle_clean(
-              gray, static_cast<int>(kp.x), static_cast<int>(kp.y),
-              params.patch_radius);
-          const double positive = raw < 0 ? raw + two_pi : raw;
-          const int bin =
-              static_cast<int>(positive / two_pi * angle_bins + 0.5) %
-              angle_bins;
-          kp.angle = static_cast<float>(bin * two_pi / angle_bins);
+          const int bin = orientation_bin(intensity_centroid_angle_clean(
+              gray, static_cast<int>(kp.x), static_cast<int>(kp.y), tables));
+          kp.angle = static_cast<float>(bin * two_pi / orientation_bins);
           out.descriptors[static_cast<std::size_t>(i)] =
-              orb_describe_one_clean(smooth, kp, params.patch_radius);
+              orb_describe_one_clean(smooth, kp, tables);
         }
       });
   return out;
@@ -215,7 +271,8 @@ descriptor orb_describe_one(const img::image_u8& gray, const keypoint& kp,
   const double positive = kp.angle < 0 ? kp.angle + two_pi : kp.angle;
   const int bin = static_cast<int>(positive / two_pi * orientation_bins + 0.5) %
                   orientation_bins;
-  const rotated_pattern& pat = rotated_for(bin, patch_radius);
+  const rotated_pattern& pat =
+      rotated_for_radius(patch_radius)[static_cast<std::size_t>(bin)];
 
   const std::uint8_t* data = gray.data();
   const std::size_t n = gray.size();
@@ -313,6 +370,7 @@ bool orb_verify_features(const img::image_u8& gray,
   const int h = gray.height();
   const int threshold = std::max(1, params.fast.threshold);
   const img::image_u8 smooth = img::box_blur3(gray);
+  const describe_tables tables(params.patch_radius, w);
   constexpr double two_pi = 2.0 * 3.14159265358979323846;
 
   for (std::size_t i = 0; i < features.keypoints.size(); ++i) {
@@ -332,16 +390,12 @@ bool orb_verify_features(const img::image_u8& gray,
             ? static_cast<float>(1e6 * harris_response(gray, x, y))
             : static_cast<float>(fast_score(gray, x, y, threshold));
     if (score != kp.score || !(score > 0.0f)) return false;
-    const float raw =
-        intensity_centroid_angle_clean(gray, x, y, params.patch_radius);
-    const double positive = raw < 0 ? raw + two_pi : raw;
     const int bin =
-        static_cast<int>(positive / two_pi * orientation_bins + 0.5) %
-        orientation_bins;
+        orientation_bin(intensity_centroid_angle_clean(gray, x, y, tables));
     if (kp.angle != static_cast<float>(bin * two_pi / orientation_bins)) {
       return false;
     }
-    if (!(orb_describe_one_clean(smooth, kp, params.patch_radius) ==
+    if (!(orb_describe_one_clean(smooth, kp, tables) ==
           features.descriptors[i])) {
       return false;
     }

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "core/dispatch.h"
+#include "core/simd.h"
+#include "image/blur_simd.h"
 #include "image/pixel.h"
 
 namespace vs::img {
@@ -52,21 +55,58 @@ image_u8 downscale(const image_u8& src, int factor) {
   return out;
 }
 
-image_u8 box_blur3(const image_u8& src) {
-  if (src.channels() != 1) throw invalid_argument("box_blur3: need gray");
+namespace {
+
+std::uint8_t blur_clamped(const image_u8& src, int x, int y) {
+  int sum = 0;
+  for (int dy = -1; dy <= 1; ++dy) {
+    for (int dx = -1; dx <= 1; ++dx) {
+      sum += src.sample_clamped(x + dx, y + dy);
+    }
+  }
+  return static_cast<std::uint8_t>((sum + 4) / 9);
+}
+
+// The reference blur, on the instrumented lane: every pixel clamped.
+image_u8 box_blur3_reference(const image_u8& src) {
   image_u8 out(src.width(), src.height(), 1);
   for (int y = 0; y < src.height(); ++y) {
     for (int x = 0; x < src.width(); ++x) {
-      int sum = 0;
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          sum += src.sample_clamped(x + dx, y + dy);
-        }
-      }
-      out.at(x, y) = static_cast<std::uint8_t>((sum + 4) / 9);
+      out.at(x, y) = blur_clamped(src, x, y);
     }
   }
   return out;
+}
+
+// Clean lane: only the one-pixel frame is clamped; interior rows run the
+// row kernel of the active SIMD tier.  Every pixel equals the reference.
+image_u8 box_blur3_clean(const image_u8& src) {
+  const int w = src.width();
+  const int h = src.height();
+  image_u8 out(w, h, 1);
+  const simd::blur_row_fn blur_row =
+      simd::select_blur_row(core::simd::active());
+  const std::uint8_t* in = src.data();
+  std::uint8_t* dst = out.data();
+  for (int y = 0; y < h; ++y) {
+    if (y == 0 || y == h - 1 || w < 3) {
+      for (int x = 0; x < w; ++x) out.at(x, y) = blur_clamped(src, x, y);
+      continue;
+    }
+    const std::ptrdiff_t row = static_cast<std::ptrdiff_t>(y) * w;
+    blur_row(in + row - w, in + row, in + row + w, w, dst + row);
+    out.at(0, y) = blur_clamped(src, 0, y);
+    out.at(w - 1, y) = blur_clamped(src, w - 1, y);
+  }
+  return out;
+}
+
+}  // namespace
+
+image_u8 box_blur3(const image_u8& src) {
+  if (src.channels() != 1) throw invalid_argument("box_blur3: need gray");
+  return core::dispatch([&] { return box_blur3_clean(src); },
+                        [&] { return box_blur3_reference(src); });
 }
 
 double mean_abs_diff(const image_u8& a, const image_u8& b) {

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "core/error.h"
+#include "core/rng.h"
+#include "core/simd.h"
 #include "features/fast.h"
+#include "features/fast_simd.h"
 #include "features/orb.h"
 #include "image/draw.h"
 
@@ -101,6 +109,78 @@ TEST(Fast, GrayOnlyInput) {
   EXPECT_THROW((void)fast_detect(rgb, fast_params{}), invalid_argument);
 }
 
+// ---------------------------------------------------------------------------
+// FAST score rows: every SIMD tier the host runs against fast_score.
+// ---------------------------------------------------------------------------
+
+/// Runs the row kernel of every tier up to the host's best on every
+/// scorable row of `im` and compares each column with fast_score.
+void expect_rows_match_fast_score(const img::image_u8& im, int threshold,
+                                  const std::string& what) {
+  const int w = im.width();
+  std::vector<std::int16_t> row(static_cast<std::size_t>(w));
+  for (int l = 0; l <= static_cast<int>(core::simd::detected()); ++l) {
+    const auto level = static_cast<core::simd::level>(l);
+    const simd::score_row_fn score_row = simd::select_score_row(level);
+    for (int y = 3; y < im.height() - 3; ++y) {
+      std::fill(row.begin(), row.end(), std::int16_t{-1});
+      score_row(im, y, 3, w - 3, threshold, row.data());
+      for (int x = 3; x < w - 3; ++x) {
+        ASSERT_EQ(row[static_cast<std::size_t>(x)],
+                  fast_score(im, x, y, threshold))
+            << what << ", simd " << core::simd::level_name(level) << ", t "
+            << threshold << ", at (" << x << ", " << y << ")";
+      }
+    }
+  }
+}
+
+TEST(FastScoreRow, MatchesFastScoreOnNoiseAtEveryTier) {
+  rng gen(11);
+  // Scored runs of 1, 7, 8, 13, 16, 17, 24 and 58 columns: narrower than
+  // either vector, exact multiples, and ragged tails.
+  for (const int width : {7, 13, 14, 19, 22, 23, 30, 64}) {
+    img::image_u8 im(width, 12, 1);
+    for (std::size_t i = 0; i < im.size(); ++i) {
+      im[i] = static_cast<std::uint8_t>(gen.uniform(256));
+    }
+    for (const int threshold : {1, 10, 40, 128, 255, 256, 300}) {
+      expect_rows_match_fast_score(im, threshold,
+                                   "noise w" + std::to_string(width));
+    }
+  }
+}
+
+TEST(FastScoreRow, ArcsAtEveryStartIncludingWrapAround) {
+  // One arc of `length` circle pixels from index `start` (so arcs with
+  // start + length > 16 wrap from 15 to 0), brighter or darker than the
+  // center by a per-index amount; placed at several columns of a 40-wide
+  // row so it lands in different lanes and in the vector tail.
+  constexpr int threshold = 20;
+  for (int start = 0; start < 16; ++start) {
+    for (int length = 8; length <= 16; ++length) {
+      for (const int sign : {1, -1}) {
+        for (const int cx : {3, 10, 25, 36}) {
+          img::image_u8 im(40, 7, 1, 128);
+          for (int k = 0; k < length; ++k) {
+            const int i = (start + k) % 16;
+            im.at(cx + simd::circle_dx[i], 3 + simd::circle_dy[i]) =
+                static_cast<std::uint8_t>(128 + sign * (threshold + 3 * i));
+          }
+          const std::string what = "arc start " + std::to_string(start) +
+                                   " length " + std::to_string(length) +
+                                   " sign " + std::to_string(sign) +
+                                   " at x " + std::to_string(cx);
+          // Only a 9-pixel arc makes a corner.
+          EXPECT_EQ(fast_score(im, cx, 3, threshold) > 0, length >= 9)
+              << what;
+          expect_rows_match_fast_score(im, threshold, what);
+        }
+      }
+    }
+  }
+}
+
 TEST(Hamming, IdenticalIsZero) {
   descriptor d;
   d.bits = {0x123456789abcdef0ULL, 1, 2, 3};
@@ -173,6 +253,31 @@ TEST(Orb, DescriptorDiffersAcrossContent) {
   const auto da = orb_describe_one(a, kp, 7);
   const auto db = orb_describe_one(b, kp, 7);
   EXPECT_GT(hamming_distance(da, db), 40);
+}
+
+TEST(Orb, DescriptorReadsItsOwnPatchRadius) {
+  // Two frames that differ only on the ring 8-9 px (Chebyshev) from the
+  // keypoint.  At angle 0 the pattern is unrotated, so a radius-r pattern
+  // samples exactly the square of half-size r.
+  img::image_u8 a(64, 64, 1);
+  for (int y = 0; y < 64; ++y) {
+    for (int x = 0; x < 64; ++x) {
+      a.at(x, y) = static_cast<std::uint8_t>((x * 37 + y * 11) % 256);
+    }
+  }
+  img::image_u8 b = a;
+  for (int y = 32 - 9; y <= 32 + 9; ++y) {
+    for (int x = 32 - 9; x <= 32 + 9; ++x) {
+      if (std::max(std::abs(x - 32), std::abs(y - 32)) >= 8) {
+        b.at(x, y) = static_cast<std::uint8_t>(255 - a.at(x, y));
+      }
+    }
+  }
+  const keypoint kp{32.0f, 32.0f, 1.0f, 0.0f};
+  // Radius 7 first: it never reaches the ring ...
+  EXPECT_EQ(orb_describe_one(a, kp, 7), orb_describe_one(b, kp, 7));
+  // ... and a later radius 9 in the same process must still read it.
+  EXPECT_NE(orb_describe_one(a, kp, 9), orb_describe_one(b, kp, 9));
 }
 
 TEST(Orb, ExtractProducesDescriptorPerKeypoint) {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 #include <cmath>
 
+#include <string>
+
 #include "core/error.h"
+#include "core/rng.h"
+#include "core/simd.h"
+#include "image/blur_simd.h"
 #include "image/image.h"
+#include "rt/instrument.h"
 #include "image/pixel.h"
 
 namespace vs::img {
@@ -122,6 +128,68 @@ TEST(Image, BoxBlurSpreadsImpulse) {
   EXPECT_EQ(blurred.at(0, 0), 0);
 }
 
+// The 3x3 box blur written out: every neighbour clamped to the image.
+image_u8 naive_box_blur3(const image_u8& src) {
+  image_u8 out(src.width(), src.height(), 1);
+  for (int y = 0; y < src.height(); ++y) {
+    for (int x = 0; x < src.width(); ++x) {
+      int sum = 0;
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          sum += src.sample_clamped(x + dx, y + dy);
+        }
+      }
+      out.at(x, y) = static_cast<std::uint8_t>((sum + 4) / 9);
+    }
+  }
+  return out;
+}
+
+TEST(Image, BoxBlurMatchesNaiveOnBothLanesAtEveryTier) {
+  const core::simd::level saved = core::simd::requested();
+  rng gen(23);
+  // Single rows and columns, the smallest images with and without an
+  // interior, interiors narrower than an SSE4 or AVX2 block, exact block
+  // multiples, and ragged tails.
+  const int sizes[][2] = {{1, 1},  {1, 9},  {9, 1},   {1, 40}, {40, 1},
+                          {2, 2},  {3, 3},  {2, 7},   {7, 2},  {5, 5},
+                          {9, 4},  {10, 3}, {17, 5},  {18, 6}, {19, 7},
+                          {33, 9}, {47, 11}, {128, 96}};
+  for (const auto& size : sizes) {
+    image_u8 im(size[0], size[1], 1);
+    for (std::size_t i = 0; i < im.size(); ++i) {
+      // Mostly noise, with saturated runs so the sums reach 9 * 255.
+      im[i] = gen.uniform(4) == 0
+                  ? std::uint8_t{255}
+                  : static_cast<std::uint8_t>(gen.uniform(256));
+    }
+    const image_u8 expected = naive_box_blur3(im);
+    const std::string what =
+        std::to_string(size[0]) + "x" + std::to_string(size[1]);
+    {
+      rt::session session;  // the instrumented lane's reference blur
+      EXPECT_EQ(box_blur3(im), expected) << what << " instrumented";
+    }
+    for (int l = 0; l <= static_cast<int>(core::simd::detected()); ++l) {
+      const auto level = static_cast<core::simd::level>(l);
+      core::simd::set_level(level);
+      EXPECT_EQ(box_blur3(im), expected)
+          << what << " clean, simd " << core::simd::level_name(level);
+    }
+  }
+  core::simd::set_level(saved);
+}
+
+TEST(Image, BoxBlurDivideByNineMultiplyHighIsExact) {
+  // Every dividend the blur can produce: (sum of nine bytes) + 4.
+  for (std::uint32_t n = 0; n <= simd::div9_max; ++n) {
+    ASSERT_EQ(simd::div9(n), n / 9) << n;
+  }
+  static_assert(simd::div9_max == 2299);
+  // The multiplier is a 16-bit lane constant.
+  static_assert(simd::div9_multiplier <= 0xffff);
+}
+
 TEST(Image, MeanAbsDiff) {
   image_u8 a(2, 1, 1);
   image_u8 b(2, 1, 1);
@@ -151,6 +219,12 @@ struct saturate_case {
   double in;
   std::uint8_t expected;
 };
+
+// Printed into the test name.  Without it gtest dumps the raw bytes, padding
+// included, and the names change from run to run.
+void PrintTo(const saturate_case& c, std::ostream* os) {
+  *os << c.in << " to " << static_cast<int>(c.expected);
+}
 
 class SaturateU8 : public ::testing::TestWithParam<saturate_case> {};
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "app/pipeline.h"
+#include "core/rng.h"
 #include "core/simd.h"
 #include "core/thread_pool.h"
 #include "fault/detectors.h"
@@ -49,12 +50,13 @@ struct simd_level_guard {
   ~simd_level_guard() { core::simd::set_level(saved); }
 };
 
-/// SIMD tiers to sweep: forced-scalar plus the best the host offers.  On a
-/// scalar-only host that collapses to one entry.
+/// SIMD tiers to sweep: every tier up to the best the host offers, so the
+/// SSE4 twins also run on an AVX2 host.  On a scalar-only host that
+/// collapses to one entry.
 std::vector<core::simd::level> test_levels() {
-  std::vector<core::simd::level> levels = {core::simd::level::scalar};
-  if (core::simd::detected() != core::simd::level::scalar) {
-    levels.push_back(core::simd::detected());
+  std::vector<core::simd::level> levels;
+  for (int l = 0; l <= static_cast<int>(core::simd::detected()); ++l) {
+    levels.push_back(static_cast<core::simd::level>(l));
   }
   return levels;
 }
@@ -99,40 +101,168 @@ void for_each_matrix_point(Fn&& candidate) {
   }
 }
 
+/// Frames for the feature-extraction sweeps: a real textured frame plus
+/// the degenerate contents a segment test can trip on.
+enum class frame_kind { textured, flat, saturated, checkerboard };
+
+const char* frame_kind_name(frame_kind kind) {
+  switch (kind) {
+    case frame_kind::textured: return "textured";
+    case frame_kind::flat: return "flat";
+    case frame_kind::saturated: return "saturated";
+    case frame_kind::checkerboard: return "checkerboard";
+  }
+  return "?";
+}
+
+/// A width x 96 frame of `kind`.  The textured one is the top-left corner
+/// of an Input 1 frame.
+img::image_u8 kind_frame(frame_kind kind, int width) {
+  constexpr int height = 96;
+  img::image_u8 out(width, height, 1);
+  const auto texture = test_frame(video::input_id::input1, 3);
+  rng gen(0x5a7u);
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      std::uint8_t v = 128;
+      switch (kind) {
+        case frame_kind::textured:
+          v = texture.at(x % texture.width(), y % texture.height());
+          break;
+        case frame_kind::flat:
+          break;
+        case frame_kind::saturated:
+          // Blobs of 0 and 255 only: every difference is 0 or 255.
+          v = ((x / 5 + y / 7) % 3 == 0 || gen.uniform(9) == 0) ? 255 : 0;
+          break;
+        case frame_kind::checkerboard:
+          v = ((x / 4 + y / 4) % 2 == 0) ? 40 : 215;
+          break;
+      }
+      out.at(x, y) = v;
+    }
+  }
+  return out;
+}
+
+constexpr frame_kind kFrameKinds[] = {frame_kind::textured, frame_kind::flat,
+                                      frame_kind::saturated,
+                                      frame_kind::checkerboard};
+
+/// Widths whose detection windows (width - 2 * border) leave a vector
+/// tail: 128 (the inputs' width), 101, and 45, narrower than one AVX2
+/// score block once the extractor's border is applied.
+constexpr int kFrameWidths[] = {128, 101, 45};
+
+std::string frame_point(frame_kind kind, int width, int threshold,
+                        feat::corner_score score) {
+  return std::string(frame_kind_name(kind)) + " w" + std::to_string(width) +
+         " t" + std::to_string(threshold) +
+         (score == feat::corner_score::harris ? " harris" : " fast");
+}
+
+/// The (threshold, score) points both extraction sweeps cover.
+struct score_point {
+  int threshold;
+  feat::corner_score score;
+};
+constexpr score_point kScorePoints[] = {
+    {10, feat::corner_score::segment_test},
+    {1, feat::corner_score::segment_test},
+    {255, feat::corner_score::segment_test},
+    {300, feat::corner_score::segment_test},
+    {10, feat::corner_score::harris},
+    {1, feat::corner_score::harris},
+};
+
 TEST(ParallelEquivalence, FastDetect) {
   const pool_width_guard guard;
   const simd_level_guard simd_guard;
-  const auto gray = test_frame(video::input_id::input1, 3);
-  feat::fast_params params;
-  std::vector<feat::keypoint> reference;
-  {
-    rt::session session;
-    reference = feat::fast_detect(gray, params);
+  for (const frame_kind kind : kFrameKinds) {
+    for (const int frame_width : kFrameWidths) {
+      const auto gray = kind_frame(kind, frame_width);
+      for (const score_point& point : kScorePoints) {
+        feat::fast_params params;
+        params.threshold = point.threshold;
+        params.score = point.score;
+        const std::string frame_at =
+            frame_point(kind, frame_width, point.threshold, point.score);
+        std::vector<feat::keypoint> reference;
+        {
+          rt::session session;
+          reference = feat::fast_detect(gray, params);
+        }
+        for_each_matrix_point([&](const std::string& at) {
+          expect_same_keypoints(reference, feat::fast_detect(gray, params),
+                                frame_at + ", " + at);
+        });
+      }
+    }
   }
-  for_each_matrix_point([&](const std::string& at) {
-    expect_same_keypoints(reference, feat::fast_detect(gray, params), at);
-  });
+}
+
+void expect_same_features(const feat::frame_features& reference,
+                          const feat::frame_features& clean,
+                          const std::string& at) {
+  expect_same_keypoints(reference.keypoints, clean.keypoints, at);
+  ASSERT_EQ(reference.descriptors.size(), clean.descriptors.size()) << at;
+  for (std::size_t i = 0; i < reference.descriptors.size(); ++i) {
+    EXPECT_EQ(reference.descriptors[i], clean.descriptors[i])
+        << "descriptor " << i << " at " << at;
+  }
 }
 
 TEST(ParallelEquivalence, OrbExtract) {
   const pool_width_guard guard;
   const simd_level_guard simd_guard;
-  const auto gray = test_frame(video::input_id::input2, 2);
-  feat::orb_params params;
-  feat::frame_features reference;
-  {
-    rt::session session;
-    reference = feat::orb_extract(gray, params);
-  }
-  for_each_matrix_point([&](const std::string& at) {
-    const auto clean = feat::orb_extract(gray, params);
-    expect_same_keypoints(reference.keypoints, clean.keypoints, at);
-    ASSERT_EQ(reference.descriptors.size(), clean.descriptors.size());
-    for (std::size_t i = 0; i < reference.descriptors.size(); ++i) {
-      EXPECT_EQ(reference.descriptors[i], clean.descriptors[i])
-          << "descriptor " << i << " at " << at;
+  const auto run = [](const img::image_u8& gray,
+                      const feat::orb_params& params,
+                      const std::string& frame_at) {
+    feat::frame_features reference;
+    {
+      rt::session session;
+      reference = feat::orb_extract(gray, params);
     }
-  });
+    for_each_matrix_point([&](const std::string& at) {
+      expect_same_features(reference, feat::orb_extract(gray, params),
+                           frame_at + ", " + at);
+    });
+  };
+  run(test_frame(video::input_id::input2, 2), feat::orb_params{}, "input2");
+  for (const frame_kind kind : kFrameKinds) {
+    for (const int frame_width : kFrameWidths) {
+      const auto gray = kind_frame(kind, frame_width);
+      for (const score_point& point : kScorePoints) {
+        feat::orb_params params;
+        params.fast.threshold = point.threshold;
+        params.fast.score = point.score;
+        run(gray, params,
+            frame_point(kind, frame_width, point.threshold, point.score));
+      }
+    }
+  }
+}
+
+TEST(ParallelEquivalence, OrbExtractPatchRadii) {
+  const pool_width_guard guard;
+  const simd_level_guard simd_guard;
+  const auto gray = test_frame(video::input_id::input2, 2);
+  // The default radius first, so a pattern table latched on the first
+  // radius seen would serve the later ones.
+  for (const int radius : {7, 9, 5}) {
+    feat::orb_params params;
+    params.patch_radius = radius;
+    feat::frame_features reference;
+    {
+      rt::session session;
+      reference = feat::orb_extract(gray, params);
+    }
+    ASSERT_FALSE(reference.empty()) << "radius " << radius;
+    for_each_matrix_point([&](const std::string& at) {
+      expect_same_features(reference, feat::orb_extract(gray, params),
+                           "radius " + std::to_string(radius) + ", " + at);
+    });
+  }
 }
 
 TEST(ParallelEquivalence, MatchDescriptorsBothModes) {

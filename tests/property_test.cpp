@@ -146,6 +146,14 @@ struct fuzz_case {
   std::uint64_t seed;
 };
 
+// Printed into the test name.  Without it gtest dumps the raw bytes, padding
+// included, and the names change from run to run.
+void PrintTo(const fuzz_case& fuzz, std::ostream* os) {
+  *os << app::algorithm_name(fuzz.alg) << " rfd=" << fuzz.rfd
+      << " kds=" << fuzz.kds << " sm=" << fuzz.sm
+      << " discard=" << fuzz.discard_limit << " seed=" << fuzz.seed;
+}
+
 class PipelineFuzz : public ::testing::TestWithParam<fuzz_case> {};
 
 TEST_P(PipelineFuzz, AccountingInvariantHolds) {

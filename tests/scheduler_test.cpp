@@ -67,11 +67,13 @@ TEST(BatchAxis, ResolutionDefersOnlyForInherit) {
 TEST(RunTasks, RunsEveryTaskExactlyOnce) {
   core::thread_pool pool(4);
   std::atomic<int> ran{0};
-  std::vector<bool> hit(23, false);
+  // One byte per task: std::vector<bool> packs bits into shared words, so
+  // tasks on different workers setting neighbouring flags would race.
+  std::vector<unsigned char> hit(23, 0);
   std::vector<std::function<void()>> tasks;
   for (std::size_t i = 0; i < hit.size(); ++i) {
     tasks.push_back([&ran, &hit, i] {
-      hit[i] = true;  // distinct slots: no two tasks share an index
+      hit[i] = 1;  // distinct slots: no two tasks share an index
       ran.fetch_add(1, std::memory_order_relaxed);
     });
   }
