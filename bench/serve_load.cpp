@@ -29,7 +29,6 @@
 #include "common.h"
 #include "fault/wire.h"
 #include "perf/latency.h"
-#include "pipeline/scheduler.h"
 #include "serve/client.h"
 #include "serve/server.h"
 
@@ -84,12 +83,6 @@ int main(int argc, char** argv) {
   server_config.socket_path = socket_path;
   server_config.queue_capacity = 8;
   server_config.runners = 4;
-  // The batch axis the server will resolve in start(): --batch / VS_BATCH /
-  // auto.  Recorded in the JSON so rows from different batch settings are
-  // distinguishable.
-  const int resolved_batch = pipeline::resolve_batch(server_config.batch);
-  std::printf("stage batching: %s\n\n",
-              pipeline::batch_name(resolved_batch).c_str());
   serve::server server(server_config);
   server.start();
   std::thread server_thread([&server] { server.run(); });
@@ -187,7 +180,6 @@ int main(int argc, char** argv) {
       << ",\n  \"jobs_per_client\": " << jobs_per_client
       << ",\n  \"queue_capacity\": " << server_config.queue_capacity
       << ",\n  \"runners\": " << server_config.runners
-      << ",\n  \"batch\": \"" << pipeline::batch_name(resolved_batch) << "\""
       << ",\n  \"lookahead\": " << server_config.lookahead
       << ",\n  \"pool_budget\": " << stats.pool_budget
       << ",\n  \"pool_peak_in_use\": " << stats.pool_peak_in_use

@@ -37,7 +37,6 @@
 
 #include "common.h"
 #include "fault/wire.h"
-#include "pipeline/scheduler.h"
 #include "serve/campaign.h"
 #include "serve/client.h"
 #include "serve/respawn.h"
@@ -90,7 +89,7 @@ int main(int argc, char** argv) {
       const auto source = video::make_input(input, frames);
       app::pipeline_config config;
       config.approx.alg = alg;
-      config.batch = pipeline::kBatchOff;
+      config.frames_in_flight = 0;
       const auto result = app::summarize(*source, config);
       reference[{static_cast<int>(input), static_cast<int>(alg)}] =
           fault::wire::hash_image(result.panorama);
@@ -107,7 +106,6 @@ int main(int argc, char** argv) {
   rc.server.isolate = true;
   rc.server.runners = 4;
   rc.server.queue_capacity = 32;
-  rc.server.batch = pipeline::kBatchOff;
   rc.server.lookahead = 0;
   rc.stable_uptime_s = 0.2;
   rc.max_consecutive_failures = 20;

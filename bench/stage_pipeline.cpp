@@ -1,10 +1,10 @@
 // Stage-graph scheduling sweep: wall-clock of the clean-lane pipeline as a
 // function of the in-flight depth (how many frames may have their
-// prefetchable stage prefix running ahead of the stitch point) at several
-// pool widths, plus a batch-size sweep over the per-stage scheduler
-// (pipeline/scheduler.h) at a fixed depth.  Byte identity across both
-// sweeps is asserted, not assumed — the speedup is only admissible because
-// the output cannot change.
+// prefetchable stage prefix queued in the per-stage scheduler,
+// pipeline/scheduler.h, ahead of the stitch point) at several pool widths —
+// the pool width is also the scheduler's batch size.  Byte identity across
+// the sweep is asserted, not assumed — the speedup is only admissible
+// because the output cannot change.
 //
 // Emits BENCH_stage_pipeline.json into --out-dir (or cwd).
 #include <chrono>
@@ -15,7 +15,6 @@
 
 #include "common.h"
 #include "core/thread_pool.h"
-#include "pipeline/scheduler.h"
 
 namespace {
 
@@ -37,11 +36,6 @@ int main(int argc, char** argv) {
   const int frames = opts.quick ? 12 : opts.frames;
   const std::vector<int> depths = {0, 1, 2, 4, 8};
   const std::vector<unsigned> widths = {1, 2, 4};
-  // Batch axis at fixed depth: legacy future ring (off), fixed sizes, and
-  // the width-tracking auto policy.
-  const std::vector<int> batches = {pipeline::kBatchOff, 1, 2, 4,
-                                    pipeline::kBatchAuto};
-  const int batch_sweep_depth = 4;
   const int repeats = opts.quick ? 1 : 3;
 
   std::string json = "{\n  \"benchmark\": \"stage_pipeline\",\n  \"frames\": " +
@@ -66,11 +60,8 @@ int main(int argc, char** argv) {
       core::thread_pool::set_global_threads(width);
       double seq_ms = 0.0;
       for (const int depth : depths) {
-        // Depth sweep on the legacy per-frame future ring, so these rows
-        // stay comparable with historical runs of this benchmark.
         app::pipeline_config run_config = config;
         run_config.frames_in_flight = depth;
-        run_config.batch = pipeline::kBatchOff;
         double best = 1e30;
         for (int r = 0; r < repeats; ++r) {
           best = std::min(best, run_once(*source, run_config));
@@ -89,44 +80,7 @@ int main(int argc, char** argv) {
         json += std::string(first ? "" : ",\n") + "    {\"input\": \"" +
                 video::input_name(input) + "\", \"width\": " +
                 std::to_string(width) + ", \"depth\": " +
-                std::to_string(depth) + ", \"batch\": \"off\", \"ms\": " +
-                std::to_string(best) + "}";
-        first = false;
-      }
-    }
-
-    benchutil::heading(std::string(video::input_name(input)) +
-                       ": batch sweep (depth " +
-                       std::to_string(batch_sweep_depth) + ")");
-    std::printf("%8s %8s %12s %10s\n", "width", "batch", "best ms", "vs off");
-    for (const unsigned width : widths) {
-      core::thread_pool::set_global_threads(width);
-      double off_ms = 0.0;
-      for (const int batch : batches) {
-        app::pipeline_config run_config = config;
-        run_config.frames_in_flight = batch_sweep_depth;
-        run_config.batch = batch;
-        double best = 1e30;
-        for (int r = 0; r < repeats; ++r) {
-          best = std::min(best, run_once(*source, run_config));
-        }
-        // Identity at every (width, batch): batching groups pool dispatches
-        // but must never change a byte.
-        const auto check = app::summarize(*source, run_config).panorama;
-        if (!(check == reference)) {
-          std::fprintf(stderr,
-                       "FATAL: output diverged at width %u batch %s\n", width,
-                       pipeline::batch_name(batch).c_str());
-          return 1;
-        }
-        if (batch == pipeline::kBatchOff) off_ms = best;
-        std::printf("%8u %8s %12.2f %9.2fx\n", width,
-                    pipeline::batch_name(batch).c_str(), best, off_ms / best);
-        json += std::string(first ? "" : ",\n") + "    {\"input\": \"" +
-                video::input_name(input) + "\", \"width\": " +
-                std::to_string(width) + ", \"depth\": " +
-                std::to_string(batch_sweep_depth) + ", \"batch\": \"" +
-                pipeline::batch_name(batch) + "\", \"ms\": " +
+                std::to_string(depth) + ", \"ms\": " +
                 std::to_string(best) + "}";
         first = false;
       }

@@ -52,23 +52,18 @@ struct pipeline_config {
 
   /// Clean-lane frame lookahead: how many frames beyond the one being
   /// stitched may have their prefetchable stage prefix (acquire + detect +
-  /// describe) in flight on helper threads.  0 disables the overlap; the
+  /// describe) in flight in the stage scheduler's batch queues
+  /// (pipeline/scheduler.h), which group them into per-stage pool
+  /// dispatches as wide as the pool.  0 runs every stage inline; the
   /// instrumented lane always runs strictly inline whatever this says.
   /// Output is byte-identical at every depth (the prefix is a pure
   /// function of the frame index, consumed in stitch order).
   int frames_in_flight = 2;
 
-  /// Clean-lane stage batching (pipeline/scheduler.h): how many in-flight
-  /// frames one per-stage pool dispatch may group.  kBatchOff keeps the
-  /// legacy one-future-per-frame ring; kBatchAuto tracks the dispatch
-  /// width; kBatchInherit (the default) defers to --batch / VS_BATCH.
-  /// Byte-identical along the whole axis, like frames_in_flight.
-  int batch = pipeline::kBatchInherit;
-
   /// External stage scheduler to feed instead of a per-run private one —
   /// the serving front end shares one across admitted jobs so deep queues
   /// batch frames from different clips into single dispatches.  Must
-  /// outlive the run.  Null = own scheduler when batching is on.
+  /// outlive the run.  Null = own scheduler when the lookahead is active.
   pipeline::stage_scheduler* scheduler = nullptr;
 
   /// Real-time frame gating (src/gate/): the temporal-approximation axis.

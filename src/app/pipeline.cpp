@@ -209,7 +209,7 @@ summary_result summarize(const video::video_source& source,
                 const feat::frame_features& features) {
         return feat::orb_verify_features(frame, features, config.orb);
       },
-      config.batch, config.scheduler,
+      config.scheduler,
       // Gated runs prefetch acquisition only: whether (and over which ROI)
       // extraction happens is decided per frame behind the gate stage.
       /*acquire_only=*/gating);

@@ -1,25 +1,8 @@
 #include "core/pool_budget.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <thread>
 
 namespace vs::core {
-
-namespace {
-
-unsigned resolve_budget(unsigned requested) {
-  if (requested == 0) {
-    if (const char* env = std::getenv("VS_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) requested = static_cast<unsigned>(std::min(v, 256L));
-    }
-  }
-  if (requested == 0) requested = std::thread::hardware_concurrency();
-  return std::clamp(requested, 1u, 256u);
-}
-
-}  // namespace
 
 pool_lease& pool_lease::operator=(pool_lease&& other) noexcept {
   if (this != &other) {
@@ -47,7 +30,7 @@ void pool_lease::release() noexcept {
   }
 }
 
-pool_arbiter::pool_arbiter(unsigned budget) : budget_(resolve_budget(budget)) {}
+pool_arbiter::pool_arbiter(unsigned budget) : budget_(resolve_threads(budget)) {}
 
 unsigned pool_arbiter::clamp_grant(unsigned min_slots,
                                    unsigned max_slots) const noexcept {

@@ -65,8 +65,8 @@ class pool_lease {
 
 class pool_arbiter {
  public:
-  /// budget == 0 resolves like the pools do: VS_THREADS, else hardware
-  /// concurrency (min 1).
+  /// The budget is resolve_threads(budget), exactly as the pools size
+  /// themselves (0 = VS_THREADS, else hardware concurrency).
   explicit pool_arbiter(unsigned budget = 0);
 
   /// Blocks until at least min_slots are free, then grants

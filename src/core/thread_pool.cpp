@@ -30,6 +30,8 @@ class region_guard {
   bool prev_;
 };
 
+}  // namespace
+
 unsigned resolve_threads(unsigned requested) {
   if (requested == 0) {
     if (const char* env = std::getenv("VS_THREADS")) {
@@ -40,8 +42,6 @@ unsigned resolve_threads(unsigned requested) {
   if (requested == 0) requested = std::thread::hardware_concurrency();
   return std::clamp(requested, 1u, 256u);
 }
-
-}  // namespace
 
 struct thread_pool::job {
   const chunk_fn* body = nullptr;
@@ -220,10 +220,6 @@ thread_local thread_pool* tls_pool_override = nullptr;
 thread_pool& thread_pool::current() noexcept {
   if (tls_pool_override != nullptr) return *tls_pool_override;
   return global();
-}
-
-thread_pool* thread_pool::current_override() noexcept {
-  return tls_pool_override;
 }
 
 pool_scope::pool_scope(thread_pool& pool) noexcept

@@ -30,6 +30,12 @@
 
 namespace vs::core {
 
+/// The one place a worker width is resolved: `requested` when non-zero,
+/// else the VS_THREADS environment variable when it holds a positive
+/// number, else hardware concurrency — clamped to [1, 256].  Pools and the
+/// serve-layer pool_arbiter budget both size themselves through it.
+[[nodiscard]] unsigned resolve_threads(unsigned requested);
+
 class thread_pool {
  public:
   /// Chunk body: half-open iteration range plus the chunk's index in the
@@ -38,9 +44,8 @@ class thread_pool {
       std::function<void(std::int64_t begin, std::int64_t end,
                          std::size_t chunk)>;
 
-  /// threads == 0 picks std::thread::hardware_concurrency().  The calling
-  /// thread always participates, so a pool of `t` threads spawns `t - 1`
-  /// workers.
+  /// The width is resolve_threads(threads).  The calling thread always
+  /// participates, so a pool of `t` threads spawns `t - 1` workers.
   explicit thread_pool(unsigned threads = 0);
   ~thread_pool();
   thread_pool(const thread_pool&) = delete;
@@ -93,11 +98,6 @@ class thread_pool {
   /// This is how a leased-width pool (core/pool_budget.h) reaches the
   /// kernels without threading a pool parameter through every call chain.
   static thread_pool& current() noexcept;
-
-  /// The thread's pool_scope override, or nullptr when the thread would
-  /// fall back to global().  Lets helper-thread spawners (the pipeline's
-  /// frame prefetch) re-install the submitting thread's pool on workers.
-  static thread_pool* current_override() noexcept;
 
   /// Replaces the global pool with one of the given width (0 = auto).  Test
   /// and benchmark hook; must not be called while parallel work is in

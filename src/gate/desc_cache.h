@@ -9,8 +9,8 @@
 // the sequential frame loop, entries are kept in insertion-stamp order,
 // dedup is by quantized warped position (newest wins), and eviction drops
 // the oldest stamp first — so cache contents, and therefore everything
-// matched against them, are byte-identical across pool widths, batch modes
-// and SIMD levels.  The cache is plain copyable state: the recovery
+// matched against them, are byte-identical across pool widths, lookahead
+// depths and SIMD levels.  The cache is plain copyable state: the recovery
 // boundary snapshots and restores it with the rest of the per-frame state,
 // and invalidation on retry/dead-reckon is a reset().
 #pragma once

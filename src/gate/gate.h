@@ -13,11 +13,11 @@
 //     descriptors across overlapping frames.
 //
 // Gating is an approximation in the paper's own sense, so it is a
-// first-class variant axis exactly like --simd and --batch: a process-wide
+// first-class variant axis exactly like --simd: a process-wide
 // requested level (--gate flag beats the VS_GATE environment variable;
 // unknown environment values fail closed to off), a per-run override in
 // app::pipeline_config, and default **off** so every golden — campaign
-// distributions, serve outputs, batch/SIMD equivalence matrices — is
+// distributions, serve outputs, width/SIMD equivalence matrices — is
 // byte-identical to an ungated build.
 //
 // The gated state (reference thumb, last change score, skip/delta streaks,
@@ -59,8 +59,8 @@ inline constexpr int kLevelInherit = -1;
 /// Throws invalid_argument otherwise.
 [[nodiscard]] level parse_level(const std::string& spec);
 
-/// Process-wide requested level (the --gate flag).  Like set_simd_level /
-/// set_batch: call once at startup before pipelines are constructed.
+/// Process-wide requested level (the --gate flag).  Like set_simd_level:
+/// call once at startup before pipelines are constructed.
 void set_level(level l) noexcept;
 
 /// The process-wide request: the --gate flag if set, else VS_GATE (read

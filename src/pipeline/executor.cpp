@@ -10,13 +10,15 @@ namespace vs::pipeline {
 frame_executor::frame_executor(const resil::hardening_config& hardening,
                                int frame_count, int frames_in_flight,
                                acquire_fn acquire, detect_fn detect,
-                               verify_fn verify, int batch,
-                               stage_scheduler* scheduler, bool acquire_only)
+                               verify_fn verify, stage_scheduler* scheduler,
+                               bool acquire_only)
     : hardening_(hardening),
       hardened_(hardening.enabled()),
       frame_count_(frame_count),
-      depth_(std::max(0, frames_in_flight)),
-      batch_(resolve_batch(batch)),
+      // No lookahead beyond the clip: top_up's horizon is min'd with
+      // frame_count anyway, and the clamp keeps index + 1 + depth_ from
+      // overflowing at any requested depth.
+      depth_(std::clamp(frames_in_flight, 0, std::max(0, frame_count))),
       acquire_only_(acquire_only),
       // The instrumented lane never prefetches: acquisition must stay
       // inline so its hooks keep their position in the dynamic-instruction
@@ -25,26 +27,24 @@ frame_executor::frame_executor(const resil::hardening_config& hardening,
       acquire_(std::move(acquire)),
       detect_(std::move(detect)),
       verify_(std::move(verify)) {
-  if (overlap_ && batch_ != kBatchOff) {
-    if (scheduler != nullptr) {
-      scheduler_ = scheduler;
-    } else {
-      stage_scheduler::options opt;
-      opt.batch = batch_;
-      // Batches dispatch to the pool this run's own kernels use, so a job
-      // under a leased-width pool (core/pool_budget.h) keeps its batched
-      // prefetch on the lease instead of escaping to the process-wide pool.
-      opt.pool = &core::thread_pool::current();
-      owned_scheduler_ = std::make_unique<stage_scheduler>(opt);
-      scheduler_ = owned_scheduler_.get();
-    }
-    job_ = scheduler_->attach();
+  if (!overlap_) return;
+  if (scheduler != nullptr) {
+    scheduler_ = scheduler;
+  } else {
+    stage_scheduler::options opt;
+    // Batches dispatch to the pool this run's own kernels use, so a job
+    // under a leased-width pool (core/pool_budget.h) keeps its prefetch on
+    // the lease instead of escaping to the process-wide pool.
+    opt.pool = &core::thread_pool::current();
+    owned_scheduler_ = std::make_unique<stage_scheduler>(opt);
+    scheduler_ = owned_scheduler_.get();
   }
+  job_ = scheduler_->attach();
 }
 
 frame_executor::~frame_executor() {
-  for (slot& s : ring_) {
-    if (s.work.valid()) s.work.wait();
+  for (ticket& t : tickets_) {
+    if (t.work.valid()) t.work.wait();
   }
 }
 
@@ -55,13 +55,6 @@ frame_executor::stage_guard::stage_guard(const frame_executor& exec,
     scope_.emplace(budget_value(exec.hardening_.stage_budgets, desc.budget));
   }
   resil::mark(desc.node);
-}
-
-frame_work frame_executor::produce(int index) const {
-  frame_work w;
-  w.frame = acquire_(index);
-  if (!acquire_only_) w.features = detect_(w.frame);
-  return w;
 }
 
 void frame_executor::check_extract_replica(const frame_work& work) const {
@@ -85,64 +78,43 @@ void frame_executor::check_extract_replica(const frame_work& work) const {
 }
 
 void frame_executor::drain_stale(int index) {
-  while (!ring_.empty() && ring_.front().index < index) {
-    if (ring_.front().work.valid()) ring_.front().work.wait();
-    ring_.pop_front();
+  while (!tickets_.empty() && tickets_.front().index < index) {
+    if (tickets_.front().work.valid()) tickets_.front().work.wait();
+    tickets_.pop_front();
   }
 }
 
 void frame_executor::top_up(int index) {
   const int horizon = std::min(frame_count_, index + 1 + depth_);
   if (next_prefetch_ <= index) next_prefetch_ = index + 1;
-  if (scheduler_ != nullptr) {
-    // Batched production: each frame becomes a (job, frame) ticket in the
-    // scheduler's acquire queue; the dispatcher groups queued tickets —
-    // across jobs, under serving — into one pool dispatch per stage.  The
-    // consumption side below is identical to the ring's, so ordering,
-    // CFCSS marks and retry semantics don't move.
-    while (next_prefetch_ < horizon) {
-      const int i = next_prefetch_++;
-      stage_scheduler::extract_step extract;
-      if (!acquire_only_) {
-        extract = [this](const img::image_u8& frame) {
-          return detect_(frame);
-        };
-      }
-      ring_.push_back({i, scheduler_->submit(
-                              job_, i, [this, i] { return acquire_(i); },
-                              std::move(extract))});
-    }
-    return;
-  }
-  // Legacy per-frame ring (--batch=off): one detached helper per in-flight
-  // frame.  Helpers inherit the submitting thread's pool override, so a job
-  // running under a leased-width pool (core/pool_budget.h) keeps its
-  // prefetched kernels on the leased pool instead of escaping to the
-  // process-wide one.
-  core::thread_pool* pool = core::thread_pool::current_override();
+  // Each frame becomes a (job, frame) ticket in the scheduler's acquire
+  // queue; the dispatcher groups queued tickets — across jobs, under
+  // serving — into one pool dispatch per stage.
   while (next_prefetch_ < horizon) {
     const int i = next_prefetch_++;
-    ring_.push_back({i, std::async(std::launch::async, [this, i, pool] {
-                       if (pool == nullptr) return produce(i);
-                       const core::pool_scope scope(*pool);
-                       return produce(i);
-                     })});
+    stage_scheduler::extract_step extract;
+    if (!acquire_only_) {
+      extract = [this](const img::image_u8& frame) { return detect_(frame); };
+    }
+    tickets_.push_back({i, scheduler_->submit(
+                               job_, i, [this, i] { return acquire_(i); },
+                               std::move(extract))});
   }
 }
 
 frame_work frame_executor::obtain(int index) {
   if (overlap_ && !retrying_) {
     drain_stale(index);
-    if (!ring_.empty() && ring_.front().index == index) {
-      // Interprocedural CFCSS: consuming the ring signs through the
+    if (!tickets_.empty() && tickets_.front().index == index) {
+      // Interprocedural CFCSS: consuming a ticket signs through the
       // prefetch node, so control flow that jumps out of (or into) the
       // prefetched path is caught by the acquire transition's fan-in.
       resil::mark(resil::cfcss::node::prefetch);
-      std::future<frame_work> work = std::move(ring_.front().work);
-      ring_.pop_front();
+      std::future<frame_work> work = std::move(tickets_.front().work);
+      tickets_.pop_front();
       frame_work w;
       {
-        // A poisoned prefetch (the helper's acquisition or extraction
+        // A poisoned prefetch (the scheduler's acquisition or extraction
         // threw) rethrows here, inside the acquire stage, where the
         // recovery boundary contains it like an inline failure.
         const stage_guard g = enter(stage_id::acquire);
@@ -157,8 +129,8 @@ frame_work frame_executor::obtain(int index) {
       return w;
     }
   }
-  // Inline: the instrumented lane, depth 0, the ring's cold start, or a
-  // recovery retry recomputing a consumed slot.
+  // Inline: the instrumented lane, depth 0, the lookahead's cold start, or
+  // a recovery retry recomputing a consumed ticket.
   frame_work w;
   {
     const stage_guard g = enter(stage_id::acquire);

@@ -14,9 +14,7 @@
 //                           lane feeds the prefetchable stage prefix
 //                           (acquire/detect/describe) of frames t+1..t+k
 //                           into a stage_scheduler's per-stage batch queues
-//                           (or, at --batch=off, onto legacy per-frame
-//                           helper threads) while frame t is matched and
-//                           composited;
+//                           while frame t is matched and composited;
 //   * profiling           — attribution scopes stay inside the kernels,
 //                           but the registry's fn->stage mapping is what
 //                           perf and fault reports aggregate by.
@@ -57,19 +55,16 @@ class frame_executor {
       std::function<bool(const img::image_u8&, const feat::frame_features&)>;
 
   /// `hardening` must outlive the executor (it is the pipeline_config's).
-  /// `frames_in_flight` bounds the clean-lane lookahead ring; the
-  /// instrumented lane ignores it and runs strictly inline.  When `verify`
-  /// is provided the extraction stages' replication check uses it instead
-  /// of a full recompute-and-compare of `detect`.
+  /// `frames_in_flight` is the clean-lane lookahead (clamped to
+  /// [0, frame_count]); the instrumented lane ignores it and runs strictly
+  /// inline.  When `verify` is provided the extraction stages' replication
+  /// check uses it instead of a full recompute-and-compare of `detect`.
   ///
-  /// `batch` selects the clean lane's production side: kBatchOff keeps the
-  /// legacy one-future-per-frame ring; anything else routes prefetch
-  /// through a stage_scheduler's per-stage batch queues (kBatchInherit
-  /// defers to --batch / VS_BATCH).  `scheduler` shares an external
-  /// scheduler (the serving front end's cross-job queues); when null and
-  /// batching is on the executor owns a private one dispatching to the
-  /// pool its own kernels use.  Output is byte-identical along the whole
-  /// axis: tickets are consumed in stitch order either way.
+  /// Prefetch rides a stage_scheduler's per-stage batch queues.
+  /// `scheduler` shares an external one (the serving front end's cross-job
+  /// queues); when null and the lookahead is active the executor owns a
+  /// private one dispatching to the pool its own kernels use.  Output is
+  /// byte-identical at every depth: tickets are consumed in stitch order.
   ///
   /// `acquire_only` degrades the prefetchable prefix to frame acquisition
   /// (gated runs: whether — and over which ROI — extraction happens is
@@ -79,8 +74,7 @@ class frame_executor {
   /// mark(describe) + check_extract().
   frame_executor(const resil::hardening_config& hardening, int frame_count,
                  int frames_in_flight, acquire_fn acquire, detect_fn detect,
-                 verify_fn verify = {}, int batch = kBatchInherit,
-                 stage_scheduler* scheduler = nullptr,
+                 verify_fn verify = {}, stage_scheduler* scheduler = nullptr,
                  bool acquire_only = false);
   /// Drains every in-flight prefetch before the frame source can die.
   ~frame_executor();
@@ -114,13 +108,13 @@ class frame_executor {
   void end_frame() const { resil::mark(resil::cfcss::node::frame_end); }
 
   /// Runs the prefetchable stage prefix for `index` and returns its
-  /// products.  Clean lane: consumes the in-flight ring (draining slots of
-  /// frames the policy skipped) and tops it up to the lookahead depth.
+  /// products.  Clean lane: consumes the in-flight tickets (draining those
+  /// of frames the policy skipped) and tops them up to the lookahead depth.
   /// Instrumented lane, depth 0, or a recovery retry: computes inline.
   [[nodiscard]] frame_work obtain(int index);
 
   /// Re-acquires a frame for the degraded placement path: always inline,
-  /// never touches the ring, launches nothing.
+  /// never touches the tickets, launches nothing.
   [[nodiscard]] img::image_u8 reacquire(int index) const {
     return acquire_(index);
   }
@@ -178,8 +172,8 @@ class frame_executor {
       // frame entry is a checked edge.
       if (resil::tls.monitor != nullptr) resil::tls.monitor->enter_recovery();
       // The failed attempt already consumed (or poisoned) this frame's
-      // prefetch slot; obtain() must bypass the ring and recompute inline
-      // rather than dequeue a later frame's work.
+      // prefetch ticket; obtain() must bypass the tickets and recompute
+      // inline rather than dequeue a later frame's work.
       retrying_ = true;
       if (retries_left-- > 0) {
         ++resil::tls.report.retries;
@@ -194,15 +188,8 @@ class frame_executor {
   /// Whether the clean-lane lookahead is active this run.
   [[nodiscard]] bool overlapping() const noexcept { return overlap_; }
   [[nodiscard]] int frames_in_flight() const noexcept { return depth_; }
-  /// Whether prefetch rides stage_scheduler batch queues (vs the legacy
-  /// per-frame future ring, or no lookahead at all).
-  [[nodiscard]] bool batched() const noexcept { return scheduler_ != nullptr; }
-  /// The resolved batch knob this run executes under.
-  [[nodiscard]] int batch() const noexcept { return batch_; }
 
  private:
-  /// The whole prefetchable prefix composed, as helper threads run it.
-  [[nodiscard]] frame_work produce(int index) const;
   /// Dual-execution check of the extraction stages (selective
   /// replication): per-keypoint scoring verification when a verify_fn was
   /// supplied, full recompute-compare otherwise.  No-op unless the
@@ -211,8 +198,8 @@ class frame_executor {
   /// budgeted — in the stage it implicates.  (Acquire has no check: it is
   /// the I/O boundary, outside the sphere of replication.)
   void check_extract_replica(const frame_work& work) const;
-  /// Finishes and discards slots of frames consumption skipped past
-  /// (RFD-dropped frames): the helper thread reads the source, so the slot
+  /// Finishes and discards tickets of frames consumption skipped past
+  /// (RFD-dropped frames): the scheduler reads the source, so the ticket
   /// must complete before it dies.
   void drain_stale(int index);
   /// Schedules the prefix of frames index+1 .. index+depth.  Monotonic:
@@ -224,7 +211,6 @@ class frame_executor {
   const bool hardened_;
   const int frame_count_;
   const int depth_;
-  const int batch_;  ///< resolved batch knob (kBatchOff / kBatchAuto / k)
   const bool acquire_only_;
   const bool overlap_;
   bool retrying_ = false;
@@ -232,18 +218,18 @@ class frame_executor {
   detect_fn detect_;
   verify_fn verify_;
 
-  /// Private scheduler when batching is on and none was shared.  Declared
-  /// before ring_ and destroyed after the destructor body drains it, so
-  /// every ticket resolves while the dispatcher is still alive.
+  /// Private scheduler when the lookahead is active and none was shared.
+  /// Declared before tickets_ and destroyed after the destructor body
+  /// drains them, so every ticket resolves while the dispatcher is alive.
   std::unique_ptr<stage_scheduler> owned_scheduler_;
-  stage_scheduler* scheduler_ = nullptr;  ///< null = legacy ring / inline
+  stage_scheduler* scheduler_ = nullptr;  ///< null = inline only
   std::uint64_t job_ = 0;                 ///< scheduler job key
 
-  struct slot {
+  struct ticket {
     int index = -1;
     std::future<frame_work> work;
   };
-  std::deque<slot> ring_;  ///< in-flight frames, ascending index
+  std::deque<ticket> tickets_;  ///< in-flight frames, ascending index
   int next_prefetch_ = 0;  ///< first frame index never scheduled
 };
 

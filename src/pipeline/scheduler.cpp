@@ -1,75 +1,12 @@
 #include "pipeline/scheduler.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <utility>
 
-#include "core/error.h"
 #include "core/pool_budget.h"
 #include "core/thread_pool.h"
 
 namespace vs::pipeline {
-
-// --- the --batch axis -----------------------------------------------------
-
-int parse_batch(const std::string& spec) {
-  std::string lower;
-  lower.reserve(spec.size());
-  for (char c : spec) lower.push_back(static_cast<char>(std::tolower(c)));
-  if (lower.empty() || lower == "auto") return kBatchAuto;
-  if (lower == "off" || lower == "none") return kBatchOff;
-  const bool digits =
-      std::all_of(lower.begin(), lower.end(),
-                  [](char c) { return std::isdigit(c) != 0; });
-  if (digits) {
-    const long v = std::strtol(lower.c_str(), nullptr, 10);
-    if (v >= 1 && v <= kBatchMax) return static_cast<int>(v);
-  }
-  throw invalid_argument("unknown batch size: " + spec +
-                         " (expected off, auto, or a batch size 1.." +
-                         std::to_string(kBatchMax) + ")");
-}
-
-std::string batch_name(int batch) {
-  if (batch == kBatchInherit) return "inherit";
-  if (batch == kBatchOff) return "off";
-  if (batch == kBatchAuto) return "auto";
-  return std::to_string(batch);
-}
-
-namespace {
-std::atomic<int> g_batch_flag{kBatchInherit};
-}  // namespace
-
-void set_batch(int batch) noexcept {
-  g_batch_flag.store(batch, std::memory_order_relaxed);
-}
-
-int requested_batch() noexcept {
-  // The environment is read once: VS_BATCH is a process-launch axis (the CI
-  // forcing jobs), not something to toggle mid-run.
-  static const int env_value = [] {
-    if (const char* env = std::getenv("VS_BATCH")) {
-      try {
-        return parse_batch(env);
-      } catch (...) {
-        // An unrecognized VS_BATCH is a configuration error; fail closed to
-        // the legacy ring rather than silently batching.
-        return kBatchOff;
-      }
-    }
-    return kBatchAuto;
-  }();
-  const int flag = g_batch_flag.load(std::memory_order_relaxed);
-  return flag == kBatchInherit ? env_value : flag;
-}
-
-int resolve_batch(int batch) noexcept {
-  return batch == kBatchInherit ? requested_batch() : batch;
-}
-
-// --- stage_scheduler ------------------------------------------------------
 
 namespace {
 
@@ -121,15 +58,13 @@ std::future<frame_work> stage_scheduler::submit(std::uint64_t job, int frame,
 }
 
 int stage_scheduler::batch_limit() const noexcept {
-  if (opt_.batch > 0) return std::min(opt_.batch, kBatchMax);
   unsigned width = 1;
   if (opt_.arbiter != nullptr) {
     width = opt_.arbiter->budget();
   } else if (opt_.pool != nullptr) {
     width = opt_.pool->thread_count();
   }
-  return static_cast<int>(
-      std::clamp<unsigned>(width, 1u, static_cast<unsigned>(kBatchMax)));
+  return static_cast<int>(std::max(width, 1u));
 }
 
 scheduler_stats stage_scheduler::stats() const noexcept {
@@ -222,8 +157,8 @@ std::vector<std::unique_ptr<stage_scheduler::item>> stage_scheduler::run_batch(
     if (slot->error != nullptr) {
       // Eviction: poison only this ticket.  The consumer's get() rethrows
       // inside its acquire stage guard — the recovery boundary contains it
-      // like an inline failure and the retry recomputes inline, exactly the
-      // ring's contract.  The batch's other items were untouched.
+      // like an inline failure and the retry recomputes inline.  The
+      // batch's other items were untouched.
       evicted_.fetch_add(1, std::memory_order_relaxed);
       slot->done.set_exception(slot->error);
       continue;

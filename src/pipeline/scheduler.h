@@ -1,15 +1,9 @@
-// stage_scheduler — per-stage batched work queues, the clean lane's
-// execution core behind the frame_executor.
+// stage_scheduler — per-stage batched work queues, the clean lane's only
+// prefetch producer behind the frame_executor.
 //
-// The seed executor prefetched whole-frame prefixes as k independent
-// futures: one helper thread per in-flight frame, each running
-// acquire -> detect -> describe end to end.  On wide machines that shape
-// starves the pool whenever per-frame work is small (each helper keeps its
-// kernels inline), and in the serving front end every admitted job span its
-// own helpers with no way to coalesce work across jobs.
-//
-// The scheduler replaces the ring's production side with per-stage work
-// queues keyed by (job, frame):
+// The executor's lookahead (pipeline_config::frames_in_flight) submits the
+// prefetchable stage prefix of frames t+1..t+k as tickets into per-stage
+// work queues keyed by (job, frame):
 //
 //   * submit() enqueues a frame ticket at the acquire queue and hands the
 //     consumer a future; the prefetchable registry stages name the queue
@@ -18,15 +12,15 @@
 //   * one dispatcher thread forms batches: it scans the queues in REVERSE
 //     dataflow order (extraction before admission, so in-flight frames
 //     finish first and queue memory stays bounded by the executors'
-//     lookahead depths), pops up to batch_limit() items, and issues ONE
-//     core::thread_pool::run_tasks dispatch over the batch — k frames' FAST
-//     pyramids in one fan-out instead of k private helper threads;
+//     lookahead depths), pops up to batch_limit() items — the dispatch
+//     width — and issues ONE core::thread_pool::run_tasks dispatch over the
+//     batch: k frames' FAST pyramids in one fan-out;
 //   * an item whose step throws is EVICTED from its batch: its ticket is
 //     poisoned (future::get rethrows at the consumer, inside the acquire
-//     stage guard, where the recovery boundary contains it exactly like the
-//     ring's poisoned future) while the batch's other items complete and
-//     advance untouched.  The consumer's retry then recomputes inline,
-//     bypassing the queues — identical to the ring's retry contract.
+//     stage guard, where the recovery boundary contains it like an inline
+//     failure) while the batch's other items complete and advance
+//     untouched.  The consumer's retry then recomputes inline, bypassing
+//     the queues.
 //
 // Determinism: each frame's stage work is a pure function of the frame
 // index, each run_tasks task is exactly one chunk of the pool's fixed
@@ -53,7 +47,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -75,39 +68,6 @@ struct frame_work {
   feat::frame_features features;
 };
 
-// --- the --batch axis -----------------------------------------------------
-// kBatchOff selects the legacy per-frame future ring (one detached helper
-// per in-flight frame, the seed executor's shape — kept as the bisection
-// and CI forcing axis).  kBatchAuto sizes batches to the dispatch width.
-// A fixed k in [1, kBatchMax] caps every dispatch at k frames.
-// kBatchInherit defers to the process-wide request.
-
-inline constexpr int kBatchInherit = -2;
-inline constexpr int kBatchOff = -1;
-inline constexpr int kBatchAuto = 0;
-inline constexpr int kBatchMax = 256;
-
-/// Parses a --batch / VS_BATCH specification: "off", "auto", or a batch
-/// size in [1, kBatchMax].  Throws invalid_argument listing the valid
-/// values (the --replicate error-message convention).
-[[nodiscard]] int parse_batch(const std::string& spec);
-
-/// Canonical spelling of a batch value ("off", "auto", "inherit", or the
-/// number) — inverse of parse_batch for its outputs.
-[[nodiscard]] std::string batch_name(int batch);
-
-/// Installs a process-wide request (the --batch flag).
-void set_batch(int batch) noexcept;
-
-/// The process-wide batch request: set_batch() if called, else VS_BATCH
-/// (an unrecognized value fails closed to "off" — the legacy ring is the
-/// conservative configuration), else auto.
-[[nodiscard]] int requested_batch() noexcept;
-
-/// Resolves a config/executor batch knob: kBatchInherit defers to
-/// requested_batch(); anything else passes through.
-[[nodiscard]] int resolve_batch(int batch) noexcept;
-
 /// Live counters over a scheduler's lifetime (relaxed reads; exact once the
 /// producers quiesce).
 struct scheduler_stats {
@@ -126,10 +86,6 @@ class stage_scheduler {
       std::function<feat::frame_features(const img::image_u8&)>;
 
   struct options {
-    /// kBatchAuto or a fixed size in [1, kBatchMax].  (kBatchOff never
-    /// reaches a scheduler: an executor asked to run batch=off keeps the
-    /// legacy ring and constructs none.)
-    int batch = kBatchAuto;
     /// Fixed dispatch pool (standalone summarize: the executor passes the
     /// pool its own kernels dispatch to, so a leased-width job keeps its
     /// batches on the leased pool).  Ignored when `arbiter` is set.
@@ -159,8 +115,8 @@ class stage_scheduler {
                                                acquire_step acquire,
                                                extract_step extract);
 
-  /// Most frames one dispatch may take: the fixed size, or the dispatch
-  /// width (arbiter budget / pool width) under auto.
+  /// Most frames one dispatch may take: the dispatch width (arbiter budget
+  /// or pool width; 1 when neither is set).
   [[nodiscard]] int batch_limit() const noexcept;
 
   [[nodiscard]] scheduler_stats stats() const noexcept;

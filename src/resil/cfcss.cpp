@@ -46,7 +46,7 @@ constexpr node kPrimary[node_count] = {
 // Legal predecessor sets (bit i = node i is a legal predecessor):
 //   frame_begin <- frame_end | recover       (interprocedural frame chain;
 //               the retry path re-enters the frame from the recover node)
-//   acquire   <- frame_begin | prefetch      (inline vs ring consumption)
+//   acquire   <- frame_begin | prefetch      (inline vs prefetched frame)
 //   estimate  <- match | estimate            (homography -> affine cascade)
 //   composite <- estimate | describe | match | composite
 //               (anchor frames skip matching; a view-change closes the
@@ -54,7 +54,7 @@ constexpr node kPrimary[node_count] = {
 //   frame_end <- composite | describe | match | estimate | gate
 //               (discard paths end the frame from any post-extract stage;
 //                a gate skip-classification ends the frame before extraction)
-//   prefetch  <- frame_begin                 (the executor's ring is
+//   prefetch  <- frame_begin                 (a prefetch ticket is
 //               consumed at the top of a frame, before acquisition)
 //   gate      <- acquire                     (classification runs on the
 //               freshly acquired frame, before feature extraction)

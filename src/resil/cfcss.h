@@ -39,7 +39,7 @@ enum class node : std::uint8_t {
   // Interprocedural nodes (CFCSS-pintool style): the signature chain leaves
   // the per-frame stage sequence and follows the callers around it.
   recover,          ///< the recovery/retry path between failed attempts
-  prefetch,         ///< consuming the executor's clean-lane prefetch ring
+  prefetch,         ///< consuming an executor's clean-lane prefetch ticket
   gate,             ///< frame-gate classification (skip / delta / full)
   count_,
 };

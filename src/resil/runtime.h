@@ -175,8 +175,8 @@ void verify_checked(pipeline::stage_id stage, Check&& check) {
 
 /// Recompute-compare against an already-produced primary result: the
 /// sibling of `replicated` for callers whose primary execution happened
-/// upstream (the executor's fused extraction stages and the prefetch
-/// ring).  Re-runs `recompute` on the clean lane and compares to `primary`
+/// upstream (the executor's fused extraction stages and prefetched
+/// frames).  Re-runs `recompute` on the clean lane and compares to `primary`
 /// with `equal`.
 template <class T, class F, class Eq>
 void verify_recomputed(pipeline::stage_id stage, const T& primary,

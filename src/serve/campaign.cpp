@@ -26,14 +26,14 @@ double ms_between(clock::time_point a, clock::time_point b) {
 }
 
 /// The same deterministic workload the server's forked worker executes for
-/// these (input, alg, frames): batching forced off on both sides so the
+/// these (input, alg, frames): lookahead forced to 0 on both sides so the
 /// golden op count and hash match the served runs bit for bit.
 fault::workload make_workload(const serve_campaign_config& config) {
   return [config] {
     const auto source = video::make_input(config.input, config.frames);
     app::pipeline_config pc;
     pc.approx.alg = config.alg;
-    pc.batch = pipeline::kBatchOff;
+    pc.frames_in_flight = 0;
     return app::summarize(*source, pc).panorama;
   };
 }
@@ -119,7 +119,6 @@ serve_campaign_result run_serve_campaign(
   rc.server.pool_budget = config.pool_budget;
   rc.server.queue_capacity =
       std::max<std::size_t>(8, static_cast<std::size_t>(config.runners) * 4);
-  rc.server.batch = pipeline::kBatchOff;
   rc.server.lookahead = 0;
   rc.stable_uptime_s = 0.2;       // deliberate kills must not exhaust the
   rc.max_consecutive_failures = 50;  // failure budget mid-campaign

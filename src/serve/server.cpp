@@ -82,20 +82,19 @@ fault::outcome outcome_of(const std::exception& e) {
 /// the requested variant/hardening), the leased pool only changes *who*
 /// computes each fixed chunk, and the batched prefetch is consumed in
 /// stitch order (scheduler tickets are per-frame promises, so which
-/// dispatch produced a frame never shows in the bytes).  With batching on,
-/// `scheduler` is the server's shared cross-job queue set and `lookahead`
-/// frames per job ride it; with batching off both drop to the strictly
-/// inline pre-batching shape where every live thread is a leased slot.
+/// dispatch produced a frame never shows in the bytes).  `lookahead`
+/// frames per job ride `scheduler` (the server's shared cross-job queue
+/// set; null = a private one per job); at lookahead 0 the job runs
+/// strictly inline and every live thread is a leased slot.
 app::summary_result run_job_pipeline(
     const job_request& request, core::thread_pool& pool,
     const std::function<void(int, const img::image_u8&)>& on_mini,
-    pipeline::stage_scheduler* scheduler, int lookahead, int batch) {
+    pipeline::stage_scheduler* scheduler, int lookahead) {
   const auto source = video::make_input(request.input, request.frames);
   app::pipeline_config config;
   config.approx.alg = request.alg;
   config.hardening.level = request.hardening;
-  config.frames_in_flight = batch == pipeline::kBatchOff ? 0 : lookahead;
-  config.batch = batch;
+  config.frames_in_flight = lookahead;
   config.scheduler = scheduler;
   config.on_mini_panorama = on_mini;
   // Serve-layer fault campaign: arm the journaled injection plan around
@@ -220,8 +219,6 @@ server::server(server_config config)
   config_.runners = std::max(1, config_.runners);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   config_.lookahead = std::max(0, config_.lookahead);
-  resolved_batch_ = pipeline::resolve_batch(config_.batch);
-  if (config_.lookahead == 0) resolved_batch_ = pipeline::kBatchOff;
 }
 
 server::~server() {
@@ -323,9 +320,8 @@ void server::start() {
   // runners lease job width from — non-blocking, so scheduler progress never
   // depends on a runner releasing its lease.  Isolate mode skips the shared
   // scheduler (jobs run in forked children, which own private ones).
-  if (resolved_batch_ != pipeline::kBatchOff && !config_.isolate) {
+  if (config_.lookahead > 0 && !config_.isolate) {
     pipeline::stage_scheduler::options opt;
-    opt.batch = resolved_batch_;
     opt.arbiter = &arbiter_;
     scheduler_ = std::make_unique<pipeline::stage_scheduler>(opt);
   }
@@ -337,8 +333,8 @@ void server::start() {
   log::info("serve: listening on " + config_.socket_path + " (" +
                   std::to_string(config_.runners) + " runners, budget " +
                   std::to_string(arbiter_.budget()) + " slots" +
-                  (config_.isolate ? ", isolated" : "") + ", batch " +
-                  pipeline::batch_name(resolved_batch_) + ")");
+                  (config_.isolate ? ", isolated" : "") + ", lookahead " +
+                  std::to_string(config_.lookahead) + ")");
 }
 
 void server::request_drain() noexcept {
@@ -661,8 +657,7 @@ void server::run_in_process(const pending_job& job,
         job.id);
     const app::summary_result result =
         run_job_pipeline(job.request, lease.pool(), std::ref(stream),
-                         scheduler_.get(), config_.lookahead,
-                         resolved_batch_);
+                         scheduler_.get(), config_.lookahead);
     const auto wall_us = static_cast<std::uint64_t>(
         ms_between(t0, clock::now()) * 1000.0);
     // Account the job before the final send: the moment the client reads
@@ -719,7 +714,6 @@ void server::run_isolated(const pending_job& job, core::pool_lease& lease) {
   // within the job); the parent's shared one cannot cross the process
   // boundary.
   const int lookahead = config_.lookahead;
-  const int batch = resolved_batch_;
 
   frame_decoder decoder;
   bool saw_complete = false;
@@ -728,7 +722,7 @@ void server::run_isolated(const pending_job& job, core::pool_lease& lease) {
   const auto t0 = clock::now();
 
   const supervise::fork_ending ending = supervise::run_forked(
-      [request, id, width, lookahead, batch](int wfd) {
+      [request, id, width, lookahead](int wfd) {
         try {
           core::thread_pool pool(width);
           mini_streamer stream(
@@ -739,7 +733,7 @@ void server::run_isolated(const pending_job& job, core::pool_lease& lease) {
               id);
           const auto child_t0 = clock::now();
           const app::summary_result result = run_job_pipeline(
-              request, pool, std::ref(stream), nullptr, lookahead, batch);
+              request, pool, std::ref(stream), nullptr, lookahead);
           const auto wall_us = static_cast<std::uint64_t>(
               ms_between(child_t0, clock::now()) * 1000.0);
           const std::string done =

@@ -78,17 +78,12 @@ struct server_config {
   double handshake_timeout_s = 5.0;
   /// Streaming per-job CSV log (fault::report_stream); empty = off.
   std::string report_path;
-  /// Clean-lane stage batching across admitted jobs: every in-process job
-  /// feeds its prefetchable stage prefix into ONE shared stage_scheduler,
-  /// so deep admission queues batch frames from different clips into
-  /// single pool dispatches (isolate mode gives each forked worker a
-  /// private scheduler instead).  pipeline::kBatchInherit defers to
-  /// --batch / VS_BATCH; kBatchOff restores the strictly-inline serving
-  /// path of the per-frame era.
-  int batch = pipeline::kBatchInherit;
-  /// Per-job clean-lane lookahead depth feeding the shared stage queues
-  /// (pipeline_config::frames_in_flight); 0 disables prefetch like the
-  /// pre-batching server.  Only effective when batching is on.
+  /// Per-job clean-lane lookahead (pipeline_config::frames_in_flight).
+  /// Every in-process job feeds its prefetchable stage prefix into ONE
+  /// shared stage_scheduler, so deep admission queues batch frames from
+  /// different clips into single pool dispatches (isolate mode gives each
+  /// forked worker a private scheduler instead).  0 runs every job
+  /// strictly inline, with no scheduler at all.
   int lookahead = 2;
   /// Durable admission journal (serve/job_journal.h); empty = volatile
   /// queue, the pre-crash-only behavior.
@@ -169,11 +164,10 @@ class server {
   /// latency includes the queue wait itself, so under load it would
   /// over-estimate by the very backlog the hint meters.
   perf::latency_recorder service_latency_;
-  /// Shared cross-job stage scheduler (in-process, batching on).  Created
-  /// in start(); destroyed after every runner joined, so no executor
-  /// ticket can outlive its dispatcher.
+  /// Shared cross-job stage scheduler (in-process, lookahead > 0).
+  /// Created in start(); destroyed after every runner joined, so no
+  /// executor ticket can outlive its dispatcher.
   std::unique_ptr<pipeline::stage_scheduler> scheduler_;
-  int resolved_batch_ = pipeline::kBatchOff;  ///< start() resolves config
 
   int listen_fd_ = -1;
   int wake_rd_ = -1;

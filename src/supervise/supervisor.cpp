@@ -428,7 +428,7 @@ struct clip_summary {
 
 // Runs one clip on a pool of the leased width.  frames_in_flight is 0 so
 // every live thread the clip uses is a leased slot (the lookahead's
-// std::async helpers would be unbudgeted extra threads); the summary is
+// scheduler dispatcher would be an unbudgeted extra thread); the summary is
 // byte-identical at any depth, so the clip hash is unaffected.
 clip_summary summarize_clip(const clip_job& job, unsigned width) {
   const auto t0 = clock::now();

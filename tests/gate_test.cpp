@@ -353,6 +353,28 @@ TEST(GatePipeline, SkipLevelNeverTouchesRoiOrCache) {
   EXPECT_EQ(r.stats.keypoints_reused, 0u);
 }
 
+TEST(GatePipeline, CacheChangesTheOutputOnTheInput3DroppingClip) {
+  // The descriptor cache is not a no-op on top of ROI re-detection: on the
+  // 82-frame Input 3 clip under VS_RFD, a cache-rebased frame fails to
+  // align where the ROI-only frame aligns.  Both levels are deterministic
+  // (any pool width), so the counts are pinned exactly.
+  const auto clip = video::make_input(video::input_id::input3, 82);
+  app::pipeline_config config;
+  config.approx.alg = app::algorithm::vs_rfd;
+  config.gate.request = static_cast<int>(gate::level::roi);
+  const auto roi = app::summarize(*clip, config);
+  config.gate.request = static_cast<int>(gate::level::cache);
+  const auto cache = app::summarize(*clip, config);
+
+  EXPECT_EQ(roi.stats.frames_dropped_rfd, 4);
+  EXPECT_EQ(roi.stats.frames_stitched, 75);
+  EXPECT_EQ(roi.stats.frames_discarded, 3);
+  EXPECT_EQ(cache.stats.frames_dropped_rfd, 4);
+  EXPECT_EQ(cache.stats.frames_stitched, 74);
+  EXPECT_EQ(cache.stats.frames_discarded, 4);
+  EXPECT_FALSE(roi.panorama == cache.panorama);
+}
+
 TEST(GatePipeline, GatedStateIsInvalidatedByRecovery) {
   // Arm a fault that detonates inside a mid-run frame under full hardening:
   // the recovery retry must invalidate the gated state (counted in

@@ -27,7 +27,6 @@
 #include "gate/gate.h"
 #include "geometry/warp.h"
 #include "match/matcher.h"
-#include "pipeline/scheduler.h"
 #include "rt/instrument.h"
 #include "video/generator.h"
 
@@ -442,9 +441,10 @@ TEST(ParallelEquivalence, EndToEndFullyHardened) {
 }
 
 // The batch axis: the per-stage scheduler (pipeline/scheduler.h) must be
-// byte-invisible.  Every batch setting — off (the legacy per-frame future
-// ring), fixed sizes, and the width-tracking auto policy — reproduces the
-// instrumented-lane reference at every pool width and SIMD level.
+// byte-invisible.  Its batch size is the dispatch pool's width, so at a
+// lookahead of 4 the sweep over pool widths {1, 2, 4} x SIMD levels covers
+// every batch size from one frame per dispatch to four; each cell must
+// reproduce the instrumented-lane reference.
 TEST(ParallelEquivalence, EndToEndBatchAxis) {
   const pool_width_guard guard;
   const simd_level_guard simd_guard;
@@ -455,18 +455,13 @@ TEST(ParallelEquivalence, EndToEndBatchAxis) {
       rt::session session;
       reference = app::summarize(source, app::pipeline_config{});
     }
-    for (const int batch :
-         {pipeline::kBatchOff, 1, 2, 4, pipeline::kBatchAuto}) {
-      app::pipeline_config config;
-      config.frames_in_flight = 4;
-      config.batch = batch;
-      for_each_matrix_point([&](const std::string& at) {
-        const auto clean = app::summarize(source, config);
-        expect_same_summary(reference, clean,
-                            std::string(video::input_name(id)) + " batch " +
-                                pipeline::batch_name(batch) + " at " + at);
-      });
-    }
+    app::pipeline_config config;
+    config.frames_in_flight = 4;
+    for_each_matrix_point([&](const std::string& at) {
+      const auto clean = app::summarize(source, config);
+      expect_same_summary(reference, clean,
+                          std::string(video::input_name(id)) + " at " + at);
+    });
   }
 }
 
@@ -474,7 +469,7 @@ TEST(ParallelEquivalence, EndToEndBatchAxis) {
 // it must never change it differently across execution shapes.  For every
 // gate level the gated summary — including the skip/delta counters and the
 // descriptor-reuse count, which expose the cache's contents — must be
-// byte-identical across pool widths x batch {off, auto} x SIMD levels to
+// byte-identical at a lookahead of 4 across pool widths x SIMD levels to
 // the sequential instrumented-lane reference at the same level.
 TEST(ParallelEquivalence, EndToEndGateAxis) {
   const pool_width_guard guard;
@@ -483,25 +478,20 @@ TEST(ParallelEquivalence, EndToEndGateAxis) {
     const auto& source = clip(id);
     for (const auto level : {gate::level::skip, gate::level::roi,
                              gate::level::cache, gate::level::all}) {
-      app::pipeline_config gated;
-      gated.gate.request = static_cast<int>(level);
+      app::pipeline_config config;
+      config.gate.request = static_cast<int>(level);
       app::summary_result reference;
       {
         rt::session session;
-        reference = app::summarize(source, gated);
+        reference = app::summarize(source, config);
       }
-      for (const int batch : {pipeline::kBatchOff, pipeline::kBatchAuto}) {
-        app::pipeline_config config = gated;
-        config.frames_in_flight = 4;
-        config.batch = batch;
-        for_each_matrix_point([&](const std::string& at) {
-          const auto clean = app::summarize(source, config);
-          expect_same_summary(reference, clean,
-                              std::string(video::input_name(id)) + " gate " +
-                                  gate::level_name(level) + " batch " +
-                                  pipeline::batch_name(batch) + " at " + at);
-        });
-      }
+      config.frames_in_flight = 4;
+      for_each_matrix_point([&](const std::string& at) {
+        const auto clean = app::summarize(source, config);
+        expect_same_summary(reference, clean,
+                            std::string(video::input_name(id)) + " gate " +
+                                gate::level_name(level) + " at " + at);
+      });
     }
   }
 }

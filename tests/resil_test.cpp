@@ -105,12 +105,12 @@ TEST(Cfcss, InterproceduralFrameChainSpansFrameBoundaries) {
   EXPECT_EQ(m.violations(), 0u);
   EXPECT_EQ(m.current(), node::frame_begin);
 
-  // Consuming the prefetch ring signs frame_begin -> prefetch -> acquire.
+  // Consuming a prefetch ticket signs frame_begin -> prefetch -> acquire.
   m.transition(node::prefetch);
   m.transition(node::acquire);
   EXPECT_EQ(m.violations(), 0u);
 
-  // But the ring cannot be consumed mid-frame: prefetch's only legal
+  // But a ticket cannot be consumed mid-frame: prefetch's only legal
   // predecessor is frame_begin.
   EXPECT_THROW(m.transition(node::prefetch), detected_error);
   EXPECT_EQ(m.violations(), 1u);

@@ -1,6 +1,7 @@
 // Unit tests for the per-stage batched scheduler (pipeline/scheduler.h):
-// the --batch axis parser, the grouped-submit pool primitive it dispatches
-// through, ticket resolution, per-item eviction, and the stats counters.
+// the grouped-submit pool primitive it dispatches through, the batch limit
+// it takes from the dispatch pool's width, ticket resolution, per-item
+// eviction, and the stats counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,48 +18,6 @@ namespace vs {
 namespace {
 
 using pipeline::stage_scheduler;
-
-// ---------------------------------------------------------------------------
-// The --batch axis: parsing, naming, resolution.
-// ---------------------------------------------------------------------------
-
-TEST(BatchAxis, ParseAcceptsTheDocumentedSpellings) {
-  EXPECT_EQ(pipeline::parse_batch(""), pipeline::kBatchAuto);
-  EXPECT_EQ(pipeline::parse_batch("auto"), pipeline::kBatchAuto);
-  EXPECT_EQ(pipeline::parse_batch("AUTO"), pipeline::kBatchAuto);
-  EXPECT_EQ(pipeline::parse_batch("off"), pipeline::kBatchOff);
-  EXPECT_EQ(pipeline::parse_batch("none"), pipeline::kBatchOff);
-  EXPECT_EQ(pipeline::parse_batch("1"), 1);
-  EXPECT_EQ(pipeline::parse_batch("16"), 16);
-  EXPECT_EQ(pipeline::parse_batch("256"), pipeline::kBatchMax);
-}
-
-TEST(BatchAxis, ParseRejectsOutOfRangeAndJunk) {
-  EXPECT_THROW((void)pipeline::parse_batch("0"), invalid_argument);
-  EXPECT_THROW((void)pipeline::parse_batch("257"), invalid_argument);
-  EXPECT_THROW((void)pipeline::parse_batch("-1"), invalid_argument);
-  EXPECT_THROW((void)pipeline::parse_batch("2x"), invalid_argument);
-  EXPECT_THROW((void)pipeline::parse_batch("bogus"), invalid_argument);
-}
-
-TEST(BatchAxis, NamesRoundTripThroughTheParser) {
-  EXPECT_EQ(pipeline::batch_name(pipeline::kBatchOff), "off");
-  EXPECT_EQ(pipeline::batch_name(pipeline::kBatchAuto), "auto");
-  EXPECT_EQ(pipeline::batch_name(pipeline::kBatchInherit), "inherit");
-  EXPECT_EQ(pipeline::batch_name(8), "8");
-  for (const int batch : {pipeline::kBatchOff, pipeline::kBatchAuto, 1, 7}) {
-    EXPECT_EQ(pipeline::parse_batch(pipeline::batch_name(batch)), batch);
-  }
-}
-
-TEST(BatchAxis, ResolutionDefersOnlyForInherit) {
-  // Explicit values pass through untouched; only kBatchInherit consults the
-  // process-wide request.
-  EXPECT_EQ(pipeline::resolve_batch(pipeline::kBatchOff), pipeline::kBatchOff);
-  EXPECT_EQ(pipeline::resolve_batch(3), 3);
-  EXPECT_EQ(pipeline::resolve_batch(pipeline::kBatchInherit),
-            pipeline::requested_batch());
-}
 
 // ---------------------------------------------------------------------------
 // thread_pool::run_tasks — the grouped-submit primitive batches ride on.
@@ -108,11 +67,10 @@ feat::frame_features stamped_features(const img::image_u8& frame) {
 TEST(StageScheduler, TicketsResolveWithTheirOwnFramesWork) {
   core::thread_pool pool(2);
   stage_scheduler::options opt;
-  opt.batch = 2;
   opt.pool = &pool;
   stage_scheduler scheduler(opt);
   const std::uint64_t job = scheduler.attach();
-  EXPECT_EQ(scheduler.batch_limit(), 2);
+  EXPECT_EQ(scheduler.batch_limit(), 2);  // the pool width
 
   constexpr int kFrames = 9;
   std::vector<std::future<pipeline::frame_work>> tickets;
@@ -132,7 +90,7 @@ TEST(StageScheduler, TicketsResolveWithTheirOwnFramesWork) {
   EXPECT_EQ(stats.jobs, 1u);
   EXPECT_EQ(stats.frames, static_cast<std::uint64_t>(kFrames));
   // Every frame crosses two queues (acquire, then detect), capped at the
-  // fixed batch size per dispatch.
+  // pool width per dispatch.
   EXPECT_GE(stats.batches, static_cast<std::uint64_t>(kFrames));
   EXPECT_GE(stats.peak_batch, 1u);
   EXPECT_LE(stats.peak_batch, 2u);
@@ -140,12 +98,13 @@ TEST(StageScheduler, TicketsResolveWithTheirOwnFramesWork) {
 }
 
 TEST(StageScheduler, EvictionPoisonsOnlyTheThrowingFrame) {
-  core::thread_pool pool(2);
+  // Wide enough that the faulty frame shares a batch.
+  core::thread_pool pool(4);
   stage_scheduler::options opt;
-  opt.batch = 4;  // wide enough that the faulty frame shares a batch
   opt.pool = &pool;
   stage_scheduler scheduler(opt);
   const std::uint64_t job = scheduler.attach();
+  EXPECT_EQ(scheduler.batch_limit(), 4);
 
   constexpr int kFrames = 8;
   constexpr int kFaulty = 3;
@@ -176,12 +135,12 @@ TEST(StageScheduler, EvictionPoisonsOnlyTheThrowingFrame) {
 }
 
 TEST(StageScheduler, ExtractionFaultsPoisonTheTicketToo) {
-  core::thread_pool pool(1);
+  core::thread_pool pool(2);
   stage_scheduler::options opt;
-  opt.batch = 2;
   opt.pool = &pool;
   stage_scheduler scheduler(opt);
   const std::uint64_t job = scheduler.attach();
+  EXPECT_EQ(scheduler.batch_limit(), 2);
   auto poisoned = scheduler.submit(
       job, 0, [] { return stamped_frame(0); },
       [](const img::image_u8&) -> feat::frame_features {
@@ -202,7 +161,6 @@ TEST(StageScheduler, SharedAcrossJobsKeepsTicketsSeparate) {
   // job's work.
   core::thread_pool pool(2);
   stage_scheduler::options opt;
-  opt.batch = pipeline::kBatchAuto;
   opt.pool = &pool;
   stage_scheduler scheduler(opt);
   const std::uint64_t job_a = scheduler.attach();
@@ -239,10 +197,10 @@ TEST(StageScheduler, DestructorDrainsUnconsumedTickets) {
   std::future<pipeline::frame_work> abandoned;
   {
     stage_scheduler::options opt;
-    opt.batch = 1;
     opt.pool = &pool;
     stage_scheduler scheduler(opt);
     const std::uint64_t job = scheduler.attach();
+    EXPECT_EQ(scheduler.batch_limit(), 1);
     abandoned = scheduler.submit(
         job, 0, [] { return stamped_frame(7); },
         [](const img::image_u8& frame) { return stamped_features(frame); });

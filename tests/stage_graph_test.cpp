@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <string>
 
 #include "app/pipeline.h"
 #include "core/error.h"
@@ -124,7 +126,6 @@ TEST(StageRegistry, DerivedBudgetsFollowTheRegistryGrouping) {
 
 constexpr unsigned kWidths[] = {1, 2, 4};
 constexpr int kDepths[] = {1, 2, 4};
-constexpr int kBatches[] = {1, 2, 4, pipeline::kBatchAuto};
 
 struct pool_width_guard {
   ~pool_width_guard() { core::thread_pool::set_global_threads(0); }
@@ -223,9 +224,11 @@ void expect_matrix_matches_instrumented_lane(video::input_id id,
   }
 }
 
-/// Same golden contract along the batch axis: depth fixed at 4, the
-/// per-stage scheduler swept across fixed batch sizes and the auto policy
-/// at every pool width.  Every cell must reproduce the sequential
+/// Same golden contract along the batch axis: the scheduler's batch size
+/// is its dispatch pool's width, so at depth 4 every pool width is a batch
+/// size.  Each width runs twice — on the executor's private scheduler, and
+/// on an external one shared the way the serving front end shares its
+/// cross-job queues — and every cell must reproduce the sequential
 /// instrumented-lane digest.
 void expect_batch_matrix_matches_instrumented_lane(video::input_id id,
                                                    bool hardened) {
@@ -249,13 +252,22 @@ void expect_batch_matrix_matches_instrumented_lane(video::input_id id,
     config.frames_in_flight = 4;
     for (const unsigned width : kWidths) {
       core::thread_pool::set_global_threads(width);
-      for (const int batch : kBatches) {
-        config.batch = batch;
-        EXPECT_EQ(reference, summary_hash(app::summarize(source, config)))
-            << video::input_name(id) << " " << app::algorithm_name(alg)
-            << (hardened ? " hardened" : " unhardened") << " width " << width
-            << " batch " << pipeline::batch_name(batch);
-      }
+      const std::string at = std::string(video::input_name(id)) + " " +
+                             app::algorithm_name(alg) +
+                             (hardened ? " hardened" : " unhardened") +
+                             " width " + std::to_string(width);
+      config.scheduler = nullptr;
+      EXPECT_EQ(reference, summary_hash(app::summarize(source, config)))
+          << at << " private scheduler";
+
+      pipeline::stage_scheduler::options opt;
+      opt.pool = &core::thread_pool::global();
+      pipeline::stage_scheduler shared(opt);
+      ASSERT_EQ(shared.batch_limit(), static_cast<int>(width));
+      config.scheduler = &shared;
+      EXPECT_EQ(reference, summary_hash(app::summarize(source, config)))
+          << at << " shared scheduler";
+      config.scheduler = nullptr;
     }
   }
 }
@@ -300,7 +312,7 @@ TEST(StageGraphGolden, Input2BatchMatrixFullyHardened) {
 
 /// Wraps a pristine source and throws crash_error from exactly one frame()
 /// call for the chosen index — the first one, which under prefetching is
-/// the helper thread's.  The second call (the recovery retry) succeeds.
+/// the scheduler's.  The second call (the recovery retry) succeeds.
 class transient_fault_source final : public video::video_source {
  public:
   transient_fault_source(const video::video_source& inner, int faulty_index)
@@ -330,16 +342,18 @@ class transient_fault_source final : public video::video_source {
 };
 
 TEST(StageGraphRecovery, RetryRecomputesAPoisonedPrefetchInline) {
+  // Frame 2's prefetch is queued while frame 1 is being stitched at every
+  // depth >= 1, and its acquire throws.  At pool width 1 every ticket is a
+  // dispatch of its own; the poisoned ticket must be contained at the
+  // recovery boundary and recomputed inline, off the queues, rather than
+  // swap in a later frame's ticket or re-submit it.
   const pool_width_guard guard;
   const auto& pristine = clip(video::input_id::input1);
   const auto config = hardened_config(pristine, app::algorithm::vs);
   const auto expected = summary_hash(app::summarize(pristine, config));
 
+  core::thread_pool::set_global_threads(1);
   for (const int depth : kDepths) {
-    // Frame 2's prefetch is launched while frame 1 is being stitched at
-    // every depth >= 1; its poisoned future must be contained at the
-    // recovery boundary and recomputed inline, not swapped for a later
-    // frame's slot or re-scheduled on top of the running helper.
     const transient_fault_source source(pristine, 2);
     app::pipeline_config run_config = config;
     run_config.frames_in_flight = depth;
@@ -353,31 +367,32 @@ TEST(StageGraphRecovery, RetryRecomputesAPoisonedPrefetchInline) {
 }
 
 TEST(StageGraphRecovery, RetryRecomputesAnEvictedBatchedFrameInline) {
-  // Same transient fault, batched scheduler: frame 2's acquire throws inside
-  // a grouped dispatch.  Eviction must poison only that frame's ticket — the
-  // rest of the batch completes — and the recovery boundary recomputes the
-  // frame inline, off the queues, leaving the summary byte-identical.
+  // Same transient fault at pool widths > 1, where frame 2's acquire throws
+  // inside a grouped dispatch.  Eviction must poison only that frame's
+  // ticket — the rest of the batch completes — and the recovery boundary
+  // recomputes the frame inline, leaving the summary byte-identical at
+  // every depth x batch size.
   const pool_width_guard guard;
   const auto& pristine = clip(video::input_id::input1);
   const auto config = hardened_config(pristine, app::algorithm::vs);
   const auto expected = summary_hash(app::summarize(pristine, config));
 
-  for (const int batch : kBatches) {
-    const transient_fault_source source(pristine, 2);
-    app::pipeline_config run_config = config;
-    run_config.frames_in_flight = 4;
-    run_config.batch = batch;
-    const auto result = app::summarize(source, run_config);
-    EXPECT_EQ(expected, summary_hash(result))
-        << "batch " << pipeline::batch_name(batch);
-    EXPECT_GE(result.recovery.crashes_contained, 1u)
-        << "batch " << pipeline::batch_name(batch);
-    EXPECT_GE(result.recovery.retries, 1u)
-        << "batch " << pipeline::batch_name(batch);
-    EXPECT_GE(result.recovery.frames_recovered, 1u)
-        << "batch " << pipeline::batch_name(batch);
-    EXPECT_EQ(result.recovery.frames_degraded, 0u)
-        << "batch " << pipeline::batch_name(batch);
+  for (const unsigned width : kWidths) {
+    if (width == 1) continue;  // RetryRecomputesAPoisonedPrefetchInline
+    core::thread_pool::set_global_threads(width);
+    for (const int depth : kDepths) {
+      const std::string at =
+          "width " + std::to_string(width) + " depth " + std::to_string(depth);
+      const transient_fault_source source(pristine, 2);
+      app::pipeline_config run_config = config;
+      run_config.frames_in_flight = depth;
+      const auto result = app::summarize(source, run_config);
+      EXPECT_EQ(expected, summary_hash(result)) << at;
+      EXPECT_GE(result.recovery.crashes_contained, 1u) << at;
+      EXPECT_GE(result.recovery.retries, 1u) << at;
+      EXPECT_GE(result.recovery.frames_recovered, 1u) << at;
+      EXPECT_EQ(result.recovery.frames_degraded, 0u) << at;
+    }
   }
 }
 
@@ -426,26 +441,32 @@ TEST(FrameExecutor, CleanLaneOverlapsOnlyWithDepthAndFrames) {
       pipeline::frame_executor(hardening, 1, 2, acquire, detect).overlapping());
 }
 
-TEST(FrameExecutor, BatchKnobSelectsSchedulerOrLegacyRing) {
+TEST(FrameExecutor, LookaheadIsClampedToTheClip) {
+  // Any requested depth, INT_MAX included, clamps to the frame count: the
+  // top-up horizon can never overflow, and the summary is byte-identical
+  // to the inline run.
   resil::hardening_config hardening;
-  const auto acquire = [](int) { return img::image_u8(2, 2, 1); };
-  const auto detect = [](const img::image_u8&) {
-    return feat::frame_features{};
-  };
-  // Explicit off keeps the legacy per-frame future ring.
-  pipeline::frame_executor ring(hardening, 8, 2, acquire, detect, {},
-                                pipeline::kBatchOff);
-  EXPECT_TRUE(ring.overlapping());
-  EXPECT_FALSE(ring.batched());
-  // Any scheduler batch setting routes production through stage queues.
-  pipeline::frame_executor batched(hardening, 8, 2, acquire, detect, {}, 2);
-  EXPECT_TRUE(batched.overlapping());
-  EXPECT_TRUE(batched.batched());
-  EXPECT_EQ(batched.batch(), 2);
-  // No overlap means no scheduler, whatever the knob says.
-  pipeline::frame_executor inline_only(hardening, 8, 0, acquire, detect, {},
-                                       2);
-  EXPECT_FALSE(inline_only.batched());
+  std::atomic<int> calls{0};
+  pipeline::frame_executor exec(
+      hardening, 5, std::numeric_limits<int>::max(),
+      [&calls](int index) {
+        ++calls;
+        return img::image_u8(4, 1, 1, static_cast<std::uint8_t>(index));
+      },
+      [](const img::image_u8&) { return feat::frame_features{}; });
+  EXPECT_EQ(exec.frames_in_flight(), 5);
+  for (int index = 0; index < 5; ++index) {
+    EXPECT_EQ(exec.obtain(index).frame.at(0, 0),
+              static_cast<std::uint8_t>(index));
+  }
+  EXPECT_EQ(calls.load(), 5);
+
+  const auto& source = clip(video::input_id::input1);
+  app::pipeline_config config;
+  config.frames_in_flight = 0;
+  const auto reference = summary_hash(app::summarize(source, config));
+  config.frames_in_flight = std::numeric_limits<int>::max();
+  EXPECT_EQ(reference, summary_hash(app::summarize(source, config)));
 }
 
 TEST(FrameExecutor, ObtainDrainsSkippedFramesAndConsumesInOrder) {
@@ -524,7 +545,11 @@ TEST(StageRegistry, ReplicateSpecParsingAndNaming) {
                invalid_argument);
 }
 
-TEST(FrameExecutor, ReplicaDivergenceInAPrefetchedStageIsDetected) {
+/// Drives the extraction dual check through the clean lane at `depth` with
+/// the verifier disagreeing on the second checked frame — which the
+/// scheduler has prefetched by then.  The check runs at the consuming
+/// obtain() and its divergence must surface there.
+void expect_prefetched_replica_divergence_detected(int depth) {
   // detectors level: containment without the CFCSS monitor, so the
   // executor can be driven directly; the explicit mask turns the
   // extraction dual check on.
@@ -535,17 +560,15 @@ TEST(FrameExecutor, ReplicaDivergenceInAPrefetchedStageIsDetected) {
 
   std::atomic<int> checks{0};
   pipeline::frame_executor exec(
-      hardening, 6, 2, [](int) { return img::image_u8(4, 4, 1); },
+      hardening, 6, depth, [](int) { return img::image_u8(4, 4, 1); },
       [](const img::image_u8&) { return feat::frame_features{}; },
-      // The verifier disagrees on the second checked frame — which the
-      // clean-lane ring has prefetched by then.
       [&checks](const img::image_u8&, const feat::frame_features&) {
         return ++checks != 2;
       });
   ASSERT_TRUE(exec.overlapping());
   (void)exec.obtain(0);  // inline cold start: check runs and passes
   try {
-    (void)exec.obtain(1);  // consumed from the ring: check diverges
+    (void)exec.obtain(1);  // consumed from a prefetched ticket: diverges
     FAIL() << "replica divergence was not raised";
   } catch (const detected_error& e) {
     EXPECT_EQ(e.kind(), detect_kind::replica_divergence);
@@ -554,34 +577,19 @@ TEST(FrameExecutor, ReplicaDivergenceInAPrefetchedStageIsDetected) {
   EXPECT_EQ(resil::tls.report.replica_divergences, 1u);
 }
 
-TEST(FrameExecutor, ReplicaDivergenceInABatchedStageIsDetected) {
-  // The same dual-check contract with production routed through the batched
-  // stage queues: the check still runs at the consuming obtain() against
-  // work a grouped dispatch produced, and its divergence must surface there.
-  resil::hardening_config hardening;
-  hardening.level = resil::hardening_level::detectors;
-  hardening.replicate_stages = pipeline::stage_bit(stage_id::detect);
-  resil::session session(hardening);
+TEST(FrameExecutor, ReplicaDivergenceInAPrefetchedStageIsDetected) {
+  // Pool width 1: every prefetched ticket is a dispatch of its own.
+  const pool_width_guard guard;
+  core::thread_pool::set_global_threads(1);
+  expect_prefetched_replica_divergence_detected(2);
+}
 
-  std::atomic<int> checks{0};
-  pipeline::frame_executor exec(
-      hardening, 6, 2, [](int) { return img::image_u8(4, 4, 1); },
-      [](const img::image_u8&) { return feat::frame_features{}; },
-      [&checks](const img::image_u8&, const feat::frame_features&) {
-        return ++checks != 2;
-      },
-      /*batch=*/2);
-  ASSERT_TRUE(exec.overlapping());
-  ASSERT_TRUE(exec.batched());
-  (void)exec.obtain(0);  // inline cold start: check runs and passes
-  try {
-    (void)exec.obtain(1);  // consumed from a batched ticket: check diverges
-    FAIL() << "replica divergence was not raised";
-  } catch (const detected_error& e) {
-    EXPECT_EQ(e.kind(), detect_kind::replica_divergence);
-  }
-  EXPECT_EQ(checks.load(), 2);
-  EXPECT_EQ(resil::tls.report.replica_divergences, 1u);
+TEST(FrameExecutor, ReplicaDivergenceInABatchedStageIsDetected) {
+  // Pool width 4 at depth 4: the checked frame comes out of a grouped
+  // dispatch.
+  const pool_width_guard guard;
+  core::thread_pool::set_global_threads(4);
+  expect_prefetched_replica_divergence_detected(4);
 }
 
 }  // namespace

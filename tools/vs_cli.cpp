@@ -1,12 +1,11 @@
 // vs — the command-line front end of the library.
 //
 // A global --simd=scalar|sse4|avx2|auto flag (any position) selects the
-// clean lane's vector tier; a global --batch=off|K|auto flag selects the
-// clean lane's stage-batching axis.  Output is byte-identical at every
-// level of both.  A global --gate=off|skip|roi|cache|all flag arms the
-// real-time gating subsystem (src/gate/) — a deliberate temporal
-// approximation, so unlike --simd/--batch it changes the output; off (the
-// default) is bit-identical to an ungated build.
+// clean lane's vector tier; output is byte-identical at every level.  A
+// global --gate=off|skip|roi|cache|all flag arms the real-time gating
+// subsystem (src/gate/) — a deliberate temporal approximation, so unlike
+// --simd it changes the output; off (the default) is bit-identical to an
+// ungated build.
 //
 //   vs generate  <input1|input2|input3> <frames> <out_dir>        write clip frames
 //   vs summarize <input1|input2|input3> [VS|VS_RFD|VS_KDS|VS_SM] [frames] [out.pgm]
@@ -25,7 +24,7 @@
 //                [--csv=path] [--json=path]                streamed reports
 //   vs serve     <socket> [--queue=N] [--runners=N] [--budget=N]
 //                [--isolate] [--timeout=S] [--report=path] summarization
-//                                                          service
+//                [--lookahead=N]                           service
 //   vs submit    <socket> <input1|input2|input3> [algorithm] [frames] [out.pgm]
 //                [--hardening=L] [--priority=interactive|batch]
 //                [--deadline=MS] [--threads=N] [--stream-dir=DIR]
@@ -35,6 +34,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -46,6 +46,7 @@
 #include "app/events.h"
 #include "app/pipeline.h"
 #include "core/simd.h"
+#include "core/thread_pool.h"
 #include "fault/analysis.h"
 #include "gate/gate.h"
 #include "fault/detectors.h"
@@ -71,7 +72,7 @@ using namespace vs;
 [[noreturn]] void usage() {
   std::fprintf(
       stderr,
-      "usage: vs [--simd=scalar|sse4|avx2|auto] [--batch=off|K|auto]\n"
+      "usage: vs [--simd=scalar|sse4|avx2|auto]\n"
       "          [--gate=off|skip|roi|cache|all] <command> ...\n"
       "  vs generate  <input1|input2|input3> <frames> <out_dir>\n"
       "  vs summarize <input1|input2|input3> [algorithm] [frames] [out.pgm]\n"
@@ -111,6 +112,16 @@ video::input_id parse_input(const std::string& name) {
   if (name == "input2") return video::input_id::input2;
   if (name == "input3") return video::input_id::input3;
   usage();
+}
+
+/// A non-negative int in decimal; anything else (empty, negative, trailing
+/// junk, out of int range) is a usage error.
+int parse_count(const char* text) {
+  int value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < 0) usage();
+  return value;
 }
 
 int cmd_generate(int argc, char** argv) {
@@ -415,9 +426,9 @@ int cmd_stages() {
               "VS_SIMD)\n",
               core::simd::level_name(core::simd::detected()),
               core::simd::level_name(core::simd::active()));
-  std::printf("batching: request=%s (override with --batch=off|K|auto or "
-              "VS_BATCH)\n",
-              pipeline::batch_name(pipeline::requested_batch()).c_str());
+  std::printf("batching: up to %u prefetched frames per stage dispatch (the "
+              "pool width; override with VS_THREADS)\n",
+              core::resolve_threads(0));
   std::printf("gating: request=%s (override with --gate=LEVEL or "
               "VS_GATE)\n\n",
               gate::level_name(gate::requested_level()));
@@ -745,7 +756,7 @@ int cmd_serve(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--report=", 9) == 0) {
       config.report_path = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--lookahead=", 12) == 0) {
-      config.lookahead = std::atoi(argv[i] + 12);
+      config.lookahead = parse_count(argv[i] + 12);
     } else if (std::strncmp(argv[i], "--journal=", 10) == 0) {
       config.journal_path = argv[i] + 10;
     } else if (std::strcmp(argv[i], "--supervised") == 0) {
@@ -944,10 +955,10 @@ int cmd_submit(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Global --simd=LEVEL / --batch=SPEC / --gate=LEVEL flags: consumed here,
-  // before command dispatch, so every command sees the requested clean-lane
-  // SIMD tier, stage-batching axis and gating level.  The flags win over
-  // the VS_SIMD / VS_BATCH / VS_GATE environment variables.
+  // Global --simd=LEVEL / --gate=LEVEL flags: consumed here, before command
+  // dispatch, so every command sees the requested clean-lane SIMD tier and
+  // gating level.  The flags win over the VS_SIMD / VS_GATE environment
+  // variables.
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -960,15 +971,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       vs::core::simd::set_level(*parsed);
-      continue;
-    }
-    if (std::strncmp(arg, "--batch=", 8) == 0) {
-      try {
-        vs::pipeline::set_batch(vs::pipeline::parse_batch(arg + 8));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: --batch: %s\n", e.what());
-        return 2;
-      }
       continue;
     }
     if (std::strncmp(arg, "--gate=", 7) == 0) {
