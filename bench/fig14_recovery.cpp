@@ -146,15 +146,8 @@ int main(int argc, char** argv) {
     // run (budgets from the instrumented-lane op counts, detector
     // envelopes from the golden output) — no golden knowledge leaks into
     // the hardened runs beyond what a deployed system would have.
-    resil::stage_budget_config budgets;
-    std::optional<fault::detector_calibration> calibration;
-    {
-      const auto config = benchutil::variant_config(app::algorithm::vs);
-      rt::session profile;
-      const auto golden = app::summarize(*source, config).panorama;
-      budgets = resil::derive_stage_budgets(profile.stats(), fault_frames);
-      calibration = fault::calibrate_detectors({golden});
-    }
+    const app::hardening_calibration calibration = app::calibrate_hardening(
+        *source, benchutil::variant_config(app::algorithm::vs), fault_frames);
 
     const auto run_campaign = [&](const app::pipeline_config& config) {
       fault::campaign_config campaign;
@@ -181,8 +174,7 @@ int main(int argc, char** argv) {
       auto config = benchutil::variant_config(app::algorithm::vs);
       config.hardening.level = level;
       if (config.hardening.enabled()) {
-        config.hardening.stage_budgets = budgets;
-        config.hardening.calibration = calibration;
+        calibration.apply_to(config.hardening);
       }
 
       level_row row;
@@ -255,8 +247,7 @@ int main(int argc, char** argv) {
       auto config = benchutil::variant_config(app::algorithm::vs);
       config.hardening.level = resil::hardening_level::full;
       config.hardening.replicate_stages = mask;
-      config.hardening.stage_budgets = budgets;
-      config.hardening.calibration = calibration;
+      calibration.apply_to(config.hardening);
 
       frontier_cell cell;
       cell.setting = name;

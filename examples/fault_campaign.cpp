@@ -132,14 +132,8 @@ int main(int argc, char** argv) {
             config.hardening.replicate_stages =
                 pipeline::parse_replicate_stages(replicate_spec);
           }
-          app::pipeline_config profile_config = config;
-          profile_config.hardening = resil::hardening_config{};
-          rt::session profile;
-          const img::image_u8 golden =
-              app::summarize(*source, profile_config).panorama;
-          config.hardening.stage_budgets =
-              resil::derive_stage_budgets(profile.stats(), frames);
-          config.hardening.calibration = fault::calibrate_detectors({golden});
+          app::calibrate_hardening(*source, config, frames)
+              .apply_to(config.hardening);
         }
         fault::campaign_config campaign;
         campaign.cls = fpr ? rt::reg_class::fpr : rt::reg_class::gpr;
@@ -182,14 +176,8 @@ int main(int argc, char** argv) {
     }
     // Calibrate stage budgets and the output-detector envelope from one
     // fault-free profiled (unhardened) run.
-    app::pipeline_config profile_config = config;
-    profile_config.hardening = resil::hardening_config{};
-    rt::session profile;
-    const img::image_u8 golden =
-        app::summarize(*source, profile_config).panorama;
-    config.hardening.stage_budgets =
-        resil::derive_stage_budgets(profile.stats(), frames);
-    config.hardening.calibration = fault::calibrate_detectors({golden});
+    app::calibrate_hardening(*source, config, frames)
+        .apply_to(config.hardening);
   }
 
   std::printf("campaign: %s, %s, %d injections, %d-frame Input1 clip%s%s\n",

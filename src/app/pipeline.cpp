@@ -551,4 +551,17 @@ summary_result summarize(const video::video_source& source,
   return st.result;
 }
 
+hardening_calibration calibrate_hardening(const video::video_source& source,
+                                          pipeline_config profile_config,
+                                          int frames, double budget_factor) {
+  profile_config.hardening = resil::hardening_config{};
+  rt::session profile;
+  const img::image_u8 golden = summarize(source, profile_config).panorama;
+  hardening_calibration out;
+  out.stage_budgets =
+      resil::derive_stage_budgets(profile.stats(), frames, budget_factor);
+  out.calibration = fault::calibrate_detectors({golden});
+  return out;
+}
+
 }  // namespace vs::app

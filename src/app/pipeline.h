@@ -67,4 +67,26 @@ struct summary_result {
 [[nodiscard]] summary_result summarize(const video::video_source& source,
                                        const pipeline_config& config);
 
+/// What the hardening learns from one fault-free run: per-stage watchdog
+/// budgets and the output detectors' envelope.
+struct hardening_calibration {
+  resil::stage_budget_config stage_budgets;
+  fault::detector_calibration calibration;
+
+  void apply_to(resil::hardening_config& hardening) const {
+    hardening.stage_budgets = stage_budgets;
+    hardening.calibration = calibration;
+  }
+};
+
+/// Calibrates the hardening the way a deployed system would, with no
+/// golden knowledge at run time: one profiled run of `source` under
+/// `profile_config` with its hardening off, then budgets of
+/// `budget_factor` times the mean per-frame cost over `frames`
+/// (resil::derive_stage_budgets) and detector envelopes from that run's
+/// output (fault::calibrate_detectors).
+[[nodiscard]] hardening_calibration calibrate_hardening(
+    const video::video_source& source, pipeline_config profile_config,
+    int frames, double budget_factor = resil::kStageBudgetFactor);
+
 }  // namespace vs::app

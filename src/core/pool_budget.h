@@ -1,8 +1,8 @@
 // Shared thread-pool budget across concurrent jobs.
 //
-// Before this arbiter, every concurrent clip worker (an isolated fleet
-// child, a serve job, a campaign shard) sized its own pool from hardware
-// concurrency — M concurrent clips on an N-core host ran M*N worker
+// Before this arbiter, every concurrent clip worker (a serve job, in
+// process or forked, and so every `vs fleet` clip) sized its own pool from
+// hardware concurrency — M concurrent clips on an N-core host ran M*N worker
 // threads.  The arbiter closes that ROADMAP item: it owns a fixed budget of
 // N worker *slots* and leases between min_slots and max_slots of them to
 // each job.  A slot is one live thread of execution — the job's own calling

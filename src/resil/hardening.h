@@ -46,12 +46,16 @@ struct stage_budget_config {
   std::uint64_t composite = 0;  ///< warp + blend + feather
 };
 
+/// Default headroom of a derived stage budget over its golden cost.
+inline constexpr double kStageBudgetFactor = 25.0;
+
 /// Derives per-stage budgets from a fault-free profile: each stage gets
 /// `factor` times its mean per-frame golden cost.  `factor` must cover the
 /// per-frame spread (compositing grows with the panorama), so it is
 /// deliberately generous; the global campaign watchdog remains the backstop.
 [[nodiscard]] stage_budget_config derive_stage_budgets(
-    const rt::counters& golden, int frames, double factor = 25.0);
+    const rt::counters& golden, int frames,
+    double factor = kStageBudgetFactor);
 
 /// The hardening configuration carried by app::pipeline_config.
 struct hardening_config {

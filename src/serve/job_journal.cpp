@@ -65,7 +65,11 @@ std::string settled_payload(std::uint64_t id, bool completed,
 }
 
 std::string deferred_payload(const job_request& request) {
-  return "G" + request_fields_payload(request);
+  // Appended, not `"G" + ...`: GCC 12 flags that form with a false
+  // -Wrestrict once the compaction path inlines it.
+  std::string out = "G";
+  out += request_fields_payload(request);
+  return out;
 }
 
 job_journal_state load_job_journal(const std::string& path) {
@@ -147,18 +151,20 @@ std::vector<journaled_job> compact_job_journal(const std::string& path,
 
   // Rewrite via tmp + rename: a crash at any point during compaction
   // leaves either the old journal or the complete new one, never a mix.
+  // A tmp file that did not fully land never replaces the journal.
   const std::string tmp = path + ".compact";
+  bool written = false;
   {
     supervise::journal_writer writer;
     writer.open(tmp, /*truncate=*/true);
-    writer.append(job_journal_header_payload(label));
+    written = writer.append(job_journal_header_payload(label));
     for (const auto& job : replay) {
-      writer.append(accepted_payload(job.id, job.request));
+      written &= writer.append(accepted_payload(job.id, job.request));
     }
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (!written || std::rename(tmp.c_str(), path.c_str()) != 0) {
     (void)std::remove(tmp.c_str());
-    throw io_error("job_journal: cannot rename " + tmp + " over " + path);
+    throw io_error("job_journal: cannot replace " + path + " with " + tmp);
   }
   return replay;
 }

@@ -541,6 +541,7 @@ void server::admit_or_reject(int fd, const job_request& request,
 
   job_rejected rejection;
   bool rejected = false;
+  bool unjournaled = false;
   {
     const std::lock_guard<std::mutex> lock(state_mutex_);
     const std::size_t depth = interactive_.size() + batch_.size();
@@ -552,8 +553,12 @@ void server::admit_or_reject(int fd, const job_request& request,
       // Deferred, not dropped: the journal re-admits this submit on the
       // next boot, so a SIGTERM drain loses no offered work either.
       if (!config_.journal_path.empty()) {
-        journal_.append(deferred_payload(request));
-        ++deferred_;
+        if (journal_.append(deferred_payload(request))) {
+          ++deferred_;
+        } else {
+          log::error("serve: cannot journal a deferred job to " +
+                     config_.journal_path + "; it is dropped");
+        }
       }
     } else if (depth >= config_.queue_capacity) {
       rejection.reason = reject_reason::queue_full;
@@ -565,14 +570,24 @@ void server::admit_or_reject(int fd, const job_request& request,
       const std::uint64_t id = next_job_id_++;
       // Durability before acknowledgement: the A line is flushed to the
       // journal before the accept frame can reach the client, so every
-      // accepted job survives any later crash.
-      if (!config_.journal_path.empty()) {
-        journal_.append(accepted_payload(id, request));
-        ++journal_depth_;
+      // accepted job survives any later crash.  A job whose A line did not
+      // land is never acknowledged: the connection just closes, and a
+      // resilient client resubmits.
+      if (!config_.journal_path.empty() &&
+          !journal_.append(accepted_payload(id, request))) {
+        unjournaled = true;
+        ++rejected_;
+      } else {
+        if (!config_.journal_path.empty()) ++journal_depth_;
+        (void)enqueue_locked(id, request, fd);
+        fd_owned = false;  // the job's sink owns the connection now
       }
-      (void)enqueue_locked(id, request, fd);
-      fd_owned = false;  // the job's sink owns the connection now
     }
+  }
+  if (unjournaled) {
+    log::error("serve: cannot journal an admission to " +
+               config_.journal_path + "; job not accepted");
+    return;  // fd_owned stays true: caller closes without a reply
   }
   if (rejected) {
     (void)send_all(fd, encode_rejected(rejection));
@@ -819,8 +834,12 @@ void server::settle(const pending_job& job, const char* outcome,
   {
     const std::lock_guard<std::mutex> lock(state_mutex_);
     if (!config_.journal_path.empty()) {
-      journal_.append(
-          settled_payload(job.id, completed, failure, panorama_hash));
+      if (!journal_.append(
+              settled_payload(job.id, completed, failure, panorama_hash))) {
+        log::error("serve: cannot journal the settlement of job " +
+                   std::to_string(job.id) + " to " + config_.journal_path +
+                   "; a restart would run it again");
+      }
       if (journal_depth_ > 0) --journal_depth_;
     }
   }

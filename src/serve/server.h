@@ -29,8 +29,9 @@
 //
 // Crash-only serving (DESIGN.md §5j): with `journal_path` set, every
 // admission is appended to a durable, checksummed journal
-// (serve/job_journal.h) BEFORE the client's accept frame is sent, and
-// every settlement appends a matching D line.  On start() the journal is
+// (serve/job_journal.h) BEFORE the client's accept frame is sent (a job
+// whose A line fails to land is never acknowledged: its connection just
+// closes), and every settlement appends a matching D line.  On start() the journal is
 // compacted and the unfinished tail re-enqueued as orphan jobs (no client
 // connection yet); a client that resubmits under its idempotency key
 // adopts the orphan's buffered result stream instead of re-executing.

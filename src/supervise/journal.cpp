@@ -180,12 +180,13 @@ void journal_writer::open(const std::string& path, bool truncate) {
   if (!out_) throw io_error("journal: cannot open " + path);
 }
 
-void journal_writer::append(std::string_view payload) {
-  if (!out_.is_open()) return;
+bool journal_writer::append(std::string_view payload) {
+  if (!out_.is_open()) return true;
   out_ << fault::wire::seal(payload) << '\n';
   // Flush per line: a killed supervisor loses at most the torn tail line,
   // which load_journal skips.
   out_.flush();
+  return static_cast<bool>(out_);
 }
 
 }  // namespace vs::supervise

@@ -99,7 +99,11 @@ class journal_writer {
   /// Opens `path` (truncating when `truncate`); throws io_error on failure.
   void open(const std::string& path, bool truncate);
   [[nodiscard]] bool active() const noexcept { return out_.is_open(); }
-  void append(std::string_view payload);
+  /// Seals, writes and flushes one line.  Returns false when the line may
+  /// not have reached the file (ENOSPC, EIO, ...); the writer then stays
+  /// failed, because a torn line would garble whatever followed it.  An
+  /// inactive writer returns true.
+  [[nodiscard]] bool append(std::string_view payload);
 
  private:
   std::ofstream out_;

@@ -4,25 +4,20 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
-#include <cstring>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <optional>
 #include <thread>
 
-#include "app/pipeline.h"
 #include "core/error.h"
 #include "core/log.h"
-#include "core/pool_budget.h"
 #include "supervise/fork_runner.h"
 #include "supervise/journal.h"
 
 namespace vs::supervise {
 
 namespace {
-
-using clock = std::chrono::steady_clock;
 
 // How one worker attempt ended, with everything it streamed back first.
 struct attempt_result {
@@ -61,8 +56,6 @@ void consume_lines(std::string& buf, attempt_result& out) {
         if (parsed && out.in_flight && *out.in_flight == parsed->index) {
           out.in_flight.reset();
         }
-      } else if ((*payload)[0] == 'S') {
-        out.in_flight.reset();
       }
       out.payloads.push_back(*payload);
     }
@@ -140,11 +133,21 @@ std::vector<std::size_t> missing_in_shard(campaign_context& ctx,
   return todo;
 }
 
+// Appends one journal line or throws: a campaign that goes on while its
+// journal silently loses records would promise a resume it cannot keep.
+// Caller holds ctx.mutex (or runs before the workers start).
+void journal_line(campaign_context& ctx, std::string_view payload) {
+  if (!ctx.writer.append(payload)) {
+    throw io_error("supervisor: cannot append to journal " +
+                   ctx.config.journal_path);
+  }
+}
+
 void commit_record(campaign_context& ctx, std::size_t index,
                    const fault::injection_record& record) {
   const std::lock_guard<std::mutex> lock(ctx.mutex);
   if (ctx.state.records.emplace(index, record).second) {
-    ctx.writer.append(fault::wire::record_payload(index, record));
+    journal_line(ctx, fault::wire::record_payload(index, record));
   }
 }
 
@@ -204,7 +207,7 @@ void process_shard(campaign_context& ctx, std::size_t shard) {
     if (todo.empty()) {
       const std::lock_guard<std::mutex> lock(ctx.mutex);
       if (ctx.state.completed_shards.insert(shard).second) {
-        ctx.writer.append(checkpoint_payload(shard));
+        journal_line(ctx, checkpoint_payload(shard));
       }
       return;
     }
@@ -269,7 +272,7 @@ void process_shard(campaign_context& ctx, std::size_t shard) {
     if (consecutive_failures >= std::max(1, ctx.config.max_failures)) {
       const std::lock_guard<std::mutex> lock(ctx.mutex);
       if (ctx.state.quarantined_shards.insert(shard).second) {
-        ctx.writer.append(quarantine_payload(shard));
+        journal_line(ctx, quarantine_payload(shard));
         ctx.stats.quarantined.push_back(shard);
       }
       log::warn("supervisor: quarantined shard ", shard, " after ",
@@ -346,7 +349,7 @@ sharded_result run_sharded_campaign(const fault::workload& work,
     ctx.writer.open(config.journal_path, /*truncate=*/fresh);
     if (fresh) {
       ctx.state.header = header;
-      ctx.writer.append(header_payload(header));
+      journal_line(ctx, header_payload(header));
     }
   }
 
@@ -411,194 +414,6 @@ sharded_result run_sharded_campaign(const fault::workload& work,
   result.stats = std::move(ctx.stats);
   log::info("sharded campaign done: ", result.campaign.rates.to_string());
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-clip fleet
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct clip_summary {
-  std::uint64_t hash = 0;
-  int frames_stitched = 0;
-  int mini_panoramas = 0;
-  double wall_ms = 0.0;
-};
-
-// Runs one clip on a pool of the leased width.  frames_in_flight is 0 so
-// every live thread the clip uses is a leased slot (the lookahead's
-// scheduler dispatcher would be an unbudgeted extra thread); the summary is
-// byte-identical at any depth, so the clip hash is unaffected.
-clip_summary summarize_clip(const clip_job& job, unsigned width) {
-  const auto t0 = clock::now();
-  const auto source = video::make_input(job.input, job.frames);
-  app::pipeline_config config;
-  config.approx.alg = job.alg;
-  config.frames_in_flight = 0;
-  core::thread_pool pool(std::max(1u, width));
-  const core::pool_scope scope(pool);
-  const app::summary_result summary = app::summarize(*source, config);
-  clip_summary out;
-  out.hash = fault::wire::hash_image(summary.panorama);
-  out.frames_stitched = summary.stats.frames_stitched;
-  out.mini_panoramas = summary.stats.mini_panoramas;
-  out.wall_ms = std::chrono::duration<double, std::milli>(clock::now() - t0)
-                    .count();
-  return out;
-}
-
-std::string clip_payload(const clip_summary& s) {
-  return "S " + std::to_string(s.hash) + ' ' +
-         std::to_string(s.frames_stitched) + ' ' +
-         std::to_string(s.mini_panoramas) + ' ' +
-         std::to_string(static_cast<std::uint64_t>(s.wall_ms * 1000.0));
-}
-
-std::optional<clip_summary> parse_clip_payload(std::string_view payload) {
-  if (payload.size() < 2 || payload[0] != 'S') return std::nullopt;
-  clip_summary out;
-  std::uint64_t hash = 0;
-  std::uint64_t stitched = 0;
-  std::uint64_t panoramas = 0;
-  std::uint64_t wall_us = 0;
-  const char* p = payload.data() + 2;
-  const char* end = payload.data() + payload.size();
-  for (std::uint64_t* field : {&hash, &stitched, &panoramas, &wall_us}) {
-    while (p < end && *p == ' ') ++p;
-    const auto [next, ec] = std::from_chars(p, end, *field);
-    if (ec != std::errc{}) return std::nullopt;
-    p = next;
-  }
-  out.hash = hash;
-  out.frames_stitched = static_cast<int>(stitched);
-  out.mini_panoramas = static_cast<int>(panoramas);
-  out.wall_ms = static_cast<double>(wall_us) / 1000.0;
-  return out;
-}
-
-}  // namespace
-
-std::vector<clip_result> run_clip_fleet(const std::vector<clip_job>& jobs,
-                                        const supervisor_config& config,
-                                        const clip_observer& observer) {
-  std::vector<clip_result> results(jobs.size());
-  std::atomic<std::size_t> cursor{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::mutex observer_mutex;
-
-  // One arbiter for the whole fleet: concurrent clips share the budget
-  // instead of each sizing a pool from hardware concurrency.
-  core::pool_arbiter arbiter(config.pool_budget);
-  const unsigned active = static_cast<unsigned>(std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(1, config.jobs)), jobs.size()));
-  const unsigned fair_share =
-      std::max(1u, arbiter.budget() / std::max(1u, active));
-
-  auto run_one = [&](std::size_t index) {
-    const clip_job& job = jobs[index];
-    clip_result& result = results[index];
-    const log::scoped_tag tag("clip " + std::to_string(index));
-    core::backoff_policy backoff = config.backoff;
-    backoff.seed = config.backoff.seed + 0x9e3779b97f4a7c15ULL * index;
-
-    const auto out = core::retry_with_backoff(
-        backoff,
-        [&](int attempt) {
-          result.attempts = attempt;
-          core::pool_lease lease = arbiter.acquire(1, fair_share);
-          const unsigned width = lease.width();
-          if (!config.isolate) {
-            // Inline lane: exceptions classify as aborts; real signals and
-            // hangs are uncontained (that is what isolation is for).
-            try {
-              const clip_summary s = summarize_clip(job, width);
-              result.panorama_hash = s.hash;
-              result.frames_stitched = s.frames_stitched;
-              result.mini_panoramas = s.mini_panoramas;
-              result.wall_ms = s.wall_ms;
-              return true;
-            } catch (const std::exception&) {
-              result.failure = fault::outcome::crash_abort;
-              return false;
-            }
-          }
-          const attempt_result attempt_out = run_forked_attempt(
-              [&](int fd) {
-                try {
-                  // The leased slots back the *child's* pool: the worker
-                  // builds a pool of exactly the leased width (a pool
-                  // object inherited from the parent has no live workers
-                  // here), and the parent holds the lease until the child
-                  // dies, so the budget covers the forked threads too.
-                  child_write_line(fd,
-                                   clip_payload(summarize_clip(job, width)));
-                } catch (const std::exception& e) {
-                  child_fail(fd, &e);
-                } catch (...) {
-                  child_fail(fd, nullptr);
-                }
-              },
-              config.shard_timeout_s);
-          for (const std::string& payload : attempt_out.payloads) {
-            const auto s = parse_clip_payload(payload);
-            if (s && attempt_out.how == attempt_result::ending::clean) {
-              result.panorama_hash = s->hash;
-              result.frames_stitched = s->frames_stitched;
-              result.mini_panoramas = s->mini_panoramas;
-              result.wall_ms = s->wall_ms;
-              return true;
-            }
-          }
-          switch (attempt_out.how) {
-            case attempt_result::ending::timeout:
-              result.failure = fault::outcome::hang;
-              break;
-            case attempt_result::ending::signal:
-              result.failure = classify_signal(attempt_out.signal);
-              break;
-            default:
-              result.failure = fault::outcome::crash_abort;
-              break;
-          }
-          return false;
-        },
-        sleep_ms);
-    result.completed = out.succeeded;
-    if (result.completed) result.failure = fault::outcome::masked;
-    if (observer) {
-      const std::lock_guard<std::mutex> lock(observer_mutex);
-      observer(index, job, result);
-    }
-  };
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t index = cursor.fetch_add(1);
-      if (index >= jobs.size()) return;
-      try {
-        run_one(index);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-  const int jobs_width = std::max(1, config.jobs);
-  if (jobs_width <= 1 || jobs.size() < 2) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    const std::size_t width = std::min<std::size_t>(
-        static_cast<std::size_t>(jobs_width), jobs.size());
-    pool.reserve(width);
-    for (std::size_t t = 0; t < width; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return results;
 }
 
 }  // namespace vs::supervise

@@ -10,12 +10,12 @@
 // space.  HAFT solves this with hardware-transaction fault domains; the
 // portable equivalent used here is the oldest one: fork.
 //
-// The supervisor shards work units — campaign experiment ranges and whole
-// clips — across forked workers.  Each worker owns its address space, streams
-// results over a pipe as checksummed wire lines, and is watched by a
-// waitpid-based wall-clock watchdog (real hang detection, complementing the
-// deterministic step-budget watchdog inside the instrumented lane).  A worker
-// death by signal is classified into the campaign's Crash outcome from its
+// The supervisor shards campaign experiment ranges across forked workers.
+// Each worker owns its address space, streams results over a pipe as
+// checksummed wire lines, and is watched by a waitpid-based wall-clock
+// watchdog (real hang detection, complementing the deterministic
+// step-budget watchdog inside the instrumented lane).  A worker death by
+// signal is classified into the campaign's Crash outcome from its
 // exit status — SIGSEGV and friends map to Crash even when the in-process
 // exception model never saw them; a watchdog kill maps to Hang.  Completed
 // work is journaled (supervise/journal.h) with a checkpoint after every
@@ -31,14 +31,11 @@
 // ci/check_campaign_gate.sh.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "app/config.h"
 #include "core/retry.h"
 #include "fault/campaign.h"
-#include "video/generator.h"
 
 namespace vs::supervise {
 
@@ -53,12 +50,6 @@ struct supervisor_config {
   std::string journal_path;      ///< empty = keep state in memory only
   bool resume = false;   ///< reuse a matching journal instead of truncating
   std::string workload_label = "campaign";  ///< journal identity label
-  /// Worker-slot budget shared by concurrent clip jobs (core/pool_budget.h):
-  /// each clip leases a fair share instead of sizing its own pool from
-  /// hardware concurrency, so M concurrent clips on an N-core host never
-  /// run more than N live worker threads.  0 = auto (VS_THREADS, else
-  /// hardware concurrency).
-  unsigned pool_budget = 0;
 };
 
 struct shard_stats {
@@ -87,43 +78,5 @@ struct sharded_result {
 [[nodiscard]] sharded_result run_sharded_campaign(
     const fault::workload& work, const fault::campaign_config& campaign,
     const supervisor_config& config);
-
-/// A whole-clip work unit: app::summarize is a pure function of
-/// (input, algorithm, frames), so clips shard across workers with no shared
-/// state — the ROADMAP's multi-video front end.
-struct clip_job {
-  video::input_id input = video::input_id::input1;
-  app::algorithm alg = app::algorithm::vs;
-  int frames = 20;
-};
-
-struct clip_result {
-  bool completed = false;
-  /// Failure class when !completed: crash_segfault/crash_abort for a worker
-  /// signal death or in-process exception, hang for a watchdog kill.
-  fault::outcome failure = fault::outcome::masked;
-  std::uint64_t panorama_hash = 0;  ///< wire::hash_image of the summary
-  int frames_stitched = 0;
-  int mini_panoramas = 0;
-  double wall_ms = 0.0;  ///< successful attempt's wall time
-  int attempts = 0;
-};
-
-/// Streaming per-clip aggregation: invoked (serialized — never
-/// concurrently) as each clip job settles, before the full fleet returns.
-/// `vs fleet` feeds these straight into the CSV/JSON report streams instead
-/// of buffering the whole fleet.
-using clip_observer =
-    std::function<void(std::size_t index, const clip_job& job,
-                       const clip_result& result)>;
-
-/// Runs each clip job to completion (with per-clip retry/backoff), one
-/// result per job in job order.  With config.isolate each attempt runs in a
-/// forked worker; otherwise inline on the supervisor's worker threads.
-/// Every clip runs under a worker-slot lease from the shared
-/// config.pool_budget arbiter.
-[[nodiscard]] std::vector<clip_result> run_clip_fleet(
-    const std::vector<clip_job>& jobs, const supervisor_config& config,
-    const clip_observer& observer = {});
 
 }  // namespace vs::supervise

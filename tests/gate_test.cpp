@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "app/pipeline.h"
-#include "fault/detectors.h"
 #include "gate/change.h"
 #include "gate/desc_cache.h"
 #include "gate/extrapolate.h"
@@ -383,16 +382,8 @@ TEST(GatePipeline, GatedStateIsInvalidatedByRecovery) {
   app::pipeline_config config;
   config.gate.request = static_cast<int>(gate::level::all);
   config.hardening.level = resil::hardening_level::full;
-  {
-    app::pipeline_config profile = config;
-    profile.hardening = resil::hardening_config{};
-    rt::session session;
-    const auto golden = app::summarize(clip2(), profile);
-    config.hardening.stage_budgets = resil::derive_stage_budgets(
-        session.stats(), clip2().frame_count());
-    config.hardening.calibration =
-        fault::calibrate_detectors({golden.panorama});
-  }
+  app::calibrate_hardening(clip2(), config, clip2().frame_count())
+      .apply_to(config.hardening);
   rt::fault_plan plan;
   plan.cls = rt::reg_class::gpr;
   plan.target = 400000;  // lands mid-run, well past the gate's warmup

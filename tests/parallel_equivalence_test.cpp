@@ -19,7 +19,6 @@
 #include "core/rng.h"
 #include "core/simd.h"
 #include "core/thread_pool.h"
-#include "fault/detectors.h"
 #include "resil/hardening.h"
 #include "features/fast.h"
 #include "features/orb.h"
@@ -411,14 +410,8 @@ TEST(ParallelEquivalence, EndToEndFullyHardened) {
     // the campaign drivers do.
     app::pipeline_config config;
     config.hardening.level = resil::hardening_level::full;
-    {
-      rt::session profile;
-      const auto golden = app::summarize(source, app::pipeline_config{});
-      config.hardening.stage_budgets = resil::derive_stage_budgets(
-          profile.stats(), source.frame_count());
-      config.hardening.calibration =
-          fault::calibrate_detectors({golden.panorama});
-    }
+    app::calibrate_hardening(source, config, source.frame_count())
+        .apply_to(config.hardening);
 
     app::summary_result reference;
     {

@@ -398,11 +398,8 @@ app::pipeline_config hardened_config(const video::video_source& source,
                                      resil::hardening_level level) {
   app::pipeline_config config;
   config.hardening.level = level;
-  rt::session profile;
-  const auto golden = app::summarize(source, app::pipeline_config{}).panorama;
-  config.hardening.stage_budgets =
-      resil::derive_stage_budgets(profile.stats(), source.frame_count());
-  config.hardening.calibration = fault::calibrate_detectors({golden});
+  app::calibrate_hardening(source, config, source.frame_count())
+      .apply_to(config.hardening);
   return config;
 }
 

@@ -570,12 +570,13 @@ TEST(ServeRestart, ReplayOfCompletedJobIsANoOp) {
   {
     supervise::journal_writer writer;
     writer.open(journal, /*truncate=*/true);
-    writer.append(job_journal_header_payload("serve"));
+    ASSERT_TRUE(writer.append(job_journal_header_payload("serve")));
     req.client_key = "done-already";
-    writer.append(accepted_payload(1, req));
-    writer.append(settled_payload(1, true, fault::outcome::masked, 0x1234));
+    ASSERT_TRUE(writer.append(accepted_payload(1, req)));
+    ASSERT_TRUE(writer.append(
+        settled_payload(1, true, fault::outcome::masked, 0x1234)));
     req.client_key = "still-pending";
-    writer.append(accepted_payload(2, req));
+    ASSERT_TRUE(writer.append(accepted_payload(2, req)));
   }
 
   auto config = quick_config(path);

@@ -14,7 +14,6 @@
 #include "app/pipeline.h"
 #include "core/error.h"
 #include "core/thread_pool.h"
-#include "fault/detectors.h"
 #include "pipeline/executor.h"
 #include "pipeline/scheduler.h"
 #include "pipeline/stage.h"
@@ -179,14 +178,8 @@ app::pipeline_config hardened_config(const video::video_source& source,
   app::pipeline_config config;
   config.approx.alg = alg;
   config.hardening.level = resil::hardening_level::full;
-  app::pipeline_config profile_config = config;
-  profile_config.hardening = resil::hardening_config{};
-  rt::session profile;
-  const auto golden = app::summarize(source, profile_config);
-  config.hardening.stage_budgets = resil::derive_stage_budgets(
-      profile.stats(), source.frame_count());
-  config.hardening.calibration =
-      fault::calibrate_detectors({golden.panorama});
+  app::calibrate_hardening(source, config, source.frame_count())
+      .apply_to(config.hardening);
   return config;
 }
 

@@ -382,7 +382,7 @@ void write_journal(const std::string& path,
                    const std::vector<std::string>& payloads) {
   supervise::journal_writer writer;
   writer.open(path, /*truncate=*/true);
-  for (const auto& p : payloads) writer.append(p);
+  for (const auto& p : payloads) ASSERT_TRUE(writer.append(p));
 }
 
 /// Serializes a replay set; equal strings mean equal job sets, field for

@@ -12,7 +12,7 @@
 //   vs events    <input1|input2|input3> [frames] [out.ppm]        tracked summary
 //   vs inject    <input1|input2|input3> <gpr|fpr> <injections> [algorithm]
 //                [--csv=path] [--json=path] [--jobs=N] [--isolate]
-//                [--journal=path] [--resume] [--timeout=S]
+//                [--journal=path] [--resume] [--timeout=S] [--frames=N]
 //   vs quality   <golden.pgm> <faulty.pgm>                 Section V-D metric
 //   vs profile   <input1|input2|input3> [frames]                  Fig 8 breakdown
 //   vs stages                                              stage registry dump
@@ -20,8 +20,10 @@
 //                [--level=off|detectors|cfcss|full]        recovery report
 //                [--retries=N] [--no-motion-reuse] [--budget-factor=F]
 //   vs fleet     <input1|input2|input3> [algorithms...] [--frames=N] [--jobs=N]
-//                [--isolate] [--timeout=S] [--budget=N]    multi-clip workers
-//                [--csv=path] [--json=path]                streamed reports
+//                [--isolate] [--timeout=S] [--budget=N]    one serve job per
+//                [--csv=path] [--json=path]                variant, on a private
+//                [--socket=PATH] [--retries=N]             in-process server or
+//                                                          the one at PATH
 //   vs serve     <socket> [--queue=N] [--runners=N] [--budget=N]
 //                [--isolate] [--timeout=S] [--report=path] summarization
 //                [--lookahead=N]                           service
@@ -36,9 +38,14 @@
 #include <cctype>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,9 +97,9 @@ using namespace vs;
       "               [--replicate=off|geometry|all|stage,...]\n"
       "               [--no-motion-reuse] [--budget-factor=F]\n"
       "  vs fleet     <input1|input2|input3> [algorithms...] [--frames=N]\n"
-      "               [--jobs=N] [--isolate] [--timeout=S] [--budget=N]\n"
-      "               [--csv=path] [--json=path] [--socket=PATH]\n"
-      "               [--retries=N]\n"
+      "               [--csv=path] [--json=path] [--retries=N]\n"
+      "               [--socket=PATH | --jobs=N --isolate --timeout=S\n"
+      "                                --budget=N]\n"
       "  vs serve     <socket> [--queue=N] [--runners=N] [--budget=N]\n"
       "               [--isolate] [--timeout=S] [--report=path]\n"
       "               [--lookahead=N] [--journal=path] [--supervised]\n"
@@ -121,6 +128,19 @@ int parse_count(const char* text) {
   const char* end = text + std::strlen(text);
   const auto [ptr, ec] = std::from_chars(text, end, value);
   if (ec != std::errc() || ptr != end || value < 0) usage();
+  return value;
+}
+
+/// A non-negative, finite number of seconds (fractions allowed); anything
+/// else is a usage error.
+double parse_seconds(const char* text) {
+  double value = 0.0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      !(value >= 0.0)) {
+    usage();
+  }
   return value;
 }
 
@@ -194,7 +214,7 @@ int cmd_inject(int argc, char** argv) {
   if (argc < 5) usage();
   const auto input = parse_input(argv[2]);
   const bool fpr = std::strcmp(argv[3], "fpr") == 0;
-  const int injections = std::atoi(argv[4]);
+  const int injections = parse_count(argv[4]);
 
   app::pipeline_config config;
   std::string csv_path;
@@ -206,7 +226,7 @@ int cmd_inject(int argc, char** argv) {
   bool supervised = false;
   bool serve_campaign = false;
   int serve_kill = 0;
-  int serve_frames = 12;
+  int frames = -1;  // unset: 20 offline, 12 through the serve layer
   for (int i = 5; i < argc; ++i) {
     if (std::strncmp(argv[i], "--harden", 8) == 0 &&
         (argv[i][8] == '\0' || argv[i][8] == '=')) {
@@ -219,7 +239,7 @@ int cmd_inject(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      super.jobs = std::atoi(argv[i] + 7);
+      super.jobs = parse_count(argv[i] + 7);
       supervised = true;
     } else if (std::strcmp(argv[i], "--isolate") == 0) {
       super.isolate = true;
@@ -231,19 +251,20 @@ int cmd_inject(int argc, char** argv) {
       super.resume = true;
       supervised = true;
     } else if (std::strncmp(argv[i], "--timeout=", 10) == 0) {
-      super.shard_timeout_s = std::atof(argv[i] + 10);
+      super.shard_timeout_s = parse_seconds(argv[i] + 10);
       supervised = true;
     } else if (std::strcmp(argv[i], "--serve") == 0) {
       serve_campaign = true;
     } else if (std::strncmp(argv[i], "--serve-kill=", 13) == 0) {
-      serve_kill = std::atoi(argv[i] + 13);
+      serve_kill = parse_count(argv[i] + 13);
       serve_campaign = true;
     } else if (std::strncmp(argv[i], "--frames=", 9) == 0) {
-      serve_frames = std::atoi(argv[i] + 9);
+      frames = parse_count(argv[i] + 9);
     } else {
       config.approx.alg = app::parse_algorithm(argv[i]);
     }
   }
+  if (frames < 0) frames = serve_campaign ? 12 : 20;
 
   // Serve-layer campaign: same planned injections, but fired through a
   // resident supervised server and classified from the client's chair
@@ -252,7 +273,7 @@ int cmd_inject(int argc, char** argv) {
     serve::serve_campaign_config sc;
     sc.input = input;
     sc.alg = config.approx.alg;
-    sc.frames = serve_frames;
+    sc.frames = frames;
     sc.cls = fpr ? rt::reg_class::fpr : rt::reg_class::gpr;
     sc.injections = injections;
     sc.kill_every = serve_kill;
@@ -292,22 +313,15 @@ int cmd_inject(int argc, char** argv) {
                : 1;
   }
 
-  const auto source = video::make_input(input, 20);
+  const auto source = video::make_input(input, frames);
   if (!harden_level.empty()) {
     config.hardening.level = resil::parse_hardening_level(harden_level);
     if (replicate_set) {
       config.hardening.replicate_stages =
           pipeline::parse_replicate_stages(replicate_spec);
     }
-    // Calibrate budgets and detector envelopes from one fault-free
-    // profiled run, as cmd_resil does.
-    app::pipeline_config profile_config = config;
-    profile_config.hardening = resil::hardening_config{};
-    rt::session profile;
-    const auto golden = app::summarize(*source, profile_config).panorama;
-    config.hardening.stage_budgets =
-        resil::derive_stage_budgets(profile.stats(), 20);
-    config.hardening.calibration = fault::calibrate_detectors({golden});
+    app::calibrate_hardening(*source, config, frames)
+        .apply_to(config.hardening);
     std::printf("hardening: level=%s replication=%s\n",
                 resil::hardening_level_name(config.hardening.level),
                 pipeline::replicate_stages_name(
@@ -504,16 +518,9 @@ int cmd_resil(int argc, char** argv) {
 
   const auto source = video::make_input(input, frames);
 
-  // Calibrate the hardening from one fault-free profiled run, exactly as a
-  // deployed system would (no golden knowledge at run time).
   if (config.hardening.enabled()) {
-    app::pipeline_config profile_config = config;
-    profile_config.hardening = resil::hardening_config{};
-    rt::session profile;
-    const auto golden = app::summarize(*source, profile_config).panorama;
-    config.hardening.stage_budgets =
-        resil::derive_stage_budgets(profile.stats(), frames, budget_factor);
-    config.hardening.calibration = fault::calibrate_detectors({golden});
+    app::calibrate_hardening(*source, config, frames, budget_factor)
+        .apply_to(config.hardening);
   }
 
   const auto result = app::summarize(*source, config);
@@ -547,29 +554,88 @@ int cmd_resil(int argc, char** argv) {
   return 0;
 }
 
+// `vs fleet` without --socket: a serve::server on a private socket in a
+// fresh temporary directory, its accept loop on a background thread.
+// Destruction drains it (every accepted clip finishes first), joins the
+// loop and removes the directory.
+class private_server {
+ public:
+  explicit private_server(serve::server_config config) {
+    std::string dir =
+        (std::filesystem::temp_directory_path() / "vs-fleet-XXXXXX").string();
+    if (::mkdtemp(dir.data()) == nullptr) {
+      throw io_error("fleet: cannot create a directory for the socket");
+    }
+    dir_ = dir;
+    config.socket_path = dir_ + "/fleet.sock";
+    server_ = std::make_unique<serve::server>(std::move(config));
+    try {
+      server_->start();
+    } catch (...) {
+      server_.reset();
+      std::error_code ignored;
+      std::filesystem::remove_all(dir_, ignored);
+      throw;
+    }
+    loop_ = std::thread([this] { server_->run(); });
+  }
+  ~private_server() {
+    server_->request_drain();
+    loop_.join();
+    server_.reset();
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
+  private_server(const private_server&) = delete;
+  private_server& operator=(const private_server&) = delete;
+
+  [[nodiscard]] const std::string& socket_path() const {
+    return server_->socket_path();
+  }
+
+ private:
+  std::string dir_;
+  std::unique_ptr<serve::server> server_;
+  std::thread loop_;
+};
+
+// One settled fleet clip, as the reports and the summary print it.
+struct clip_row {
+  bool completed = false;
+  fault::outcome failure = fault::outcome::crash_abort;
+  std::uint64_t panorama_hash = 0;
+  int frames_stitched = 0;
+  int mini_panoramas = 0;
+  double wall_ms = 0.0;  ///< submit to terminal reply, as the client saw it
+  int attempts = 0;      ///< submissions
+};
+
 int cmd_fleet(int argc, char** argv) {
   if (argc < 3) usage();
   const auto input = parse_input(argv[2]);
 
-  supervise::supervisor_config super;
-  super.jobs = 2;
+  serve::server_config config;
+  // Every live thread is a leased slot: no shared stage scheduler, whose
+  // dispatcher would be an unbudgeted extra thread.  The montage is
+  // byte-identical at any lookahead.
+  config.lookahead = 0;
   int frames = 20;
   std::string csv_path;
   std::string json_path;
   std::string socket_path;
-  int fleet_retries = 0;
+  int retries = 0;
   std::vector<app::algorithm> algorithms;
   for (int i = 3; i < argc; ++i) {
     if (std::strncmp(argv[i], "--frames=", 9) == 0) {
-      frames = std::atoi(argv[i] + 9);
+      frames = parse_count(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      super.jobs = std::atoi(argv[i] + 7);
+      config.runners = parse_count(argv[i] + 7);
     } else if (std::strcmp(argv[i], "--isolate") == 0) {
-      super.isolate = true;
+      config.isolate = true;
     } else if (std::strncmp(argv[i], "--timeout=", 10) == 0) {
-      super.shard_timeout_s = std::atof(argv[i] + 10);
+      config.job_timeout_s = parse_seconds(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      super.pool_budget = static_cast<unsigned>(std::atoi(argv[i] + 9));
+      config.pool_budget = static_cast<unsigned>(parse_count(argv[i] + 9));
     } else if (std::strncmp(argv[i], "--csv=", 6) == 0) {
       csv_path = argv[i] + 6;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
@@ -577,7 +643,7 @@ int cmd_fleet(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--socket=", 9) == 0) {
       socket_path = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--retries=", 10) == 0) {
-      fleet_retries = std::atoi(argv[i] + 10);
+      retries = parse_count(argv[i] + 10);
     } else {
       algorithms.push_back(app::parse_algorithm(argv[i]));
     }
@@ -585,11 +651,6 @@ int cmd_fleet(int argc, char** argv) {
   if (algorithms.empty()) {
     algorithms = {app::algorithm::vs, app::algorithm::vs_rfd,
                   app::algorithm::vs_kds, app::algorithm::vs_sm};
-  }
-
-  std::vector<supervise::clip_job> jobs;
-  for (const app::algorithm alg : algorithms) {
-    jobs.push_back({input, alg, frames});
   }
 
   // Streamed reports: one flushed row the moment each clip settles, not a
@@ -603,114 +664,109 @@ int cmd_fleet(int argc, char** argv) {
              "frames_stitched,mini_panoramas,wall_ms,attempts");
   }
   if (!json_path.empty()) jsonl.open(json_path, "");
-  const supervise::clip_observer observer =
-      [&](std::size_t index, const supervise::clip_job& job,
-          const supervise::clip_result& r) {
-        char hash[24];
-        std::snprintf(hash, sizeof(hash), "%016llx",
-                      static_cast<unsigned long long>(r.panorama_hash));
-        char wall[32];
-        std::snprintf(wall, sizeof(wall), "%.3f", r.wall_ms);
-        const char* outcome =
-            r.completed ? "completed" : fault::outcome_name(r.failure);
-        if (csv.active()) {
-          csv.append(std::to_string(index) + ',' +
-                     video::input_name(job.input) + ',' +
-                     app::algorithm_name(job.alg) + ',' +
-                     std::to_string(job.frames) + ',' +
-                     (r.completed ? "1," : "0,") + outcome + ',' + hash +
-                     ',' + std::to_string(r.frames_stitched) + ',' +
-                     std::to_string(r.mini_panoramas) + ',' + wall + ',' +
-                     std::to_string(r.attempts));
-        }
-        if (jsonl.active()) {
-          jsonl.append(std::string("{\"clip\": ") + std::to_string(index) +
-                       ", \"input\": \"" + video::input_name(job.input) +
-                       "\", \"algorithm\": \"" +
-                       app::algorithm_name(job.alg) +
-                       "\", \"frames\": " + std::to_string(job.frames) +
-                       ", \"completed\": " +
-                       (r.completed ? "true" : "false") +
-                       ", \"outcome\": \"" + outcome +
-                       "\", \"panorama_hash\": \"" + hash +
-                       "\", \"frames_stitched\": " +
-                       std::to_string(r.frames_stitched) +
-                       ", \"mini_panoramas\": " +
-                       std::to_string(r.mini_panoramas) +
-                       ", \"wall_ms\": " + wall +
-                       ", \"attempts\": " + std::to_string(r.attempts) +
-                       "}");
-        }
-      };
+  std::mutex report_mutex;
+  const auto report = [&](std::size_t index, app::algorithm alg,
+                          const clip_row& r) {
+    char hash[24];
+    std::snprintf(hash, sizeof(hash), "%016llx",
+                  static_cast<unsigned long long>(r.panorama_hash));
+    char wall[32];
+    std::snprintf(wall, sizeof(wall), "%.3f", r.wall_ms);
+    const char* outcome =
+        r.completed ? "completed" : fault::outcome_name(r.failure);
+    const std::lock_guard<std::mutex> lock(report_mutex);
+    if (csv.active()) {
+      csv.append(std::to_string(index) + ',' + video::input_name(input) +
+                 ',' + app::algorithm_name(alg) + ',' +
+                 std::to_string(frames) + ',' + (r.completed ? "1," : "0,") +
+                 outcome + ',' + hash + ',' +
+                 std::to_string(r.frames_stitched) + ',' +
+                 std::to_string(r.mini_panoramas) + ',' + wall + ',' +
+                 std::to_string(r.attempts));
+    }
+    if (jsonl.active()) {
+      jsonl.append(std::string("{\"clip\": ") + std::to_string(index) +
+                   ", \"input\": \"" + video::input_name(input) +
+                   "\", \"algorithm\": \"" + app::algorithm_name(alg) +
+                   "\", \"frames\": " + std::to_string(frames) +
+                   ", \"completed\": " + (r.completed ? "true" : "false") +
+                   ", \"outcome\": \"" + outcome +
+                   "\", \"panorama_hash\": \"" + hash +
+                   "\", \"frames_stitched\": " +
+                   std::to_string(r.frames_stitched) +
+                   ", \"mini_panoramas\": " +
+                   std::to_string(r.mini_panoramas) +
+                   ", \"wall_ms\": " + wall +
+                   ", \"attempts\": " + std::to_string(r.attempts) + "}");
+    }
+  };
 
-  std::vector<supervise::clip_result> results;
-  if (!socket_path.empty()) {
-    // Serve-backed fleet: each clip is a resilient submission to a running
-    // server instead of a local forked worker.  Idempotency keys make the
-    // retries safe; results are synthesized into the same clip_result rows
-    // so the streamed reports and summary below are format-identical.
-    results.resize(jobs.size());
-    std::vector<std::thread> threads;
-    threads.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      threads.emplace_back([&, i] {
-        serve::job_request request;
-        request.input = jobs[i].input;
-        request.alg = jobs[i].alg;
-        request.frames = jobs[i].frames;
-        request.client_key =
-            "fleet-" + std::to_string(static_cast<long>(::getpid())) + "-" +
-            std::to_string(i);
-        serve::resilient_policy policy;
-        if (fleet_retries > 0) policy.backoff.max_attempts = fleet_retries;
-        serve::client c(socket_path, /*receive_timeout_s=*/300.0);
-        const auto t0 = std::chrono::steady_clock::now();
-        const serve::submit_outcome out = c.submit_resilient(request, policy);
-        supervise::clip_result r;
-        r.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-        r.attempts = out.attempts;
-        if (out.complete) {
-          r.completed = true;
-          r.panorama_hash = out.complete->panorama_hash;
-          r.frames_stitched = out.complete->stats.frames_stitched;
-          r.mini_panoramas = out.complete->stats.mini_panoramas;
-        } else if (out.failed) {
-          r.failure = out.failed->failure;
-        } else {
-          // Rejected or Lost: nothing ran to completion on our behalf.
-          r.failure = fault::outcome::crash_abort;
-        }
-        results[i] = r;
-      });
-    }
-    for (auto& t : threads) t.join();
-    // The observer contract is serialized delivery; invoke it in clip
-    // order after the joins rather than racing from worker threads.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      observer(i, jobs[i], results[i]);
-    }
-  } else {
-    results = supervise::run_clip_fleet(jobs, super, observer);
+  // Every clip is a resilient submission to a server: the one at --socket,
+  // or else a private one in this process sized by --jobs/--isolate/
+  // --timeout/--budget, whose queue holds the whole fleet so no clip is
+  // ever turned away.  Idempotency keys make the client's reconnects safe.
+  std::optional<private_server> local;
+  if (socket_path.empty()) {
+    config.queue_capacity = algorithms.size();
+    // No idle runners: each clip's fair share of the budget is split
+    // across at most as many runners as there are clips.
+    config.runners = std::min(config.runners,
+                              static_cast<int>(algorithms.size()));
+    local.emplace(config);
+    socket_path = local->socket_path();
   }
+  std::vector<clip_row> rows(algorithms.size());
+  std::vector<std::thread> threads;
+  threads.reserve(algorithms.size());
+  for (std::size_t i = 0; i < algorithms.size(); ++i) {
+    threads.emplace_back([&, i] {
+      serve::job_request request;
+      request.input = input;
+      request.alg = algorithms[i];
+      request.frames = frames;
+      request.client_key = "fleet-" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           "-" + std::to_string(i);
+      serve::resilient_policy policy;
+      if (retries > 0) policy.backoff.max_attempts = retries;
+      serve::client c(socket_path, /*receive_timeout_s=*/300.0);
+      const auto t0 = std::chrono::steady_clock::now();
+      const serve::submit_outcome out = c.submit_resilient(request, policy);
+      clip_row& r = rows[i];
+      r.wall_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+      r.attempts = out.attempts;
+      if (out.complete) {
+        r.completed = true;
+        r.panorama_hash = out.complete->panorama_hash;
+        r.frames_stitched = out.complete->stats.frames_stitched;
+        r.mini_panoramas = out.complete->stats.mini_panoramas;
+      } else if (out.failed) {
+        r.failure = out.failed->failure;
+      }  // Rejected or Lost: nothing ran to completion (crash_abort).
+      report(i, algorithms[i], r);
+    });
+  }
+  for (auto& t : threads) t.join();
+  local.reset();
   if (!csv_path.empty()) std::printf("wrote %s\n", csv_path.c_str());
   if (!json_path.empty()) std::printf("wrote %s\n", json_path.c_str());
 
   int failed = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& r = rows[i];
     if (r.completed) {
       std::printf(
           "%-7s %s: panorama %016llx, %d frame(s) in %d mini-panorama(s), "
           "%.0f ms, %d attempt(s)\n",
-          app::algorithm_name(jobs[i].alg), video::input_name(input),
+          app::algorithm_name(algorithms[i]), video::input_name(input),
           static_cast<unsigned long long>(r.panorama_hash), r.frames_stitched,
           r.mini_panoramas, r.wall_ms, r.attempts);
     } else {
       ++failed;
       std::printf("%-7s %s: FAILED (%s) after %d attempt(s)\n",
-                  app::algorithm_name(jobs[i].alg), video::input_name(input),
+                  app::algorithm_name(algorithms[i]), video::input_name(input),
                   fault::outcome_name(r.failure), r.attempts);
     }
   }
@@ -744,15 +800,15 @@ int cmd_serve(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     if (std::strncmp(argv[i], "--queue=", 8) == 0) {
       config.queue_capacity =
-          static_cast<std::size_t>(std::atoi(argv[i] + 8));
+          static_cast<std::size_t>(parse_count(argv[i] + 8));
     } else if (std::strncmp(argv[i], "--runners=", 10) == 0) {
-      config.runners = std::atoi(argv[i] + 10);
+      config.runners = parse_count(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      config.pool_budget = static_cast<unsigned>(std::atoi(argv[i] + 9));
+      config.pool_budget = static_cast<unsigned>(parse_count(argv[i] + 9));
     } else if (std::strcmp(argv[i], "--isolate") == 0) {
       config.isolate = true;
     } else if (std::strncmp(argv[i], "--timeout=", 10) == 0) {
-      config.job_timeout_s = std::atof(argv[i] + 10);
+      config.job_timeout_s = parse_seconds(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--report=", 9) == 0) {
       config.report_path = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--lookahead=", 12) == 0) {
@@ -765,10 +821,10 @@ int cmd_serve(int argc, char** argv) {
       respawn.pidfile = argv[i] + 10;
       supervised = true;
     } else if (std::strncmp(argv[i], "--stall-timeout=", 16) == 0) {
-      respawn.stall_timeout_s = std::atof(argv[i] + 16);
+      respawn.stall_timeout_s = parse_seconds(argv[i] + 16);
       supervised = true;
     } else if (std::strncmp(argv[i], "--max-respawns=", 15) == 0) {
-      respawn.max_consecutive_failures = std::atoi(argv[i] + 15);
+      respawn.max_consecutive_failures = parse_count(argv[i] + 15);
       supervised = true;
     } else {
       usage();
@@ -859,7 +915,7 @@ int cmd_submit(int argc, char** argv) {
       request.client_key = argv[i] + 5;
       resilient = true;
     } else if (std::strncmp(argv[i], "--retries=", 10) == 0) {
-      retries = std::atoi(argv[i] + 10);
+      retries = parse_count(argv[i] + 10);
       resilient = true;
     } else if (std::strncmp(argv[i], "--priority=", 11) == 0) {
       const std::string p = argv[i] + 11;
@@ -872,9 +928,9 @@ int cmd_submit(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--deadline=", 11) == 0) {
       request.deadline_ms =
-          static_cast<std::uint64_t>(std::atoll(argv[i] + 11));
+          static_cast<std::uint64_t>(parse_count(argv[i] + 11));
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      request.max_threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      request.max_threads = static_cast<unsigned>(parse_count(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--stream-dir=", 13) == 0) {
       stream_dir = argv[i] + 13;
     } else if (positional == 0 &&
@@ -883,7 +939,7 @@ int cmd_submit(int argc, char** argv) {
       ++positional;
     } else if (positional <= 1 &&
                std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
-      request.frames = std::atoi(argv[i]);
+      request.frames = parse_count(argv[i]);
       positional = 2;
     } else {
       out = argv[i];
