@@ -1,9 +1,17 @@
 #include "common.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
+#include <type_traits>
+
+#include "host.h"
+#include "perf/latency.h"
 
 namespace vs::benchutil {
 
@@ -20,11 +28,41 @@ bool parse_flag(const char* arg, const char* name, std::string& value) {
 
 [[noreturn]] void usage_and_exit(const char* bad) {
   std::fprintf(stderr,
-               "unknown argument: %s\n"
+               "bad argument: %s\n"
                "usage: [--frames=N] [--injections=N] [--sdc-injections=N]\n"
                "       [--threads=N] [--seed=N] [--quick] [--out-dir=PATH]\n",
                bad);
   std::exit(2);
+}
+
+/// The whole of `value` as a non-negative decimal, else the usage message
+/// (the rule vs_cli's parse_count applies: "12x" is not 12).
+template <typename T>
+T parse_number(const std::string& value, const char* arg) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) usage_and_exit(arg);
+  if constexpr (std::is_signed_v<T>) {
+    if (parsed < 0) usage_and_exit(arg);
+  }
+  return parsed;
+}
+
+std::string json_string(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
+std::string json_number(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
+  return buffer;
 }
 
 }  // namespace
@@ -36,15 +74,15 @@ options parse_options(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       opt.quick = true;
     } else if (parse_flag(argv[i], "--frames", value)) {
-      opt.frames = std::atoi(value.c_str());
+      opt.frames = parse_number<int>(value, argv[i]);
     } else if (parse_flag(argv[i], "--injections", value)) {
-      opt.injections = std::atoi(value.c_str());
+      opt.injections = parse_number<int>(value, argv[i]);
     } else if (parse_flag(argv[i], "--sdc-injections", value)) {
-      opt.sdc_injections = std::atoi(value.c_str());
+      opt.sdc_injections = parse_number<int>(value, argv[i]);
     } else if (parse_flag(argv[i], "--threads", value)) {
-      opt.threads = std::atoi(value.c_str());
+      opt.threads = parse_number<int>(value, argv[i]);
     } else if (parse_flag(argv[i], "--seed", value)) {
-      opt.seed = std::strtoull(value.c_str(), nullptr, 10);
+      opt.seed = parse_number<std::uint64_t>(value, argv[i]);
     } else if (parse_flag(argv[i], "--out-dir", value)) {
       opt.out_dir = value;
     } else {
@@ -60,6 +98,44 @@ options parse_options(int argc, char** argv) {
     throw std::runtime_error("options: frames must be >=4, injections >= 1");
   }
   return opt;
+}
+
+std::string output_dir(const options& opt) {
+  const std::string dir = opt.out_dir.empty() ? "bench_out" : opt.out_dir;
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+void bench_report::add(const row_params& params,
+                       const std::vector<double>& samples) {
+  std::string row = "{\"params\": {";
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    row += (i ? ", " : "") + json_string(params[i].first) + ": " +
+           json_string(params[i].second);
+  }
+  row += "}, \"n\": " + std::to_string(samples.size()) +
+         ", \"median\": " + json_number(perf::percentile(samples, 0.5)) +
+         ", \"p10\": " + json_number(perf::percentile(samples, 0.1)) +
+         ", \"p90\": " + json_number(perf::percentile(samples, 0.9)) + "}";
+  rows_.push_back(std::move(row));
+}
+
+std::string bench_report::write(const options& opt) const {
+  const auto host = vsbench::probe_host(VS_BENCH_COMMIT, 0, opt.seed);
+  const std::string path = output_dir(opt) + "/BENCH_" + name_ + ".json";
+  std::ofstream out(path);
+  out << "{\n  \"bench\": " << json_string(name_)
+      << ",\n  \"host\": {\"cpus\": " << host.nproc
+      << ", \"simd\": " << json_string(host.simd)
+      << ", \"build_type\": " << json_string(host.build_type)
+      << ", \"commit\": " << json_string(host.commit)
+      << "},\n  \"rows\": [\n";
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    out << "    " << rows_[i] << (i + 1 < rows_.size() ? ",\n" : "\n");
+  }
+  out << "  ]\n}\n";
+  if (!out) throw std::runtime_error("bench_report: cannot write " + path);
+  return path;
 }
 
 app::pipeline_config variant_config(app::algorithm alg) {

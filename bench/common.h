@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/pipeline.h"
@@ -21,12 +22,43 @@ struct options {
   int threads = 0;        ///< 0 = hardware concurrency
   std::uint64_t seed = 2018;
   bool quick = false;
-  std::string out_dir;  ///< when set, harnesses save PNM artifacts here
+  /// When set, harnesses save PNM artifacts here, and BENCH_*.json go here
+  /// instead of bench_out/.
+  std::string out_dir;
 };
 
 /// Parses --frames=N --injections=N --sdc-injections=N --threads=N --seed=N
-/// --quick --out-dir=PATH.  Unknown flags abort with a usage message.
+/// --quick --out-dir=PATH.  Unknown flags and numbers that are not a whole
+/// non-negative decimal abort with a usage message.
 [[nodiscard]] options parse_options(int argc, char** argv);
+
+/// The directory harness artifacts go to: --out-dir, else bench_out/
+/// under the working directory.  Created if missing.
+[[nodiscard]] std::string output_dir(const options& opt);
+
+/// Parameters that identify one report row, e.g. {"input", "Input2"}.
+using row_params = std::vector<std::pair<std::string, std::string>>;
+
+/// The one writer of timing outputs.  Each row summarizes n samples of one
+/// quantity as nearest-rank order statistics (perf::percentile), and the
+/// file names the host that produced them:
+///
+///   {"bench": NAME,
+///    "host": {"cpus", "simd", "build_type", "commit"},
+///    "rows": [{"params": {...}, "n", "median", "p10", "p90"}, ...]}
+class bench_report {
+ public:
+  explicit bench_report(std::string name) : name_(std::move(name)) {}
+
+  void add(const row_params& params, const std::vector<double>& samples);
+
+  /// Writes BENCH_<name>.json into output_dir(opt); returns its path.
+  std::string write(const options& opt) const;
+
+ private:
+  std::string name_;
+  std::vector<std::string> rows_;  ///< rendered JSON objects
+};
 
 /// The standard pipeline configuration for a variant (paper Section IV
 /// knobs: RFD 10%, KDS 1/3, SM bounded distance).

@@ -19,7 +19,7 @@
 //
 // Scenarios are Inputs 1-3 (the paper pair + the low-texture night pass).
 // Writes machine-readable JSON summaries (BENCH_fig14_recovery.json and
-// BENCH_replication_frontier.json) next to the human tables.
+// BENCH_replication_frontier.json) into bench_out/ (or --out-dir).
 
 #include <chrono>
 #include <cstdio>
@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
   }
   frontier << "\n  ]\n}\n";
 
-  const std::string dir = opt.out_dir.empty() ? std::string(".") : opt.out_dir;
+  const std::string dir = benchutil::output_dir(opt);
   {
     std::ofstream out(dir + "/BENCH_fig14_recovery.json");
     out << json.str();

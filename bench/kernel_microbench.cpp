@@ -15,16 +15,23 @@
 // level the host offers.  ci/check_bench_gate.sh holds the _simd/scalar
 // ratio against the committed floor in ci/bench_floor.json.
 //
-// Unless --benchmark_out is given, results are also written to
-// BENCH_kernels.json (ns/op per kernel, both lanes) in the working
-// directory so CI can track the perf trajectory across PRs.
+// Every benchmark runs 5 repetitions unless --benchmark_repetitions says
+// otherwise.  Unless --benchmark_out is given, the repetitions' real time
+// per op is summarized through benchutil::bench_report into
+// bench_out/BENCH_kernels.json (or --out-dir); with it, google-benchmark
+// writes its own per-repetition record there instead, which is what
+// ci/check_bench_gate.sh pairs scalar against _simd from.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "common.h"
 
 #include "rt/instrument.h"
 
@@ -360,25 +367,45 @@ void bm_full_pipeline_seq(benchmark::State& state) {
 }
 BENCHMARK(bm_full_pipeline_seq)->Arg(8)->Arg(16);
 
+/// The console table as usual, plus every repetition's real time per op,
+/// in ns, for the BENCH_kernels.json summary.
+class sample_collector final : public benchmark::ConsoleReporter {
+ public:
+  sample_collector() : ConsoleReporter(OO_Tabular) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const auto& run : runs) {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      const std::string name = run.run_name.str();
+      if (samples.empty() || samples.back().first != name) {
+        samples.emplace_back(name, std::vector<double>{});
+      }
+      samples.back().second.push_back(
+          run.GetAdjustedRealTime() * 1e9 /
+          benchmark::GetTimeUnitMultiplier(run.time_unit));
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  std::vector<std::pair<std::string, std::vector<double>>> samples;
+};
+
 }  // namespace
 
-// Custom entry point: default to JSON output in BENCH_kernels.json so every
-// run leaves a machine-readable record, while still honouring an explicit
-// --benchmark_out from the caller.
+// Custom entry point: kRepetitions per benchmark and the bench_report
+// summary by default, while honouring explicit google-benchmark flags.
 int main(int argc, char** argv) {
+  constexpr int kRepetitions = 5;
   std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]).rfind("--benchmark_out=", 0) == 0) {
-      has_out = true;
+  const auto given = [&](std::string_view flag) {
+    for (int i = 1; i < argc; ++i) {
+      if (std::string_view(argv[i]).rfind(flag, 0) == 0) return true;
     }
-  }
-  static std::string out_flag = "--benchmark_out=BENCH_kernels.json";
-  static std::string format_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(format_flag.data());
-  }
+    return false;
+  };
+  static std::string reps_flag =
+      "--benchmark_repetitions=" + std::to_string(kRepetitions);
+  if (!given("--benchmark_repetitions=")) args.push_back(reps_flag.data());
   int args_count = static_cast<int>(args.size());
   benchmark::Initialize(&args_count, args.data());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
@@ -389,7 +416,15 @@ int main(int argc, char** argv) {
       vs::core::simd::level_name(vs::core::simd::detected()));
   benchmark::AddCustomContext(
       "simd_active", vs::core::simd::level_name(vs::core::simd::active()));
-  benchmark::RunSpecifiedBenchmarks();
+  sample_collector display;
+  benchmark::RunSpecifiedBenchmarks(&display);
   benchmark::Shutdown();
+  if (!given("--benchmark_out=")) {
+    vs::benchutil::bench_report report("kernels");
+    for (const auto& [name, samples] : display.samples) {
+      report.add({{"kernel", name}, {"metric", "real_ns"}}, samples);
+    }
+    std::printf("wrote %s\n", report.write(vs::benchutil::options{}).c_str());
+  }
   return 0;
 }

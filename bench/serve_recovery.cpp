@@ -20,15 +20,16 @@
 // Completed-after-restart / Rejected / Lost) — the serving analog of the
 // paper's Fig 10/11 — plus delivered-SDC counts.
 //
-// Emits BENCH_serve_recovery.json.  Exit status is the gate: non-zero if
-// any accepted job was lost or any delivered montage diverged.
+// Emits BENCH_serve_recovery.json through benchutil::bench_report: the
+// per-job completion times of the burst as one row with spread, and every
+// drill and campaign count as a one-sample row.  Exit status is the gate:
+// non-zero if any accepted job was lost or any delivered montage diverged.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -60,7 +61,6 @@ bool wait_for_socket(const std::string& path, double timeout_s) {
 }
 
 struct kill_drill_row {
-  int clients = 0;
   int jobs = 0;
   int completed = 0;
   int completed_after_restart = 0;
@@ -122,7 +122,6 @@ int main(int argc, char** argv) {
   }
 
   kill_drill_row drill;
-  drill.clients = 16;
   drill.jobs = 16;
 
   std::mutex record_mutex;
@@ -243,39 +242,43 @@ int main(int argc, char** argv) {
     campaigns.push_back(std::move(row));
   }
 
-  const std::string out_path =
-      (opt.out_dir.empty() ? std::string(".") : opt.out_dir) +
-      "/BENCH_serve_recovery.json";
-  std::ofstream out(out_path);
-  out << "{\n  \"frames\": " << frames << ",\n  \"kill_drill\": {\n"
-      << "    \"clients\": " << drill.clients
-      << ",\n    \"jobs\": " << drill.jobs
-      << ",\n    \"completed\": " << drill.completed
-      << ",\n    \"completed_after_restart\": "
-      << drill.completed_after_restart
-      << ",\n    \"lost\": " << drill.lost
-      << ",\n    \"hash_mismatches\": " << drill.hash_mismatches
-      << ",\n    \"server_restarts\": " << drill.server_restarts
-      << ",\n    \"replayed_at_boot\": " << drill.replayed_at_boot
-      << ",\n    \"recovery_ms\": " << drill.recovery_ms
-      << ",\n    \"wall_ms\": " << drill.wall_ms << "\n  },\n"
-      << "  \"campaigns\": [\n";
-  for (std::size_t i = 0; i < campaigns.size(); ++i) {
-    const auto& r = campaigns[i].result;
-    char golden[24];
-    std::snprintf(golden, sizeof(golden), "%016llx",
-                  static_cast<unsigned long long>(r.golden_hash));
-    out << "    {\"input\": \"" << campaigns[i].input
-        << "\", \"golden_hash\": \"" << golden
-        << "\", \"completed\": " << r.counts[0]
-        << ", \"completed_after_restart\": " << r.counts[1]
-        << ", \"rejected\": " << r.counts[2] << ", \"lost\": " << r.counts[3]
-        << ", \"sdc_delivered\": " << r.sdc_visible
-        << ", \"server_restarts\": " << r.server_restarts << "}"
-        << (i + 1 < campaigns.size() ? "," : "") << "\n";
+  benchutil::bench_report report("serve_recovery");
+  const auto drill_row = [&](const char* metric,
+                             const std::vector<double>& s) {
+    report.add({{"scenario", "kill_drill"},
+                {"frames", std::to_string(frames)},
+                {"metric", metric}},
+               s);
+  };
+  std::vector<double> job_ms;  // burst start -> each completion
+  for (const auto& t : completions) job_ms.push_back(ms_between(burst_t0, t));
+  drill_row("job_ms", job_ms);
+  drill_row("recovery_ms", {drill.recovery_ms});
+  drill_row("wall_ms", {drill.wall_ms});
+  drill_row("completed", {static_cast<double>(drill.completed)});
+  drill_row("completed_after_restart",
+            {static_cast<double>(drill.completed_after_restart)});
+  drill_row("lost", {static_cast<double>(drill.lost)});
+  drill_row("hash_mismatches", {static_cast<double>(drill.hash_mismatches)});
+  drill_row("server_restarts", {static_cast<double>(drill.server_restarts)});
+  drill_row("replayed_at_boot", {static_cast<double>(drill.replayed_at_boot)});
+  for (const auto& c : campaigns) {
+    const auto campaign_row = [&](const char* metric, double value) {
+      report.add({{"scenario", "serve_campaign"},
+                  {"input", c.input},
+                  {"metric", metric}},
+                 {value});
+    };
+    for (int k = 0; k < serve::client_outcome_count; ++k) {
+      campaign_row(serve::client_outcome_name(
+                       static_cast<serve::client_outcome>(k)),
+                   static_cast<double>(c.result.counts[k]));
+    }
+    campaign_row("sdc_delivered", static_cast<double>(c.result.sdc_visible));
+    campaign_row("server_restarts",
+                 static_cast<double>(c.result.server_restarts));
   }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", out_path.c_str());
+  std::printf("wrote %s\n", report.write(opt).c_str());
 
   if (!ok) {
     std::fprintf(stderr,

@@ -207,36 +207,78 @@ TEST(Serve, FullQueueRejectsWithRetryAfterHint) {
   // Occupy the single runner with a long job, then flood it with four
   // concurrent quick submits: with capacity 1 only one can be queued while
   // the runner is busy, so at least one rejection must appear, and every
-  // queue_full rejection must carry a retry hint.
-  std::thread busy([&] {
-    job_request request;
-    request.frames = 60;
+  // queue_full rejection must carry a retry hint.  A rejected client then
+  // resubmits through submit_resilient with a 1 ms backoff, so it is the
+  // honored hint that spaces its retries: every job must eventually be
+  // admitted (no client starves) and deliver its one-shot montage.  A
+  // warm-up job first gives the server a service-time sample, so the hint
+  // scales with how fast this build runs jobs.
+  job_request busy_request;
+  busy_request.frames = 60;
+  job_request quick_request;
+  quick_request.frames = 8;
+  const auto busy_reference = reference_run(busy_request).panorama;
+  const auto quick_reference = reference_run(quick_request).panorama;
+  const auto await_runner = [&](bool busy) {
+    for (int i = 0; i < 10000 && (fixture.get().stats().in_flight > 0) != busy;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  {
     client c(path, 120.0);
-    (void)c.submit(request);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto warm_up = c.submit(quick_request);
+    ASSERT_TRUE(warm_up.complete.has_value());
+  }
+  await_runner(false);  // the warm-up settles after its reply is sent
 
+  std::atomic<bool> busy_served{false};
+  std::thread busy([&] {
+    client c(path, 120.0);
+    const auto outcome = c.submit(busy_request);
+    busy_served = outcome.complete && outcome.complete->montage == busy_reference;
+  });
+  await_runner(true);
+
+  constexpr int kFlood = 4;
   std::atomic<int> rejections{0};
   std::atomic<int> missing_hints{0};
+  std::atomic<int> retried{0};
+  std::vector<char> served(kFlood, 0);  // char: vector<bool> bits race
   std::vector<std::thread> flood;
-  for (int i = 0; i < 4; ++i) {
-    flood.emplace_back([&] {
-      job_request request;
-      request.frames = 8;
+  for (int i = 0; i < kFlood; ++i) {
+    flood.emplace_back([&, i] {
       client c(path, 120.0);
-      const auto outcome = c.submit(request);
+      auto outcome = c.submit(quick_request);
       if (outcome.rejected &&
           outcome.rejected->reason == reject_reason::queue_full) {
         ++rejections;
         if (outcome.rejected->retry_after_ms == 0) ++missing_hints;
+        resilient_policy policy;
+        policy.backoff.max_attempts = 16;
+        policy.backoff.base_delay_ms = 1.0;
+        policy.backoff.max_delay_ms = 1.0;
+        policy.backoff.jitter = 0.0;
+        outcome = c.submit_resilient(quick_request, policy);
+        if (outcome.attempts > 1) ++retried;
       }
+      served[i] = outcome.complete &&
+                          outcome.complete->montage == quick_reference
+                      ? 1
+                      : 0;
     });
   }
   for (auto& t : flood) t.join();
   busy.join();
   EXPECT_GT(rejections.load(), 0);
   EXPECT_EQ(missing_hints.load(), 0);
+  EXPECT_GT(retried.load(), 0);
   EXPECT_GT(fixture.get().stats().rejected, 0u);
+  EXPECT_TRUE(busy_served.load());
+  for (int i = 0; i < kFlood; ++i) {
+    EXPECT_TRUE(served[i]) << "flood client " << i
+                           << " starved or got a diverged montage";
+  }
 }
 
 TEST(Serve, DrainingServerRejectsNewWorkButFinishesAcceptedWork) {
