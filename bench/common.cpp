@@ -1,15 +1,15 @@
 #include "common.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
-#include <type_traits>
 
+#include "fault/wire.h"
 #include "host.h"
 #include "perf/latency.h"
 
@@ -35,18 +35,15 @@ bool parse_flag(const char* arg, const char* name, std::string& value) {
   std::exit(2);
 }
 
-/// The whole of `value` as a non-negative decimal, else the usage message
-/// (the rule vs_cli's parse_count applies: "12x" is not 12).
+/// The whole of `value` as a non-negative decimal (fault::wire::parse_u64,
+/// the rule every command line applies: "12x" is not 12), else the usage
+/// message.
 template <typename T>
 T parse_number(const std::string& value, const char* arg) {
-  T parsed{};
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
-  if (ec != std::errc() || ptr != end) usage_and_exit(arg);
-  if constexpr (std::is_signed_v<T>) {
-    if (parsed < 0) usage_and_exit(arg);
-  }
-  return parsed;
+  const auto parsed = fault::wire::parse_u64(
+      value, static_cast<std::uint64_t>(std::numeric_limits<T>::max()));
+  if (!parsed) usage_and_exit(arg);
+  return static_cast<T>(*parsed);
 }
 
 std::string json_string(const std::string& text) {

@@ -2,10 +2,11 @@
 # Crash-only serving restart gate.
 #
 # Boots `vs serve --supervised` with a durable admission journal, loads it
-# with 6 keyed jobs, SIGKILLs the server child while the stream is in
-# flight, and requires that (a) every client still gets its montage — the
-# supervisor respawns the server, the journal replays the accepted set,
-# and the idempotency keys let each client adopt its job — and (b) every
+# with 6 keyed jobs, SIGKILLs the server child the moment `vs submit
+# --stats` shows a job in flight, and requires that (a) every client still
+# gets its montage — the supervisor respawns the server, the journal
+# replays the accepted set, and the idempotency keys let each client adopt
+# its job — and (b) every
 # eventually-delivered montage is byte-identical to the one-shot
 # `vs summarize` output for the same (input, algorithm, frames) triple.
 # Zero accepted jobs lost, zero pixels moved: a crash mid-load must be
@@ -86,10 +87,25 @@ for spec in "${jobs[@]}"; do
   i=$((i + 1))
 done
 
-# Let the burst get admitted and the first jobs mid-flight, then kill -9
-# the serving child (NOT the supervisor).  The journal holds the accepted
-# set; the supervisor respawns; the clients reconnect under their keys.
-sleep 0.4
+# Kill -9 the serving child (NOT the supervisor) as soon as the server
+# reports a job in flight — an event, not a fixed sleep, so a fast host
+# can't finish the whole burst first.  The journal holds the accepted set;
+# the supervisor respawns; the clients reconnect under their keys.
+seen_in_flight=0
+for _ in $(seq 1 500); do
+  in_flight="$("$vs_bin" submit "$sock" --stats 2>/dev/null |
+    sed -n 's/.*in-flight \([0-9][0-9]*\),.*/\1/p' || true)"
+  if [[ -n "$in_flight" ]] && (( in_flight >= 1 )); then
+    seen_in_flight=1
+    break
+  fi
+  sleep 0.01
+done
+if (( seen_in_flight == 0 )); then
+  echo "restart gate: FAIL — no job was ever seen in flight" >&2
+  cat "$tmp/server.log" >&2
+  exit 1
+fi
 if [[ ! -f "$pidfile" ]]; then
   echo "restart gate: FAIL — no pidfile at $pidfile" >&2
   exit 1

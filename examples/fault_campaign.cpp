@@ -37,7 +37,9 @@
 // the plain run at any job count.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,7 @@
 #include "fault/campaign.h"
 #include "fault/coverage.h"
 #include "fault/detectors.h"
+#include "fault/wire.h"
 #include "gate/gate.h"
 #include "pipeline/stage.h"
 #include "quality/sdc.h"
@@ -52,6 +55,36 @@
 #include "rt/instrument.h"
 #include "supervise/supervisor.h"
 #include "video/generator.h"
+
+namespace {
+
+[[noreturn]] void usage() {
+  std::fprintf(
+      stderr,
+      "usage: fault_campaign [algorithm] [gpr|fpr] [injections] [frames]\n"
+      "         [--harden[=LEVEL]] [--replicate=STAGES] [--gate=LEVEL]\n"
+      "         [--gate-sweep] [--jobs=N] [--isolate]\n"
+      "         [--journal=PATH] [--resume] [--timeout=SECONDS]\n");
+  std::exit(2);
+}
+
+/// A non-negative int in decimal; anything else is a usage error.
+int parse_count(const std::string& text) {
+  const auto value = vs::fault::wire::parse_u64(
+      text, static_cast<std::uint64_t>(std::numeric_limits<int>::max()));
+  if (!value) usage();
+  return static_cast<int>(*value);
+}
+
+/// A non-negative, finite number of seconds; anything else is a usage
+/// error.
+double parse_seconds(const std::string& text) {
+  const auto value = vs::fault::wire::parse_nonneg(text);
+  if (!value) usage();
+  return *value;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace vs;
@@ -75,7 +108,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--gate-sweep") == 0) {
       gate_sweep = true;
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      super.jobs = std::atoi(argv[i] + 7);
+      super.jobs = parse_count(argv[i] + 7);
       supervised = true;
     } else if (std::strcmp(argv[i], "--isolate") == 0) {
       super.isolate = true;
@@ -87,7 +120,7 @@ int main(int argc, char** argv) {
       super.resume = true;
       supervised = true;
     } else if (std::strncmp(argv[i], "--timeout=", 10) == 0) {
-      super.shard_timeout_s = std::atof(argv[i] + 10);
+      super.shard_timeout_s = parse_seconds(argv[i] + 10);
       supervised = true;
     } else {
       positional.emplace_back(argv[i]);
@@ -96,9 +129,9 @@ int main(int argc, char** argv) {
   const std::string alg_name = !positional.empty() ? positional[0] : "VS";
   const bool fpr = positional.size() > 1 && positional[1] == "fpr";
   const int injections =
-      positional.size() > 2 ? std::atoi(positional[2].c_str()) : 300;
+      positional.size() > 2 ? parse_count(positional[2]) : 300;
   const int frames =
-      positional.size() > 3 ? std::atoi(positional[3].c_str()) : 20;
+      positional.size() > 3 ? parse_count(positional[3]) : 20;
 
   if (gate_sweep) {
     // Per-gate-level outcome distributions across the scenario matrix: the

@@ -1,8 +1,8 @@
 #include "fault/wire.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <vector>
 
 namespace vs::fault::wire {
 
@@ -12,34 +12,6 @@ constexpr std::uint32_t kFnvOffset32 = 2166136261u;
 constexpr std::uint32_t kFnvPrime32 = 16777619u;
 constexpr std::uint64_t kFnvOffset64 = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime64 = 1099511628211ULL;
-
-std::vector<std::string_view> split(std::string_view payload) {
-  std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    while (pos < payload.size() && payload[pos] == ' ') ++pos;
-    std::size_t end = pos;
-    while (end < payload.size() && payload[end] != ' ') ++end;
-    if (end > pos) tokens.push_back(payload.substr(pos, end - pos));
-    pos = end;
-  }
-  return tokens;
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view token) {
-  std::uint64_t value = 0;
-  const auto* first = token.data();
-  const auto* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return value;
-}
-
-std::optional<bool> parse_bool(std::string_view token) {
-  const auto v = parse_u64(token);
-  if (!v || *v > 1) return std::nullopt;
-  return *v == 1;
-}
 
 }  // namespace
 
@@ -76,96 +48,158 @@ std::optional<std::string> unseal(std::string_view line) {
   return std::string(payload);
 }
 
-std::string record_payload(std::size_t index, const injection_record& r) {
-  std::string out = "R ";
-  const auto append = [&out](std::uint64_t v) {
-    out += std::to_string(v);
-    out += ' ';
-  };
-  append(index);
-  append(static_cast<std::uint64_t>(r.plan.cls));
-  append(r.plan.target);
-  append(r.plan.bit);
-  append(r.plan.reg_id);
-  append(r.plan.scoped ? 1 : 0);
-  append(static_cast<std::uint64_t>(r.plan.scope));
-  append(static_cast<std::uint64_t>(r.plan.scope_b));
-  append(r.register_live ? 1 : 0);
-  append(r.fired ? 1 : 0);
-  append(static_cast<std::uint64_t>(r.result));
-  append(static_cast<std::uint64_t>(r.fired_scope));
-  append(static_cast<std::uint64_t>(r.fired_kind));
-  append(r.detections);
-  append(r.replica_divergences);
-  append(r.retries);
-  out += std::to_string(r.frames_degraded);
+std::string token(std::string_view text) {
+  std::string out(text);
+  for (char& c : out) {
+    if (c == ' ' || c == '\n' || c == '\r' || c == '~') c = '_';
+  }
   return out;
 }
 
+std::optional<std::uint64_t> parse_u64(std::string_view text,
+                                       std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value > max) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_nonneg(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
+      !(value >= 0.0)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+field_writer& field_writer::num(std::uint64_t value) {
+  char buf[24];
+  buf[0] = ' ';
+  const auto [end, ec] = std::to_chars(buf + 1, buf + sizeof(buf), value);
+  out_.append(buf, end);
+  return *this;
+}
+
+field_writer& field_writer::text(std::string_view value,
+                                 std::string_view if_empty) {
+  out_.push_back(' ');
+  out_ += token(value.empty() ? if_empty : value);
+  return *this;
+}
+
+field_reader::field_reader(std::string_view payload) {
+  std::size_t pos = 0;
+  while (pos < payload.size()) {
+    while (pos < payload.size() && payload[pos] == ' ') ++pos;
+    std::size_t end = pos;
+    while (end < payload.size() && payload[end] != ' ') ++end;
+    if (end > pos) tokens_.push_back(payload.substr(pos, end - pos));
+    pos = end;
+  }
+  ok_ = !tokens_.empty();
+}
+
+field_reader::field_reader(std::string_view payload, std::string_view tag)
+    : field_reader(payload) {
+  ok_ = ok_ && tokens_.front() == tag;
+}
+
+std::uint64_t field_reader::next_u64(std::uint64_t max) {
+  if (!ok_ || next_ >= tokens_.size()) {
+    ok_ = false;
+    return 0;
+  }
+  const auto value = parse_u64(tokens_[next_++], max);
+  ok_ = value.has_value();
+  return value.value_or(0);
+}
+
+std::string_view field_reader::text(std::size_t max_size) {
+  if (!ok_ || next_ >= tokens_.size() || tokens_[next_].size() > max_size) {
+    ok_ = false;
+    return {};
+  }
+  return tokens_[next_++];
+}
+
+void line_reader::feed(std::string_view bytes, const payload_fn& fn) {
+  buffer_.append(bytes.data(), bytes.size());
+  std::size_t start = 0;
+  std::size_t nl = buffer_.find('\n');
+  while (nl != std::string::npos) {
+    line(std::string_view(buffer_).substr(start, nl - start), fn);
+    start = nl + 1;
+    nl = buffer_.find('\n', start);
+  }
+  buffer_.erase(0, start);
+}
+
+void line_reader::finish(const payload_fn& fn) {
+  const std::string tail = std::move(buffer_);
+  buffer_.clear();
+  line(tail, fn);
+}
+
+void line_reader::line(std::string_view text, const payload_fn& fn) {
+  if (text.empty()) return;
+  const auto payload = unseal(text);
+  if (!payload || payload->empty()) {
+    ++rejected_;
+    return;
+  }
+  fn(*payload);
+}
+
+std::string record_payload(std::size_t index, const injection_record& r) {
+  field_writer w("R");
+  w.num(index)
+      .num(static_cast<std::uint64_t>(r.plan.cls))
+      .num(r.plan.target)
+      .num(r.plan.bit)
+      .num(r.plan.reg_id)
+      .num(r.plan.scoped ? 1 : 0)
+      .num(static_cast<std::uint64_t>(r.plan.scope))
+      .num(static_cast<std::uint64_t>(r.plan.scope_b))
+      .num(r.register_live ? 1 : 0)
+      .num(r.fired ? 1 : 0)
+      .num(static_cast<std::uint64_t>(r.result))
+      .num(static_cast<std::uint64_t>(r.fired_scope))
+      .num(static_cast<std::uint64_t>(r.fired_kind))
+      .num(r.detections)
+      .num(r.replica_divergences)
+      .num(r.retries)
+      .num(r.frames_degraded);
+  return w.take();
+}
+
 std::optional<parsed_record> parse_record(std::string_view payload) {
-  const auto tokens = split(payload);
-  // 17 tokens: legacy journal rows without the replica_divergences field
-  // (pre-replication-registry checkpoints resume with the count at 0).
-  if ((tokens.size() != 17 && tokens.size() != 18) || tokens[0] != "R") {
-    return std::nullopt;
-  }
-  const bool has_replica = tokens.size() == 18;
-
-  const auto index = parse_u64(tokens[1]);
-  const auto cls = parse_u64(tokens[2]);
-  const auto target = parse_u64(tokens[3]);
-  const auto bit = parse_u64(tokens[4]);
-  const auto reg_id = parse_u64(tokens[5]);
-  const auto scoped = parse_bool(tokens[6]);
-  const auto scope = parse_u64(tokens[7]);
-  const auto scope_b = parse_u64(tokens[8]);
-  const auto live = parse_bool(tokens[9]);
-  const auto fired = parse_bool(tokens[10]);
-  const auto result = parse_u64(tokens[11]);
-  const auto fired_scope = parse_u64(tokens[12]);
-  const auto fired_kind = parse_u64(tokens[13]);
-  const auto detections = parse_u64(tokens[14]);
-  const auto replica =
-      has_replica ? parse_u64(tokens[15]) : std::optional<std::uint64_t>(0);
-  const auto retries = parse_u64(tokens[has_replica ? 16 : 15]);
-  const auto degraded = parse_u64(tokens[has_replica ? 17 : 16]);
-
-  if (!index || !cls || !target || !bit || !reg_id || !scoped || !scope ||
-      !scope_b || !live || !fired || !result || !fired_scope || !fired_kind ||
-      !detections || !replica || !retries || !degraded) {
-    return std::nullopt;
-  }
-  if (*cls >= rt::reg_class_count || *bit >= 64 ||
-      *scope >= static_cast<std::uint64_t>(rt::fn_count) ||
-      *scope_b >= static_cast<std::uint64_t>(rt::fn_count) ||
-      *result > static_cast<std::uint64_t>(outcome::detected_degraded) ||
-      *fired_scope >= static_cast<std::uint64_t>(rt::fn_count) ||
-      *fired_kind >= static_cast<std::uint64_t>(rt::op_count) ||
-      *reg_id > 0xFFFFFFFFULL || *detections > 0xFFFFFFFFULL ||
-      *replica > 0xFFFFFFFFULL || *retries > 0xFFFFFFFFULL ||
-      *degraded > 0xFFFFFFFFULL) {
-    return std::nullopt;
-  }
-
+  constexpr std::uint64_t last_fn = rt::fn_count - 1;
+  field_reader in(payload, "R");
   parsed_record out;
-  out.index = static_cast<std::size_t>(*index);
+  out.index = in.num<std::size_t>();
   injection_record& r = out.record;
-  r.plan.cls = static_cast<rt::reg_class>(*cls);
-  r.plan.target = *target;
-  r.plan.bit = static_cast<std::uint32_t>(*bit);
-  r.plan.reg_id = static_cast<std::uint32_t>(*reg_id);
-  r.plan.scoped = *scoped;
-  r.plan.scope = static_cast<rt::fn>(*scope);
-  r.plan.scope_b = static_cast<rt::fn>(*scope_b);
-  r.register_live = *live;
-  r.fired = *fired;
-  r.result = static_cast<outcome>(*result);
-  r.fired_scope = static_cast<rt::fn>(*fired_scope);
-  r.fired_kind = static_cast<rt::op>(*fired_kind);
-  r.detections = static_cast<std::uint32_t>(*detections);
-  r.replica_divergences = static_cast<std::uint32_t>(*replica);
-  r.retries = static_cast<std::uint32_t>(*retries);
-  r.frames_degraded = static_cast<std::uint32_t>(*degraded);
+  r.plan.cls = in.num<rt::reg_class>(rt::reg_class_count - 1);
+  r.plan.target = in.num();
+  r.plan.bit = in.num<std::uint32_t>(63);
+  r.plan.reg_id = in.num<std::uint32_t>();
+  r.plan.scoped = in.num<bool>();
+  r.plan.scope = in.num<rt::fn>(last_fn);
+  r.plan.scope_b = in.num<rt::fn>(last_fn);
+  r.register_live = in.num<bool>();
+  r.fired = in.num<bool>();
+  r.result = in.num<outcome>(
+      static_cast<std::uint64_t>(outcome::detected_degraded));
+  r.fired_scope = in.num<rt::fn>(last_fn);
+  r.fired_kind = in.num<rt::op>(rt::op_count - 1);
+  r.detections = in.num<std::uint32_t>();
+  r.replica_divergences = in.num<std::uint32_t>();
+  r.retries = in.num<std::uint32_t>();
+  r.frames_degraded = in.num<std::uint32_t>();
+  if (!in.done()) return std::nullopt;
   return out;
 }
 

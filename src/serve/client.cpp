@@ -34,16 +34,8 @@ class fd_guard {
   int fd_;
 };
 
-void send_all(int fd, std::string_view bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
+void send_or_throw(int fd, std::string_view bytes) {
+  if (!send_all(fd, bytes)) {
     throw io_error("serve client: send failed: " +
                    std::string(std::strerror(errno)));
   }
@@ -53,15 +45,10 @@ void send_all(int fd, std::string_view bytes) {
 /// io_error on EOF/timeout — the server never half-answers a request, so
 /// a short stream means it died or we timed out.
 frame next_frame(int fd, frame_decoder& decoder) {
-  char buf[16384];
   for (;;) {
     if (auto f = decoder.next()) return std::move(*f);
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      decoder.feed(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
+    const ssize_t n = recv_into(fd, decoder);
+    if (n > 0) continue;
     throw io_error(n == 0 ? "serve client: server closed mid-stream"
                           : "serve client: recv failed: " +
                                 std::string(std::strerror(errno)));
@@ -123,8 +110,8 @@ submit_outcome client::submit(
   const fd_guard fd(connect_and_hello());
   frame_decoder decoder;
 
-  send_all(fd.get(), encode_hello(hello_msg{}));
-  send_all(fd.get(), encode_submit(request));
+  send_or_throw(fd.get(), encode_hello(hello_msg{}));
+  send_or_throw(fd.get(), encode_submit(request));
 
   submit_outcome outcome;
   for (;;) {
@@ -229,7 +216,7 @@ submit_outcome client::submit_resilient(
 stats_reply client::stats() {
   const fd_guard fd(connect_and_hello());
   frame_decoder decoder;
-  send_all(fd.get(), encode_stats_request());
+  send_or_throw(fd.get(), encode_stats_request());
   for (;;) {
     const frame f = next_frame(fd.get(), decoder);
     if (static_cast<msg_type>(f.type) == msg_type::hello) continue;

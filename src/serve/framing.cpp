@@ -1,5 +1,9 @@
 #include "serve/framing.h"
 
+#include <sys/socket.h>
+
+#include <cerrno>
+
 #include "fault/wire.h"
 
 namespace vs::serve {
@@ -113,6 +117,31 @@ std::optional<frame> frame_decoder::next() {
     consumed_ += kFrameHeaderSize + length;
     return out;
   }
+}
+
+bool send_all(int fd, std::string_view bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return false;
+  }
+  return true;
+}
+
+ssize_t recv_into(int fd, frame_decoder& decoder) {
+  char buf[16384];
+  ssize_t n;
+  do {
+    n = ::recv(fd, buf, sizeof(buf), 0);
+  } while (n < 0 && errno == EINTR);
+  if (n > 0) decoder.feed(buf, static_cast<std::size_t>(n));
+  return n;
 }
 
 }  // namespace vs::serve

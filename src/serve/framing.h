@@ -1,8 +1,8 @@
 // Versioned, length-prefixed binary framing for the summarization service.
 //
-// The campaign supervisor's wire format (fault/wire.h) is line-oriented
-// text — right for journal greppability, wrong for shipping panorama pixels
-// (which contain newlines).  The service instead frames every message as
+// The repo's text codec (fault/wire.h) is sealed lines — right for
+// journal greppability, wrong for shipping panorama pixels (which contain
+// newlines).  The service instead frames every message as
 //
 //   u32  magic     "VSF1" — protocol identity *and* version in one probe
 //   u16  type      message discriminator (serve/protocol.h)
@@ -19,8 +19,15 @@
 // plausible frame boundary, with the damage tallied in skipped_bytes().
 // Garbage never throws and never yields a half-parsed frame; that contract
 // is pinned by the shared adversarial round-trip tests
-// (tests/wire_fuzz_test.cpp) alongside the supervisor's line decoder.
+// (tests/wire_fuzz_test.cpp) alongside the sealed-line decoder.  Inside a
+// frame, the payload's header is again the one text codec
+// (serve/protocol.h).
+//
+// The socket transport under the frames lives here too, so server and
+// client share one send loop and one EINTR-safe receive.
 #pragma once
+
+#include <sys/types.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -76,5 +83,18 @@ class frame_decoder {
   std::size_t consumed_ = 0;  ///< prefix of buffer_ already processed
   std::uint64_t skipped_ = 0;
 };
+
+// --- socket transport, shared by server and client ---
+
+/// Sends every byte, retrying EINTR.  MSG_NOSIGNAL: a vanished peer
+/// surfaces as EPIPE, never as a SIGPIPE.  False once the peer is gone
+/// (errno says why).
+[[nodiscard]] bool send_all(int fd, std::string_view bytes);
+
+/// One recv(2) into `decoder`, retried on EINTR — a signal landing in a
+/// blocked recv must not read as a dead peer (SO_RCVTIMEO makes recv
+/// non-restartable even under SA_RESTART).  Returns recv's result: bytes
+/// fed, 0 at EOF, -1 on error or receive timeout (errno set).
+ssize_t recv_into(int fd, frame_decoder& decoder);
 
 }  // namespace vs::serve

@@ -1,6 +1,5 @@
 #include "serve/job_journal.h"
 
-#include <charconv>
 #include <cstdio>
 
 #include "core/error.h"
@@ -8,27 +7,8 @@
 
 namespace vs::serve {
 
-namespace {
-
-std::optional<std::uint64_t> parse_u64(std::string_view token) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc{} || ptr != token.data() + token.size()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-std::string sanitize_label(std::string_view label) {
-  std::string out(label.empty() ? "serve" : label);
-  for (char& c : out) {
-    if (c == ' ' || c == '\n' || c == '\r' || c == '~') c = '_';
-  }
-  return out;
-}
-
-}  // namespace
+using fault::wire::field_reader;
+using fault::wire::field_writer;
 
 std::vector<journaled_job> job_journal_state::unfinished() const {
   std::vector<journaled_job> out;
@@ -48,89 +28,72 @@ std::uint64_t job_journal_state::max_id() const {
 }
 
 std::string job_journal_header_payload(std::string_view label) {
-  return "H " + std::to_string(kJobJournalVersion) + ' ' +
-         sanitize_label(label);
+  return field_writer("H").num(kJobJournalVersion).text(label, "serve").take();
 }
 
 std::string accepted_payload(std::uint64_t id, const job_request& request) {
-  return "A " + std::to_string(id) + request_fields_payload(request);
+  field_writer w("A");
+  w.num(id);
+  write_request_fields(w, request);
+  return w.take();
 }
 
 std::string settled_payload(std::uint64_t id, bool completed,
                             fault::outcome failure,
                             std::uint64_t panorama_hash) {
-  return "D " + std::to_string(id) + ' ' + (completed ? "1" : "0") + ' ' +
-         std::to_string(static_cast<int>(failure)) + ' ' +
-         std::to_string(panorama_hash);
+  return field_writer("D")
+      .num(id)
+      .num(completed ? 1 : 0)
+      .num(static_cast<std::uint64_t>(failure))
+      .num(panorama_hash)
+      .take();
 }
 
 std::string deferred_payload(const job_request& request) {
-  // Appended, not `"G" + ...`: GCC 12 flags that form with a false
-  // -Wrestrict once the compaction path inlines it.
-  std::string out = "G";
-  out += request_fields_payload(request);
-  return out;
+  field_writer w("G");
+  write_request_fields(w, request);
+  return w.take();
 }
 
 job_journal_state load_job_journal(const std::string& path) {
   job_journal_state state;
   state.skipped_lines +=
       supervise::scan_journal_lines(path, [&](std::string_view payload) {
-        auto tokens = split_fields(payload);
-        if (tokens.empty()) {
-          ++state.skipped_lines;
-          return;
-        }
-        const std::string_view tag = tokens[0];
-        tokens.erase(tokens.begin());
+        field_reader in(payload);
+        const std::string_view tag = in.tag();
         if (tag == "H") {
+          const bool current = in.num() == kJobJournalVersion;
+          (void)in.text();  // the label
           // Only the first header counts; a duplicate is journal damage.
-          const bool valid = tokens.size() == 2 &&
-                             parse_u64(tokens[0]) ==
-                                 std::optional<std::uint64_t>(
-                                     kJobJournalVersion);
-          if (valid && !state.saw_header) {
+          if (current && in.done() && !state.saw_header) {
             state.saw_header = true;
-          } else {
-            ++state.skipped_lines;
-          }
-        } else if (tag == "A") {
-          if (tokens.empty()) {
-            ++state.skipped_lines;
             return;
           }
-          const auto id = parse_u64(tokens[0]);
-          tokens.erase(tokens.begin());
-          const auto request = parse_request_fields(tokens);
+        } else if (tag == "A") {
+          const auto id = in.num();
+          const auto request = read_request_fields(in);
           // A duplicated A line (same id) is a replayed write, not damage —
           // first admission wins, matching the server's dedupe rule.
-          if (id && request && *id > 0) {
-            state.accepted.emplace(*id, *request);
-          } else {
-            ++state.skipped_lines;
+          if (request && id > 0) {
+            state.accepted.emplace(id, *request);
+            return;
           }
         } else if (tag == "D") {
-          const bool shape_ok =
-              tokens.size() == 4 && parse_u64(tokens[1]).has_value() &&
-              parse_u64(tokens[2]).has_value() &&
-              parse_u64(tokens[3]).has_value();
-          const auto id =
-              shape_ok ? parse_u64(tokens[0]) : std::optional<std::uint64_t>{};
-          if (shape_ok && id) {
-            state.settled.insert(*id);  // duplicates are no-ops
-          } else {
-            ++state.skipped_lines;
+          const auto id = in.num();
+          for (int field = 0; field < 3; ++field) {
+            (void)in.num();  // completed, outcome, hash: shape only
+          }
+          if (in.done()) {
+            state.settled.insert(id);  // duplicates are no-ops
+            return;
           }
         } else if (tag == "G") {
-          const auto request = parse_request_fields(tokens);
-          if (request) {
+          if (const auto request = read_request_fields(in)) {
             state.deferred.push_back(*request);
-          } else {
-            ++state.skipped_lines;
+            return;
           }
-        } else {
-          ++state.skipped_lines;
         }
+        ++state.skipped_lines;
       });
   // A journal without a readable header has no identity; its records could
   // belong to anything (or be pure corruption) — drop them.

@@ -2,8 +2,9 @@
 // half of crash-only serving (serve/server.h).
 //
 // Same physical format as the campaign journal (supervise/journal.h): one
-// sealed wire payload per line (fault/wire.h), flushed per line, replayed
-// through the shared torn-tail-tolerant scanner.  Line kinds:
+// sealed payload in the one text codec (fault/wire.h) per line, flushed
+// per line, replayed through the shared torn-tail-tolerant scanner.  Line
+// kinds:
 //
 //   H <version> <label>                      journal identity
 //   A <id> <request fields...>               job accepted (written BEFORE
@@ -16,9 +17,10 @@
 //                                            re-admitted on the next boot
 //
 // The request fields are exactly the submit frame's
-// (serve::request_fields_payload), client key and armed fault plan
-// included, so a replayed job re-executes byte-identically — and a replayed
-// campaign injection re-fires the same bit at the same dynamic op.
+// (serve::write_request_fields), client key and armed fault plan
+// included, so a replayed job re-executes byte-identically — and a
+// replayed campaign injection re-fires the same bit at the same dynamic
+// op.
 //
 // Replay rules: an A without a matching D is unfinished and re-enqueues;
 // an A with a D is a no-op (never double-executed); G lines become fresh

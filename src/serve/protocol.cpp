@@ -1,10 +1,6 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
-#include <limits>
-#include <vector>
 
 namespace vs::serve {
 
@@ -19,114 +15,61 @@ std::uint64_t ms_to_us(double ms) {
 
 double us_to_ms(std::uint64_t us) { return static_cast<double>(us) / 1000.0; }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const int n = std::snprintf(buf, sizeof(buf), " %llu",
-                              static_cast<unsigned long long>(v));
-  out.append(buf, static_cast<std::size_t>(n));
-}
+using fault::wire::field_reader;
+using fault::wire::field_writer;
 
-void append_image(std::string& out, const img::image_u8& image) {
-  append_u64(out, static_cast<std::uint64_t>(image.width()));
-  append_u64(out, static_cast<std::uint64_t>(image.height()));
-  append_u64(out, static_cast<std::uint64_t>(image.channels()));
+// Image-bearing payloads: the header fields, then '\n' and the raw pixels.
+std::string with_image(field_writer& w, const img::image_u8& image) {
+  w.num(static_cast<std::uint64_t>(image.width()))
+      .num(static_cast<std::uint64_t>(image.height()))
+      .num(static_cast<std::uint64_t>(image.channels()));
+  std::string out = w.take();
+  out.reserve(out.size() + 1 + image.size());
   out.push_back('\n');
   out.append(reinterpret_cast<const char*>(image.data()), image.size());
+  return out;
 }
 
-std::vector<std::string_view> split(std::string_view header) {
-  std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < header.size()) {
-    while (pos < header.size() && header[pos] == ' ') ++pos;
-    std::size_t end = pos;
-    while (end < header.size() && header[end] != ' ') ++end;
-    if (end > pos) tokens.push_back(header.substr(pos, end - pos));
-    pos = end;
-  }
-  return tokens;
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view token) {
-  std::uint64_t value = 0;
-  const auto* first = token.data();
-  const auto* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return value;
-}
-
-std::optional<std::uint64_t> parse_u64_max(std::string_view token,
-                                           std::uint64_t max) {
-  const auto v = parse_u64(token);
-  if (!v || *v > max) return std::nullopt;
-  return v;
-}
-
-std::optional<int> parse_int(std::string_view token) {
-  const auto v = parse_u64_max(
-      token, static_cast<std::uint64_t>(std::numeric_limits<int>::max()));
-  if (!v) return std::nullopt;
-  return static_cast<int>(*v);
-}
-
-// Splits an image-bearing payload at the first '\n': header tokens before,
-// raw pixels after.  The pixel byte count must equal w*h*c exactly.
+// Splits an image-bearing payload at the first '\n': header fields before,
+// raw pixels after.
 struct image_payload {
-  std::vector<std::string_view> tokens;
+  std::string_view header;
   std::string_view pixels;
 };
 
 std::optional<image_payload> split_image_payload(std::string_view payload) {
   const std::size_t nl = payload.find('\n');
   if (nl == std::string_view::npos) return std::nullopt;
-  image_payload out;
-  out.tokens = split(payload.substr(0, nl));
-  out.pixels = payload.substr(nl + 1);
-  return out;
+  return image_payload{payload.substr(0, nl), payload.substr(nl + 1)};
 }
 
-// Reconstructs an image from (w, h, c) tokens + pixel bytes.  Dimensions
-// are bounded by the frame payload cap, so a garbled header can't trigger
-// a giant allocation before the byte-count cross-check rejects it.
-std::optional<img::image_u8> parse_image(std::string_view w_tok,
-                                         std::string_view h_tok,
-                                         std::string_view c_tok,
-                                         std::string_view pixels) {
-  const auto w = parse_u64_max(w_tok, kMaxFramePayload);
-  const auto h = parse_u64_max(h_tok, kMaxFramePayload);
-  const auto c = parse_u64_max(c_tok, 3);
+// Reads the trailing (w, h, c) fields and rebuilds the image from the pixel
+// bytes, whose count must equal w*h*c exactly.  Dimensions are bounded by
+// the frame payload cap, so a garbled header can't trigger a giant
+// allocation before the byte-count cross-check rejects it.
+std::optional<img::image_u8> read_image(field_reader& in,
+                                        std::string_view pixels) {
+  const auto w = in.num(kMaxFramePayload);
+  const auto h = in.num(kMaxFramePayload);
+  const auto c = in.num(3);
   // basic_image only models 1- and 3-channel layouts (its ctor throws on
   // anything else; parsers never throw).
-  if (!w || !h || !c || (*c != 1 && *c != 3)) return std::nullopt;
-  const std::uint64_t expected = *w * *h * *c;
+  if (!in.done() || (c != 1 && c != 3)) return std::nullopt;
+  const std::uint64_t expected = w * h * c;
   if (expected != pixels.size()) return std::nullopt;
-  if (*w == 0 || *h == 0) {
-    if (expected != 0) return std::nullopt;
-    return img::image_u8();
-  }
-  img::image_u8 image(static_cast<int>(*w), static_cast<int>(*h),
-                      static_cast<int>(*c));
+  if (w == 0 || h == 0) return img::image_u8();
+  img::image_u8 image(static_cast<int>(w), static_cast<int>(h),
+                      static_cast<int>(c));
   std::copy(pixels.begin(), pixels.end(),
             reinterpret_cast<char*>(image.data()));
   return image;
 }
 
-std::string sanitize_token(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    out.push_back((c == ' ' || c == '\n' || c == '\r') ? '_' : c);
-  }
-  if (out.empty()) out.push_back('_');
-  return out;
+std::string frame_of(msg_type type, std::string_view payload) {
+  return encode_frame(static_cast<std::uint16_t>(type), payload);
 }
 
 }  // namespace
-
-std::vector<std::string_view> split_fields(std::string_view header) {
-  return split(header);
-}
 
 const char* priority_name(priority_class p) noexcept {
   return p == priority_class::interactive ? "interactive" : "batch";
@@ -142,95 +85,65 @@ const char* reject_reason_name(reject_reason r) noexcept {
   return "unknown";
 }
 
-std::string encode_hello(const hello_msg& m) {
-  std::string p = "H";
-  append_u64(p, m.version);
-  return encode_frame(static_cast<std::uint16_t>(msg_type::hello), p);
+void write_request_fields(field_writer& w, const job_request& m) {
+  w.num(static_cast<std::uint64_t>(m.input))
+      .num(static_cast<std::uint64_t>(m.alg))
+      .num(static_cast<std::uint64_t>(m.frames))
+      .num(static_cast<std::uint64_t>(m.hardening))
+      .num(static_cast<std::uint64_t>(m.priority))
+      .num(m.deadline_ms)
+      .num(m.max_threads)
+      .text(std::string_view(m.client_key).substr(0, kMaxClientKey), "-")
+      .num(m.fault.armed ? 1 : 0)
+      .num(static_cast<std::uint64_t>(m.fault.cls))
+      .num(m.fault.target)
+      .num(m.fault.bit)
+      .num(m.fault.step_budget);
 }
 
-std::string encode_submit(const job_request& m) {
-  std::string p = "J";
-  p += request_fields_payload(m);
-  return encode_frame(static_cast<std::uint16_t>(msg_type::submit), p);
-}
-
-std::string request_fields_payload(const job_request& m) {
-  std::string p;
-  append_u64(p, static_cast<std::uint64_t>(m.input));
-  append_u64(p, static_cast<std::uint64_t>(m.alg));
-  append_u64(p, static_cast<std::uint64_t>(m.frames));
-  append_u64(p, static_cast<std::uint64_t>(m.hardening));
-  append_u64(p, static_cast<std::uint64_t>(m.priority));
-  append_u64(p, m.deadline_ms);
-  append_u64(p, m.max_threads);
-  p.push_back(' ');
-  p += m.client_key.empty()
-           ? "-"
-           : sanitize_token(m.client_key.substr(0, kMaxClientKey));
-  append_u64(p, m.fault.armed ? 1 : 0);
-  append_u64(p, static_cast<std::uint64_t>(m.fault.cls));
-  append_u64(p, m.fault.target);
-  append_u64(p, m.fault.bit);
-  append_u64(p, m.fault.step_budget);
-  return p;
-}
-
-std::optional<job_request> parse_request_fields(
-    const std::vector<std::string_view>& tokens) {
-  // Legacy 7-field requests (pre-crash-only clients) parse with an empty
-  // key and no armed fault; current requests carry 13 fields.
-  if (tokens.size() != 7 && tokens.size() != 13) return std::nullopt;
-  const auto input = parse_u64_max(tokens[0], 2);
-  const auto alg = parse_u64_max(
-      tokens[1], static_cast<std::uint64_t>(app::algorithm::vs_sm));
-  const auto frames = parse_int(tokens[2]);
-  const auto hardening = parse_u64_max(
-      tokens[3], static_cast<std::uint64_t>(resil::hardening_level::full));
-  const auto priority = parse_u64_max(tokens[4], 1);
-  const auto deadline = parse_u64(tokens[5]);
-  const auto threads = parse_u64_max(tokens[6], 256);
-  if (!input || !alg || !frames || !hardening || !priority || !deadline ||
-      !threads) {
-    return std::nullopt;
-  }
+std::optional<job_request> read_request_fields(field_reader& in) {
   job_request m;
-  m.input = static_cast<video::input_id>(*input);
-  m.alg = static_cast<app::algorithm>(*alg);
-  m.frames = *frames;
-  m.hardening = static_cast<resil::hardening_level>(*hardening);
-  m.priority = static_cast<priority_class>(*priority);
-  m.deadline_ms = *deadline;
-  m.max_threads = static_cast<unsigned>(*threads);
-  if (tokens.size() == 7) return m;
-  if (tokens[7].size() > kMaxClientKey) return std::nullopt;
-  if (tokens[7] != "-") m.client_key = std::string(tokens[7]);
-  const auto armed = parse_u64_max(tokens[8], 1);
-  const auto cls = parse_u64_max(tokens[9], rt::reg_class_count - 1);
-  const auto target = parse_u64(tokens[10]);
-  const auto bit = parse_u64_max(tokens[11], 63);
-  const auto budget = parse_u64(tokens[12]);
-  if (!armed || !cls || !target || !bit || !budget) return std::nullopt;
-  m.fault.armed = *armed == 1;
-  m.fault.cls = static_cast<rt::reg_class>(*cls);
-  m.fault.target = *target;
-  m.fault.bit = static_cast<std::uint32_t>(*bit);
-  m.fault.step_budget = *budget;
+  m.input = in.num<video::input_id>(2);
+  m.alg = in.num<app::algorithm>(
+      static_cast<std::uint64_t>(app::algorithm::vs_sm));
+  m.frames = in.num<int>();
+  m.hardening = in.num<resil::hardening_level>(
+      static_cast<std::uint64_t>(resil::hardening_level::full));
+  m.priority = in.num<priority_class>(1);
+  m.deadline_ms = in.num();
+  m.max_threads = in.num<unsigned>(256);
+  const std::string_view key = in.text(kMaxClientKey);
+  if (key != "-") m.client_key = std::string(key);
+  m.fault.armed = in.num<bool>();
+  m.fault.cls = in.num<rt::reg_class>(rt::reg_class_count - 1);
+  m.fault.target = in.num();
+  m.fault.bit = in.num<std::uint32_t>(63);
+  m.fault.step_budget = in.num();
+  if (!in.done()) return std::nullopt;
   return m;
 }
 
+std::string encode_hello(const hello_msg& m) {
+  return frame_of(msg_type::hello, field_writer("H").num(m.version).str());
+}
+
+std::string encode_submit(const job_request& m) {
+  field_writer w("J");
+  write_request_fields(w, m);
+  return frame_of(msg_type::submit, w.str());
+}
+
 std::string encode_accepted(const job_accepted& m) {
-  std::string p = "A";
-  append_u64(p, m.job_id);
-  append_u64(p, m.queue_depth);
-  return encode_frame(static_cast<std::uint16_t>(msg_type::accepted), p);
+  return frame_of(msg_type::accepted,
+                  field_writer("A").num(m.job_id).num(m.queue_depth).str());
 }
 
 std::string encode_rejected(const job_rejected& m) {
-  std::string p = "R";
-  append_u64(p, static_cast<std::uint64_t>(m.reason));
-  append_u64(p, m.retry_after_ms);
-  append_u64(p, m.queue_depth);
-  return encode_frame(static_cast<std::uint16_t>(msg_type::rejected), p);
+  field_writer w("R");
+  w.num(static_cast<std::uint64_t>(m.reason))
+      .num(m.retry_after_ms)
+      .num(m.queue_depth);
+  return frame_of(msg_type::rejected, w.str());
 }
 
 std::string encode_panorama(const panorama_msg& m) {
@@ -239,230 +152,175 @@ std::string encode_panorama(const panorama_msg& m) {
 
 std::string encode_panorama(std::uint64_t job_id, int index,
                             const img::image_u8& image) {
-  std::string p = "P";
-  append_u64(p, job_id);
-  append_u64(p, static_cast<std::uint64_t>(index));
-  append_image(p, image);
-  return encode_frame(static_cast<std::uint16_t>(msg_type::panorama), p);
+  field_writer w("P");
+  w.num(job_id).num(static_cast<std::uint64_t>(index));
+  return frame_of(msg_type::panorama, with_image(w, image));
 }
 
 std::string encode_complete(const job_complete& m) {
-  std::string p = "C";
-  append_u64(p, m.job_id);
-  append_u64(p, static_cast<std::uint64_t>(m.stats.frames_total));
-  append_u64(p, static_cast<std::uint64_t>(m.stats.frames_dropped_rfd));
-  append_u64(p, static_cast<std::uint64_t>(m.stats.frames_stitched));
-  append_u64(p, static_cast<std::uint64_t>(m.stats.frames_discarded));
-  append_u64(p, static_cast<std::uint64_t>(m.stats.homography_alignments));
-  append_u64(p, static_cast<std::uint64_t>(m.stats.affine_alignments));
-  append_u64(p, static_cast<std::uint64_t>(m.stats.mini_panoramas));
-  append_u64(p, m.stats.keypoints_detected);
-  append_u64(p, m.stats.keypoints_matched_on);
-  append_u64(p, m.stats.total_matches);
-  append_u64(p, m.detections);
-  append_u64(p, m.retries);
-  append_u64(p, m.frames_degraded);
-  append_u64(p, m.wall_us);
-  append_u64(p, m.panorama_hash);
-  append_image(p, m.montage);
-  return encode_frame(static_cast<std::uint16_t>(msg_type::complete), p);
+  field_writer w("C");
+  w.num(m.job_id)
+      .num(static_cast<std::uint64_t>(m.stats.frames_total))
+      .num(static_cast<std::uint64_t>(m.stats.frames_dropped_rfd))
+      .num(static_cast<std::uint64_t>(m.stats.frames_stitched))
+      .num(static_cast<std::uint64_t>(m.stats.frames_discarded))
+      .num(static_cast<std::uint64_t>(m.stats.homography_alignments))
+      .num(static_cast<std::uint64_t>(m.stats.affine_alignments))
+      .num(static_cast<std::uint64_t>(m.stats.mini_panoramas))
+      .num(m.stats.keypoints_detected)
+      .num(m.stats.keypoints_matched_on)
+      .num(m.stats.total_matches)
+      .num(m.detections)
+      .num(m.retries)
+      .num(m.frames_degraded)
+      .num(m.wall_us)
+      .num(m.panorama_hash);
+  return frame_of(msg_type::complete, with_image(w, m.montage));
 }
 
 std::string encode_failed(const job_failed& m) {
-  std::string p = "F";
-  append_u64(p, m.job_id);
-  append_u64(p, static_cast<std::uint64_t>(m.failure));
-  p.push_back(' ');
-  p += sanitize_token(m.message);
-  return encode_frame(static_cast<std::uint16_t>(msg_type::failed), p);
+  field_writer w("F");
+  w.num(m.job_id)
+      .num(static_cast<std::uint64_t>(m.failure))
+      .text(m.message, "_");
+  return frame_of(msg_type::failed, w.str());
 }
 
 std::string encode_stats_request() {
-  return encode_frame(static_cast<std::uint16_t>(msg_type::stats_request),
-                      "Q");
+  return frame_of(msg_type::stats_request, "Q");
 }
 
 std::string encode_stats_reply(const stats_reply& m) {
-  std::string p = "S";
-  append_u64(p, m.queue_depth);
-  append_u64(p, m.in_flight);
-  append_u64(p, m.completed);
-  append_u64(p, m.rejected);
-  append_u64(p, m.failed);
-  append_u64(p, m.draining ? 1 : 0);
-  append_u64(p, m.pool_budget);
-  append_u64(p, m.pool_in_use);
-  append_u64(p, m.pool_peak_in_use);
-  append_u64(p, m.restarts);
-  append_u64(p, m.journal_depth);
-  append_u64(p, m.replayed);
-  append_u64(p, static_cast<std::uint64_t>(m.latency.count));
-  append_u64(p, ms_to_us(m.latency.mean_ms));
-  append_u64(p, ms_to_us(m.latency.p50_ms));
-  append_u64(p, ms_to_us(m.latency.p90_ms));
-  append_u64(p, ms_to_us(m.latency.p95_ms));
-  append_u64(p, ms_to_us(m.latency.p99_ms));
-  append_u64(p, ms_to_us(m.latency.max_ms));
-  return encode_frame(static_cast<std::uint16_t>(msg_type::stats_reply), p);
+  field_writer w("S");
+  w.num(m.queue_depth)
+      .num(m.in_flight)
+      .num(m.completed)
+      .num(m.rejected)
+      .num(m.failed)
+      .num(m.draining ? 1 : 0)
+      .num(m.pool_budget)
+      .num(m.pool_in_use)
+      .num(m.pool_peak_in_use)
+      .num(m.restarts)
+      .num(m.journal_depth)
+      .num(m.replayed)
+      .num(m.latency.count)
+      .num(ms_to_us(m.latency.mean_ms))
+      .num(ms_to_us(m.latency.p50_ms))
+      .num(ms_to_us(m.latency.p90_ms))
+      .num(ms_to_us(m.latency.p95_ms))
+      .num(ms_to_us(m.latency.p99_ms))
+      .num(ms_to_us(m.latency.max_ms));
+  return frame_of(msg_type::stats_reply, w.str());
 }
 
 std::optional<hello_msg> parse_hello(std::string_view payload) {
-  const auto tokens = split(payload);
-  if (tokens.size() != 2 || tokens[0] != "H") return std::nullopt;
-  const auto version = parse_u64_max(
-      tokens[1], std::numeric_limits<std::uint32_t>::max());
-  if (!version) return std::nullopt;
+  field_reader in(payload, "H");
   hello_msg m;
-  m.version = static_cast<std::uint32_t>(*version);
+  m.version = in.num<std::uint32_t>();
+  if (!in.done()) return std::nullopt;
   return m;
 }
 
 std::optional<job_request> parse_submit(std::string_view payload) {
-  auto tokens = split(payload);
-  if (tokens.empty() || tokens[0] != "J") return std::nullopt;
-  tokens.erase(tokens.begin());
-  return parse_request_fields(tokens);
+  field_reader in(payload, "J");
+  return read_request_fields(in);
 }
 
 std::optional<job_accepted> parse_accepted(std::string_view payload) {
-  const auto tokens = split(payload);
-  if (tokens.size() != 3 || tokens[0] != "A") return std::nullopt;
-  const auto id = parse_u64(tokens[1]);
-  const auto depth = parse_u64(tokens[2]);
-  if (!id || !depth) return std::nullopt;
-  return job_accepted{*id, *depth};
+  field_reader in(payload, "A");
+  job_accepted m;
+  m.job_id = in.num();
+  m.queue_depth = in.num();
+  if (!in.done()) return std::nullopt;
+  return m;
 }
 
 std::optional<job_rejected> parse_rejected(std::string_view payload) {
-  const auto tokens = split(payload);
-  if (tokens.size() != 4 || tokens[0] != "R") return std::nullopt;
-  const auto reason = parse_u64_max(
-      tokens[1], static_cast<std::uint64_t>(reject_reason::version));
-  const auto retry = parse_u64(tokens[2]);
-  const auto depth = parse_u64(tokens[3]);
-  if (!reason || !retry || !depth) return std::nullopt;
+  field_reader in(payload, "R");
   job_rejected m;
-  m.reason = static_cast<reject_reason>(*reason);
-  m.retry_after_ms = *retry;
-  m.queue_depth = *depth;
+  m.reason = in.num<reject_reason>(
+      static_cast<std::uint64_t>(reject_reason::version));
+  m.retry_after_ms = in.num();
+  m.queue_depth = in.num();
+  if (!in.done()) return std::nullopt;
   return m;
 }
 
 std::optional<panorama_msg> parse_panorama(std::string_view payload) {
   const auto parts = split_image_payload(payload);
-  if (!parts || parts->tokens.size() != 6 || parts->tokens[0] != "P") {
-    return std::nullopt;
-  }
-  const auto id = parse_u64(parts->tokens[1]);
-  const auto index = parse_int(parts->tokens[2]);
-  if (!id || !index) return std::nullopt;
-  auto image = parse_image(parts->tokens[3], parts->tokens[4],
-                           parts->tokens[5], parts->pixels);
-  if (!image) return std::nullopt;
+  if (!parts) return std::nullopt;
+  field_reader in(parts->header, "P");
   panorama_msg m;
-  m.job_id = *id;
-  m.index = *index;
+  m.job_id = in.num();
+  m.index = in.num<int>();
+  auto image = read_image(in, parts->pixels);
+  if (!image) return std::nullopt;
   m.image = std::move(*image);
   return m;
 }
 
 std::optional<job_complete> parse_complete(std::string_view payload) {
   const auto parts = split_image_payload(payload);
-  if (!parts || parts->tokens.size() != 20 || parts->tokens[0] != "C") {
-    return std::nullopt;
-  }
-  const auto& t = parts->tokens;
-  const auto id = parse_u64(t[1]);
-  const auto frames_total = parse_int(t[2]);
-  const auto dropped = parse_int(t[3]);
-  const auto stitched = parse_int(t[4]);
-  const auto discarded = parse_int(t[5]);
-  const auto homography = parse_int(t[6]);
-  const auto affine = parse_int(t[7]);
-  const auto minis = parse_int(t[8]);
-  const auto kp_detected = parse_u64(t[9]);
-  const auto kp_matched = parse_u64(t[10]);
-  const auto matches = parse_u64(t[11]);
-  const auto detections = parse_u64_max(
-      t[12], std::numeric_limits<std::uint32_t>::max());
-  const auto retries = parse_u64_max(
-      t[13], std::numeric_limits<std::uint32_t>::max());
-  const auto degraded = parse_u64_max(
-      t[14], std::numeric_limits<std::uint32_t>::max());
-  const auto wall = parse_u64(t[15]);
-  const auto hash = parse_u64(t[16]);
-  if (!id || !frames_total || !dropped || !stitched || !discarded ||
-      !homography || !affine || !minis || !kp_detected || !kp_matched ||
-      !matches || !detections || !retries || !degraded || !wall || !hash) {
-    return std::nullopt;
-  }
-  auto montage = parse_image(t[17], t[18], t[19], parts->pixels);
-  if (!montage) return std::nullopt;
+  if (!parts) return std::nullopt;
+  field_reader in(parts->header, "C");
   job_complete m;
-  m.job_id = *id;
-  m.stats.frames_total = *frames_total;
-  m.stats.frames_dropped_rfd = *dropped;
-  m.stats.frames_stitched = *stitched;
-  m.stats.frames_discarded = *discarded;
-  m.stats.homography_alignments = *homography;
-  m.stats.affine_alignments = *affine;
-  m.stats.mini_panoramas = *minis;
-  m.stats.keypoints_detected = *kp_detected;
-  m.stats.keypoints_matched_on = *kp_matched;
-  m.stats.total_matches = *matches;
-  m.detections = static_cast<std::uint32_t>(*detections);
-  m.retries = static_cast<std::uint32_t>(*retries);
-  m.frames_degraded = static_cast<std::uint32_t>(*degraded);
-  m.wall_us = *wall;
-  m.panorama_hash = *hash;
+  m.job_id = in.num();
+  m.stats.frames_total = in.num<int>();
+  m.stats.frames_dropped_rfd = in.num<int>();
+  m.stats.frames_stitched = in.num<int>();
+  m.stats.frames_discarded = in.num<int>();
+  m.stats.homography_alignments = in.num<int>();
+  m.stats.affine_alignments = in.num<int>();
+  m.stats.mini_panoramas = in.num<int>();
+  m.stats.keypoints_detected = in.num<std::size_t>();
+  m.stats.keypoints_matched_on = in.num<std::size_t>();
+  m.stats.total_matches = in.num<std::size_t>();
+  m.detections = in.num<std::uint32_t>();
+  m.retries = in.num<std::uint32_t>();
+  m.frames_degraded = in.num<std::uint32_t>();
+  m.wall_us = in.num();
+  m.panorama_hash = in.num();
+  auto montage = read_image(in, parts->pixels);
+  if (!montage) return std::nullopt;
   m.montage = std::move(*montage);
   return m;
 }
 
 std::optional<job_failed> parse_failed(std::string_view payload) {
-  const auto tokens = split(payload);
-  if (tokens.size() != 4 || tokens[0] != "F") return std::nullopt;
-  const auto id = parse_u64(tokens[1]);
-  const auto failure = parse_u64_max(
-      tokens[2], static_cast<std::uint64_t>(fault::outcome::detected_degraded));
-  if (!id || !failure) return std::nullopt;
+  field_reader in(payload, "F");
   job_failed m;
-  m.job_id = *id;
-  m.failure = static_cast<fault::outcome>(*failure);
-  m.message = std::string(tokens[3]);
+  m.job_id = in.num();
+  m.failure = in.num<fault::outcome>(
+      static_cast<std::uint64_t>(fault::outcome::detected_degraded));
+  m.message = std::string(in.text());
+  if (!in.done()) return std::nullopt;
   return m;
 }
 
 std::optional<stats_reply> parse_stats_reply(std::string_view payload) {
-  const auto tokens = split(payload);
-  if (tokens.size() != 20 || tokens[0] != "S") return std::nullopt;
-  std::uint64_t v[19];
-  for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const auto parsed = parse_u64(tokens[i]);
-    if (!parsed) return std::nullopt;
-    v[i - 1] = *parsed;
-  }
-  if (v[5] > 1) return std::nullopt;
+  field_reader in(payload, "S");
   stats_reply m;
-  m.queue_depth = v[0];
-  m.in_flight = v[1];
-  m.completed = v[2];
-  m.rejected = v[3];
-  m.failed = v[4];
-  m.draining = v[5] == 1;
-  m.pool_budget = v[6];
-  m.pool_in_use = v[7];
-  m.pool_peak_in_use = v[8];
-  m.restarts = v[9];
-  m.journal_depth = v[10];
-  m.replayed = v[11];
-  m.latency.count = static_cast<std::size_t>(v[12]);
-  m.latency.mean_ms = us_to_ms(v[13]);
-  m.latency.p50_ms = us_to_ms(v[14]);
-  m.latency.p90_ms = us_to_ms(v[15]);
-  m.latency.p95_ms = us_to_ms(v[16]);
-  m.latency.p99_ms = us_to_ms(v[17]);
-  m.latency.max_ms = us_to_ms(v[18]);
+  m.queue_depth = in.num();
+  m.in_flight = in.num();
+  m.completed = in.num();
+  m.rejected = in.num();
+  m.failed = in.num();
+  m.draining = in.num<bool>();
+  m.pool_budget = in.num();
+  m.pool_in_use = in.num();
+  m.pool_peak_in_use = in.num();
+  m.restarts = in.num();
+  m.journal_depth = in.num();
+  m.replayed = in.num();
+  m.latency.count = in.num<std::size_t>();
+  m.latency.mean_ms = us_to_ms(in.num());
+  m.latency.p50_ms = us_to_ms(in.num());
+  m.latency.p90_ms = us_to_ms(in.num());
+  m.latency.p95_ms = us_to_ms(in.num());
+  m.latency.p99_ms = us_to_ms(in.num());
+  m.latency.max_ms = us_to_ms(in.num());
+  if (!in.done()) return std::nullopt;
   return m;
 }
 

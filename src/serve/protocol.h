@@ -1,12 +1,13 @@
 // Message layer of the summarization service, one struct per frame type.
 //
 // Every message travels as one frame (serve/framing.h).  The payload is a
-// wire-style text header of space-separated integer fields — doubles are
-// carried as integer microseconds/milliseconds so the codec never parses
-// floating point — and image-bearing messages append '\n' plus the raw
-// pixel bytes after the header.  Parsers mirror fault/wire.cpp: every field
-// is range checked and any malformed payload yields nullopt, never a throw
-// and never a half-parsed message.  The frame checksum already seals the
+// header in the repo's one text codec (fault/wire.h): a one-letter tag,
+// then decimal fields and sanitized text tokens — doubles are carried as
+// integer microseconds/milliseconds so the codec never parses floating
+// point — and image-bearing messages append '\n' plus the raw pixel bytes
+// after the header.  Parsers are wire::field_reader walks: every field is
+// range checked and any malformed payload yields nullopt, never a throw and
+// never a half-parsed message.  The frame checksum already seals the
 // payload, so there is no inner seal.
 #pragma once
 
@@ -14,11 +15,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "app/config.h"
 #include "app/pipeline.h"
 #include "fault/model.h"
+#include "fault/wire.h"
 #include "image/image.h"
 #include "perf/latency.h"
 #include "rt/instrument.h"
@@ -91,6 +92,7 @@ struct job_request {
   std::uint64_t deadline_ms = 0;  ///< wall-clock budget; 0 = none
   unsigned max_threads = 0;       ///< cap on the leased width; 0 = fair share
   /// Client-supplied idempotency key; empty = none ("-" on the wire).
+  /// Sent as one wire::token of at most kMaxClientKey bytes.
   /// Resubmitting under the same key never double-executes: the server
   /// dedupes against queued/running/recently-completed jobs and replays the
   /// buffered result stream instead (server.h, "crash-only serving").
@@ -130,7 +132,7 @@ struct job_complete {
 struct job_failed {
   std::uint64_t job_id = 0;
   fault::outcome failure = fault::outcome::crash_abort;
-  std::string message;  ///< single token, spaces mapped to '_'
+  std::string message;  ///< one wire::token; "_" on the wire when empty
 };
 
 struct stats_reply {
@@ -185,14 +187,14 @@ struct stats_reply {
 
 // --- shared request-field codec ---
 //
-// The request's wire fields without the frame tag, shared between the
-// submit frame and the admission journal's A/G lines (serve/job_journal.h)
-// so a journaled job replays through the same parser that admitted it.
+// The request's wire fields, shared between the submit frame and the
+// admission journal's A/G lines (serve/job_journal.h) so a journaled job
+// replays through the same reader that admitted it.  The request fields
+// always end their payload: the reader requires every field consumed.
 
-[[nodiscard]] std::vector<std::string_view> split_fields(
-    std::string_view header);
-[[nodiscard]] std::string request_fields_payload(const job_request& m);
-[[nodiscard]] std::optional<job_request> parse_request_fields(
-    const std::vector<std::string_view>& tokens);
+void write_request_fields(fault::wire::field_writer& out,
+                          const job_request& m);
+[[nodiscard]] std::optional<job_request> read_request_fields(
+    fault::wire::field_reader& in);
 
 }  // namespace vs::serve

@@ -53,7 +53,7 @@ void child_drain_signal(int) {
         return;
       }
       last = now;
-      supervise::child_write_line(wfd, "B " + std::to_string(seq++));
+      supervise::child_begin(wfd, seq++);
     };
 
     server srv(std::move(sc));
@@ -106,8 +106,14 @@ pid_t respawn_supervisor::spawn(std::uint64_t generation, int* pipe_rd) {
 }
 
 void respawn_supervisor::request_shutdown() noexcept {
-  shutdown_.store(true, std::memory_order_relaxed);
-  const pid_t pid = child_pid_.load(std::memory_order_relaxed);
+  const pid_t pid = child_pid_.load();
+  // Only the first request decides whether the drain was asked of a live
+  // generation; a repeat (a second SIGTERM) after that generation died
+  // must not turn its failed drain into a clean end.
+  if (!shutdown_requested_.exchange(true)) {
+    idle_shutdown_.store(pid <= 0);
+    shutdown_.store(true);
+  }
   if (pid > 0) (void)::kill(pid, SIGTERM);
 }
 
@@ -119,9 +125,15 @@ void respawn_supervisor::kill_child() noexcept {
 respawn_stats respawn_supervisor::run() {
   respawn_stats stats;
   int streak = 0;
-  std::string carry;  // partial heartbeat line straddling two reads
 
-  while (!shutdown_.load(std::memory_order_relaxed)) {
+  for (;;) {
+    if (shutdown_.load()) {
+      // No generation is alive: nothing is in flight and every accepted
+      // job is journaled for the next boot, so this is a clean end.
+      stats.clean_exit = true;
+      log::info("respawn: shutdown between generations, supervision done");
+      break;
+    }
     int rd = -1;
     const std::uint64_t generation = stats.generations;
     const pid_t pid = spawn(generation, &rd);
@@ -136,12 +148,23 @@ respawn_stats respawn_supervisor::run() {
 
     const auto born = clock::now();
     auto last_beat = born;
-    carry.clear();
+    // Any valid heartbeat line proves liveness; a torn one (the child died
+    // mid-write) just doesn't count.
+    fault::wire::line_reader beats;
+    const auto beat = [&last_beat](std::string_view payload) {
+      if (supervise::parse_begin(payload)) last_beat = clock::now();
+    };
     bool stalled = false;
     bool pipe_open = true;
+    bool drain_sent = false;
     int status = 0;
 
     for (;;) {
+      if (!drain_sent && shutdown_.load()) {
+        // Covers a shutdown that raced this spawn and found no pid.
+        (void)::kill(pid, SIGTERM);
+        drain_sent = true;
+      }
       if (pipe_open) {
         pollfd pfd{rd, POLLIN, 0};
         const int ready = ::poll(&pfd, 1, 200);
@@ -150,26 +173,13 @@ respawn_stats respawn_supervisor::run() {
           for (;;) {
             const ssize_t n = ::read(rd, buf, sizeof(buf));
             if (n > 0) {
-              carry.append(buf, static_cast<std::size_t>(n));
+              beats.feed(std::string_view(buf, static_cast<std::size_t>(n)),
+                         beat);
               continue;
             }
             if (n == 0) pipe_open = false;  // child end closed
             break;                          // EOF, EAGAIN, or error
           }
-          std::size_t start = 0;
-          for (;;) {
-            const std::size_t nl = carry.find('\n', start);
-            if (nl == std::string::npos) break;
-            const std::string_view line(carry.data() + start, nl - start);
-            start = nl + 1;
-            const auto payload = fault::wire::unseal(line);
-            // Any valid heartbeat line proves liveness; a torn one (the
-            // child died mid-write) just doesn't count.
-            if (payload && !payload->empty() && payload->front() == 'B') {
-              last_beat = clock::now();
-            }
-          }
-          carry.erase(0, start);
         }
       } else {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -221,7 +231,13 @@ respawn_stats respawn_supervisor::run() {
       log::info(gen_tag + " drained cleanly, supervision done");
       break;
     }
-    if (shutdown_.load(std::memory_order_relaxed)) break;
+    if (shutdown_.load()) {
+      // Requested after this generation was already gone: same clean end
+      // as between generations.  Requested while it lived: its death
+      // during the drain stands.
+      stats.clean_exit = idle_shutdown_.load();
+      break;
+    }
 
     // A generation that survived long enough proves the respawn healed
     // something; only quick deaths accumulate toward giving up.

@@ -7,7 +7,8 @@
 // so a wedged loop reads as a stall and takes the watchdog SIGKILL.  Death
 // is classified from the waitpid status exactly like campaign workers
 // (supervise::classify_signal): signals count as crashes, a stall-kill as
-// a hang, a nonzero exit as a reported failure; exit 0 ends supervision.
+// a hang, a nonzero exit as a reported failure; exit 0 ends supervision,
+// and so does a shutdown request that finds no generation alive.
 // Respawn delays come from core::backoff_policy — deterministic jitter, so
 // a given policy always produces the same schedule — and a streak of quick
 // deaths beyond max_consecutive_failures gives up instead of spinning.
@@ -52,7 +53,10 @@ struct respawn_stats {
   std::uint64_t hangs = 0;        ///< heartbeat-stall SIGKILLs
   std::uint64_t failures = 0;     ///< nonzero exits
   bool gave_up = false;           ///< failure streak exhausted the budget
-  bool clean_exit = false;        ///< child finished a drain (exit 0)
+  /// Child finished a drain (exit 0), or shutdown was requested while no
+  /// generation was alive (nothing in flight, every accepted job
+  /// journaled).
+  bool clean_exit = false;
 };
 
 class respawn_supervisor {
@@ -63,8 +67,9 @@ class respawn_supervisor {
   /// the failure budget is exhausted, or request_shutdown() was called.
   respawn_stats run();
 
-  /// Graceful stop: SIGTERM the live child (it drains) and never respawn.
-  /// Async-signal-safe.
+  /// Graceful stop: SIGTERM the live child (it drains) and never respawn;
+  /// between generations (e.g. in the respawn backoff) run() returns
+  /// clean at once.  Async-signal-safe.
   void request_shutdown() noexcept;
 
   /// Crash drill: SIGKILL the live child (the supervisor restarts it
@@ -80,7 +85,9 @@ class respawn_supervisor {
 
   respawn_config config_;
   std::atomic<pid_t> child_pid_{-1};
-  std::atomic<bool> shutdown_{false};
+  std::atomic<bool> shutdown_requested_{false};  ///< first request claimed
+  std::atomic<bool> shutdown_{false};  ///< set after idle_shutdown_
+  std::atomic<bool> idle_shutdown_{false};  ///< first request found no child
 };
 
 }  // namespace vs::serve

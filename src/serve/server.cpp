@@ -36,25 +36,6 @@ double ms_between(clock::time_point a, clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// EINTR-safe full send.  MSG_NOSIGNAL: a vanished client must surface as
-/// EPIPE, not take the server down with SIGPIPE.  Returns false once the
-/// peer is gone — the job keeps running (results still count in stats and
-/// the report log), only the streaming stops.
-bool send_all(int fd, std::string_view bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 void set_recv_timeout(int fd, double seconds) {
   if (seconds <= 0) return;
   timeval tv{};
@@ -423,14 +404,12 @@ void server::handle_connection(int fd) {
   set_recv_timeout(fd, config_.handshake_timeout_s);
   frame_decoder decoder;
   bool fd_owned = true;
-  char buf[4096];
 
   while (fd_owned) {
     std::optional<frame> f = decoder.next();
     if (!f) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) break;  // EOF, timeout, or error: drop the connection
-      decoder.feed(buf, static_cast<std::size_t>(n));
+      // EOF, timeout, or error drops the connection; a signal does not.
+      if (recv_into(fd, decoder) <= 0) break;
       continue;
     }
 

@@ -45,12 +45,22 @@ void child_write_line(int fd, const std::string& payload) {
   child_write(fd, line.data(), line.size());
 }
 
+void child_begin(int fd, std::uint64_t n) {
+  child_write_line(fd, fault::wire::field_writer("B").num(n).str());
+}
+
+std::optional<std::uint64_t> parse_begin(std::string_view payload) {
+  fault::wire::field_reader in(payload, "B");
+  const std::uint64_t n = in.num();
+  if (!in.done()) return std::nullopt;
+  return n;
+}
+
 void child_fail(int fd, const std::exception* e) {
-  std::string msg = e != nullptr ? e->what() : "unknown_error";
-  for (char& c : msg) {
-    if (c == ' ' || c == '\n' || c == '\r' || c == '~') c = '_';
-  }
-  child_write_line(fd, "E " + msg);
+  child_write_line(
+      fd, fault::wire::field_writer("E")
+              .text(e != nullptr ? e->what() : "unknown_error")
+              .str());
   _exit(3);
 }
 

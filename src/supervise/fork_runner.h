@@ -12,8 +12,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "fault/model.h"
 
@@ -50,6 +53,14 @@ void child_write(int fd, const void* data, std::size_t size);
 
 /// Writes one sealed wire line (fault/wire.h) from a forked child.
 void child_write_line(int fd, const std::string& payload);
+
+/// Writes a sealed "B <n>" line from a forked child: a campaign worker's
+/// "starting experiment n" mark, or a server generation's n-th heartbeat.
+void child_begin(int fd, std::uint64_t n);
+
+/// The n of a "B <n>" payload; nullopt for any other payload.
+[[nodiscard]] std::optional<std::uint64_t> parse_begin(
+    std::string_view payload);
 
 /// Reports a child-side failure as a sealed "E <message>" line, then
 /// _exit(3).  Pass nullptr for a non-std::exception failure.

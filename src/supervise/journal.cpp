@@ -1,121 +1,76 @@
 #include "supervise/journal.h"
 
-#include <charconv>
-#include <sstream>
-
 #include "core/error.h"
 
 namespace vs::supervise {
 
 namespace {
 
-constexpr int kJournalVersion = 1;
-
-std::optional<std::uint64_t> parse_u64(std::string_view token) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc{} || ptr != token.data() + token.size()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-std::vector<std::string_view> split(std::string_view payload) {
-  std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    while (pos < payload.size() && payload[pos] == ' ') ++pos;
-    std::size_t end = pos;
-    while (end < payload.size() && payload[end] != ' ') ++end;
-    if (end > pos) tokens.push_back(payload.substr(pos, end - pos));
-    pos = end;
-  }
-  return tokens;
-}
+constexpr std::uint64_t kJournalVersion = 1;
 
 }  // namespace
 
 std::string header_payload(const journal_header& header) {
-  std::string label = header.workload.empty() ? "campaign" : header.workload;
-  for (char& c : label) {
-    if (c == ' ' || c == '\n' || c == '\r' || c == '~') c = '_';
-  }
-  std::ostringstream out;
-  out << "H " << kJournalVersion << ' ' << label << ' '
-      << static_cast<int>(header.cls) << ' ' << header.injections << ' '
-      << header.seed << ' ' << header.total_ops << ' ' << header.step_budget
-      << ' ' << header.golden_hash << ' ' << header.shard_size;
-  return out.str();
+  fault::wire::field_writer w("H");
+  w.num(kJournalVersion)
+      .text(header.workload, "campaign")
+      .num(static_cast<std::uint64_t>(header.cls))
+      .num(static_cast<std::uint64_t>(header.injections))
+      .num(header.seed)
+      .num(header.total_ops)
+      .num(header.step_budget)
+      .num(header.golden_hash)
+      .num(header.shard_size);
+  return w.take();
 }
 
 std::optional<journal_header> parse_header(std::string_view payload) {
-  const auto tokens = split(payload);
-  if (tokens.size() != 10 || tokens[0] != "H") return std::nullopt;
-  const auto version = parse_u64(tokens[1]);
-  if (!version || *version != static_cast<std::uint64_t>(kJournalVersion)) {
-    return std::nullopt;
-  }
-  const auto cls = parse_u64(tokens[3]);
-  const auto injections = parse_u64(tokens[4]);
-  const auto seed = parse_u64(tokens[5]);
-  const auto total_ops = parse_u64(tokens[6]);
-  const auto step_budget = parse_u64(tokens[7]);
-  const auto golden_hash = parse_u64(tokens[8]);
-  const auto shard_size = parse_u64(tokens[9]);
-  if (!cls || *cls >= rt::reg_class_count || !injections ||
-      *injections > 0x7FFFFFFFULL || !seed || !total_ops || !step_budget ||
-      !golden_hash || !shard_size || *shard_size == 0) {
-    return std::nullopt;
-  }
+  fault::wire::field_reader in(payload, "H");
+  const bool version_ok = in.num() == kJournalVersion;
   journal_header header;
-  header.workload = std::string(tokens[2]);
-  header.cls = static_cast<rt::reg_class>(*cls);
-  header.injections = static_cast<int>(*injections);
-  header.seed = *seed;
-  header.total_ops = *total_ops;
-  header.step_budget = *step_budget;
-  header.golden_hash = *golden_hash;
-  header.shard_size = static_cast<std::size_t>(*shard_size);
+  header.workload = std::string(in.text());
+  header.cls = in.num<rt::reg_class>(rt::reg_class_count - 1);
+  header.injections = in.num<int>();
+  header.seed = in.num();
+  header.total_ops = in.num();
+  header.step_budget = in.num();
+  header.golden_hash = in.num();
+  header.shard_size = in.num<std::size_t>();
+  if (!in.done() || !version_ok || header.shard_size == 0) {
+    return std::nullopt;
+  }
   return header;
 }
 
 std::string checkpoint_payload(std::size_t shard) {
-  return "C " + std::to_string(shard);
+  return fault::wire::field_writer("C").num(shard).take();
 }
 
 std::string quarantine_payload(std::size_t shard) {
-  return "Q " + std::to_string(shard);
+  return fault::wire::field_writer("Q").num(shard).take();
 }
 
 std::optional<std::size_t> parse_shard_mark(std::string_view payload,
                                             char tag) {
-  const auto tokens = split(payload);
-  if (tokens.size() != 2 || tokens[0].size() != 1 || tokens[0][0] != tag) {
-    return std::nullopt;
-  }
-  const auto shard = parse_u64(tokens[1]);
-  if (!shard) return std::nullopt;
-  return static_cast<std::size_t>(*shard);
+  fault::wire::field_reader in(payload, std::string_view(&tag, 1));
+  const auto shard = in.num<std::size_t>();
+  if (!in.done()) return std::nullopt;
+  return shard;
 }
 
 std::size_t scan_journal_lines(
     const std::string& path,
     const std::function<void(std::string_view)>& fn) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return 0;
-  std::size_t skipped = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto payload = fault::wire::unseal(line);
-    if (!payload || payload->empty()) {
-      ++skipped;
-      continue;
-    }
-    fn(*payload);
+  fault::wire::line_reader lines;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    lines.feed(std::string_view(chunk, static_cast<std::size_t>(in.gcount())),
+               fn);
   }
-  return skipped;
+  lines.finish(fn);
+  return lines.rejected();
 }
 
 journal_state load_journal(const std::string& path) {
@@ -124,9 +79,8 @@ journal_state load_journal(const std::string& path) {
   // The lambda counts well-sealed-but-malformed lines; the scan's return
   // value adds the unreadable ones (torn writes, bit flips, garbage).
   state.skipped_lines += scan_journal_lines(path, [&](std::string_view
-                                                          payload_view) {
-    const std::string payload(payload_view);
-    const char tag = payload[0];
+                                                          payload) {
+    const char tag = payload.front();
     if (tag == 'H') {
       const auto header = parse_header(payload);
       // Only the first header counts; anything else is journal damage.

@@ -1,6 +1,8 @@
 // Append-only campaign journal: the supervisor's crash-consistent state.
 //
-// Every line is a sealed wire payload (fault/wire.h).  Line kinds:
+// Every line is a sealed payload in the one text codec (fault/wire.h),
+// written with wire::field_writer and read with wire::field_reader.  Line
+// kinds:
 //
 //   H <v> <workload> <cls> <injections> <seed> <total_ops> <step_budget>
 //       <golden_hash> <shard_size>                      campaign identity
@@ -31,10 +33,11 @@
 
 namespace vs::supervise {
 
-/// Line-wise scan of any sealed-line journal: invokes `fn` with the
-/// unsealed payload of every line whose checksum validates, skipping (and
-/// counting) torn, bit-flipped, or garbage lines.  A missing file scans as
-/// empty.  This is the torn-tail-tolerant replay primitive shared by the
+/// Line-wise scan of any sealed-line journal (a wire::line_reader over the
+/// file): invokes `fn` with the unsealed payload of every line whose
+/// checksum validates, skipping (and counting) torn, bit-flipped, or
+/// garbage lines.  An unterminated last line is read like any other.  A
+/// missing file scans as empty.  This is the torn-tail-tolerant replay primitive shared by the
 /// campaign journal below and the serve admission journal
 /// (serve/job_journal.h) — both formats are "sealed payloads, one per
 /// line, flushed per line", so a SIGKILL at any byte offset costs at most
@@ -49,7 +52,7 @@ std::size_t scan_journal_lines(
 /// nonsense); shard_size is adopted from the journal instead, so checkpoint
 /// lines keep meaning the same experiment ranges.
 struct journal_header {
-  std::string workload = "campaign";  ///< label; spaces become '_'
+  std::string workload = "campaign";  ///< label, one wire::token
   rt::reg_class cls = rt::reg_class::gpr;
   int injections = 0;
   std::uint64_t seed = 0;

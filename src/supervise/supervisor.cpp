@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <exception>
 #include <functional>
@@ -29,53 +28,46 @@ struct attempt_result {
   std::string error;                     ///< worker-reported failure message
 };
 
-// Splits buffered pipe bytes into lines and folds each validated payload
-// into the attempt (tracking begin/record pairing for in-flight detection).
-void consume_lines(std::string& buf, attempt_result& out) {
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t nl = buf.find('\n', start);
-    if (nl == std::string::npos) break;
-    const std::string_view line(buf.data() + start, nl - start);
-    start = nl + 1;
-    const auto payload = fault::wire::unseal(line);
-    if (!payload || payload->empty()) continue;  // torn write: drop the line
-    if ((*payload)[0] == 'B') {
-      std::uint64_t index = 0;
-      const std::string_view tail = std::string_view(*payload).substr(2);
-      const auto [ptr, ec] =
-          std::from_chars(tail.data(), tail.data() + tail.size(), index);
-      if (ec == std::errc{} && ptr == tail.data() + tail.size()) {
-        out.in_flight = static_cast<std::size_t>(index);
+// Folds one validated worker payload into the attempt, tracking
+// begin/record pairing for in-flight detection.
+void fold_payload(std::string_view payload, attempt_result& out) {
+  switch (payload.front()) {
+    case 'B':
+      if (const auto index = parse_begin(payload)) {
+        out.in_flight = static_cast<std::size_t>(*index);
       }
-    } else if ((*payload)[0] == 'E') {
-      out.error = payload->size() > 2 ? payload->substr(2) : "worker_error";
-    } else {
-      if ((*payload)[0] == 'R') {
-        const auto parsed = fault::wire::parse_record(*payload);
-        if (parsed && out.in_flight && *out.in_flight == parsed->index) {
-          out.in_flight.reset();
-        }
-      }
-      out.payloads.push_back(*payload);
+      return;
+    case 'E': {
+      fault::wire::field_reader in(payload, "E");
+      const std::string_view message = in.text();
+      out.error = message.empty() ? "worker_error" : std::string(message);
+      return;
     }
+    case 'R': {
+      const auto parsed = fault::wire::parse_record(payload);
+      if (parsed && out.in_flight == parsed->index) out.in_flight.reset();
+      break;
+    }
+    default:
+      break;
   }
-  buf.erase(0, start);
+  out.payloads.emplace_back(payload);
 }
 
 // Forks `body(write_fd)` under the shared fork runner and folds the byte
-// stream it produces back into line-protocol semantics: buffered wire
-// lines, in-flight tracking, exit classification.
+// stream it produces back into line-protocol semantics: sealed wire lines
+// (a torn tail is dropped), in-flight tracking, exit classification.
 attempt_result run_forked_attempt(const std::function<void(int)>& body,
                                   double timeout_s) {
   attempt_result out;
-  std::string buf;
+  fault::wire::line_reader lines;
+  const auto fold = [&out](std::string_view payload) {
+    fold_payload(payload, out);
+  };
   const fork_ending ending = run_forked(
       body, timeout_s, [&](const char* data, std::size_t size) {
-        buf.append(data, size);
-        consume_lines(buf, out);
+        lines.feed(std::string_view(data, size), fold);
       });
-  consume_lines(buf, out);
   switch (ending.how) {
     case fork_ending::kind::clean:
       out.how = attempt_result::ending::clean;
@@ -158,7 +150,7 @@ attempt_result run_shard_attempt(campaign_context& ctx,
         [&](int fd) {
           try {
             for (const std::size_t index : todo) {
-              child_write_line(fd, "B " + std::to_string(index));
+              child_begin(fd, index);
               const fault::injection_record record = fault::run_experiment(
                   ctx.work, ctx.campaign, ctx.setup, index);
               child_write_line(fd,
@@ -357,16 +349,17 @@ sharded_result run_sharded_campaign(const fault::workload& work,
       ctx.n == 0 ? 0 : (ctx.n + ctx.shard_size - 1) / ctx.shard_size;
   ctx.stats.shards_total = ctx.shard_count;
 
-  // Shards already satisfied by the journal (checkpointed, quarantined, or
-  // simply all-records-present) are never re-dispatched.
+  // Shards already satisfied by the journal (quarantined, or every record
+  // present) are never re-dispatched.  A checkpoint mark alone is not
+  // enough: a record line the loader skipped (bit flip, or a row in a
+  // shape this build no longer reads) must be recomputed, not lost.
   std::vector<std::size_t> pending;
   for (std::size_t shard = 0; shard < ctx.shard_count; ++shard) {
     if (ctx.state.quarantined_shards.count(shard) > 0) {
       ctx.stats.quarantined.push_back(shard);
       continue;
     }
-    if (ctx.state.completed_shards.count(shard) > 0 ||
-        missing_in_shard(ctx, shard).empty()) {
+    if (missing_in_shard(ctx, shard).empty()) {
       ++ctx.stats.shards_resumed;
       continue;
     }

@@ -1,6 +1,7 @@
 // Tests for the substrate extensions: recorded video, Harris scoring,
 // pyramids / resizing, and gain-compensated compositing.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -26,7 +27,11 @@ namespace {
 class RecordedVideo : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/vs_recorded_test";
+    // One directory per test and process: ctest -j runs each test in its
+    // own process, and TearDown removes the whole tree.
+    dir_ = ::testing::TempDir() + "/vs_recorded_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_" + std::to_string(::getpid());
     std::filesystem::create_directories(dir_);
     for (int i = 0; i < 3; ++i) {
       img::image_u8 frame(16, 12, 1, static_cast<std::uint8_t>(10 * i));

@@ -5,6 +5,8 @@
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -51,6 +53,10 @@ class server_fixture {
   }
 
   server& get() { return server_; }
+  /// The thread inside run() — the one that serves connections.
+  std::thread::native_handle_type run_thread() {
+    return thread_.native_handle();
+  }
 
  private:
   server server_;
@@ -445,18 +451,36 @@ TEST(Serve, GarbageSprayingClientDoesNotDisturbTheService) {
   EXPECT_TRUE(outcome.complete->montage == reference_run(request).panorama);
 }
 
-TEST(Serve, MalformedSubmitPayloadIsRejectedAsBadRequest) {
-  const std::string path = unique_socket_path();
-  server_fixture fixture(quick_config(path));
-
+/// A raw client socket (no serve::client), connected to `path`; -1 on
+/// failure.
+int connect_raw(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// The next frame off a raw socket; nullopt once the peer hangs up.
+std::optional<frame> read_frame(int fd, frame_decoder& decoder) {
+  for (;;) {
+    if (auto f = decoder.next()) return f;
+    if (recv_into(fd, decoder) <= 0) return std::nullopt;
+  }
+}
+
+TEST(Serve, MalformedSubmitPayloadIsRejectedAsBadRequest) {
+  const std::string path = unique_socket_path();
+  server_fixture fixture(quick_config(path));
+
+  const int fd = connect_raw(path);
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
   // A validly framed submit whose payload fails field validation
   // (algorithm code 99).
   const std::string bad = encode_frame(
@@ -465,19 +489,52 @@ TEST(Serve, MalformedSubmitPayloadIsRejectedAsBadRequest) {
             static_cast<ssize_t>(bad.size()));
 
   frame_decoder decoder;
-  char buf[4096];
-  std::optional<frame> reply;
-  while (!reply) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0);
-    decoder.feed(buf, static_cast<std::size_t>(n));
-    reply = decoder.next();
-  }
+  const std::optional<frame> reply = read_frame(fd, decoder);
   ::close(fd);
+  ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->type, static_cast<std::uint16_t>(msg_type::rejected));
   const auto rejected = parse_rejected(reply->payload);
   ASSERT_TRUE(rejected.has_value());
   EXPECT_EQ(rejected->reason, reject_reason::bad_request);
+}
+
+void ignore_signal(int) {}
+
+TEST(Serve, SignalMidHandshakeDoesNotDropTheClient) {
+  // A handler installed without SA_RESTART makes a signal interrupt the
+  // serving thread's blocked recv (SO_RCVTIMEO alone already makes recv
+  // non-restartable).  An interrupted recv is not a dead peer: the client
+  // must still get its answer.
+  struct sigaction quiet {};
+  struct sigaction previous {};
+  quiet.sa_handler = ignore_signal;
+  sigemptyset(&quiet.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR2, &quiet, &previous), 0);
+
+  const std::string path = unique_socket_path();
+  server_fixture fixture(quick_config(path));
+  const int fd = connect_raw(path);
+  ASSERT_GE(fd, 0);
+  frame_decoder decoder;
+  ASSERT_TRUE(send_all(fd, encode_hello(hello_msg{})));
+  const std::optional<frame> echo = read_frame(fd, decoder);
+  ASSERT_TRUE(echo.has_value());
+  EXPECT_EQ(echo->type, static_cast<std::uint16_t>(msg_type::hello));
+
+  // Mid-handshake: the server now blocks in recv awaiting the request.
+  for (int i = 0; i < 5; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_EQ(::pthread_kill(fixture.run_thread(), SIGUSR2), 0);
+  }
+  ASSERT_TRUE(send_all(fd, encode_stats_request()));
+  const std::optional<frame> reply = read_frame(fd, decoder);
+  ::close(fd);
+  fixture.shutdown();
+  ::sigaction(SIGUSR2, &previous, nullptr);
+
+  ASSERT_TRUE(reply.has_value()) << "the signal dropped the connection";
+  EXPECT_EQ(reply->type, static_cast<std::uint16_t>(msg_type::stats_reply));
+  EXPECT_TRUE(parse_stats_reply(reply->payload).has_value());
 }
 
 // --- crash-only serving: journal replay, dedupe, drain deferral ---
@@ -569,6 +626,78 @@ TEST(ServeRestart, SigkillWithQueuedJobsReplaysByteIdentically) {
 
   fixture.shutdown();
   std::remove(journal.c_str());
+}
+
+TEST(ServeRestart, ShutdownDuringRespawnBackoffEndsClean) {
+  const std::string path = unique_socket_path();
+  respawn_config config;
+  config.server = quick_config(path);
+  config.backoff.base_delay_ms = 30000.0;  // park the respawn for 30 s
+  config.backoff.max_delay_ms = 30000.0;
+  config.backoff.jitter = 0.0;
+  respawn_supervisor supervisor(config);
+  respawn_stats stats;
+  std::thread runner([&] { stats = supervisor.run(); });
+  ASSERT_TRUE(wait_for_path(path, 10.0));
+
+  // Crash the only generation and wait until the supervisor has reaped
+  // it: no generation is alive, the respawn is parked in its backoff.
+  supervisor.kill_child();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (supervisor.child_pid() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_LE(supervisor.child_pid(), 0);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  supervisor.request_shutdown();
+  runner.join();
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  EXPECT_LT(waited_s, 5.0) << "shutdown waited out the respawn backoff";
+  EXPECT_TRUE(stats.clean_exit);
+  EXPECT_FALSE(stats.gave_up);
+  EXPECT_EQ(stats.generations, 1u);
+  // The one generation died abnormally: by the SIGKILL, or — under TSan,
+  // which stops a forked child that starts threads — by exiting first.
+  EXPECT_EQ(stats.crashes + stats.failures, 1u);
+  std::remove(path.c_str());  // the killed generation never unlinked it
+}
+
+TEST(ServeRestart, RepeatedShutdownCannotCleanAFailedDrain) {
+  const std::string path = unique_socket_path();
+  respawn_config config;
+  config.server = quick_config(path);
+  respawn_supervisor supervisor(config);
+  respawn_stats stats;
+  std::atomic<bool> returned{false};
+  std::thread runner([&] {
+    stats = supervisor.run();
+    returned.store(true);
+  });
+  ASSERT_TRUE(wait_for_path(path, 10.0));
+
+  // Ask the live generation to drain, kill it mid-drain, and keep asking
+  // (a second SIGINT/SIGTERM) until run() returns — also in the moment
+  // after the dead generation is reaped.  Only the first request, made
+  // while the generation lived, decides: the verdict is clean exactly when
+  // the generation exited 0 (it may finish its drain before the SIGKILL).
+  // The premise is a generation alive at the first request, which a TSan
+  // build cannot give (it kills a forked child that starts threads).
+  supervisor.request_shutdown();
+  supervisor.kill_child();
+  while (!returned.load()) {
+    supervisor.request_shutdown();
+    std::this_thread::yield();
+  }
+  runner.join();
+  EXPECT_EQ(stats.generations, 1u);
+  EXPECT_FALSE(stats.gave_up);
+  EXPECT_EQ(stats.clean_exit, stats.crashes + stats.failures == 0);
+  std::remove(path.c_str());
 }
 
 TEST(ServeRestart, DuplicateClientKeyExecutesOnce) {

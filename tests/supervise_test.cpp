@@ -113,6 +113,16 @@ TEST(Wire, RecordRoundTripAndTamperRejection) {
   // A sealed but field-damaged payload fails the parse.
   EXPECT_FALSE(fault::wire::parse_record("R 1 9 0 0 0 0 0 0 0 0 0 0 0 0 0 0")
                    .has_value());
+  // A row one field short — the 17-token shape journals had before the
+  // replica_divergences column — is rejected now, so a pre-upgrade journal
+  // recomputes those experiments on resume.
+  const std::size_t replica_at = payload.rfind(" 5 2 1");
+  ASSERT_NE(replica_at, std::string::npos);
+  std::string short_row = payload;
+  short_row.erase(replica_at, 2);
+  EXPECT_EQ(short_row, "R 42 1 123456789 61 17 1 7 8 1 1 6 8 3 3 2 1");
+  EXPECT_FALSE(fault::wire::parse_record(short_row).has_value());
+  EXPECT_FALSE(fault::wire::parse_record(payload + " 0").has_value());
 }
 
 TEST(Wire, DetectedReplicaOutcomeRoundTrips) {
@@ -137,46 +147,6 @@ TEST(Wire, DetectedReplicaOutcomeRoundTrips) {
   EXPECT_EQ(parsed->record.replica_divergences, 1u);
   EXPECT_EQ(parsed->record.result, fault::outcome::detected_recovered);
   EXPECT_EQ(fault::wire::record_payload(9, parsed->record), payload);
-}
-
-TEST(Wire, LegacyRecordWithoutReplicaFieldParses) {
-  // Journals written before the replica_divergences column carry one token
-  // less; they must parse with the field defaulting to zero so a resumed
-  // campaign can read its own pre-upgrade checkpoint.
-  fault::injection_record r;
-  r.fired = true;
-  r.result = fault::outcome::detected_degraded;
-  r.detections = 2;
-  r.replica_divergences = 4;
-  r.retries = 1;
-  r.frames_degraded = 1;
-  std::string payload = fault::wire::record_payload(3, r);
-
-  // Drop the replica_divergences token (16th field counting the "R" tag).
-  std::vector<std::string> tokens;
-  std::size_t begin = 0;
-  while (begin <= payload.size()) {
-    const std::size_t space = payload.find(' ', begin);
-    tokens.push_back(payload.substr(
-        begin, space == std::string::npos ? space : space - begin));
-    begin = space == std::string::npos ? payload.size() + 1 : space + 1;
-  }
-  ASSERT_EQ(tokens.size(), 18u);
-  EXPECT_EQ(tokens[15], "4");
-  tokens.erase(tokens.begin() + 15);
-  std::string legacy;
-  for (const auto& token : tokens) {
-    if (!legacy.empty()) legacy.push_back(' ');
-    legacy += token;
-  }
-
-  const auto parsed = fault::wire::parse_record(legacy);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->record.replica_divergences, 0u);
-  EXPECT_EQ(parsed->record.detections, 2u);
-  EXPECT_EQ(parsed->record.retries, 1u);
-  EXPECT_EQ(parsed->record.frames_degraded, 1u);
-  EXPECT_EQ(parsed->record.result, fault::outcome::detected_degraded);
 }
 
 TEST(Supervisor, ShardedMatchesReferenceAtAnyJobCount) {
@@ -265,6 +235,71 @@ TEST(Supervisor, RecoversFromTruncatedAndGarbledJournalTail) {
   EXPECT_EQ(records_key(resumed.campaign.records),
             records_key(first.campaign.records));
   EXPECT_EQ(resumed.campaign.records.size(), 24u);
+  std::remove(path.c_str());
+}
+
+TEST(Supervisor, PreUpgradeRecordRowsAreRecomputedOnResume) {
+  // A journal written before the replica_divergences column: every R row
+  // has 17 tokens, and every shard still has its C checkpoint.  The rows no
+  // longer parse, so resume must recompute every experiment — a checkpoint
+  // whose records are gone must not count the shard as done.
+  const auto work = wp_workload();
+  const auto campaign = small_campaign(24);
+  const auto reference = fault::run_campaign(work, campaign);
+  const std::string path = temp_path("supervise_pre_upgrade.journal");
+  std::remove(path.c_str());
+
+  supervise::supervisor_config config;
+  config.jobs = 1;
+  config.shard_size = 5;
+  config.journal_path = path;
+  (void)supervise::run_sharded_campaign(work, campaign, config);
+
+  std::ifstream in(path, std::ios::binary);
+  std::string rewritten;
+  std::size_t old_rows = 0;
+  std::size_t checkpoints = 0;
+  for (std::string line; std::getline(in, line);) {
+    const auto payload = fault::wire::unseal(line);
+    ASSERT_TRUE(payload.has_value());
+    std::string out = *payload;
+    if (out.rfind("R ", 0) == 0) {
+      // Drop token 15 (replica_divergences): R index cls target bit reg_id
+      // scoped scope scope_b live fired outcome fired_scope fired_kind
+      // detections [replica_divergences] retries frames_degraded.
+      std::istringstream tokens(out);
+      std::vector<std::string> fields;
+      for (std::string t; tokens >> t;) fields.push_back(t);
+      ASSERT_EQ(fields.size(), 18u);
+      fields.erase(fields.begin() + 15);
+      out = fields[0];
+      for (std::size_t i = 1; i < fields.size(); ++i) out += ' ' + fields[i];
+      ++old_rows;
+    } else if (out.rfind("C ", 0) == 0) {
+      ++checkpoints;
+    }
+    rewritten += fault::wire::seal(out) + '\n';
+  }
+  in.close();
+  ASSERT_EQ(old_rows, 24u);
+  ASSERT_EQ(checkpoints, 5u);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << rewritten;
+  }
+  const auto state = supervise::load_journal(path);
+  EXPECT_EQ(state.records.size(), 0u);
+  EXPECT_EQ(state.completed_shards.size(), 5u);
+  EXPECT_EQ(state.skipped_lines, 24u);
+
+  config.resume = true;
+  const auto resumed = supervise::run_sharded_campaign(work, campaign, config);
+  EXPECT_EQ(resumed.campaign.records.size(), 24u);
+  EXPECT_EQ(records_key(resumed.campaign.records),
+            records_key(reference.records));
+  EXPECT_EQ(resumed.campaign.rates.to_string(), reference.rates.to_string());
+  EXPECT_EQ(resumed.stats.shards_resumed, 0u);
+  EXPECT_EQ(resumed.stats.records_recovered, 0u);
   std::remove(path.c_str());
 }
 

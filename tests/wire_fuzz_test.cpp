@@ -321,22 +321,15 @@ TEST(ProtocolFuzz, SubmitRoundTripPreservesEveryField) {
   EXPECT_EQ(back->fault.target, request.fault.target);
   EXPECT_EQ(back->fault.bit, request.fault.bit);
   EXPECT_EQ(back->fault.step_budget, request.fault.step_budget);
-}
 
-TEST(ProtocolFuzz, LegacySevenFieldSubmitStillParses) {
-  // A pre-crash-only client sends only the original 7 fields; the server
-  // must accept it as a keyless, unarmed request.
-  const auto back = serve::parse_submit("J 1 2 24 1 0 500 4");
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->input, video::input_id::input2);
-  EXPECT_EQ(back->alg, app::algorithm::vs_kds);
-  EXPECT_EQ(back->frames, 24);
-  EXPECT_TRUE(back->client_key.empty());
-  EXPECT_FALSE(back->fault.armed);
-  // Any other field count between the two shapes is garbage.
+  // Only the full 13-field shape parses: the 7-field pre-idempotency-key
+  // request is rejected now, like any field count in between.
+  EXPECT_FALSE(serve::parse_submit("J 1 2 24 1 0 500 4").has_value());
   EXPECT_FALSE(serve::parse_submit("J 1 2 24 1 0 500 4 key").has_value());
   EXPECT_FALSE(
       serve::parse_submit("J 1 2 24 1 0 500 4 key 1 0 9 3").has_value());
+  EXPECT_TRUE(
+      serve::parse_submit("J 1 2 24 1 0 500 4 key 1 0 9 3 0").has_value());
 }
 
 // --- serve job journal on top of the sealed line protocol ---
@@ -390,8 +383,8 @@ void write_journal(const std::string& path,
 std::string replay_key(const std::vector<serve::journaled_job>& jobs) {
   std::string out;
   for (const auto& j : jobs) {
-    out += std::to_string(j.id) + ":" +
-           serve::request_fields_payload(j.request) + "\n";
+    out += std::to_string(j.id) + ":" + serve::deferred_payload(j.request) +
+           "\n";
   }
   return out;
 }
@@ -416,8 +409,8 @@ TEST(JournalFuzz, CleanJournalReplaysUnsettledPlusDeferred) {
   EXPECT_GT(replay[3].id, 5u);
   EXPECT_EQ(replay[0].request.client_key, "fuzz-2");
   EXPECT_EQ(replay[3].request.client_key, "fuzz-99");
-  EXPECT_EQ(serve::request_fields_payload(replay[2].request),
-            serve::request_fields_payload(journal_request(5)));
+  EXPECT_EQ(serve::deferred_payload(replay[2].request),
+            serve::deferred_payload(journal_request(5)));
   std::remove(path.c_str());
 }
 

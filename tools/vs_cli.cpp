@@ -7,42 +7,21 @@
 // --simd it changes the output; off (the default) is bit-identical to an
 // ungated build.
 //
-//   vs generate  <input1|input2|input3> <frames> <out_dir>        write clip frames
-//   vs summarize <input1|input2|input3> [VS|VS_RFD|VS_KDS|VS_SM] [frames] [out.pgm]
-//   vs events    <input1|input2|input3> [frames] [out.ppm]        tracked summary
-//   vs inject    <input1|input2|input3> <gpr|fpr> <injections> [algorithm]
-//                [--csv=path] [--json=path] [--jobs=N] [--isolate]
-//                [--journal=path] [--resume] [--timeout=S] [--frames=N]
-//   vs quality   <golden.pgm> <faulty.pgm>                 Section V-D metric
-//   vs profile   <input1|input2|input3> [frames]                  Fig 8 breakdown
-//   vs stages                                              stage registry dump
-//   vs resil     <input1|input2|input3> [algorithm] [frames]      hardened run +
-//                [--level=off|detectors|cfcss|full]        recovery report
-//                [--retries=N] [--no-motion-reuse] [--budget-factor=F]
-//   vs fleet     <input1|input2|input3> [algorithms...] [--frames=N] [--jobs=N]
-//                [--isolate] [--timeout=S] [--budget=N]    one serve job per
-//                [--csv=path] [--json=path]                variant, on a private
-//                [--socket=PATH] [--retries=N]             in-process server or
-//                                                          the one at PATH
-//   vs serve     <socket> [--queue=N] [--runners=N] [--budget=N]
-//                [--isolate] [--timeout=S] [--report=path] summarization
-//                [--lookahead=N]                           service
-//   vs submit    <socket> <input1|input2|input3> [algorithm] [frames] [out.pgm]
-//                [--hardening=L] [--priority=interactive|batch]
-//                [--deadline=MS] [--threads=N] [--stream-dir=DIR]
-//   vs submit    <socket> --stats                          server snapshot
+// The command synopsis lives in one place, usage() below; `vs` with no
+// arguments prints it.  A malformed number is a usage error (exit 2 with
+// that synopsis), never a silently truncated value.
 
 #include <csignal>
 #include <unistd.h>
 
 #include <cctype>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -58,6 +37,7 @@
 #include "gate/gate.h"
 #include "fault/detectors.h"
 #include "fault/report.h"
+#include "fault/wire.h"
 #include "image/image_io.h"
 #include "perf/profiler.h"
 #include "pipeline/scheduler.h"
@@ -121,33 +101,35 @@ video::input_id parse_input(const std::string& name) {
   usage();
 }
 
-/// A non-negative int in decimal; anything else (empty, negative, trailing
-/// junk, out of int range) is a usage error.
+/// A non-negative int in decimal (fault::wire::parse_u64); anything else
+/// (empty, signed, trailing junk, out of int range) is a usage error.
 int parse_count(const char* text) {
-  int value = 0;
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || value < 0) usage();
-  return value;
+  const auto value = fault::wire::parse_u64(
+      text, static_cast<std::uint64_t>(std::numeric_limits<int>::max()));
+  if (!value) usage();
+  return static_cast<int>(*value);
 }
 
-/// A non-negative, finite number of seconds (fractions allowed); anything
-/// else is a usage error.
+/// A non-negative, finite number of seconds (fault::wire::parse_nonneg);
+/// anything else is a usage error.
 double parse_seconds(const char* text) {
-  double value = 0.0;
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
-      !(value >= 0.0)) {
-    usage();
-  }
+  const auto value = fault::wire::parse_nonneg(text);
+  if (!value) usage();
+  return *value;
+}
+
+/// A finite multiplier > 0 (fractions allowed); anything else is a usage
+/// error.
+double parse_factor(const char* text) {
+  const double value = parse_seconds(text);
+  if (!(value > 0.0)) usage();
   return value;
 }
 
 int cmd_generate(int argc, char** argv) {
   if (argc < 5) usage();
   const auto input = parse_input(argv[2]);
-  const int frames = std::atoi(argv[3]);
+  const int frames = parse_count(argv[3]);
   const std::string out_dir = argv[4];
   const auto source = video::make_input(input, frames);
   for (int i = 0; i < source->frame_count(); ++i) {
@@ -165,7 +147,7 @@ int cmd_summarize(int argc, char** argv) {
   const auto input = parse_input(argv[2]);
   app::pipeline_config config;
   if (argc > 3) config.approx.alg = app::parse_algorithm(argv[3]);
-  const int frames = argc > 4 ? std::atoi(argv[4]) : 48;
+  const int frames = argc > 4 ? parse_count(argv[4]) : 48;
   const std::string out = argc > 5 ? argv[5] : "panorama.pgm";
 
   const auto source = video::make_input(input, frames);
@@ -187,7 +169,7 @@ int cmd_summarize(int argc, char** argv) {
 int cmd_events(int argc, char** argv) {
   if (argc < 3) usage();
   const auto input = parse_input(argv[2]);
-  const int frames = argc > 3 ? std::atoi(argv[3]) : 48;
+  const int frames = argc > 3 ? parse_count(argv[3]) : 48;
   const std::string out = argc > 4 ? argv[4] : "events.ppm";
 
   const auto source = video::make_input(input, frames);
@@ -411,7 +393,7 @@ int cmd_quality(int argc, char** argv) {
 int cmd_profile(int argc, char** argv) {
   if (argc < 3) usage();
   const auto input = parse_input(argv[2]);
-  const int frames = argc > 3 ? std::atoi(argv[3]) : 48;
+  const int frames = argc > 3 ? parse_count(argv[3]) : 48;
   const auto source = video::make_input(input, frames);
   rt::session session;
   (void)app::summarize(*source, app::pipeline_config{});
@@ -501,16 +483,16 @@ int cmd_resil(int argc, char** argv) {
     if (std::strncmp(argv[i], "--level=", 8) == 0) {
       config.hardening.level = resil::parse_hardening_level(argv[i] + 8);
     } else if (std::strncmp(argv[i], "--retries=", 10) == 0) {
-      config.hardening.max_frame_retries = std::atoi(argv[i] + 10);
+      config.hardening.max_frame_retries = parse_count(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--replicate=", 12) == 0) {
       config.hardening.replicate_stages =
           pipeline::parse_replicate_stages(argv[i] + 12);
     } else if (std::strcmp(argv[i], "--no-motion-reuse") == 0) {
       config.hardening.reuse_last_motion = false;
     } else if (std::strncmp(argv[i], "--budget-factor=", 16) == 0) {
-      budget_factor = std::atof(argv[i] + 16);
+      budget_factor = parse_factor(argv[i] + 16);
     } else if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
-      frames = std::atoi(argv[i]);
+      frames = parse_count(argv[i]);
     } else {
       config.approx.alg = app::parse_algorithm(argv[i]);
     }
