@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Campaign bit-identity gate.
 #
-# Runs the reference injection campaign (`fault_campaign VS gpr 120 10`)
-# three ways — plain in-process, supervised with one job, and supervised
-# with four isolated worker processes — and compares the four outcome
-# rates of each against ci/golden_campaign.txt.  The instrumented lane
-# addresses fault sites by dynamic-op index, so the distribution is a
-# fingerprint of the whole hook stream: it only matches if every rt:: hook
-# still fires in the same order with the same count.  The supervised runs
-# additionally pin the sharding determinism contract: the merged
-# distribution must be bit-identical at any job count, isolated or not.
+# Runs the reference injection campaign
+# (`vs inject input1 gpr 120 VS --frames=10`) three ways — in this
+# process, under the supervisor with one forked worker, and under the
+# supervisor with four — and compares the four outcome rates of each
+# against ci/golden_campaign.txt.  The instrumented lane addresses fault
+# sites by dynamic-op index, so the distribution is a fingerprint of the
+# whole hook stream: it only matches if every rt:: hook still fires in the
+# same order with the same count.  The supervised runs additionally pin
+# the sharding determinism contract: the merged distribution must be
+# bit-identical at any job count.
 #
 # The hardened matrix extends the gate along the selective-replication
 # axis: `--harden --replicate={off,geometry,all}` at level full must match
@@ -18,33 +19,39 @@
 # ci/golden_campaign.txt unchanged: the hardening stack must be inert when
 # off.
 #
-# The gating axis (src/gate/) adds two rows: a forced `--gate=off` run
+# The gating axis (src/gate/) adds two rows: a forced `vs --gate=off` run
 # must reproduce ci/golden_campaign.txt bit-identically (a disarmed gate
-# contributes nothing to the hook stream), and `--gate=all` must match its
-# own golden, ci/golden_campaign_gate_all.txt (the gated workload's
+# contributes nothing to the hook stream), and `vs --gate=all` must match
+# its own golden, ci/golden_campaign_gate_all.txt (the gated workload's
 # distinct hook-stream fingerprint).
 #
-# Usage: ci/check_campaign_gate.sh [path/to/fault_campaign]
+# Usage: ci/check_campaign_gate.sh [path/to/vs]
 set -euo pipefail
 
-campaign_bin="${1:-build/examples/fault_campaign}"
+vs_bin="${1:-build/tools/vs}"
 golden="$(dirname "$0")/golden_campaign.txt"
 golden_hardened="$(dirname "$0")/golden_campaign_hardened.txt"
 golden_gate_all="$(dirname "$0")/golden_campaign_gate_all.txt"
 
-if [[ ! -x "$campaign_bin" ]]; then
-  echo "error: campaign binary not found at $campaign_bin" >&2
+if [[ ! -x "$vs_bin" ]]; then
+  echo "error: vs binary not found at $vs_bin" >&2
   exit 2
 fi
 
 expected="$(grep -v '^#' "$golden")"
 fail=0
 
+# The reference campaign.  vs reads its global --gate=LEVEL flag at any
+# position, so the gating rows append it like any other option.
+campaign() {
+  "$vs_bin" inject input1 gpr 120 VS --frames=10 "$@"
+}
+
 check_variant() {
   local label="$1"
   shift
   local out
-  out="$("$campaign_bin" VS gpr 120 10 "$@")"
+  out="$(campaign "$@")"
   echo "$out"
   echo
 
@@ -70,7 +77,7 @@ check_variant() {
 check_hardened() {
   local rep="$1"
   local out
-  out="$("$campaign_bin" VS gpr 120 10 --harden --replicate="$rep")"
+  out="$(campaign --harden --replicate="$rep")"
   echo "$out"
   echo
 
@@ -98,7 +105,7 @@ check_hardened() {
 
 check_gate_all() {
   local out
-  out="$("$campaign_bin" VS gpr 120 10 --gate=all)"
+  out="$(campaign --gate=all)"
   echo "$out"
   echo
 
@@ -124,7 +131,7 @@ check_gate_all() {
 
 check_variant "in-process"
 check_variant "supervised jobs=1" --jobs=1
-check_variant "supervised jobs=4 isolate" --jobs=4 --isolate
+check_variant "supervised jobs=4" --jobs=4
 check_variant "gate=off forced" --gate=off
 check_hardened off
 check_hardened geometry

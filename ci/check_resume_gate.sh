@@ -7,33 +7,33 @@
 # journal flushing, torn-tail skipping on load, journal identity
 # validation, shard-granular resume, and experiment-order merging.
 #
-# Usage: ci/check_resume_gate.sh [path/to/fault_campaign]
+# Usage: ci/check_resume_gate.sh [path/to/vs]
 set -euo pipefail
 
-campaign_bin="${1:-build/examples/fault_campaign}"
+vs_bin="${1:-build/tools/vs}"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
-if [[ ! -x "$campaign_bin" ]]; then
-  echo "error: campaign binary not found at $campaign_bin" >&2
+if [[ ! -x "$vs_bin" ]]; then
+  echo "error: vs binary not found at $vs_bin" >&2
   exit 2
 fi
 
-args=(VS gpr 60 8 --jobs=2 --isolate)
+args=(inject input1 gpr 60 VS --frames=8 --jobs=2)
 
 distribution() {
   awk '/^  (masked|crash|sdc|hang)/ { print $1, $2 }' "$1"
 }
 
 # Reference: the same supervised campaign, uninterrupted.
-"$campaign_bin" "${args[@]}" --journal="$workdir/ref.journal" \
+"$vs_bin" "${args[@]}" --journal="$workdir/ref.journal" \
   > "$workdir/ref.out"
 ref_records="$(grep -c '^R ' "$workdir/ref.journal")"
 
 # Interrupted run: SIGKILL the supervisor once the journal shows some (but
 # not all) completed experiments.  SIGKILL, not SIGTERM: nothing gets to
 # flush or clean up, which is exactly the failure the journal must survive.
-"$campaign_bin" "${args[@]}" --journal="$workdir/kill.journal" \
+"$vs_bin" "${args[@]}" --journal="$workdir/kill.journal" \
   > "$workdir/kill.out" 2>&1 &
 pid=$!
 killed=0
@@ -55,7 +55,7 @@ echo "interrupted run: killed=$killed," \
      "of $ref_records records journaled"
 
 # Resume and compare against the uninterrupted reference.
-"$campaign_bin" "${args[@]}" --journal="$workdir/kill.journal" --resume \
+"$vs_bin" "${args[@]}" --journal="$workdir/kill.journal" --resume \
   > "$workdir/resume.out"
 cat "$workdir/resume.out"
 echo

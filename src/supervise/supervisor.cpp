@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -20,9 +19,7 @@ namespace {
 
 // How one worker attempt ended, with everything it streamed back first.
 struct attempt_result {
-  enum class ending { clean, signal, timeout, failure };
-  ending how = ending::failure;
-  int signal = 0;                        ///< valid when how == signal
+  fork_ending ending;
   std::vector<std::string> payloads;     ///< validated wire payloads, in order
   std::optional<std::size_t> in_flight;  ///< experiment begun but not finished
   std::string error;                     ///< worker-reported failure message
@@ -52,38 +49,6 @@ void fold_payload(std::string_view payload, attempt_result& out) {
       break;
   }
   out.payloads.emplace_back(payload);
-}
-
-// Forks `body(write_fd)` under the shared fork runner and folds the byte
-// stream it produces back into line-protocol semantics: sealed wire lines
-// (a torn tail is dropped), in-flight tracking, exit classification.
-attempt_result run_forked_attempt(const std::function<void(int)>& body,
-                                  double timeout_s) {
-  attempt_result out;
-  fault::wire::line_reader lines;
-  const auto fold = [&out](std::string_view payload) {
-    fold_payload(payload, out);
-  };
-  const fork_ending ending = run_forked(
-      body, timeout_s, [&](const char* data, std::size_t size) {
-        lines.feed(std::string_view(data, size), fold);
-      });
-  switch (ending.how) {
-    case fork_ending::kind::clean:
-      out.how = attempt_result::ending::clean;
-      break;
-    case fork_ending::kind::signal:
-      out.how = attempt_result::ending::signal;
-      out.signal = ending.sig;
-      break;
-    case fork_ending::kind::timeout:
-      out.how = attempt_result::ending::timeout;
-      break;
-    case fork_ending::kind::failure:
-      out.how = attempt_result::ending::failure;
-      break;
-  }
-  return out;
 }
 
 void sleep_ms(double ms) {
@@ -143,46 +108,36 @@ void commit_record(campaign_context& ctx, std::size_t index,
   }
 }
 
+// Runs one shard attempt in a forked worker (fork_runner.h) — a real
+// SIGSEGV or runaway loop ends the worker, never the supervisor — and folds
+// the byte stream it produces back into line-protocol semantics: sealed
+// wire lines (a torn tail is dropped), in-flight tracking, exit
+// classification.
 attempt_result run_shard_attempt(campaign_context& ctx,
                                  const std::vector<std::size_t>& todo) {
-  if (ctx.config.isolate) {
-    return run_forked_attempt(
-        [&](int fd) {
-          try {
-            for (const std::size_t index : todo) {
-              child_begin(fd, index);
-              const fault::injection_record record = fault::run_experiment(
-                  ctx.work, ctx.campaign, ctx.setup, index);
-              child_write_line(fd,
-                               fault::wire::record_payload(index, record));
-            }
-          } catch (const std::exception& e) {
-            child_fail(fd, &e);
-          } catch (...) {
-            child_fail(fd, nullptr);
-          }
-        },
-        ctx.config.shard_timeout_s);
-  }
-  // In-process lane: same protocol semantics without the fork.  Exceptions
-  // become a `failure` ending (retried, then quarantined) — but a real
-  // SIGSEGV or runaway loop is NOT contained here; that containment is
-  // exactly what isolation buys.
-  attempt_result out;
-  out.how = attempt_result::ending::clean;
-  for (const std::size_t index : todo) {
-    out.in_flight = index;
+  const auto body = [&](int fd) {
     try {
-      const fault::injection_record record =
-          fault::run_experiment(ctx.work, ctx.campaign, ctx.setup, index);
-      out.payloads.push_back(fault::wire::record_payload(index, record));
-      out.in_flight.reset();
+      for (const std::size_t index : todo) {
+        child_begin(fd, index);
+        const fault::injection_record record =
+            fault::run_experiment(ctx.work, ctx.campaign, ctx.setup, index);
+        child_write_line(fd, fault::wire::record_payload(index, record));
+      }
     } catch (const std::exception& e) {
-      out.how = attempt_result::ending::failure;
-      out.error = e.what();
-      break;
+      child_fail(fd, &e);
+    } catch (...) {
+      child_fail(fd, nullptr);
     }
-  }
+  };
+  attempt_result out;
+  fault::wire::line_reader lines;
+  const auto fold = [&out](std::string_view payload) {
+    fold_payload(payload, out);
+  };
+  out.ending = run_forked(body, ctx.config.shard_timeout_s,
+                          [&](const char* data, std::size_t size) {
+                            lines.feed(std::string_view(data, size), fold);
+                          });
   return out;
 }
 
@@ -220,12 +175,12 @@ void process_shard(campaign_context& ctx, std::size_t shard) {
       }
     }
 
-    switch (attempt.how) {
-      case attempt_result::ending::clean:
+    switch (attempt.ending.how) {
+      case fork_ending::kind::clean:
         break;
-      case attempt_result::ending::signal:
-      case attempt_result::ending::timeout: {
-        const bool hung = attempt.how == attempt_result::ending::timeout;
+      case fork_ending::kind::signal:
+      case fork_ending::kind::timeout: {
+        const bool hung = attempt.ending.how == fork_ending::kind::timeout;
         {
           const std::lock_guard<std::mutex> lock(ctx.mutex);
           ++(hung ? ctx.stats.worker_timeouts : ctx.stats.worker_crashes);
@@ -242,13 +197,13 @@ void process_shard(campaign_context& ctx, std::size_t shard) {
           record.register_live = plan.register_live;
           record.fired = true;
           record.result =
-              hung ? fault::outcome::hang : classify_signal(attempt.signal);
+              hung ? fault::outcome::hang : classify_signal(attempt.ending.sig);
           commit_record(ctx, *attempt.in_flight, record);
           progress = true;
         }
         break;
       }
-      case attempt_result::ending::failure:
+      case fork_ending::kind::failure:
         if (!attempt.error.empty()) {
           log::warn("supervisor: shard ", shard,
                     " worker failed: ", attempt.error);
@@ -256,7 +211,7 @@ void process_shard(campaign_context& ctx, std::size_t shard) {
         break;
     }
 
-    if (attempt.how == attempt_result::ending::clean && progress) {
+    if (attempt.ending.how == fork_ending::kind::clean && progress) {
       consecutive_failures = 0;
       continue;  // next loop iteration re-checks for stragglers
     }

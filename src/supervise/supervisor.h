@@ -27,8 +27,7 @@
 // Determinism contract: experiment plans are a pure function of
 // (campaign.seed, index) and workers merge in experiment order, so the
 // aggregated outcome distribution is bit-identical to the single-process
-// reference at any job count, with isolation on or off — enforced by
-// ci/check_campaign_gate.sh.
+// reference at any job count — enforced by ci/check_campaign_gate.sh.
 #pragma once
 
 #include <string>
@@ -40,9 +39,7 @@
 namespace vs::supervise {
 
 struct supervisor_config {
-  int jobs = 1;        ///< concurrent workers (threads, or processes when
-                       ///< isolate)
-  bool isolate = false;  ///< fork one process per shard attempt
+  int jobs = 1;        ///< concurrent forked worker processes
   std::size_t shard_size = 0;   ///< experiments per shard; 0 = auto
   double shard_timeout_s = 0.0; ///< wall-clock watchdog per attempt; 0 = off
   int max_failures = 3;  ///< consecutive no-progress failures -> quarantine

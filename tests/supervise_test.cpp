@@ -155,20 +155,14 @@ TEST(Supervisor, ShardedMatchesReferenceAtAnyJobCount) {
   const auto reference = fault::run_campaign(work, campaign);
   const std::string ref_key = records_key(reference.records);
 
-  for (const bool isolate : {false, true}) {
-    supervise::supervisor_config config;
-    config.jobs = 2;
-    config.isolate = isolate;
-    config.shard_size = 7;  // deliberately not a divisor of 40
-    const auto sharded = supervise::run_sharded_campaign(work, campaign, config);
-    EXPECT_EQ(records_key(sharded.campaign.records), ref_key)
-        << "isolate=" << isolate;
-    EXPECT_EQ(sharded.campaign.rates.to_string(),
-              reference.rates.to_string())
-        << "isolate=" << isolate;
-    EXPECT_EQ(sharded.stats.quarantined.size(), 0u);
-    EXPECT_EQ(sharded.stats.worker_crashes, 0u);
-  }
+  supervise::supervisor_config config;
+  config.jobs = 2;
+  config.shard_size = 7;  // deliberately not a divisor of 40
+  const auto sharded = supervise::run_sharded_campaign(work, campaign, config);
+  EXPECT_EQ(records_key(sharded.campaign.records), ref_key);
+  EXPECT_EQ(sharded.campaign.rates.to_string(), reference.rates.to_string());
+  EXPECT_EQ(sharded.stats.quarantined.size(), 0u);
+  EXPECT_EQ(sharded.stats.worker_crashes, 0u);
 }
 
 TEST(Supervisor, JournalRoundTripAndFullResume) {
@@ -342,10 +336,14 @@ TEST(Supervisor, RejectsPreRestrictedCampaign) {
 }
 
 // Workload that dies of a *real* SIGSEGV — not a guarded crash_error — in a
-// deterministic subset of experiments.  Only processes isolation survives.
+// deterministic subset of experiments.  Only process isolation survives.
 fault::workload segv_workload() {
   return [] {
     if (rt::tls.enabled && rt::tls.armed && rt::tls.target % 5 == 3) {
+      // Restore the default action first: a sanitizer's SIGSEGV handler
+      // would otherwise turn the raise into an abort, and the worker would
+      // not die by the signal under test.
+      std::signal(SIGSEGV, SIG_DFL);
       std::raise(SIGSEGV);
     }
     return app::run_wp(wp_source(), app::wp_default_transform());
@@ -366,7 +364,6 @@ TEST(Supervisor, WorkerSignalDeathClassifiedAsCrashAndShardRetried) {
 
   supervise::supervisor_config config;
   config.jobs = 2;
-  config.isolate = true;
   config.shard_size = 7;
   config.backoff = fast_backoff();
   const auto sharded =
@@ -413,7 +410,6 @@ TEST(Supervisor, WatchdogKillsWedgedWorkerAndClassifiesHang) {
 
   supervise::supervisor_config config;
   config.jobs = 2;
-  config.isolate = true;
   config.shard_size = 6;
   config.shard_timeout_s = 0.4;
   config.backoff = fast_backoff();
@@ -449,25 +445,22 @@ fault::workload poison_workload() {
 }
 
 TEST(Supervisor, QuarantinesShardAfterPersistentFailures) {
-  for (const bool isolate : {false, true}) {
-    const auto campaign = small_campaign(12);
-    supervise::supervisor_config config;
-    config.jobs = 1;
-    config.isolate = isolate;
-    config.shard_size = 12;
-    config.max_failures = 2;
-    config.backoff = fast_backoff();
-    const auto sharded =
-        supervise::run_sharded_campaign(poison_workload(), campaign, config);
-    // Dead-register experiments classify as masked without executing the
-    // workload, so they complete even under total poisoning; the campaign
-    // still terminates, with the unfinishable shard abandoned.
-    ASSERT_EQ(sharded.stats.quarantined.size(), 1u) << "isolate=" << isolate;
-    EXPECT_LT(sharded.campaign.records.size(), 12u) << "isolate=" << isolate;
-    EXPECT_EQ(sharded.campaign.rates.experiments,
-              sharded.campaign.records.size());
-    EXPECT_GE(sharded.stats.retries, 1u);
-  }
+  const auto campaign = small_campaign(12);
+  supervise::supervisor_config config;
+  config.jobs = 1;
+  config.shard_size = 12;
+  config.max_failures = 2;
+  config.backoff = fast_backoff();
+  const auto sharded =
+      supervise::run_sharded_campaign(poison_workload(), campaign, config);
+  // Dead-register experiments classify as masked without executing the
+  // workload, so they complete even under total poisoning; the campaign
+  // still terminates, with the unfinishable shard abandoned.
+  ASSERT_EQ(sharded.stats.quarantined.size(), 1u);
+  EXPECT_LT(sharded.campaign.records.size(), 12u);
+  EXPECT_EQ(sharded.campaign.rates.experiments,
+            sharded.campaign.records.size());
+  EXPECT_GE(sharded.stats.retries, 1u);
 }
 
 }  // namespace

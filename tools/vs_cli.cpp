@@ -34,6 +34,7 @@
 #include "core/simd.h"
 #include "core/thread_pool.h"
 #include "fault/analysis.h"
+#include "fault/coverage.h"
 #include "gate/gate.h"
 #include "fault/detectors.h"
 #include "fault/report.h"
@@ -44,6 +45,7 @@
 #include "pipeline/stage.h"
 #include "resil/cfcss.h"
 #include "quality/metric.h"
+#include "quality/sdc.h"
 #include "resil/runtime.h"
 #include "serve/campaign.h"
 #include "serve/client.h"
@@ -66,7 +68,7 @@ using namespace vs;
       "  vs events    <input1|input2|input3> [frames] [out.ppm]\n"
       "  vs inject    <input1|input2|input3> <gpr|fpr> <injections> [algorithm]\n"
       "               [--harden[=LEVEL]] [--replicate=STAGES]\n"
-      "               [--csv=path] [--json=path] [--jobs=N] [--isolate]\n"
+      "               [--csv=path] [--json=path] [--jobs=N]\n"
       "               [--journal=path] [--resume] [--timeout=S]\n"
       "               [--serve] [--serve-kill=N] [--frames=N]\n"
       "  vs quality   <golden.pnm> <faulty.pnm>\n"
@@ -192,6 +194,11 @@ int cmd_events(int argc, char** argv) {
   return 0;
 }
 
+// `vs inject` is the one campaign front end (Section V's AFI workflow).
+// Offline it runs the campaign in this process, or — with any of
+// --jobs/--journal/--resume/--timeout — under the supervisor, which forks
+// a worker per shard attempt.  --serve fires the same planned injections
+// through a resident server instead.
 int cmd_inject(int argc, char** argv) {
   if (argc < 5) usage();
   const auto input = parse_input(argv[2]);
@@ -223,9 +230,6 @@ int cmd_inject(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
       super.jobs = parse_count(argv[i] + 7);
       supervised = true;
-    } else if (std::strcmp(argv[i], "--isolate") == 0) {
-      super.isolate = true;
-      supervised = true;
     } else if (std::strncmp(argv[i], "--journal=", 10) == 0) {
       super.journal_path = argv[i] + 10;
       supervised = true;
@@ -252,6 +256,13 @@ int cmd_inject(int argc, char** argv) {
   // resident supervised server and classified from the client's chair
   // (serve/campaign.h).
   if (serve_campaign) {
+    if (supervised || !harden_level.empty() || replicate_set ||
+        !csv_path.empty()) {
+      std::fprintf(stderr,
+                   "vs inject: --serve takes none of --harden, --replicate, "
+                   "--csv, --jobs, --journal, --resume, --timeout\n");
+      usage();
+    }
     serve::serve_campaign_config sc;
     sc.input = input;
     sc.alg = config.approx.alg;
@@ -296,12 +307,19 @@ int cmd_inject(int argc, char** argv) {
   }
 
   const auto source = video::make_input(input, frames);
+  const gate::level gating = gate::resolve(config.gate.request);
+  std::printf("campaign: %s, %s, %d injections, %d-frame %s clip, gate=%s\n",
+              app::algorithm_name(config.approx.alg), fpr ? "FPR" : "GPR",
+              injections, frames, video::input_name(input),
+              gate::level_name(gating));
   if (!harden_level.empty()) {
     config.hardening.level = resil::parse_hardening_level(harden_level);
     if (replicate_set) {
       config.hardening.replicate_stages =
           pipeline::parse_replicate_stages(replicate_spec);
     }
+    // Stage budgets and the output-detector envelope come from one
+    // fault-free profiled (unhardened) run.
     app::calibrate_hardening(*source, config, frames)
         .apply_to(config.hardening);
     std::printf("hardening: level=%s replication=%s\n",
@@ -313,6 +331,8 @@ int cmd_inject(int argc, char** argv) {
   fault::campaign_config campaign;
   campaign.cls = fpr ? rt::reg_class::fpr : rt::reg_class::gpr;
   campaign.injections = injections;
+  // Worker pipes carry records, not SDC images.
+  campaign.keep_sdc_outputs = !supervised;
   const fault::workload work = [&] {
     return app::summarize(*source, config).panorama;
   };
@@ -320,7 +340,9 @@ int cmd_inject(int argc, char** argv) {
   if (supervised) {
     super.workload_label = std::string(video::input_name(input)) + "/" +
                            app::algorithm_name(config.approx.alg) +
-                           (fpr ? "/fpr" : "/gpr") +
+                           (fpr ? "/fpr" : "/gpr") + "/f" +
+                           std::to_string(frames) + "/gate=" +
+                           gate::level_name(gating) +
                            (harden_level.empty() ? "" : "/" + harden_level) +
                            (replicate_set ? "/r=" + replicate_spec : "");
     auto sharded = supervise::run_sharded_campaign(work, campaign, super);
@@ -336,7 +358,25 @@ int cmd_inject(int argc, char** argv) {
     result = fault::run_campaign(work, campaign);
   }
 
-  std::printf("%s\n", result.rates.to_string().c_str());
+  // Fixed-format outcome block: ci/check_campaign_gate.sh and
+  // ci/check_resume_gate.sh parse these lines.
+  const auto& r = result.rates;
+  std::printf("\noutcomes over %zu experiments:\n", r.experiments);
+  std::printf("  masked          %6.2f%%\n",
+              100.0 * r.rate(fault::outcome::masked));
+  std::printf("  crash           %6.2f%%  (segfault %zu, abort %zu)\n",
+              100.0 * r.crash_rate(), r.crash_segfault, r.crash_abort);
+  std::printf("  sdc             %6.2f%%\n",
+              100.0 * r.rate(fault::outcome::sdc));
+  std::printf("  hang            %6.2f%%\n",
+              100.0 * r.rate(fault::outcome::hang));
+  if (!harden_level.empty()) {
+    std::printf("  detected(rec)   %6.2f%%  (fault caught, output == golden)\n",
+                100.0 * r.rate(fault::outcome::detected_recovered));
+    std::printf("  detected(deg)   %6.2f%%  (fault caught, output degraded)\n",
+                100.0 * r.rate(fault::outcome::detected_degraded));
+  }
+
   const auto scopes = fault::scope_breakdown(result.records);
   std::printf("fired injections by function:\n");
   for (const auto& cls : scopes) {
@@ -361,6 +401,24 @@ int cmd_inject(int argc, char** argv) {
   std::printf("Relyzer-style pruning: %.0f%% of fired experiments fall in "
               ">=95%%-pure site classes\n",
               100.0 * pruning.prunable_fraction);
+
+  // SDC severity, as Section V-D defines it.
+  std::vector<quality::sdc_quality> sdcs;
+  for (const auto& [index, faulty] : result.sdc_outputs) {
+    (void)index;
+    sdcs.push_back({quality::compare_images(result.golden, faulty)});
+  }
+  const auto cdf = quality::build_ed_cdf(sdcs);
+  if (cdf.total_sdcs > 0) {
+    std::printf("SDC egregiousness (%zu SDCs, %zu egregious):\n",
+                cdf.total_sdcs, cdf.egregious);
+    for (int ed : {0, 1, 2, 5, 10, 20, 50, 100}) {
+      std::printf("  ED <= %3d: %5.1f%%\n", ed, cdf.percent_at(ed));
+    }
+  }
+  const auto coverage = fault::analyze_coverage(result.records);
+  std::printf("coverage: register CV %.3f, bit CV %.3f\n",
+              coverage.register_cv, coverage.bit_cv);
 
   if (!csv_path.empty()) {
     fault::write_text_file(csv_path, fault::records_to_csv(result));
