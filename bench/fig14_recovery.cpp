@@ -13,7 +13,7 @@
 // one (stage, on/off) cell per scenario: campaign distribution, Crash+SDC
 // reduction vs replication-off, and fault-free overhead vs the unhardened
 // pipeline.  This is the coverage-vs-overhead frontier the registry's
-// `replicable`/`dual_check` attributes buy: the cross-scenario summary
+// `replicable` attribute buys: the cross-scenario summary
 // shows where all-stage replication lands relative to the geometry-only
 // default.
 //

@@ -5,10 +5,13 @@
 //   $ ./approx_explorer [input1|input2] [frames]
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "app/pipeline.h"
+#include "fault/wire.h"
 #include "perf/model.h"
 #include "quality/metric.h"
 #include "rt/instrument.h"
@@ -41,6 +44,25 @@ sweep_point run_point(const video::video_source& source,
   return point;
 }
 
+[[noreturn]] void usage() {
+  std::fprintf(stderr, "usage: approx_explorer [input1|input2] [frames]\n");
+  std::exit(2);
+}
+
+video::input_id parse_input(const char* name) {
+  if (std::strcmp(name, "input1") == 0) return video::input_id::input1;
+  if (std::strcmp(name, "input2") == 0) return video::input_id::input2;
+  usage();
+}
+
+/// A positive frame count in decimal; anything else is a usage error.
+int parse_frames(const char* text) {
+  const auto value = fault::wire::parse_u64(
+      text, static_cast<std::uint64_t>(std::numeric_limits<int>::max()));
+  if (!value || *value == 0) usage();
+  return static_cast<int>(*value);
+}
+
 void print_point(const sweep_point& p) {
   std::printf("  knob %6.3f: time %5.2fx, ED vs baseline %5.0f, "
               "frames kept %d\n",
@@ -51,10 +73,9 @@ void print_point(const sweep_point& p) {
 
 int main(int argc, char** argv) {
   using namespace vs;
-  const auto input = (argc > 1 && std::strcmp(argv[1], "input2") == 0)
-                         ? video::input_id::input2
-                         : video::input_id::input1;
-  const int frames = argc > 2 ? std::atoi(argv[2]) : 40;
+  if (argc > 3) usage();
+  const auto input = argc > 1 ? parse_input(argv[1]) : video::input_id::input1;
+  const int frames = argc > 2 ? parse_frames(argv[2]) : 40;
 
   const auto source = video::make_input(input, frames);
   std::printf("exploring approximations on %s (%d frames)\n",

@@ -8,19 +8,40 @@
 //   $ ./uav_survey [output_dir] [frames]
 
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "app/pipeline.h"
+#include "fault/wire.h"
 #include "image/image_io.h"
 #include "perf/model.h"
 #include "quality/metric.h"
 #include "rt/instrument.h"
 #include "video/generator.h"
 
+namespace {
+
+[[noreturn]] void usage() {
+  std::fprintf(stderr, "usage: uav_survey [output_dir] [frames]\n");
+  std::exit(2);
+}
+
+/// A positive frame count in decimal; anything else is a usage error.
+int parse_frames(const char* text) {
+  const auto value = vs::fault::wire::parse_u64(
+      text, static_cast<std::uint64_t>(std::numeric_limits<int>::max()));
+  if (!value || *value == 0) usage();
+  return static_cast<int>(*value);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace vs;
+  if (argc > 3) usage();
   const std::string out_dir = argc > 1 ? argv[1] : ".";
-  const int frames = argc > 2 ? std::atoi(argv[2]) : 48;
+  const int frames = argc > 2 ? parse_frames(argv[2]) : 48;
 
   const app::algorithm variants[] = {
       app::algorithm::vs, app::algorithm::vs_rfd, app::algorithm::vs_kds,

@@ -199,12 +199,12 @@ summary_result summarize(const video::video_source& source,
   // the multi-frame lookahead that keeps the prefetchable prefix of frames
   // t+1..t+k in flight while frame t is matched and composited.  What
   // remains below is stage definitions plus mini-panorama policy.
+  const auto full_extract = [&config](const img::image_u8& frame) {
+    return feat::orb_extract(frame, config.orb);
+  };
   pipeline::frame_executor exec(
       config.hardening, frame_count, config.frames_in_flight,
-      [&source](int index) { return source.frame(index); },
-      [&config](const img::image_u8& frame) {
-        return feat::orb_extract(frame, config.orb);
-      },
+      [&source](int index) { return source.frame(index); }, full_extract,
       [&config](const img::image_u8& frame,
                 const feat::frame_features& features) {
         return feat::orb_verify_features(frame, features, config.orb);
@@ -221,6 +221,51 @@ summary_result summarize(const video::video_source& source,
     if (!gating || !gate::roi_enabled(glevel)) return;
     st.gate.ref_frame = frame;
     if (gate::cache_enabled(glevel)) st.gate.cache.refill(st.prev_features);
+  };
+
+  // The two ways a processed frame reaches the canvas (dead reckoning, in
+  // degrade_frame, is the recovery ladder's own).  Neither enters a stage:
+  // the caller holds the composite guard, so CFCSS marks and budgets stay
+  // put.
+  //
+  // anchor: the frame opens a mini-panorama at the identity and its
+  // features become the reference set; a frame the compositor rejects is
+  // discarded.
+  auto anchor = [&](int index, const img::image_u8& frame,
+                    feat::frame_features&& features) {
+    if (!st.builder.add_frame(frame, geo::mat3::identity())) {
+      ++st.result.stats.frames_discarded;
+      return;
+    }
+    ++st.result.stats.frames_stitched;
+    record_placement(index, geo::mat3::identity());
+    st.prev_features = std::move(features);
+    st.have_reference = true;
+    st.consecutive_discards = 0;
+    note_reference_frame(frame);
+  };
+
+  // place: the frame lands at the accumulated transform advanced by `delta`
+  // (current -> reference) and returns true.  A placement the compositor
+  // rejects (implausible accumulated drift or canvas overflow) is a hard
+  // view change: the mini-panorama closes, the frame anchors the next one,
+  // and place returns false.
+  auto place = [&](int index, const img::image_u8& frame,
+                   const geo::mat3& delta, feat::frame_features&& features) {
+    const geo::mat3 frame_to_anchor = st.cumulative * delta;
+    if (!st.builder.add_frame(frame, frame_to_anchor)) {
+      close_mini_panorama();
+      anchor(index, frame, std::move(features));
+      return false;
+    }
+    st.cumulative = frame_to_anchor;
+    record_placement(index, frame_to_anchor);
+    st.prev_features = std::move(features);
+    ++st.result.stats.frames_stitched;
+    st.consecutive_discards = 0;
+    st.last_delta = delta;
+    st.have_last_delta = true;
+    return true;
   };
 
   // --- the per-frame unit of work: acquire -> detect -> describe ->
@@ -307,24 +352,22 @@ summary_result summarize(const video::video_source& source,
       ++st.result.stats.frames_gated_skip;
       ++st.result.stats.frames_stitched;
       record_placement(index, st.cumulative);
-      exec.end_frame();
       return;
     }
 
     if (gating) {
-      // Extraction moved behind the gate: full frames extract everywhere,
-      // delta frames only over the newly-revealed ROI strips.
-      const auto guard = exec.enter(stage_id::detect);
+      // Extraction moved behind the gate.  The gate classifies against the
+      // last processed frame, so it can never run ahead of the stitch point
+      // and the executor prefetches acquisition only.  Full frames extract
+      // everywhere, delta frames only over the newly-revealed ROI strips.
       if (delta_mode) {
-        work.features = gate::extract_roi(work.frame, plan.fresh, config.orb,
-                                          config.gate.roi_margin);
+        exec.extract(work, [&](const img::image_u8& frame) {
+          return gate::extract_roi(frame, plan.fresh, config.orb,
+                                   config.gate.roi_margin);
+        });
       } else {
-        work.features = exec.extract(work.frame);
+        exec.extract(work, full_extract);
       }
-      exec.mark(stage_id::describe);
-      // Freshly extracted features only: cached descriptors merged later
-      // intentionally differ from a re-derivation against this frame.
-      exec.check_extract(work);
     }
     st.result.stats.keypoints_detected += work.features.size();
 
@@ -367,49 +410,19 @@ summary_result summarize(const video::video_source& source,
         carried = work.features;
       }
 
-      const geo::mat3 frame_to_anchor = st.cumulative * extra.delta;
       const auto guard = exec.enter(stage_id::composite);
-      if (st.builder.add_frame(work.frame, frame_to_anchor)) {
-        st.cumulative = frame_to_anchor;
-        record_placement(index, frame_to_anchor);
-        st.prev_features = std::move(carried);
-        ++st.result.stats.frames_stitched;
-        st.consecutive_discards = 0;
-        st.last_delta = extra.delta;
-        st.have_last_delta = true;
+      // A delta frame re-references its pixels but keeps the descriptor
+      // cache it just rebased (no refill).
+      if (place(index, work.frame, extra.delta, std::move(carried))) {
         st.gate.ref_frame = work.frame;
-      } else {
-        // Implausible accumulated drift or canvas overflow: same hard
-        // view-change handling as the exact path.
-        ++st.result.stats.frames_discarded;
-        close_mini_panorama();
-        if (st.builder.add_frame(work.frame, geo::mat3::identity())) {
-          ++st.result.stats.frames_stitched;
-          --st.result.stats.frames_discarded;
-          record_placement(index, geo::mat3::identity());
-          st.prev_features = std::move(carried);
-          st.have_reference = true;
-          note_reference_frame(work.frame);
-        }
       }
-      exec.end_frame();
       return;
     }
 
     if (!st.have_reference) {
       // First (usable) frame anchors the mini-panorama.
       const auto guard = exec.enter(stage_id::composite);
-      if (st.builder.add_frame(work.frame, geo::mat3::identity())) {
-        ++st.result.stats.frames_stitched;
-        record_placement(index, geo::mat3::identity());
-        st.prev_features = std::move(work.features);
-        st.have_reference = true;
-        st.consecutive_discards = 0;
-        note_reference_frame(work.frame);
-      } else {
-        ++st.result.stats.frames_discarded;
-      }
-      exec.end_frame();
+      anchor(index, work.frame, std::move(work.features));
       return;
     }
 
@@ -422,22 +435,15 @@ summary_result summarize(const video::video_source& source,
     }
 
     if (!aligned) {
-      ++st.result.stats.frames_discarded;
-      if (++st.consecutive_discards > config.discard_limit) {
-        // The view changed beyond recovery: close this mini-panorama and
-        // anchor a new one at the next usable frame.
-        const auto guard = exec.enter(stage_id::composite);
-        close_mini_panorama();
-        if (st.builder.add_frame(work.frame, geo::mat3::identity())) {
-          ++st.result.stats.frames_stitched;
-          --st.result.stats.frames_discarded;  // it became the new anchor
-          record_placement(index, geo::mat3::identity());
-          st.prev_features = std::move(work.features);
-          st.have_reference = true;
-          note_reference_frame(work.frame);
-        }
+      if (++st.consecutive_discards <= config.discard_limit) {
+        ++st.result.stats.frames_discarded;
+        return;
       }
-      exec.end_frame();
+      // The view changed beyond recovery: close this mini-panorama and
+      // anchor a new one at this frame.
+      const auto guard = exec.enter(stage_id::composite);
+      close_mini_panorama();
+      anchor(index, work.frame, std::move(work.features));
       return;
     }
 
@@ -448,32 +454,11 @@ summary_result summarize(const video::video_source& source,
       ++st.result.stats.affine_alignments;
     }
 
-    const geo::mat3 frame_to_anchor = st.cumulative * aligned->transform;
     const auto guard = exec.enter(stage_id::composite);
-    if (st.builder.add_frame(work.frame, frame_to_anchor)) {
-      st.cumulative = frame_to_anchor;
-      record_placement(index, frame_to_anchor);
-      st.prev_features = std::move(work.features);
-      ++st.result.stats.frames_stitched;
-      st.consecutive_discards = 0;
-      st.last_delta = aligned->transform;
-      st.have_last_delta = true;
+    if (place(index, work.frame, aligned->transform,
+              std::move(work.features))) {
       note_reference_frame(work.frame);
-    } else {
-      // Implausible accumulated drift or canvas overflow: treat like a hard
-      // view change.
-      ++st.result.stats.frames_discarded;
-      close_mini_panorama();
-      if (st.builder.add_frame(work.frame, geo::mat3::identity())) {
-        ++st.result.stats.frames_stitched;
-        --st.result.stats.frames_discarded;
-        record_placement(index, geo::mat3::identity());
-        st.prev_features = std::move(work.features);
-        st.have_reference = true;
-        note_reference_frame(work.frame);
-      }
     }
-    exec.end_frame();
   };
 
   // --- graceful degradation: the bottom rungs of the policy ladder -------
@@ -491,8 +476,7 @@ summary_result summarize(const video::video_source& source,
       st.gate.invalidate();
       ++st.result.stats.gate_invalidations;
     }
-    if (config.hardening.reuse_last_motion && st.have_reference &&
-        st.have_last_delta) {
+    if (st.have_reference && st.have_last_delta) {
       const bool placed = !resil::attempt([&] {
         const img::image_u8 frame = exec.reacquire(index);
         const geo::mat3 frame_to_anchor = st.cumulative * st.last_delta;
@@ -524,8 +508,13 @@ summary_result summarize(const video::video_source& source,
       ++st.result.stats.frames_dropped_rfd;
       continue;
     }
-    exec.run_frame(st, [&] { frame_body(index); },
-                   [&] { degrade_frame(index); });
+    exec.run_frame(
+        st,
+        [&] {
+          frame_body(index);
+          exec.end_frame();
+        },
+        [&] { degrade_frame(index); });
   }
   close_mini_panorama_contained();
 

@@ -43,33 +43,4 @@ struct backoff_policy {
   }
 };
 
-struct retry_outcome {
-  bool succeeded = false;
-  int attempts = 0;      ///< tries actually made
-  double slept_ms = 0.0; ///< total backoff requested from the sleeper
-};
-
-/// Runs `attempt_fn(attempt)` (1-based) until it returns true or
-/// `policy.max_attempts` tries are exhausted, calling `sleep_ms(delay)`
-/// between failures (never after the last).  The sleeper is injected so unit
-/// tests and single-threaded drivers can observe or elide real waiting.
-template <typename TryFn, typename SleepFn>
-retry_outcome retry_with_backoff(const backoff_policy& policy,
-                                 TryFn&& attempt_fn, SleepFn&& sleep_ms) {
-  retry_outcome out;
-  const int attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    out.attempts = attempt;
-    if (attempt_fn(attempt)) {
-      out.succeeded = true;
-      return out;
-    }
-    if (attempt == attempts) break;
-    const double delay = policy.delay_ms(attempt);
-    out.slept_ms += delay;
-    sleep_ms(delay);
-  }
-  return out;
-}
-
 }  // namespace vs::core

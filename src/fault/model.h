@@ -29,9 +29,6 @@ enum class outcome : std::uint8_t {
 [[nodiscard]] inline bool is_crash(outcome o) noexcept {
   return o == outcome::crash_segfault || o == outcome::crash_abort;
 }
-[[nodiscard]] inline bool is_detected(outcome o) noexcept {
-  return o == outcome::detected_recovered || o == outcome::detected_degraded;
-}
 
 /// Architectural liveness model.
 //

@@ -18,7 +18,6 @@ struct vec2 {
   constexpr vec2 operator/(double s) const { return {x / s, y / s}; }
 
   [[nodiscard]] double norm() const { return std::sqrt(x * x + y * y); }
-  [[nodiscard]] constexpr double norm2() const { return x * x + y * y; }
   [[nodiscard]] constexpr double dot(vec2 o) const { return x * o.x + y * o.y; }
 
   constexpr bool operator==(const vec2&) const = default;

@@ -89,7 +89,12 @@ void frame_executor::top_up(int index) {
   if (next_prefetch_ <= index) next_prefetch_ = index + 1;
   // Each frame becomes a (job, frame) ticket in the scheduler's acquire
   // queue; the dispatcher groups queued tickets — across jobs, under
-  // serving — into one pool dispatch per stage.
+  // serving — into one pool dispatch per stage.  Only acquire, detect and
+  // describe run ahead: they are pure functions of the frame index.  The
+  // gate stage sits between acquire and detect but never runs ahead — it
+  // classifies against the previous processed frame — so a gated executor
+  // prefetches acquisition only and extracts at the stitch point.  Match
+  // onward needs the previous frame's features and the open canvas.
   while (next_prefetch_ < horizon) {
     const int i = next_prefetch_++;
     stage_scheduler::extract_step extract;
@@ -121,27 +126,23 @@ frame_work frame_executor::obtain(int index) {
         w = work.get();
       }
       if (!acquire_only_) {
-        const stage_guard g = enter(stage_id::detect);
-        mark(stage_id::describe);
-        check_extract_replica(w);
+        // The scheduler already ran the extraction: take its product.
+        extract(w,
+                [&w](const img::image_u8&) { return std::move(w.features); });
       }
       top_up(index);
       return w;
     }
   }
   // Inline: the instrumented lane, depth 0, the lookahead's cold start, or
-  // a recovery retry recomputing a consumed ticket.
+  // a recovery retry recomputing a consumed ticket.  Acquire runs no replica
+  // check: it is the I/O boundary, outside the sphere of replication.
   frame_work w;
   {
     const stage_guard g = enter(stage_id::acquire);
     w.frame = acquire_(index);
   }
-  if (!acquire_only_) {
-    const stage_guard g = enter(stage_id::detect);
-    w.features = detect_(w.frame);
-    mark(stage_id::describe);
-    check_extract_replica(w);
-  }
+  if (!acquire_only_) extract(w, detect_);
   if (overlap_ && !retrying_) top_up(index);
   return w;
 }

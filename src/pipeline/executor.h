@@ -70,8 +70,7 @@ class frame_executor {
   /// (gated runs: whether — and over which ROI — extraction happens is
   /// decided per frame at the stitch point, behind the gate stage, so it
   /// cannot run ahead).  obtain() then returns frames with empty features
-  /// and the caller drives extraction through enter(detect) + extract() +
-  /// mark(describe) + check_extract().
+  /// and the caller runs extraction through extract().
   frame_executor(const resil::hardening_config& hardening, int frame_count,
                  int frames_in_flight, acquire_fn acquire, detect_fn detect,
                  verify_fn verify = {}, stage_scheduler* scheduler = nullptr,
@@ -100,10 +99,6 @@ class frame_executor {
     return stage_guard(*this, s);
   }
 
-  /// Fused stage transition: CFCSS mark only, inside the enclosing stage's
-  /// open allowance (describe rides in detect's scope).
-  void mark(stage_id s) const { resil::mark(stage_info(s).node); }
-
   /// Marks the frame_end CFCSS node closing the per-frame graph.
   void end_frame() const { resil::mark(resil::cfcss::node::frame_end); }
 
@@ -119,18 +114,21 @@ class frame_executor {
     return acquire_(index);
   }
 
-  /// Runs the extraction callback inline (acquire-only mode: the caller
-  /// owns the detect stage guard and the describe mark).
-  [[nodiscard]] feat::frame_features extract(const img::image_u8& frame) const {
-    return detect_(frame);
-  }
-
-  /// Dual-execution check of an extraction product the caller produced at
-  /// the stitch point (acquire-only mode).  Call inside the detect stage
-  /// guard, on freshly extracted features only — reused/cached descriptors
-  /// intentionally differ from a re-derivation against the current frame.
-  void check_extract(const frame_work& work) const {
-    check_extract_replica(work);
+  /// The extraction stages (detect + describe) over `w.frame`: enters
+  /// detect, stores `run(w.frame)` in `w.features`, marks describe — a
+  /// CFCSS mark only, since describe is fused into the same extraction
+  /// call and rides in detect's watchdog scope — and runs the extraction
+  /// pair's replica check.  `run` is the full
+  /// extractor, the ROI one on a gated delta frame, or the hand-over of a
+  /// prefetched ticket's features; either way the check sees only freshly
+  /// extracted features (reused or cached descriptors intentionally differ
+  /// from a re-derivation).
+  template <class Run>
+  void extract(frame_work& w, Run&& run) const {
+    const stage_guard g = enter(stage_id::detect);
+    w.features = run(w.frame);
+    resil::mark(stage_info(stage_id::describe).node);
+    check_extract_replica(w);
   }
 
   /// Whether the current obtain() call is a recovery retry (gated callers

@@ -118,6 +118,9 @@ void stage_scheduler::dispatcher_loop() {
         run_batch(stage, std::move(batch));
     lock.lock();
     if (!advanced.empty()) {
+      // Only acquire and detect own queues.  Describe is fused into the
+      // extraction call, so its work rides in detect's queue, just as it
+      // rides in detect's watchdog scope.
       auto& next_queue = queues_[qidx(stage_id::detect)];
       for (auto& it : advanced) next_queue.push_back(std::move(it));
     }

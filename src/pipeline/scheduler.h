@@ -6,9 +6,9 @@
 // work queues keyed by (job, frame):
 //
 //   * submit() enqueues a frame ticket at the acquire queue and hands the
-//     consumer a future; the prefetchable registry stages name the queue
-//     their work rides in (stage_desc::batch_queue — describe is fused into
-//     detect's queue, exactly as the executor fuses their stage scopes);
+//     consumer a future; an acquired frame with an extraction step moves on
+//     to the detect queue (describe is fused into detect's queue, exactly
+//     as the executor fuses their stage scopes);
 //   * one dispatcher thread forms batches: it scans the queues in REVERSE
 //     dataflow order (extraction before admission, so in-flight frames
 //     finish first and queue memory stays bounded by the executors'
@@ -151,8 +151,8 @@ class stage_scheduler {
   mutable std::mutex m_;
   std::condition_variable cv_;
   bool stop_ = false;
-  /// Work queues in dataflow order; only the registry's batch_queue owners
-  /// (acquire, detect) are ever populated.
+  /// Work queues in dataflow order; only acquire's and detect's are ever
+  /// populated.
   std::deque<std::unique_ptr<item>> queues_[stage_count];
 
   std::atomic<std::uint64_t> next_job_{0};

@@ -11,76 +11,39 @@ namespace {
 
 using resil::cfcss::node;
 
-// Replication contracts: composite's product is a pixel buffer (the warped
-// patch), so its dual execution compares digests of a clean-lane
-// recomputation; detect/describe/match/estimate produce structured values
-// (keypoints, descriptors, matches, models) that are checked after a
-// second execution — full for match/estimate, per-keypoint scoring for the
-// extraction pair (the corner search itself is not re-run; every reported
-// keypoint's score, orientation, and descriptor are re-derived at its
-// coordinates, so a fault that perturbs any stored field diverges).
-// Acquire sits *outside* the sphere of replication (the SWIFT/HAFT
-// convention): it is the I/O boundary, and a general video decoder cannot
-// be re-invoked for the same frame without re-seeking the stream.
-// Composite is replicable even though blending mutates the canvas: the
-// checked product is the warped patch the blend consumes, computed
-// *before* any canvas mutation.
-// The gate stage is the one stitch-point stage *inside* the prefetchable
-// prefix: classification consumes the previous processed frame's state, so
-// it can never run ahead, and when a gate level is active the executor
-// degrades its prefetch to acquire-only (extraction moves behind the
-// classification).  Its dual execution recomputes the change score hook-free
-// and compares bitwise (dual_check::recompute).
+// Every stage but acquire is replicable.  Acquire sits *outside* the sphere
+// of replication (the SWIFT/HAFT convention): it is the I/O boundary, and a
+// general video decoder cannot be re-invoked for the same frame without
+// re-seeking the stream.  Each replicable stage's dual check lives with its
+// code: the gate's in app/pipeline.cpp, the extraction pair's in
+// pipeline/executor.cpp, match's and composite's in stitch/stitcher.cpp,
+// estimate's in geometry/ransac.cpp and geometry/homography.cpp.
 constexpr stage_desc kRegistry[stage_count] = {
     {stage_id::acquire, "acquire", node::acquire, budget_key::acquire,
-     /*opens_scope=*/true, /*executor_marked=*/true,
+     /*opens_scope=*/true,
      {rt::fn::video_decode, rt::fn::count_, rt::fn::count_},
-     /*prefetchable=*/true, /*clean_lane=*/true,
-     /*replicable=*/false, dual_check::none,
-     /*batch_queue=*/stage_id::acquire,
-     /*gate_skip=*/false, /*gate_roi=*/false},
+     /*replicable=*/false},
     {stage_id::gate, "gate", node::gate, budget_key::gate,
-     /*opens_scope=*/true, /*executor_marked=*/true,
-     {rt::fn::gate, rt::fn::count_, rt::fn::count_},
-     /*prefetchable=*/false, /*clean_lane=*/false,
-     /*replicable=*/true, dual_check::recompute,
-     /*batch_queue=*/stage_id::count_,
-     /*gate_skip=*/false, /*gate_roi=*/false},
+     /*opens_scope=*/true, {rt::fn::gate, rt::fn::count_, rt::fn::count_},
+     /*replicable=*/true},
     {stage_id::detect, "detect", node::detect, budget_key::extract,
-     /*opens_scope=*/true, /*executor_marked=*/true,
+     /*opens_scope=*/true,
      {rt::fn::fast_detect, rt::fn::count_, rt::fn::count_},
-     /*prefetchable=*/true, /*clean_lane=*/true,
-     /*replicable=*/true, dual_check::recompute,
-     /*batch_queue=*/stage_id::detect,
-     /*gate_skip=*/true, /*gate_roi=*/true},
+     /*replicable=*/true},
     {stage_id::describe, "describe", node::describe, budget_key::extract,
-     /*opens_scope=*/false, /*executor_marked=*/true,
+     /*opens_scope=*/false,
      {rt::fn::orb_describe, rt::fn::count_, rt::fn::count_},
-     /*prefetchable=*/true, /*clean_lane=*/true,
-     /*replicable=*/true, dual_check::recompute,
-     /*batch_queue=*/stage_id::detect,
-     /*gate_skip=*/true, /*gate_roi=*/true},
+     /*replicable=*/true},
     {stage_id::match, "match", node::match, budget_key::align,
-     /*opens_scope=*/true, /*executor_marked=*/true,
-     {rt::fn::match, rt::fn::count_, rt::fn::count_},
-     /*prefetchable=*/false, /*clean_lane=*/true,
-     /*replicable=*/true, dual_check::recompute,
-     /*batch_queue=*/stage_id::count_,
-     /*gate_skip=*/true, /*gate_roi=*/true},
+     /*opens_scope=*/true, {rt::fn::match, rt::fn::count_, rt::fn::count_},
+     /*replicable=*/true},
     {stage_id::estimate, "estimate", node::estimate, budget_key::align,
-     /*opens_scope=*/false, /*executor_marked=*/false,
+     /*opens_scope=*/false,
      {rt::fn::ransac, rt::fn::homography, rt::fn::count_},
-     /*prefetchable=*/false, /*clean_lane=*/false,
-     /*replicable=*/true, dual_check::recompute,
-     /*batch_queue=*/stage_id::count_,
-     /*gate_skip=*/true, /*gate_roi=*/true},
+     /*replicable=*/true},
     {stage_id::composite, "composite", node::composite, budget_key::composite,
-     /*opens_scope=*/true, /*executor_marked=*/true,
-     {rt::fn::warp, rt::fn::remap, rt::fn::stitch},
-     /*prefetchable=*/false, /*clean_lane=*/true,
-     /*replicable=*/true, dual_check::checksum,
-     /*batch_queue=*/stage_id::count_,
-     /*gate_skip=*/true, /*gate_roi=*/false},
+     /*opens_scope=*/true, {rt::fn::warp, rt::fn::remap, rt::fn::stitch},
+     /*replicable=*/true},
 };
 
 }  // namespace
@@ -120,18 +83,6 @@ stage_id stage_of(rt::fn f) noexcept {
     }
   }
   return stage_id::count_;
-}
-
-const char* dual_check_name(dual_check check) noexcept {
-  switch (check) {
-    case dual_check::none:
-      return "none";
-    case dual_check::recompute:
-      return "recompute";
-    case dual_check::checksum:
-      return "checksum";
-  }
-  return "?";
 }
 
 std::uint32_t replicable_stage_mask() noexcept {

@@ -4,12 +4,13 @@
 // estimate -> composite — is the organizing concept of every result this
 // repository reproduces, and every cross-cutting subsystem needs its own
 // view of it: resil::cfcss signs its nodes, the per-stage watchdog budgets
-// its step allowances, the profiler attributes rt::fn scopes to it, and the
-// two-lane scheduler decides which prefix may run ahead of the stitch
-// point.  This registry is the one shared description those subsystems
-// consume; src/resil, src/perf, src/fault and the frame_executor all derive
-// their stage knowledge from here instead of keeping parallel hand-written
-// lists that drift apart.
+// its step allowances, the profiler attributes rt::fn scopes to it, and
+// selective replication names the stages that may dual-execute.  This
+// registry is the one shared description those subsystems consume, and it
+// holds only what code reads.  Scheduling facts (which prefix runs ahead of
+// the stitch point, which queue a fused stage rides) are stated once, at
+// the code that enforces them: pipeline/executor.cpp and
+// pipeline/scheduler.cpp.
 #pragma once
 
 #include <cstdint>
@@ -56,18 +57,6 @@ inline constexpr int budget_key_count = static_cast<int>(budget_key::count_);
 
 [[nodiscard]] const char* budget_key_name(budget_key key) noexcept;
 
-/// How a stage verifies its HAFT-style dual execution when selective
-/// replication includes it (resil::replicated / resil::verify_replica).
-enum class dual_check : std::uint8_t {
-  none = 0,   ///< the stage cannot dual-execute
-  recompute,  ///< pure value stage: run twice, compare results structurally
-  checksum,   ///< buffer-producing stage: re-run the producer on the clean
-              ///< lane, compare output digests (the buffer itself is kept
-              ///< from the primary execution)
-};
-
-[[nodiscard]] const char* dual_check_name(dual_check check) noexcept;
-
 /// One stage of the per-frame graph: everything the cross-cutting
 /// subsystems need to know about it, declared once.
 struct stage_desc {
@@ -82,47 +71,14 @@ struct stage_desc {
   /// scope — they share its budget, so re-opening would grant corrupted
   /// loop bounds a second allowance and shift hardened step accounting.
   bool opens_scope = false;
-  /// Whether the CFCSS transition is driven by the executor.  `estimate`
-  /// is marked inside stitch::align_frames (the cascade decides at run
-  /// time whether estimation is reached at all), so the executor must not
-  /// mark it a second time.
-  bool executor_marked = false;
   /// rt::fn attribution scopes belonging to this stage (rt::fn::count_ =
   /// unused slot).  This is the mapping perf's stage profile, resil's
   /// budget derivation and fault's stage-attributed reports share.
   rt::fn scopes[3] = {rt::fn::count_, rt::fn::count_, rt::fn::count_};
-  /// Clean-lane scheduling: stages up to and including the last
-  /// prefetchable one form the frame prefix that may run ahead of the
-  /// stitch point (they are pure functions of the frame index).
-  bool prefetchable = false;
-  /// Whether the stage's kernels have a hook-free parallel twin.
-  bool clean_lane = false;
   /// Whether the stage can opt into selective replication (dual execution
-  /// with divergence detection).  Every replicable stage names the check
-  /// contract its dual execution uses in `check`.
+  /// with divergence detection).
   bool replicable = false;
-  /// The dual-execution comparison contract (dual_check::none unless
-  /// `replicable`).
-  dual_check check = dual_check::none;
-  /// Batched scheduling: which stage's work queue carries this stage's
-  /// prefetched work in the clean lane's stage_scheduler.  Fused stages
-  /// ride the queue of the stage they fuse into (describe rides detect's
-  /// queue, mirroring opens_scope); count_ = not batchable — the stage
-  /// runs at the stitch point and never enters a queue.
-  stage_id batch_queue = stage_id::count_;
-  /// Real-time gating (src/gate/): whether an active frame gate may elide
-  /// this stage entirely on a skip-classified frame...
-  bool gate_skip = false;
-  /// ...and whether a delta-classified frame runs it restricted (ROI
-  /// extraction / extrapolated alignment) instead of in full.
-  bool gate_roi = false;
 };
-
-/// Whether a stage's work can enter a scheduler queue (prefetchable stages
-/// only; the rest run at the stitch point).
-[[nodiscard]] inline bool stage_batchable(const stage_desc& s) noexcept {
-  return s.batch_queue != stage_id::count_;
-}
 
 /// The canonical stage graph, in dataflow order.
 [[nodiscard]] std::span<const stage_desc> stage_registry() noexcept;

@@ -62,12 +62,9 @@ struct hardening_config {
   hardening_level level = hardening_level::off;
 
   /// Recovery-policy ladder: how many times one frame is re-attempted
-  /// before degrading (reuse the last motion model, then close the
-  /// mini-panorama and skip the frame).
+  /// before degrading (place it by dead reckoning with the last motion
+  /// model, else close the mini-panorama and skip the frame).
   int max_frame_retries = 1;
-  /// Degrade step 1: place a failing frame by dead-reckoning with the last
-  /// successful inter-frame motion model before giving up on it.
-  bool reuse_last_motion = true;
 
   stage_budget_config stage_budgets;
 

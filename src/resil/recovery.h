@@ -28,22 +28,6 @@ enum class failure_kind : std::uint8_t {
   replica_divergence,
 };
 
-[[nodiscard]] inline const char* failure_kind_name(failure_kind k) noexcept {
-  switch (k) {
-    case failure_kind::crash_segfault:
-      return "crash_segfault";
-    case failure_kind::crash_abort:
-      return "crash_abort";
-    case failure_kind::stage_hang:
-      return "stage_hang";
-    case failure_kind::control_flow:
-      return "control_flow";
-    case failure_kind::replica_divergence:
-      return "replica_divergence";
-  }
-  return "?";
-}
-
 struct contained_failure {
   failure_kind kind = failure_kind::crash_segfault;
   std::string what;

@@ -27,7 +27,7 @@ namespace vs::resil {
 struct runtime_state {
   bool active = false;       ///< a session is installed
   /// Per-stage selective-replication mask (bit i == pipeline::stage_id i):
-  /// stages whose dual_check runs this session.
+  /// stages whose dual execution runs this session.
   std::uint32_t replicate_mask = 0;
   bool in_replica = false;   ///< executing inside a replica (no nesting)
   cfcss::monitor* monitor = nullptr;  ///< stage-signature monitor (or null)
@@ -115,9 +115,9 @@ struct nesting_guard {
 }  // namespace detail
 
 /// HAFT-style selective replication of a deterministic computation
-/// belonging to pipeline stage `stage` (the registry's dual_check ==
-/// recompute contract): runs `f` a second time on the hook-free clean lane
-/// and compares the results with `equal`.  A divergence means a fault
+/// belonging to pipeline stage `stage` (value-producing stages): runs `f`
+/// a second time on the hook-free clean lane and compares the results with
+/// `equal`.  A divergence means a fault
 /// struck the primary execution, so the silent corruption is converted
 /// into a detected error the recovery ladder can contain.  `f` must be a
 /// pure function of its captures.  Runs once (no check) when the session's
@@ -137,11 +137,11 @@ auto replicated(pipeline::stage_id stage, F&& f, Eq&& equal) -> decltype(f()) {
   return first;
 }
 
-/// Checksum-compare dual execution for buffer-producing stages (the
-/// registry's dual_check == checksum contract).  The primary execution has
-/// already produced its buffer; `primary_digest` digests it lazily and
-/// `replica_digest` re-runs the producer on the clean lane and digests the
-/// replica's buffer.  Both callbacks return a 64-bit digest; disagreement
+/// Checksum-compare dual execution for buffer-producing stages (composite
+/// digests its warped patch).  The primary execution has already produced
+/// its buffer; `primary_digest` digests it lazily and `replica_digest`
+/// re-runs the producer on the clean lane and digests the replica's
+/// buffer.  Both callbacks return a 64-bit digest; disagreement
 /// raises the same detected replica divergence as `replicated`.  No-op
 /// when the stage is not replicated this session.
 template <class DigestPrimary, class DigestReplica>

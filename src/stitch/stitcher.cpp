@@ -14,9 +14,9 @@ std::optional<alignment> align_frames(const feat::frame_features& current,
                                       const match::match_params& match_params,
                                       const alignment_params& params,
                                       std::uint64_t seed) {
-  // Selective replication (dual_check::recompute): matching is a pure
-  // function of the two feature sets, so the replica re-runs it on the
-  // clean lane and compares the accepted correspondences element-wise.
+  // Selective replication: matching is a pure function of the two feature
+  // sets, so the replica re-runs it on the clean lane and compares the
+  // accepted correspondences element-wise.
   const auto matches = resil::replicated(
       pipeline::stage_id::match,
       [&] { return match::match_descriptors(current, previous, match_params); },
@@ -35,6 +35,9 @@ std::optional<alignment> align_frames(const feat::frame_features& current,
     return geo::distance(center, moved) <= params.max_motion;
   };
 
+  // The estimate transition is marked here, not by the frame_executor: the
+  // cascade decides at run time whether estimation is reached at all, and
+  // estimate rides inside match's watchdog scope.
   if (n_matches >= params.min_matches_homography) {
     resil::mark(resil::cfcss::node::estimate);
     if (const auto fit = geo::ransac_homography(pairs, params.homography,
@@ -90,11 +93,12 @@ bool mini_panorama_builder::add_frame(const img::image_u8& frame,
   // application (Fig 8) and per-frame cost grow with panorama size — the
   // polynomial complexity in frames the paper cites (Section IV-A).
   auto patch = geo::warp_perspective(frame, frame_to_anchor, canvas_.bounds());
-  // Selective replication (dual_check::checksum): the checked product is
-  // the warped patch the blend consumes, re-warped on the clean lane and
-  // compared by digest *before* the canvas mutates — blending and
-  // feathering cannot re-run, so the check sits at the last pure point of
-  // the stage.
+  // Selective replication digests the patch rather than recomputing the
+  // stage: composite produces a pixel buffer, and blending mutates the
+  // canvas.  The checked product is the warped patch the blend consumes,
+  // re-warped on the clean lane and compared by digest *before* the canvas
+  // mutates — blending and feathering cannot re-run, so the check sits at
+  // the last pure point of the stage.
   resil::verify_replica(
       pipeline::stage_id::composite, [&] { return patch_digest(patch); },
       [&] {

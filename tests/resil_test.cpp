@@ -4,6 +4,8 @@
 // and the hardened end-to-end pipeline behaviour.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
 #include <stdexcept>
 
 #include "app/pipeline.h"
@@ -470,13 +472,13 @@ TEST(HardenedPipeline, UnhardenedCampaignReportsNoDetections) {
   }
 }
 
-/// A source whose frame 0 fails on every acquisition attempt — the worst
-/// case for the recovery ladder, because with no stitched reference there
-/// is no motion model to dead-reckon with.
-class dead_frame_zero_source final : public video::video_source {
+/// A source whose frame `k` fails its first `failures` acquisitions and
+/// then decodes normally.  The counter is atomic because the clean lane's
+/// lookahead makes the first acquisition on the scheduler thread.
+class flaky_frame_source final : public video::video_source {
  public:
-  explicit dead_frame_zero_source(const video::video_source& inner)
-      : inner_(inner) {}
+  flaky_frame_source(const video::video_source& inner, int k, int failures)
+      : inner_(inner), k_(k), failures_(failures) {}
   [[nodiscard]] int frame_count() const override {
     return inner_.frame_count();
   }
@@ -487,20 +489,26 @@ class dead_frame_zero_source final : public video::video_source {
     return inner_.frame_height();
   }
   [[nodiscard]] img::image_u8 frame(int index) const override {
-    if (index == 0) {
-      throw crash_error(crash_kind::segfault, "dead frame 0 (test)");
+    if (index == k_ && attempts_.fetch_add(1) < failures_) {
+      throw crash_error(crash_kind::segfault, "flaky frame (test)");
     }
     return inner_.frame(index);
   }
 
  private:
   const video::video_source& inner_;
+  const int k_;
+  const int failures_;
+  mutable std::atomic<int> attempts_{0};
 };
 
 TEST(HardenedPipeline, FrameZeroRetryExhaustionSkipsWithoutDeadReckoning) {
   const auto inner = video::make_input(video::input_id::input1, 6);
   const auto config = hardened_config(*inner, resil::hardening_level::full);
-  const dead_frame_zero_source source(*inner);
+  // Frame 0 fails on every acquisition attempt — the worst case for the
+  // recovery ladder, because with no stitched reference there is no motion
+  // model to dead-reckon with.
+  const flaky_frame_source source(*inner, 0, std::numeric_limits<int>::max());
 
   const auto result = app::summarize(source, config);
   const auto& recovery = result.recovery;
@@ -519,6 +527,32 @@ TEST(HardenedPipeline, FrameZeroRetryExhaustionSkipsWithoutDeadReckoning) {
   // Frame 1 anchors instead and the rest of the clip stitches normally.
   EXPECT_EQ(result.stats.frames_stitched, inner->frame_count() - 1);
   EXPECT_FALSE(result.panorama.empty());
+}
+
+TEST(HardenedPipeline, MidClipRetryExhaustionDeadReckonsTheFrame) {
+  const auto inner = video::make_input(video::input_id::input2, 6);
+  const auto config = hardened_config(*inner, resil::hardening_level::full);
+  constexpr int k = 3;
+  // The first attempt and every retry fail; the degrade step's own
+  // re-acquisition succeeds.
+  const flaky_frame_source source(*inner, k,
+                                  1 + config.hardening.max_frame_retries);
+
+  const auto result = app::summarize(source, config);
+  const auto& recovery = result.recovery;
+  EXPECT_EQ(recovery.retries,
+            static_cast<std::uint32_t>(config.hardening.max_frame_retries));
+  EXPECT_EQ(recovery.frames_recovered, 0u);
+  // Degrade step 1: frame k is placed with the last motion model, so
+  // nothing is skipped and every frame reaches the canvas.
+  EXPECT_EQ(recovery.frames_degraded, 1u);
+  EXPECT_EQ(recovery.frames_skipped, 0u);
+  EXPECT_EQ(result.stats.frames_stitched, inner->frame_count());
+  bool placed_k = false;
+  for (const auto& placement : result.placements) {
+    placed_k = placed_k || placement.frame_index == k;
+  }
+  EXPECT_TRUE(placed_k);
 }
 
 }  // namespace

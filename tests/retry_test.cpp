@@ -1,9 +1,7 @@
-// core::backoff_policy / retry_with_backoff — the supervisor's retry engine,
-// pinned in isolation: exponential growth, cap, deterministic bounded
-// jitter, and the attempt/sleep accounting retry loops rely on.
+// core::backoff_policy — the delay schedule behind every retry loop (the
+// client, the supervisor and the respawn loop), pinned in isolation:
+// exponential growth, cap, and deterministic bounded jitter.
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "core/retry.h"
 
@@ -49,53 +47,6 @@ TEST(Retry, JitterIsBoundedAndDeterministic) {
     any_differs = any_differs || p.delay_ms(attempt) != q.delay_ms(attempt);
   }
   EXPECT_TRUE(any_differs);
-}
-
-TEST(Retry, StopsOnFirstSuccess) {
-  backoff_policy p = no_jitter();
-  p.max_attempts = 5;
-  std::vector<double> sleeps;
-  int calls = 0;
-  const retry_outcome out = retry_with_backoff(
-      p, [&](int attempt) { return ++calls == 3 && attempt == 3; },
-      [&](double ms) { sleeps.push_back(ms); });
-  EXPECT_TRUE(out.succeeded);
-  EXPECT_EQ(out.attempts, 3);
-  EXPECT_EQ(calls, 3);
-  ASSERT_EQ(sleeps.size(), 2u);  // slept after failures 1 and 2 only
-  EXPECT_DOUBLE_EQ(sleeps[0], p.delay_ms(1));
-  EXPECT_DOUBLE_EQ(sleeps[1], p.delay_ms(2));
-  EXPECT_DOUBLE_EQ(out.slept_ms, sleeps[0] + sleeps[1]);
-}
-
-TEST(Retry, ExhaustsAttemptsWithoutSleepingAfterLast) {
-  backoff_policy p = no_jitter();
-  p.max_attempts = 3;
-  int calls = 0;
-  int sleeps = 0;
-  const retry_outcome out = retry_with_backoff(
-      p,
-      [&](int) {
-        ++calls;
-        return false;
-      },
-      [&](double) { ++sleeps; });
-  EXPECT_FALSE(out.succeeded);
-  EXPECT_EQ(out.attempts, 3);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(sleeps, 2);  // no backoff after the final failure
-}
-
-TEST(Retry, SingleAttemptPolicyNeverSleeps) {
-  backoff_policy p = no_jitter();
-  p.max_attempts = 0;  // clamped to one try
-  int sleeps = 0;
-  const retry_outcome out =
-      retry_with_backoff(p, [&](int) { return false; },
-                         [&](double) { ++sleeps; });
-  EXPECT_FALSE(out.succeeded);
-  EXPECT_EQ(out.attempts, 1);
-  EXPECT_EQ(sleeps, 0);
 }
 
 }  // namespace

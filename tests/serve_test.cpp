@@ -362,14 +362,25 @@ TEST(Serve, InteractiveJobsOvertakeBatchJobsInTheQueue) {
   server_fixture fixture(std::move(config));
 
   // Wedge the runner so both probes are queued, then: batch first,
-  // interactive second.  The interactive one must finish first.
+  // interactive second.  The interactive one must finish first.  Each step
+  // waits on the server's own counters rather than a fixed sleep, so the
+  // probes are queued behind the busy job however fast this build runs it.
+  const auto await_stats = [&](std::uint64_t in_flight,
+                               std::uint64_t queue_depth) {
+    for (int i = 0; i < 10000; ++i) {
+      const auto s = fixture.get().stats();
+      if (s.in_flight == in_flight && s.queue_depth == queue_depth) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
   std::thread busy([&] {
     job_request request;
     request.frames = 60;
     client c(path, 120.0);
     (void)c.submit(request);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const bool busy_running = await_stats(1, 0);
 
   std::atomic<int> finish_order{0};
   std::atomic<int> batch_finished_at{-1};
@@ -381,7 +392,7 @@ TEST(Serve, InteractiveJobsOvertakeBatchJobsInTheQueue) {
     client c(path, 120.0);
     if (c.submit(request).complete) batch_finished_at = finish_order++;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const bool batch_queued = await_stats(1, 1);
   std::thread interactive([&] {
     job_request request;
     request.frames = 8;
@@ -389,10 +400,14 @@ TEST(Serve, InteractiveJobsOvertakeBatchJobsInTheQueue) {
     client c(path, 120.0);
     if (c.submit(request).complete) interactive_finished_at = finish_order++;
   });
+  const bool both_queued = await_stats(1, 2);
 
   busy.join();
   batch.join();
   interactive.join();
+  ASSERT_TRUE(busy_running);
+  ASSERT_TRUE(batch_queued);
+  ASSERT_TRUE(both_queued);
   ASSERT_GE(batch_finished_at.load(), 0);
   ASSERT_GE(interactive_finished_at.load(), 0);
   EXPECT_LT(interactive_finished_at.load(), batch_finished_at.load());

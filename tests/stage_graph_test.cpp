@@ -52,27 +52,6 @@ TEST(StageRegistry, ScopeOwnershipRoundTrips) {
   EXPECT_EQ(pipeline::stage_of(rt::fn::other), stage_id::count_);
 }
 
-TEST(StageRegistry, PrefetchableStagesFormAPrefix) {
-  // The clean lane runs the prefetchable prefix of a frame ahead of the
-  // stitch point; a gap in the prefix would make obtain() skip a stage.
-  // The gate stage is the one sanctioned hole: it sits between acquire and
-  // detect in dataflow order but always runs at the stitch point (frame
-  // classification needs the frames in stitch order), so gated runs
-  // degrade the prefix to acquire-only instead of prefetching through it.
-  bool seen_unprefetchable = false;
-  for (const auto& stage : pipeline::stage_registry()) {
-    if (stage.id == stage_id::gate) continue;
-    if (!stage.prefetchable) seen_unprefetchable = true;
-    if (seen_unprefetchable) {
-      EXPECT_FALSE(stage.prefetchable) << stage.name;
-    }
-  }
-  EXPECT_TRUE(pipeline::stage_info(stage_id::acquire).prefetchable);
-  EXPECT_FALSE(pipeline::stage_info(stage_id::gate).prefetchable);
-  EXPECT_TRUE(pipeline::stage_info(stage_id::describe).prefetchable);
-  EXPECT_FALSE(pipeline::stage_info(stage_id::match).prefetchable);
-}
-
 TEST(StageRegistry, FusedStagesShareTheirPredecessorsBudget) {
   // describe rides inside detect's watchdog scope, estimate inside match's:
   // re-opening would grant corrupted loop bounds a second allowance.
@@ -82,8 +61,6 @@ TEST(StageRegistry, FusedStagesShareTheirPredecessorsBudget) {
   EXPECT_FALSE(pipeline::stage_info(stage_id::estimate).opens_scope);
   EXPECT_EQ(pipeline::stage_info(stage_id::estimate).budget,
             pipeline::stage_info(stage_id::match).budget);
-  // estimate's CFCSS transition is owned by the alignment cascade.
-  EXPECT_FALSE(pipeline::stage_info(stage_id::estimate).executor_marked);
 }
 
 TEST(StageRegistry, BudgetValueSelectsTheMatchingAllowance) {
@@ -489,21 +466,14 @@ TEST(FrameExecutor, ObtainDrainsSkippedFramesAndConsumesInOrder) {
 // ---------------------------------------------------------------------------
 
 TEST(StageRegistry, ReplicationContractsMatchProductKinds) {
-  using pipeline::dual_check;
   // Acquire is the I/O boundary — outside the sphere of replication.
   EXPECT_FALSE(pipeline::stage_info(stage_id::acquire).replicable);
-  EXPECT_EQ(pipeline::stage_info(stage_id::acquire).check, dual_check::none);
-  // Structured-value stages recompute; the buffer producer checksums.
-  for (const stage_id s : {stage_id::detect, stage_id::describe,
-                           stage_id::match, stage_id::estimate}) {
+  for (const stage_id s : {stage_id::gate, stage_id::detect,
+                           stage_id::describe, stage_id::match,
+                           stage_id::estimate, stage_id::composite}) {
     EXPECT_TRUE(pipeline::stage_info(s).replicable)
         << pipeline::stage_name(s);
-    EXPECT_EQ(pipeline::stage_info(s).check, dual_check::recompute)
-        << pipeline::stage_name(s);
   }
-  EXPECT_TRUE(pipeline::stage_info(stage_id::composite).replicable);
-  EXPECT_EQ(pipeline::stage_info(stage_id::composite).check,
-            dual_check::checksum);
   EXPECT_EQ(pipeline::replicable_stage_mask() &
                 pipeline::stage_bit(stage_id::acquire),
             0u);

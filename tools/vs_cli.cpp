@@ -77,7 +77,7 @@ using namespace vs;
       "  vs resil     <input1|input2|input3> [algorithm] [frames]\n"
       "               [--level=off|detectors|cfcss|full] [--retries=N]\n"
       "               [--replicate=off|geometry|all|stage,...]\n"
-      "               [--no-motion-reuse] [--budget-factor=F]\n"
+      "               [--budget-factor=F]\n"
       "  vs fleet     <input1|input2|input3> [algorithms...] [--frames=N]\n"
       "               [--csv=path] [--json=path] [--retries=N]\n"
       "               [--socket=PATH | --jobs=N --isolate --timeout=S\n"
@@ -486,9 +486,8 @@ int cmd_stages() {
   std::printf("gating: request=%s (override with --gate=LEVEL or "
               "VS_GATE)\n\n",
               gate::level_name(gate::requested_level()));
-  std::printf("%-10s %-12s %-18s %-8s %-6s %-6s %-6s %-8s %-10s %-9s %s\n",
-              "stage", "budget", "cfcss signature", "scope?", "ahead",
-              "clean", "batch?", "queue", "replica", "gate?", "rt scopes");
+  std::printf("%-10s %-12s %-18s %-8s %-8s %s\n", "stage", "budget",
+              "cfcss signature", "scope?", "replica", "rt scopes");
   for (const auto& stage : pipeline::stage_registry()) {
     std::string scopes;
     for (const rt::fn f : stage.scopes) {
@@ -496,36 +495,16 @@ int cmd_stages() {
       if (!scopes.empty()) scopes += ",";
       scopes += rt::fn_name(f);
     }
-    const bool batchable = pipeline::stage_batchable(stage);
-    const char* gated = stage.gate_skip
-                            ? (stage.gate_roi ? "skip+roi" : "skip")
-                            : (stage.gate_roi ? "roi" : "-");
-    std::printf("%-10s %-12s 0x%016llx %-8s %-6s %-6s %-6s %-8s %-10s %-9s "
-                "%s\n",
-                stage.name, pipeline::budget_key_name(stage.budget),
+    std::printf("%-10s %-12s 0x%016llx %-8s %-8s %s\n", stage.name,
+                pipeline::budget_key_name(stage.budget),
                 static_cast<unsigned long long>(
                     resil::cfcss::static_signature(stage.node)),
                 stage.opens_scope ? "opens" : "fused",
-                stage.prefetchable ? "yes" : "no",
-                stage.clean_lane ? "yes" : "no", batchable ? "yes" : "no",
-                batchable ? pipeline::stage_name(stage.batch_queue) : "-",
-                stage.replicable ? pipeline::dual_check_name(stage.check)
-                                 : "-",
-                gated, scopes.c_str());
+                stage.replicable ? "yes" : "-", scopes.c_str());
   }
   std::printf(
-      "\n'ahead' stages form the clean lane's prefetchable frame prefix; "
-      "'fused' stages\nride inside the previous stage's watchdog scope.  "
-      "The estimate transition is\nmarked inside the alignment cascade, not "
-      "by the executor.\n'batch?' stages enter the stage scheduler's work "
-      "queues; 'queue' names the\nqueue their work rides in (describe is "
-      "fused into detect's queue).\n'replica' is the stage's dual-execution "
-      "contract (--replicate / hardening full):\nrecompute stages re-run "
-      "and compare structurally, checksum stages digest the\nproduced "
-      "buffer.\n'gate?' is what the gating subsystem may elide: 'skip' "
-      "stages are skipped\nentirely on gated-out frames, 'roi' stages run "
-      "restricted (ROI extraction /\nextrapolated alignment) on delta "
-      "frames.\n");
+      "\n'fused' stages ride inside the previous stage's watchdog scope.\n"
+      "'replica' stages may dual-execute (--replicate / hardening full).\n");
   return 0;
 }
 
@@ -545,8 +524,6 @@ int cmd_resil(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--replicate=", 12) == 0) {
       config.hardening.replicate_stages =
           pipeline::parse_replicate_stages(argv[i] + 12);
-    } else if (std::strcmp(argv[i], "--no-motion-reuse") == 0) {
-      config.hardening.reuse_last_motion = false;
     } else if (std::strncmp(argv[i], "--budget-factor=", 16) == 0) {
       budget_factor = parse_factor(argv[i] + 16);
     } else if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
@@ -566,14 +543,13 @@ int cmd_resil(int argc, char** argv) {
   const auto result = app::summarize(*source, config);
   const auto& rec = result.recovery;
   std::printf("hardened run: %s on %s, %d frames, level=%s, retries=%d, "
-              "replicate=%s, motion-reuse=%s\n",
+              "replicate=%s\n",
               app::algorithm_name(config.approx.alg), video::input_name(input),
               frames, resil::hardening_level_name(config.hardening.level),
               config.hardening.max_frame_retries,
               pipeline::replicate_stages_name(
                   resil::replication_mask(config.hardening))
-                  .c_str(),
-              config.hardening.reuse_last_motion ? "on" : "off");
+                  .c_str());
   std::printf("  stitched %d/%d frames into %d mini-panorama(s)\n",
               result.stats.frames_stitched, result.stats.frames_total,
               result.stats.mini_panoramas);
