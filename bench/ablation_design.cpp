@@ -23,7 +23,7 @@
 int main(int argc, char** argv) {
   using namespace vs;
   auto opt = benchutil::parse_options(argc, argv);
-  const int fault_frames = std::min(opt.frames, 20);
+  const int fault_frames = benchutil::campaign_frames(opt);
   const int injections = opt.quick ? 150 : std::min(opt.injections, 600);
 
   const auto source = video::make_input(video::input_id::input2, fault_frames);
@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   const auto work = benchutil::vs_workload(source, config);
 
   // --- A: liveness sweep --------------------------------------------------
-  benchutil::heading("Ablation A: GPR live-fraction sweep (baseline VS)");
+  benchutil::heading("Ablation A: GPR live-fraction sweep (baseline VS)" +
+                     benchutil::clip_note(fault_frames));
   std::printf("%10s %8s %8s %8s\n", "gpr_live", "mask", "crash", "sdc");
   for (const double live : {0.25, 0.55, 0.80, 1.0}) {
     fault::campaign_config campaign;

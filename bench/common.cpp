@@ -1,5 +1,6 @@
 #include "common.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -72,6 +73,7 @@ options parse_options(int argc, char** argv) {
       opt.quick = true;
     } else if (parse_flag(argv[i], "--frames", value)) {
       opt.frames = parse_number<int>(value, argv[i]);
+      opt.frames_given = true;
     } else if (parse_flag(argv[i], "--injections", value)) {
       opt.injections = parse_number<int>(value, argv[i]);
     } else if (parse_flag(argv[i], "--sdc-injections", value)) {
@@ -95,6 +97,10 @@ options parse_options(int argc, char** argv) {
     throw std::runtime_error("options: frames must be >=4, injections >= 1");
   }
   return opt;
+}
+
+int campaign_frames(const options& opt) {
+  return opt.frames_given ? opt.frames : std::min(opt.frames, 20);
 }
 
 std::string output_dir(const options& opt) {
@@ -175,6 +181,10 @@ std::string pct(double fraction, int decimals) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.*f%%", decimals, fraction * 100.0);
   return buffer;
+}
+
+std::string clip_note(int frames) {
+  return " [" + std::to_string(frames) + "-frame clips]";
 }
 
 void heading(const std::string& title) {

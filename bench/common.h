@@ -17,6 +17,7 @@ namespace vs::benchutil {
 /// everything for smoke runs.
 struct options {
   int frames = 40;        ///< frames per input clip
+  bool frames_given = false;  ///< --frames was on the command line
   int injections = 1000;  ///< per register class per variant (paper: 1000)
   int sdc_injections = 5000;  ///< for the Fig 12 SDC-quality study
   int threads = 0;        ///< 0 = hardware concurrency
@@ -31,6 +32,11 @@ struct options {
 /// --quick --out-dir=PATH.  Unknown flags and numbers that are not a whole
 /// non-negative decimal abort with a usage message.
 [[nodiscard]] options parse_options(int argc, char** argv);
+
+/// Clip length of a fault-campaign harness: an explicit --frames as given,
+/// otherwise the default clip capped at 20 frames (every experiment runs
+/// the clip again from its injection frame).
+[[nodiscard]] int campaign_frames(const options& opt);
 
 /// The directory harness artifacts go to: --out-dir, else bench_out/
 /// under the working directory.  Created if missing.
@@ -86,5 +92,9 @@ class bench_report {
 
 /// Prints an underlined section heading.
 void heading(const std::string& title);
+
+/// The suffix a campaign heading names its clip length with, e.g.
+/// " [20-frame clips]".
+[[nodiscard]] std::string clip_note(int frames);
 
 }  // namespace vs::benchutil

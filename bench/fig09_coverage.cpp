@@ -13,9 +13,10 @@
 int main(int argc, char** argv) {
   using namespace vs;
   auto opt = benchutil::parse_options(argc, argv);
-  const int fault_frames = std::min(opt.frames, 20);
+  const int fault_frames = benchutil::campaign_frames(opt);
 
-  benchutil::heading("Fig 9a: outcome-rate convergence (GPR, baseline VS)");
+  benchutil::heading("Fig 9a: outcome-rate convergence (GPR, baseline VS)" +
+                     benchutil::clip_note(fault_frames));
 
   const auto source = video::make_input(video::input_id::input1, fault_frames);
   const auto config = benchutil::variant_config(app::algorithm::vs);

@@ -11,9 +11,10 @@
 int main(int argc, char** argv) {
   using namespace vs;
   auto opt = benchutil::parse_options(argc, argv);
-  const int fault_frames = std::min(opt.frames, 20);
+  const int fault_frames = benchutil::campaign_frames(opt);
 
-  benchutil::heading("Fig 10: resiliency profile of baseline VS (per input)");
+  benchutil::heading("Fig 10: resiliency profile of baseline VS (per input)" +
+                     benchutil::clip_note(fault_frames));
   std::printf("%-8s %-5s %8s %8s %8s %8s %10s %9s\n", "input", "regs", "mask",
               "crash", "sdc", "hang", "segfault%", "abort%");
 

@@ -14,10 +14,11 @@
 int main(int argc, char** argv) {
   using namespace vs;
   auto opt = benchutil::parse_options(argc, argv);
-  const int fault_frames = std::min(opt.frames, 20);
+  const int fault_frames = benchutil::campaign_frames(opt);
 
   benchutil::heading(
-      "Fig 11a: GPR resiliency profile, baseline vs approximations");
+      "Fig 11a: GPR resiliency profile, baseline vs approximations" +
+      benchutil::clip_note(fault_frames));
   std::printf("%-8s %-8s %8s %8s %8s %8s\n", "input", "variant", "mask",
               "crash", "sdc", "hang");
 

@@ -16,10 +16,11 @@
 int main(int argc, char** argv) {
   using namespace vs;
   auto opt = benchutil::parse_options(argc, argv);
-  const int fault_frames = std::min(opt.frames, 20);
+  const int fault_frames = benchutil::campaign_frames(opt);
 
   benchutil::heading(
-      "Fig 11b: injections confined to warpPerspective/remapBilinear");
+      "Fig 11b: injections confined to warpPerspective/remapBilinear" +
+      benchutil::clip_note(fault_frames));
   std::printf("%-16s %8s %8s %8s %8s\n", "workload", "mask", "crash", "sdc",
               "hang");
 

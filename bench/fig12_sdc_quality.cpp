@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace vs;
   auto opt = benchutil::parse_options(argc, argv);
-  const int fault_frames = std::min(opt.frames, 20);
+  const int fault_frames = benchutil::campaign_frames(opt);
   const int eds[] = {0, 2, 5, 10, 20, 37, 60, 100};
 
   for (const auto input : benchutil::all_inputs()) {
@@ -56,6 +56,7 @@ int main(int argc, char** argv) {
     for (int reference = 0; reference < 2; ++reference) {
       benchutil::heading(
           std::string("Fig 12: SDC ED CDF, ") + video::input_name(input) +
+          benchutil::clip_note(fault_frames) +
           (reference == 0 ? " vs VS_golden (panels a/b)"
                           : " vs Approx_golden (panels c/d)"));
       std::printf("%-8s %6s", "variant", "#SDC");

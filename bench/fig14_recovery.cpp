@@ -113,7 +113,7 @@ void emit_rates(std::ostringstream& json, const std::string& indent,
 
 int main(int argc, char** argv) {
   auto opt = benchutil::parse_options(argc, argv);
-  const int fault_frames = std::min(opt.frames, 20);
+  const int fault_frames = benchutil::campaign_frames(opt);
   const int timing_reps = opt.quick ? 2 : 3;
 
   std::ostringstream json;
@@ -163,8 +163,8 @@ int main(int argc, char** argv) {
     // -------------------- Part 1: cumulative levels --------------------
     benchutil::heading(
         std::string("Fig 14: cumulative hardening (GPR) — ") +
-        video::input_name(input));
-    std::printf("%d frames, %d injections\n", fault_frames, opt.injections);
+        video::input_name(input) + benchutil::clip_note(fault_frames));
+    std::printf("%d injections\n", opt.injections);
     std::printf("%-10s %8s %8s %8s %8s %9s %9s %9s %9s\n", "level", "mask",
                 "crash", "sdc", "hang", "det-rec", "det-deg", "wall-ms",
                 "overhead");
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
 
     benchutil::heading(
         std::string("Replication frontier at level=full (GPR) — ") +
-        video::input_name(input));
+        video::input_name(input) + benchutil::clip_note(fault_frames));
     std::printf("%-10s %8s %8s %8s %8s %9s %9s %9s %9s %10s\n", "replicate",
                 "mask", "crash", "sdc", "hang", "det-rec", "det-deg",
                 "wall-ms", "overhead", "c+s-reduct");

@@ -6,11 +6,13 @@
 
 #include "core/error.h"
 #include "core/rng.h"
+#include "core/same_bits.h"
 #include "gate/change.h"
 #include "gate/extrapolate.h"
 #include "pipeline/executor.h"
 #include "resil/recovery.h"
 #include "resil/runtime.h"
+#include "rt/frame_log.h"
 #include "rt/instrument.h"
 
 namespace vs::app {
@@ -95,6 +97,8 @@ feat::frame_features subsample_features(const feat::frame_features& features,
 
 /// Everything one frame of work may mutate, bundled so the recovery
 /// boundary can snapshot it with one copy and restore it with one swap.
+/// A campaign checkpoint holds it too, so a field added here must also be
+/// compared in same() below.
 struct pipeline_state {
   summary_result result;
   stitch::mini_panorama_builder builder;
@@ -119,10 +123,127 @@ struct pipeline_state {
   }
 };
 
+// --- campaign checkpoints (rt/frame_log.h) ------------------------------
+// A fault campaign's golden run records one checkpoint at the top of every
+// frame and one after the last: everything the rest of the call reads.
+// The frame executor keeps nothing across frames on the instrumented lane,
+// and the source and config are the caller's, which a run never changes.
+
+struct checkpoint {
+  pipeline_state st;
+  rng drop_rng;
+  int frame_count = 0;  ///< through a hook, so a flip can change it
+  std::optional<resil::cfcss::monitor> monitor;
+  resil::run_report report;
+};
+
+// Exact comparison (core/same_bits.h for the floating-point fields): an
+// experiment whose state passes it at a boundary can only repeat the
+// golden run from there on.
+static_assert(sizeof(geo::mat3) == 9 * sizeof(double));
+static_assert(sizeof(feat::keypoint) == 4 * sizeof(float));
+static_assert(sizeof(frame_placement) == 2 * sizeof(int) + sizeof(geo::mat3));
+static_assert(std::has_unique_object_representations_v<run_stats>);
+
+bool same(const feat::frame_features& a, const feat::frame_features& b) {
+  return same_bits(a.keypoints, b.keypoints) && a.descriptors == b.descriptors;
+}
+
+bool same(const gate::runtime_state& a, const gate::runtime_state& b) {
+  return a.ref_thumb == b.ref_thumb && a.ref_frame == b.ref_frame &&
+         a.have_ref == b.have_ref && same_bits(a.last_score, b.last_score) &&
+         a.consecutive_skips == b.consecutive_skips &&
+         a.consecutive_deltas == b.consecutive_deltas &&
+         a.cache.identical(b.cache);
+}
+
+bool same(const pipeline_state& a, const pipeline_state& b) {
+  return a.result.panorama == b.result.panorama &&
+         a.result.mini_panoramas == b.result.mini_panoramas &&
+         a.result.panorama_bounds == b.result.panorama_bounds &&
+         same_bits(a.result.placements, b.result.placements) &&
+         same_bits(a.result.stats, b.result.stats) &&
+         a.result.recovery == b.result.recovery && a.builder == b.builder &&
+         same_bits(a.cumulative, b.cumulative) &&
+         same(a.prev_features, b.prev_features) &&
+         a.have_reference == b.have_reference &&
+         a.consecutive_discards == b.consecutive_discards &&
+         same_bits(a.pending_placements, b.pending_placements) &&
+         same_bits(a.last_delta, b.last_delta) &&
+         a.have_last_delta == b.have_last_delta && same(a.gate, b.gate);
+}
+
+// The call's state at a boundary, as a checkpoint.
+checkpoint capture(const pipeline_state& st, const rng& drop_rng,
+                   int frame_count) {
+  std::optional<resil::cfcss::monitor> monitor;
+  if (resil::tls.monitor != nullptr) monitor = *resil::tls.monitor;
+  return {st, drop_rng, frame_count, monitor, resil::tls.report};
+}
+
+// Whether the call's state at a boundary is exactly `golden`.
+bool rejoins(const checkpoint& golden, const pipeline_state& st,
+             const rng& drop_rng, int frame_count) {
+  const bool same_monitor = resil::tls.monitor == nullptr
+                                ? !golden.monitor
+                                : golden.monitor == *resil::tls.monitor;
+  return golden.frame_count == frame_count && golden.drop_rng == drop_rng &&
+         golden.report == resil::tls.report && same_monitor &&
+         same(golden.st, st);
+}
+
+// Restores the checkpoint the armed experiment resumes from
+// (rt::resume_point) and returns its frame index; 0, restoring nothing,
+// when the target lies in frame 0 or before it.
+int resume(const rt::frame_log& replay, pipeline_state& st, rng& drop_rng,
+           int frame_count) {
+  const auto point = rt::resume_point(replay);
+  if (!point || *point == 0) return 0;
+  const rt::boundary& b = replay.boundaries[*point];
+  const auto& golden = std::any_cast<const checkpoint&>(b.app);
+  if (golden.frame_count != frame_count) return 0;
+  st = golden.st;
+  drop_rng = golden.drop_rng;
+  if (golden.monitor) *resil::tls.monitor = *golden.monitor;
+  resil::tls.report = golden.report;
+  rt::resume_at(b);
+  return static_cast<int>(*point);
+}
+
+// The log this call records into: the golden run's first call, unless it
+// reports mini-panoramas through on_mini_panorama (an experiment resumed
+// past a close would skip that callback).  A second call empties the log,
+// whose boundaries could no longer say which call they belong to.
+rt::frame_log* recording_log(const pipeline_config& config) {
+  rt::frame_log* log = rt::tls.record;
+  if (log == nullptr) return nullptr;
+  if (log->recordings++ > 0 || config.on_mini_panorama) {
+    log->boundaries.clear();
+    return nullptr;
+  }
+  log->entry = rt::tls.c;
+  return log;
+}
+
+// The golden log this call may resume from: an experiment's, before its
+// flip, entering the call exactly as the golden run entered its one
+// recorded call.
+const rt::frame_log* replay_log() {
+  const rt::frame_log* log = rt::tls.replay;
+  if (log == nullptr || log->recordings != 1 || log->boundaries.empty() ||
+      rt::tls.fired || !(rt::tls.c == log->entry)) {
+    return nullptr;
+  }
+  return log;
+}
+
 }  // namespace
 
 summary_result summarize(const video::video_source& source,
                          const pipeline_config& config) {
+  rt::frame_log* const record = recording_log(config);
+  const rt::frame_log* const replay = replay_log();
+
   const bool hardened = config.hardening.enabled();
   std::optional<resil::session> hardening(std::nullopt);
   if (hardened) hardening.emplace(config.hardening);
@@ -498,7 +619,27 @@ summary_result summarize(const video::video_source& source,
     }
   };
 
-  for (int index = 0; index < frame_count; ++index) {
+  // --- campaign checkpoints: record, resume, rejoin ----------------------
+  // The golden run records each boundary.  An experiment restores the last
+  // one its flip has not reached; once the flip has fired, a boundary
+  // whose state is the golden one ends the run with rt::rejoined.
+  const auto boundary = [&](int index) {
+    const auto at = static_cast<std::size_t>(index);
+    if (record != nullptr) {
+      rt::record_boundary(*record, capture(st, drop_rng, frame_count));
+    } else if (replay != nullptr && rt::tls.fired &&
+               at < replay->boundaries.size() &&
+               rejoins(std::any_cast<const checkpoint&>(
+                           replay->boundaries[at].app),
+                       st, drop_rng, frame_count)) {
+      throw rt::rejoined{at};
+    }
+  };
+  const int first_frame =
+      replay != nullptr ? resume(*replay, st, drop_rng, frame_count) : 0;
+
+  for (int index = first_frame; index < frame_count; ++index) {
+    boundary(index);
     // --- VS_RFD: random input sampling ---------------------------------
     // The drop decision is drawn for every frame (whatever the variant) so
     // all variants see identical RNG streams downstream — and it is drawn
@@ -516,6 +657,7 @@ summary_result summarize(const video::video_source& source,
         },
         [&] { degrade_frame(index); });
   }
+  boundary(frame_count);
   close_mini_panorama_contained();
 
   if (!hardened) {

@@ -52,6 +52,8 @@ class rng {
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
 
+  bool operator==(const rng&) const = default;
+
  private:
   std::uint64_t s_[4];
   bool have_spare_normal_ = false;

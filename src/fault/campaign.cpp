@@ -8,6 +8,7 @@
 #include "core/log.h"
 #include "core/rng.h"
 #include "resil/runtime.h"
+#include "rt/frame_log.h"
 
 namespace vs::fault {
 
@@ -25,19 +26,74 @@ std::uint64_t class_ops(const rt::counters& c, const campaign_config& cfg) {
   return sites;
 }
 
-}  // namespace
+/// What run_campaign keeps of its golden run for the experiments it runs
+/// itself: the frame-boundary checkpoints (rt/frame_log.h), plus what an
+/// experiment that rejoins them needs to classify itself without running
+/// on.  Lives for one run_campaign call only.
+struct golden_log {
+  rt::frame_log frames;
+  std::uint64_t steps = 0;    ///< the whole golden run's
+  resil::run_report report;   ///< the golden run's final recovery report
+};
 
-injection_record run_one_injection(const workload& work,
-                                   const rt::fault_plan& plan,
-                                   std::uint64_t step_budget,
-                                   const img::image_u8& golden,
-                                   img::image_u8* faulty_out) {
+campaign_setup measure(const workload& work, const campaign_config& config,
+                       golden_log* log) {
+  campaign_setup setup;
+  {
+    rt::session session(log != nullptr ? &log->frames : nullptr);
+    resil::clear_last_run_report();
+    setup.golden = work();
+    setup.golden_counters = session.stats();
+    setup.total_ops = class_ops(setup.golden_counters, config);
+    const double budget = static_cast<double>(setup.golden_counters.steps()) *
+                          config.step_budget_factor;
+    setup.step_budget =
+        budget < 1e18 ? static_cast<std::uint64_t>(budget) : ~0ULL;
+  }
+  if (setup.total_ops == 0) {
+    throw invalid_argument(
+        "campaign: workload executed no dynamic ops of the targeted class");
+  }
+  if (log != nullptr) {
+    log->steps = setup.golden_counters.steps();
+    log->report = resil::last_run_report();
+  }
+  return setup;
+}
+
+// Recovery-aware reclassification (hardened workloads only; the report is
+// all-zero otherwise).  A fired fault whose run shows any detection
+// evidence is no longer silent: golden-equal output means the containment
+// machinery recovered it, anything else means it degraded gracefully but
+// flagged the damage.
+void fold_recovery(injection_record& record,
+                   const resil::run_report& recovery) {
+  record.detections =
+      recovery.faults_detected() + (recovery.output_flagged() ? 1u : 0u);
+  record.replica_divergences = recovery.replica_divergences;
+  record.retries = recovery.retries;
+  record.frames_degraded = recovery.frames_degraded;
+  if (record.fired && recovery.any_detection()) {
+    record.result = record.result == outcome::masked
+                        ? outcome::detected_recovered
+                        : outcome::detected_degraded;
+  }
+}
+
+// One live experiment.  With a golden log it starts at the boundary before
+// its target and may stop at a boundary where it rejoins the golden run;
+// the record is the one a run from the start would produce.
+injection_record run_live(const workload& work, const rt::fault_plan& plan,
+                          std::uint64_t step_budget,
+                          const img::image_u8& golden,
+                          img::image_u8* faulty_out, const golden_log* log) {
   injection_record record;
   record.plan = plan;
   record.register_live = true;
   resil::clear_last_run_report();
   {
-    rt::session session(plan, step_budget);
+    rt::session session(plan, step_budget,
+                        log != nullptr ? &log->frames : nullptr);
     try {
       img::image_u8 output = work();
       record.fired = session.fired();
@@ -47,21 +103,19 @@ injection_record run_one_injection(const workload& work,
         record.result = outcome::sdc;
         if (faulty_out != nullptr) *faulty_out = std::move(output);
       }
-      // Recovery-aware reclassification (hardened workloads only; the
-      // report is all-zero otherwise).  A fired fault whose run shows any
-      // detection evidence is no longer silent: golden-equal output means
-      // the containment machinery recovered it, anything else means it
-      // degraded gracefully but flagged the damage.
-      const resil::run_report& recovery = resil::last_run_report();
-      record.detections = recovery.faults_detected() +
-                          (recovery.output_flagged() ? 1u : 0u);
-      record.replica_divergences = recovery.replica_divergences;
-      record.retries = recovery.retries;
-      record.frames_degraded = recovery.frames_degraded;
-      if (record.fired && recovery.any_detection()) {
-        record.result = record.result == outcome::masked
-                            ? outcome::detected_recovered
-                            : outcome::detected_degraded;
+      fold_recovery(record, resil::last_run_report());
+    } catch (const rt::rejoined& r) {
+      // The state equals the golden run's at a boundary, so the rest of
+      // the run is the golden run's: its output, its final report, and
+      // its remaining steps on top of the ones spent so far.
+      record.fired = true;
+      const std::uint64_t remaining =
+          log->steps - log->frames.boundaries[r.boundary].steps;
+      if (rt::tls.steps + remaining >= step_budget) {
+        record.result = outcome::hang;
+      } else {
+        record.result = outcome::masked;
+        fold_recovery(record, log->report);
       }
     } catch (const detected_error&) {
       // A detection escaped every recovery boundary (possible only for
@@ -106,24 +160,38 @@ injection_record run_one_injection(const workload& work,
   return record;
 }
 
+// Plans experiment `index` and runs it (from the start without a log).
+injection_record run_planned(const workload& work,
+                             const campaign_config& config,
+                             const campaign_setup& setup, std::size_t index,
+                             img::image_u8* faulty_out,
+                             const golden_log* log) {
+  const experiment_plan p = plan_experiment(config, setup.total_ops, index);
+  if (!p.register_live) {
+    // Dead-register strike: architecturally masked without execution.
+    injection_record record;
+    record.plan = p.plan;
+    record.register_live = false;
+    record.result = outcome::masked;
+    return record;
+  }
+  return run_live(work, p.plan, setup.step_budget, setup.golden, faulty_out,
+                  log);
+}
+
+}  // namespace
+
+injection_record run_one_injection(const workload& work,
+                                   const rt::fault_plan& plan,
+                                   std::uint64_t step_budget,
+                                   const img::image_u8& golden,
+                                   img::image_u8* faulty_out) {
+  return run_live(work, plan, step_budget, golden, faulty_out, nullptr);
+}
+
 campaign_setup measure_golden(const workload& work,
                               const campaign_config& config) {
-  campaign_setup setup;
-  {
-    rt::session session;
-    setup.golden = work();
-    setup.golden_counters = session.stats();
-    setup.total_ops = class_ops(setup.golden_counters, config);
-    const double budget = static_cast<double>(setup.golden_counters.steps()) *
-                          config.step_budget_factor;
-    setup.step_budget =
-        budget < 1e18 ? static_cast<std::uint64_t>(budget) : ~0ULL;
-  }
-  if (setup.total_ops == 0) {
-    throw invalid_argument(
-        "campaign: workload executed no dynamic ops of the targeted class");
-  }
-  return setup;
+  return measure(work, config, nullptr);
 }
 
 experiment_plan plan_experiment(const campaign_config& config,
@@ -150,17 +218,7 @@ injection_record run_experiment(const workload& work,
                                 const campaign_config& config,
                                 const campaign_setup& setup, std::size_t index,
                                 img::image_u8* faulty_out) {
-  const experiment_plan p = plan_experiment(config, setup.total_ops, index);
-  if (!p.register_live) {
-    // Dead-register strike: architecturally masked without execution.
-    injection_record record;
-    record.plan = p.plan;
-    record.register_live = false;
-    record.result = outcome::masked;
-    return record;
-  }
-  return run_one_injection(work, p.plan, setup.step_budget, setup.golden,
-                           faulty_out);
+  return run_planned(work, config, setup, index, faulty_out, nullptr);
 }
 
 campaign_result run_campaign(const workload& work,
@@ -169,8 +227,9 @@ campaign_result run_campaign(const workload& work,
 
   campaign_result result;
 
-  // --- golden run -------------------------------------------------------
-  campaign_setup setup = measure_golden(work, config);
+  // --- golden run, with its frame-boundary checkpoints -------------------
+  golden_log log;
+  campaign_setup setup = measure(work, config, &log);
   result.golden_counters = setup.golden_counters;
 
   // --- resolve the experiment range --------------------------------------
@@ -193,9 +252,9 @@ campaign_result run_campaign(const workload& work,
     for (;;) {
       const std::size_t i = cursor.fetch_add(1);
       if (i >= m) return;
-      records[i] = run_experiment(
+      records[i] = run_planned(
           work, config, setup, first + i,
-          config.keep_sdc_outputs ? &faulty[i] : nullptr);
+          config.keep_sdc_outputs ? &faulty[i] : nullptr, &log);
     }
   };
 

@@ -5,6 +5,10 @@
 // virtual register file at a uniformly random dynamic operation, and
 // classifies every experiment as Mask / SDC / Crash / Hang exactly as the
 // paper's Fault Monitor does (run-to-completion + output comparison).
+// run_campaign skips what a run to completion would only repeat: each
+// experiment starts at the golden run's frame checkpoint before its target
+// op and stops once its state is the golden state again (rt/frame_log.h,
+// DESIGN.md 5l).  The records are those of runs from the start.
 #pragma once
 
 #include <functional>
@@ -74,7 +78,9 @@ struct campaign_setup {
 
 /// Performs the golden run and derives the fault-site count and watchdog
 /// budget.  Throws invalid_argument when the workload executes no dynamic
-/// ops of the targeted class.
+/// ops of the targeted class.  Keeps no frame checkpoints: callers that
+/// hold many setups at once (the supervisor, vsbench) would hold every
+/// clip's states too.
 [[nodiscard]] campaign_setup measure_golden(const workload& work,
                                             const campaign_config& config);
 
@@ -93,6 +99,9 @@ struct experiment_plan {
 
 /// Plans and executes experiment `index` against `setup`, returning its
 /// record (dead-register strikes classify as masked without running).
+/// A bare setup has no checkpoints, so the run starts from the workload's
+/// beginning and goes to completion: the reference run_campaign's
+/// checkpointed experiments must reproduce record for record.
 [[nodiscard]] injection_record run_experiment(const workload& work,
                                               const campaign_config& config,
                                               const campaign_setup& setup,
@@ -102,7 +111,8 @@ struct experiment_plan {
 
 /// Runs a campaign.  Deterministic given (workload determinism, config).
 /// Experiments run on `threads` parallel workers; results are identical to
-/// the sequential order regardless of thread count.
+/// the sequential order regardless of thread count.  The golden run's frame
+/// checkpoints live for this call only; the workers share them read-only.
 [[nodiscard]] campaign_result run_campaign(const workload& work,
                                            const campaign_config& config);
 

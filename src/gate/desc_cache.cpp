@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/same_bits.h"
+
 namespace vs::gate {
 
 namespace {
@@ -27,6 +29,24 @@ void desc_cache::configure(std::size_t capacity, int max_age) {
   capacity_ = capacity;
   max_age_ = max_age;
   reset();
+}
+
+bool desc_cache::identical(const desc_cache& other) const noexcept {
+  static_assert(sizeof(feat::keypoint) == 4 * sizeof(float));
+  if (entries_.size() != other.entries_.size() ||
+      capacity_ != other.capacity_ || max_age_ != other.max_age_ ||
+      next_stamp_ != other.next_stamp_ || evictions_ != other.evictions_) {
+    return false;
+  }
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const entry& a = entries_[i];
+    const entry& b = other.entries_[i];
+    if (!same_bits(a.kp, b.kp) || !(a.desc == b.desc) || a.age != b.age ||
+        a.stamp != b.stamp) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void desc_cache::reset() {

@@ -60,6 +60,11 @@ class desc_cache {
   /// Entries dropped by capacity eviction since configure()/reset().
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
 
+  /// Bit-for-bit equal state: keypoint coordinates compare by their
+  /// representation, so -0.0f and 0.0f differ (a campaign's rejoin test
+  /// must not call two states equal that later arithmetic can tell apart).
+  [[nodiscard]] bool identical(const desc_cache& other) const noexcept;
+
  private:
   struct entry {
     feat::keypoint kp;       // position in the *current* frame's coordinates

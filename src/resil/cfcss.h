@@ -85,6 +85,8 @@ class monitor {
     return violations_;
   }
 
+  bool operator==(const monitor&) const = default;
+
  private:
   std::uint64_t g_ = 0;  ///< runtime signature register G
   node cur_ = node::frame_begin;

@@ -123,6 +123,8 @@ struct run_report {
   [[nodiscard]] bool any_detection() const noexcept {
     return faults_detected() > 0 || output_flagged();
   }
+
+  bool operator==(const run_report&) const = default;
 };
 
 }  // namespace vs::resil

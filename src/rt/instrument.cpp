@@ -84,12 +84,14 @@ void raise_logic_oob(std::int64_t index, std::size_t bound) {
 
 }  // namespace detail
 
-session::session() : saved_(tls) {
+session::session(frame_log* record) : saved_(tls) {
   tls = state{};
   tls.enabled = true;
+  tls.record = record;
 }
 
-session::session(const fault_plan& plan, std::uint64_t step_budget)
+session::session(const fault_plan& plan, std::uint64_t step_budget,
+                 const frame_log* replay)
     : saved_(tls) {
   tls = state{};
   tls.enabled = true;
@@ -101,6 +103,7 @@ session::session(const fault_plan& plan, std::uint64_t step_budget)
   tls.target = plan.target;
   tls.bit = plan.bit;
   tls.step_budget = step_budget;
+  tls.replay = replay;
 }
 
 session::~session() { tls = saved_; }

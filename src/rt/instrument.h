@@ -75,6 +75,10 @@ struct counters {
   /// streams; the hooks are the representative sample of live values that
   /// injections can strike.  Campaigns draw targets over these.
   std::uint64_t hooks_by_fn[fn_count][2] = {};
+  /// The GPR hooks above that alloc_size executed: drawn as targets like
+  /// any other, but never struck (alloc_size applies no flip), so they do
+  /// not advance an armed plan's match index.
+  std::uint64_t unstruck_by_fn[fn_count] = {};
 
   [[nodiscard]] std::uint64_t total(op k) const noexcept {
     std::uint64_t sum = 0;
@@ -116,6 +120,8 @@ struct counters {
   [[nodiscard]] std::uint64_t hooks(reg_class cls, fn f) const noexcept {
     return hooks_by_fn[static_cast<int>(f)][static_cast<int>(cls)];
   }
+
+  bool operator==(const counters&) const = default;
 };
 
 /// One planned injection: flip `bit` of the value flowing through the
@@ -132,6 +138,8 @@ struct fault_plan {
   fn scope_b = fn::other;  ///< second accepted scope (set equal to `scope`
                            ///< when only one function is targeted)
 };
+
+struct frame_log;  // rt/frame_log.h
 
 /// Thread-local instrumentation state.  One pipeline run == one session on
 /// one thread; campaigns may run many sessions on parallel threads.
@@ -173,6 +181,10 @@ struct state {
   // wrapped (wrong but mapped) location; farther out raises segfault.  2^14
   // elements approximates the page-scale slack a heap buffer enjoys.
   std::uint64_t mem_slack = 1ULL << 14;
+
+  // --- frame-boundary log (rt/frame_log.h; fault campaigns only) ---
+  frame_log* record = nullptr;        ///< golden run: boundaries go here
+  const frame_log* replay = nullptr;  ///< experiment: the golden run's log
 };
 
 // constinit: the state is constant-initialized, so no TLS init-on-first-use
@@ -336,7 +348,10 @@ inline std::size_t idx(std::int64_t i, std::size_t n) {
 /// internal-constraint aborts that make up ~8% of the paper's crashes.
 inline std::size_t alloc_size(std::int64_t n, std::size_t cap) {
   state& s = tls;
-  if (s.enabled) detail::bump(s, op::int_alu);
+  if (s.enabled) {
+    detail::bump(s, op::int_alu);
+    ++s.c.unstruck_by_fn[static_cast<int>(s.cur)];
+  }
   if (n >= 0 && static_cast<std::uint64_t>(n) <= cap) {
     return static_cast<std::size_t>(n);
   }
@@ -441,12 +456,14 @@ struct unwind_snapshot {
 
 /// RAII instrumentation session: clears counters, enables hooks, optionally
 /// arms a fault plan and sets a watchdog budget; restores the previous state
-/// on destruction.  One session per pipeline run.
+/// on destruction.  One session per pipeline run.  A golden run may hand
+/// the application a frame_log to record into; an experiment may hand it
+/// the golden run's log to resume from.
 class session {
  public:
-  session();
-  explicit session(const fault_plan& plan,
-                   std::uint64_t step_budget = ~0ULL);
+  explicit session(frame_log* record = nullptr);
+  explicit session(const fault_plan& plan, std::uint64_t step_budget = ~0ULL,
+                   const frame_log* replay = nullptr);
   ~session();
   session(const session&) = delete;
   session& operator=(const session&) = delete;

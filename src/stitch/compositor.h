@@ -55,6 +55,8 @@ class compositor {
   /// never painted are 0).  Returns an empty image when nothing landed.
   [[nodiscard]] img::image_u8 render() const;
 
+  bool operator==(const compositor&) const = default;
+
  private:
   // Clean-lane (parallel, hook-free) twins of the hot compositing passes,
   // dispatched when instrumentation is off.  Byte-identical output.

@@ -79,6 +79,8 @@ class mini_panorama_builder {
     return canvas_.content_bounds();
   }
 
+  bool operator==(const mini_panorama_builder&) const = default;
+
  private:
   compositor canvas_;
   bool gain_compensation_ = false;

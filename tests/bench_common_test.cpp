@@ -28,6 +28,14 @@ TEST(BenchOptions, ParsesWholeDecimalNumbers) {
   EXPECT_EQ(opt.threads, 0);
 }
 
+TEST(BenchOptions, CampaignClipIsAnExplicitFramesElseCappedAtTwenty) {
+  EXPECT_EQ(campaign_frames(parse({})), 20);
+  EXPECT_EQ(campaign_frames(parse({"--quick"})), 18);
+  EXPECT_EQ(campaign_frames(parse({"--frames=12"})), 12);
+  EXPECT_EQ(campaign_frames(parse({"--frames=60"})), 60);
+  EXPECT_EQ(clip_note(60), " [60-frame clips]");
+}
+
 TEST(BenchOptions, RejectsNumbersThatAreNotTheWholeValue) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   for (const char* bad : {"--frames=12x", "--seed=abc", "--frames=-3",
