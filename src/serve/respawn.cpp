@@ -1,21 +1,15 @@
 #include "serve/respawn.h"
 
-#include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <cstdio>
 #include <fstream>
 #include <thread>
 
-#include "core/error.h"
 #include "core/log.h"
-#include "fault/wire.h"
 #include "supervise/fork_runner.h"
 
 namespace vs::serve {
@@ -24,8 +18,25 @@ namespace {
 
 using clock = std::chrono::steady_clock;
 
+/// Cadence of a generation's heartbeat lines.
+constexpr double kHeartbeatInterval_s = 0.25;
+
 double seconds_between(clock::time_point a, clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// Replaces `path` with the pid in one rename(), so a reader never sees a
+/// half-written file.
+void write_pidfile(const std::string& path, pid_t pid) {
+  if (path.empty()) return;
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::trunc);
+  out << pid << '\n';
+  out.close();
+  if (out.fail() || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    (void)std::remove(tmp.c_str());
+    log::warn("respawn: cannot write pidfile " + path);
+  }
 }
 
 /// The child generation's server, reachable from its drain signal handler.
@@ -44,12 +55,11 @@ void child_drain_signal(int) {
     sc.restarts = generation;
     // Heartbeat: one sealed "B <seq>" line per interval, pulsed from the
     // accept loop so a wedged loop stops beating and takes the watchdog.
-    const double interval = std::max(0.01, config.heartbeat_interval_s);
-    sc.on_tick = [wfd, interval, last = clock::time_point{},
+    sc.on_tick = [wfd, last = clock::time_point{},
                   seq = std::uint64_t{0}]() mutable {
       const auto now = clock::now();
       if (last != clock::time_point{} &&
-          seconds_between(last, now) < interval) {
+          seconds_between(last, now) < kHeartbeatInterval_s) {
         return;
       }
       last = now;
@@ -81,36 +91,16 @@ void child_drain_signal(int) {
 respawn_supervisor::respawn_supervisor(respawn_config config)
     : config_(std::move(config)) {}
 
-pid_t respawn_supervisor::spawn(std::uint64_t generation, int* pipe_rd) {
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    throw io_error("respawn: pipe() failed: " +
-                   std::string(std::strerror(errno)));
-  }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    throw io_error("respawn: fork() failed: " +
-                   std::string(std::strerror(errno)));
-  }
-  if (pid == 0) {
-    ::close(fds[0]);
-    child_main(config_, generation, fds[1]);
-  }
-  ::close(fds[1]);
-  (void)::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-  (void)::fcntl(fds[0], F_SETFD, FD_CLOEXEC);
-  *pipe_rd = fds[0];
-  return pid;
-}
-
 void respawn_supervisor::request_shutdown() noexcept {
+  // Claim before looking for a child: the start callback in run() stores
+  // the pid before it looks for a claim, so a request racing a fork is
+  // seen by one side or the other.  Only the first request decides whether
+  // the drain was asked of a live generation; a repeat (a second SIGTERM)
+  // after that generation died must not turn its failed drain into a
+  // clean end.
+  const bool first = !shutdown_requested_.exchange(true);
   const pid_t pid = child_pid_.load();
-  // Only the first request decides whether the drain was asked of a live
-  // generation; a repeat (a second SIGTERM) after that generation died
-  // must not turn its failed drain into a clean end.
-  if (!shutdown_requested_.exchange(true)) {
+  if (first) {
     idle_shutdown_.store(pid <= 0);
     shutdown_.store(true);
   }
@@ -134,103 +124,43 @@ respawn_stats respawn_supervisor::run() {
       log::info("respawn: shutdown between generations, supervision done");
       break;
     }
-    int rd = -1;
-    const std::uint64_t generation = stats.generations;
-    const pid_t pid = spawn(generation, &rd);
-    ++stats.generations;
-    child_pid_.store(pid, std::memory_order_relaxed);
-    if (!config_.pidfile.empty()) {
-      std::ofstream out(config_.pidfile, std::ios::trunc);
-      out << pid << '\n';
-    }
-    log::info("respawn: generation " + std::to_string(generation) +
-              " up (pid " + std::to_string(pid) + ")");
-
-    const auto born = clock::now();
-    auto last_beat = born;
-    // Any valid heartbeat line proves liveness; a torn one (the child died
-    // mid-write) just doesn't count.
-    fault::wire::line_reader beats;
-    const auto beat = [&last_beat](std::string_view payload) {
-      if (supervise::parse_begin(payload)) last_beat = clock::now();
-    };
-    bool stalled = false;
-    bool pipe_open = true;
-    bool drain_sent = false;
-    int status = 0;
-
-    for (;;) {
-      if (!drain_sent && shutdown_.load()) {
-        // Covers a shutdown that raced this spawn and found no pid.
-        (void)::kill(pid, SIGTERM);
-        drain_sent = true;
-      }
-      if (pipe_open) {
-        pollfd pfd{rd, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, 200);
-        if (ready > 0 && (pfd.revents & (POLLIN | POLLHUP)) != 0) {
-          char buf[4096];
-          for (;;) {
-            const ssize_t n = ::read(rd, buf, sizeof(buf));
-            if (n > 0) {
-              beats.feed(std::string_view(buf, static_cast<std::size_t>(n)),
-                         beat);
-              continue;
-            }
-            if (n == 0) pipe_open = false;  // child end closed
-            break;                          // EOF, EAGAIN, or error
-          }
-        }
-      } else {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-
-      const pid_t done = ::waitpid(pid, &status, WNOHANG);
-      if (done == pid) break;
-
-      if (config_.stall_timeout_s > 0 &&
-          seconds_between(last_beat, clock::now()) >
-              config_.stall_timeout_s) {
-        // Heartbeat stall: the accept loop is wedged even though the
-        // process lives.  SIGKILL and classify as a hang, the same
-        // taxonomy a campaign worker's watchdog timeout gets.
-        stalled = true;
-        (void)::kill(pid, SIGKILL);
-        (void)::waitpid(pid, &status, 0);
-        break;
-      }
-    }
-    ::close(rd);
-    child_pid_.store(-1, std::memory_order_relaxed);
-
-    const double uptime = seconds_between(born, clock::now());
-    const bool clean = !stalled && WIFEXITED(status) &&
-                       WEXITSTATUS(status) == 0;
+    const std::uint64_t generation = stats.generations++;
     const std::string gen_tag =
         "respawn: generation " + std::to_string(generation);
-    if (stalled) {
-      ++stats.hangs;
-      log::warn(gen_tag + " stalled (no heartbeat for " +
-                std::to_string(config_.stall_timeout_s) +
-                " s), killed: hang");
-    } else if (WIFSIGNALED(status)) {
-      ++stats.crashes;
-      log::warn(gen_tag + " died on signal " +
-                std::to_string(WTERMSIG(status)) + ": " +
-                fault::outcome_name(
-                    supervise::classify_signal(WTERMSIG(status))));
-    } else if (!clean) {
-      ++stats.failures;
-      log::warn(gen_tag + " exited with status " +
-                std::to_string(WIFEXITED(status) ? WEXITSTATUS(status)
-                                                 : -1));
-    }
+    const auto born = clock::now();
+    // Every heartbeat byte rearms the idle watchdog; a generation whose
+    // accept loop wedges goes quiet and is SIGKILLed as a hang.
+    const supervise::fork_ending ending = supervise::run_forked(
+        [this, generation](int wfd) { child_main(config_, generation, wfd); },
+        config_.stall_timeout_s, nullptr, supervise::watchdog::idle,
+        [&](pid_t pid) {
+          child_pid_.store(pid);
+          // A shutdown that raced this fork found no pid to signal.
+          if (shutdown_requested_.load()) (void)::kill(pid, SIGTERM);
+          write_pidfile(config_.pidfile, pid);
+          log::info(gen_tag + " up (pid " + std::to_string(pid) + ")");
+        });
+    child_pid_.store(-1);
 
-    if (clean) {
+    const double uptime = seconds_between(born, clock::now());
+    if (ending.how == supervise::fork_ending::kind::clean) {
       stats.clean_exit = true;
       log::info(gen_tag + " drained cleanly, supervision done");
       break;
     }
+    std::string how = "exited nonzero";
+    if (ending.how == supervise::fork_ending::kind::timeout) {
+      ++stats.hangs;
+      how = "stalled (no heartbeat for " +
+            std::to_string(config_.stall_timeout_s) + " s), killed";
+    } else if (ending.how == supervise::fork_ending::kind::signal) {
+      ++stats.crashes;
+      how = "died on signal " + std::to_string(ending.sig);
+    } else {
+      ++stats.failures;
+    }
+    log::warn(gen_tag + " " + how + ": " +
+              fault::outcome_name(ending.outcome()));
     if (shutdown_.load()) {
       // Requested after this generation was already gone: same clean end
       // as between generations.  Requested while it lived: its death

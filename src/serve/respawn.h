@@ -2,13 +2,17 @@
 // --supervised` runs the server as a forked child under this supervisor,
 // which restarts it after crashes with capped exponential backoff.
 //
-// The child pulses sealed heartbeat lines ("B <seq>", fault/wire.h) up the
-// supervision pipe from the server's accept loop (server_config::on_tick),
-// so a wedged loop reads as a stall and takes the watchdog SIGKILL.  Death
-// is classified from the waitpid status exactly like campaign workers
-// (supervise::classify_signal): signals count as crashes, a stall-kill as
-// a hang, a nonzero exit as a reported failure; exit 0 ends supervision,
-// and so does a shutdown request that finds no generation alive.
+// Each generation is one supervise::run_forked attempt (the repo's only
+// fork site, supervise/fork_runner.h) under an idle watchdog.  The child
+// pulses sealed heartbeat lines ("B <seq>", fault/wire.h) up the pipe from
+// the server's accept loop (server_config::on_tick) every 0.25 s; each
+// byte rearms the watchdog, so a wedged loop goes quiet and takes the
+// SIGKILL after stall_timeout_s.  The ending maps to the paper's outcomes
+// like any forked attempt (fork_ending::outcome): a signal is a crash, a
+// stall-kill a hang, a nonzero exit a reported failure; exit 0 ends
+// supervision, and so does a shutdown request that finds no generation
+// alive.  The attempt ends when the generation exits, even while one of
+// its isolated job workers still holds the heartbeat pipe.
 // Respawn delays come from core::backoff_policy — deterministic jitter, so
 // a given policy always produces the same schedule — and a streak of quick
 // deaths beyond max_consecutive_failures gives up instead of spinning.
@@ -32,9 +36,11 @@ namespace vs::serve {
 
 struct respawn_config {
   server_config server;  ///< what every generation boots with
-  /// Cadence of the child's heartbeat lines.
-  double heartbeat_interval_s = 0.25;
-  /// No heartbeat for this long -> SIGKILL, classified as a hang.
+  /// No heartbeat for this long -> SIGKILL, classified as a hang; <= 0 =
+  /// off.  The accept loop serves each connection's handshake inline and
+  /// does not beat while it waits, so a value at or below
+  /// server.handshake_timeout_s lets one silent client get a generation
+  /// killed.
   double stall_timeout_s = 10.0;
   /// Respawn delay schedule (attempt = current quick-death streak).
   core::backoff_policy backoff;
@@ -42,8 +48,8 @@ struct respawn_config {
   int max_consecutive_failures = 5;
   /// A generation that lives at least this long resets the streak.
   double stable_uptime_s = 5.0;
-  /// Written with the live child's pid each generation (crash drills
-  /// SIGKILL `cat pidfile`); empty = off.
+  /// Replaced (temp file + rename) with the live child's pid each
+  /// generation (crash drills SIGKILL `cat pidfile`); empty = off.
   std::string pidfile;
 };
 
@@ -81,8 +87,6 @@ class respawn_supervisor {
   }
 
  private:
-  pid_t spawn(std::uint64_t generation, int* pipe_rd);
-
   respawn_config config_;
   std::atomic<pid_t> child_pid_{-1};
   std::atomic<bool> shutdown_requested_{false};  ///< first request claimed

@@ -776,20 +776,12 @@ void server::run_isolated(const pending_job& job, core::pool_lease& lease) {
     // client ourselves (unless the child already reported its own failure).
     job_failed f;
     f.job_id = job.id;
-    switch (ending.how) {
-      case supervise::fork_ending::kind::timeout:
-        f.failure = fault::outcome::hang;
-        f.message = "watchdog_timeout";
-        break;
-      case supervise::fork_ending::kind::signal:
-        f.failure = supervise::classify_signal(ending.sig);
-        f.message = "worker_signal_" + std::to_string(ending.sig);
-        break;
-      default:
-        f.failure = fault::outcome::crash_abort;
-        f.message = "worker_failed";
-        break;
-    }
+    f.failure = ending.outcome();
+    f.message =
+        ending.how == supervise::fork_ending::kind::timeout ? "watchdog_timeout"
+        : ending.how == supervise::fork_ending::kind::signal
+            ? "worker_signal_" + std::to_string(ending.sig)
+            : "worker_failed";
     if (!saw_failed) job.sink->emit(encode_failed(f));
     {
       const std::lock_guard<std::mutex> lock(state_mutex_);

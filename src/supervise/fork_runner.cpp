@@ -1,14 +1,15 @@
 #include "supervise/fork_runner.h"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/types.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <mutex>
 
 #include "core/error.h"
 #include "fault/wire.h"
@@ -18,12 +19,6 @@ namespace vs::supervise {
 namespace {
 
 using clock = std::chrono::steady_clock;
-
-// Serializes [pipe(), fork(), close parent's write end] so a worker forked
-// from one supervising thread can never inherit another worker's pipe write
-// end (which would hold that pipe open past its own worker's death and
-// stall the EOF the parent is waiting on).
-std::mutex fork_mutex;
 
 }  // namespace
 
@@ -65,82 +60,78 @@ void child_fail(int fd, const std::exception* e) {
 }
 
 fork_ending run_forked(const std::function<void(int)>& body, double timeout_s,
-                       const byte_sink& sink) {
+                       const byte_sink& sink, watchdog mode,
+                       const std::function<void(pid_t)>& on_start) {
   int fds[2];
-  pid_t pid = -1;
-  {
-    const std::lock_guard<std::mutex> lock(fork_mutex);
-    if (::pipe(fds) != 0) throw io_error("fork_runner: pipe() failed");
-    pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      throw io_error("fork_runner: fork() failed");
-    }
-    if (pid == 0) {
-      ::close(fds[0]);
-      body(fds[1]);  // must _exit, never return
-      _exit(0);
-    }
+  if (::pipe(fds) != 0) throw io_error("fork_runner: pipe() failed");
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(fds[0]);
     ::close(fds[1]);
+    throw io_error("fork_runner: fork() failed");
   }
+  if (pid == 0) {
+    ::close(fds[0]);
+    body(fds[1]);  // must _exit, never return
+    _exit(0);
+  }
+  ::close(fds[1]);
+  (void)::fcntl(fds[0], F_SETFL, O_NONBLOCK);
+  if (on_start) on_start(pid);
 
+  // The child's exit wakes the poll through its pidfd; without one (a
+  // kernel before 5.3) a short poll stands in.
+  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  pollfd watch[2] = {{fds[0], POLLIN, 0}, {pidfd, POLLIN, 0}};
+  const bool bounded = timeout_s > 0.0;
+  const auto budget = std::chrono::duration_cast<clock::duration>(
+      std::chrono::duration<double>(bounded ? timeout_s : 0.0));
+  auto deadline = clock::now() + budget;
   char chunk[4096];
   bool timed_out = false;
-  const bool bounded = timeout_s > 0.0;
-  const auto deadline =
-      clock::now() + std::chrono::duration_cast<clock::duration>(
-                         std::chrono::duration<double>(bounded ? timeout_s
-                                                               : 0.0));
-  for (;;) {
-    int timeout_ms = -1;
+  int status = 0;
+  pid_t reaped = 0;
+  while ((reaped = ::waitpid(pid, &status, WNOHANG)) == 0) {
+    int timeout_ms = pidfd >= 0 ? -1 : 10;
     if (bounded) {
       const auto remaining = deadline - clock::now();
       if (remaining <= clock::duration::zero()) {
         timed_out = true;
+        ::kill(pid, SIGKILL);
         break;
       }
-      timeout_ms = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
-              .count()) +
-          1;
+      const int remaining_ms = static_cast<int>(
+          std::chrono::ceil<std::chrono::milliseconds>(remaining).count());
+      timeout_ms = pidfd >= 0 ? remaining_ms : std::min(10, remaining_ms);
     }
-    struct pollfd p = {fds[0], POLLIN, 0};
-    const int pr = ::poll(&p, 1, timeout_ms);
-    if (pr == 0) {
-      timed_out = true;
-      break;
-    }
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
+    if (::poll(watch, 2, timeout_ms) <= 0 || watch[0].revents == 0) continue;
+    // One read per wakeup, so a child that never stops writing still
+    // meets its deadline.
     const ssize_t k = ::read(fds[0], chunk, sizeof(chunk));
-    if (k == 0) break;  // worker closed its end (exit or death)
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      break;
+    if (k > 0) {
+      if (sink) sink(chunk, static_cast<std::size_t>(k));
+      if (mode == watchdog::idle) deadline = clock::now() + budget;
+    } else if (k == 0 || (errno != EAGAIN && errno != EINTR)) {
+      watch[0].fd = -1;  // every writer closed its end; wait for the exit
     }
-    if (sink) sink(chunk, static_cast<std::size_t>(k));
   }
-
-  if (timed_out) ::kill(pid, SIGKILL);
+  if (reaped != pid) {
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+  }
   // Drain whatever the worker managed to write before dying: completed
   // results are completed work whether or not the worker survived.
   for (;;) {
     const ssize_t k = ::read(fds[0], chunk, sizeof(chunk));
     if (k > 0) {
       if (sink) sink(chunk, static_cast<std::size_t>(k));
-      continue;
+    } else if (k == 0 || errno != EINTR) {
+      break;
     }
-    if (k < 0 && errno == EINTR) continue;
-    break;
   }
   ::close(fds[0]);
+  if (pidfd >= 0) ::close(pidfd);
 
-  int status = 0;
-  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-  }
   fork_ending out;
   if (timed_out) {
     out.how = fork_ending::kind::timeout;
@@ -155,14 +146,16 @@ fork_ending run_forked(const std::function<void(int)>& body, double timeout_s,
   return out;
 }
 
-fault::outcome classify_signal(int sig) noexcept {
-  switch (sig) {
-    case SIGABRT:
-    case SIGILL:
-    case SIGFPE:
-      return fault::outcome::crash_abort;
+fault::outcome fork_ending::outcome() const noexcept {
+  switch (how) {
+    case kind::timeout:
+      return fault::outcome::hang;
+    case kind::signal:
+      return sig == SIGABRT || sig == SIGILL || sig == SIGFPE
+                 ? fault::outcome::crash_abort
+                 : fault::outcome::crash_segfault;
     default:
-      return fault::outcome::crash_segfault;
+      return fault::outcome::crash_abort;
   }
 }
 

@@ -1,15 +1,29 @@
-// The OS-level fault-domain primitive shared by the campaign supervisor and
-// the summarization server: fork a worker, stream its pipe, watchdog it,
-// classify its death.
+// The OS-level fault-domain primitive: fork a worker, stream its pipe,
+// watchdog it, classify its death.  It is the only fork site under src/,
+// with three callers:
 //
-// Extracted from the supervisor so src/serve/ can run isolated jobs under
-// the exact same containment semantics (wall-clock SIGKILL watchdog, full
-// post-mortem pipe drain, waitpid exit taxonomy) without duplicating any of
-// the fork plumbing.  What travels over the pipe is the caller's business:
-// the supervisor streams checksummed wire lines, the server streams
-// length-prefixed result frames (serve/framing.h) — both decoders sit on
-// top of the raw byte sink this runner exposes.
+//   * the campaign supervisor (supervisor.cpp): one worker per shard
+//     attempt, a fixed deadline (`--timeout`), checksummed wire lines;
+//   * the summarization server's isolate mode (serve/server.cpp): one
+//     worker per job, the job's remaining deadline, length-prefixed result
+//     frames (serve/framing.h);
+//   * the supervised server (serve/respawn.cpp): one long-lived generation,
+//     an idle watchdog that every heartbeat line rearms.
+//
+// What travels over the pipe is the caller's business; each decoder sits
+// on top of the raw byte sink this runner exposes.
+//
+// An attempt ends when the child exits, not when its pipe reaches EOF: a
+// descendant the child forked (a generation's isolated job worker) holds
+// the pipe open after the child dies, and must not delay the verdict.
+// Whatever the child wrote before it died is drained without blocking.
+// That same rule is why there is no lock around fork(): a worker that
+// inherits another attempt's write end delays no one, and a lock held
+// across fork() would be inherited locked by the child, deadlocking a
+// child that forks workers of its own.
 #pragma once
+
+#include <sys/types.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -27,11 +41,24 @@ struct fork_ending {
   enum class kind {
     clean,    ///< child _exit(0)
     signal,   ///< child died by signal (see `sig`)
-    timeout,  ///< watchdog SIGKILL at the wall-clock deadline
+    timeout,  ///< watchdog SIGKILL
     failure,  ///< child _exit(nonzero): reported its own failure
   };
   kind how = kind::failure;
   int sig = 0;  ///< valid when how == kind::signal
+
+  /// The paper's outcome for an attempt that did not deliver its result:
+  /// timeout -> Hang; signal -> Crash, abort class for the
+  /// constraint-violation signals (SIGABRT, SIGILL, SIGFPE) and
+  /// memory-violation class for the rest (SIGSEGV, SIGBUS, an OOM-killer
+  /// SIGKILL, ...); anything else -> Crash (abort).
+  [[nodiscard]] fault::outcome outcome() const noexcept;
+};
+
+/// What the watchdog measures from.
+enum class watchdog {
+  deadline,  ///< the fork: a fixed wall-clock budget for the whole attempt
+  idle,      ///< the child's last byte: every byte written rearms it
 };
 
 /// Bytes the child wrote, delivered on the supervising thread in arrival
@@ -42,10 +69,15 @@ using byte_sink = std::function<void(const char* data, std::size_t size)>;
 /// communicate exclusively through raw write(2) on its fd and leave through
 /// _exit, never return — fork duplicates stdio buffers, and running static
 /// destructors in the child would join thread-pool workers that only exist
-/// in the parent.  timeout_s <= 0 disables the watchdog.  Throws io_error
-/// when pipe()/fork() themselves fail.
-[[nodiscard]] fork_ending run_forked(const std::function<void(int)>& body,
-                                     double timeout_s, const byte_sink& sink);
+/// in the parent.  The watchdog SIGKILLs the child once `timeout_s` passes
+/// without its end (`deadline`) or without a byte from it (`idle`);
+/// timeout_s <= 0 disables it.  `on_start`, if set, gets the child's pid on
+/// the calling thread before supervision begins.  Throws io_error when
+/// pipe()/fork() themselves fail.
+[[nodiscard]] fork_ending run_forked(
+    const std::function<void(int)>& body, double timeout_s,
+    const byte_sink& sink, watchdog mode = watchdog::deadline,
+    const std::function<void(pid_t)>& on_start = {});
 
 /// EINTR-safe full write from a forked child; _exit(4) when the parent
 /// vanished (nothing sensible left to do).
@@ -65,10 +97,5 @@ void child_begin(int fd, std::uint64_t n);
 /// Reports a child-side failure as a sealed "E <message>" line, then
 /// _exit(3).  Pass nullptr for a non-std::exception failure.
 [[noreturn]] void child_fail(int fd, const std::exception* e);
-
-/// Exit-status-based crash taxonomy: constraint-violation signals map to
-/// the paper's library-abort crash class, everything else (SIGSEGV, SIGBUS,
-/// an OOM-killer SIGKILL, ...) to the memory-violation class.
-[[nodiscard]] fault::outcome classify_signal(int sig) noexcept;
 
 }  // namespace vs::supervise

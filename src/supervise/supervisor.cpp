@@ -196,8 +196,7 @@ void process_shard(campaign_context& ctx, std::size_t shard) {
           record.plan = plan.plan;
           record.register_live = plan.register_live;
           record.fired = true;
-          record.result =
-              hung ? fault::outcome::hang : classify_signal(attempt.ending.sig);
+          record.result = attempt.ending.outcome();
           commit_record(ctx, *attempt.in_flight, record);
           progress = true;
         }

@@ -12,8 +12,8 @@
 //
 // The supervisor shards campaign experiment ranges across forked workers.
 // Each worker owns its address space, streams results over a pipe as
-// checksummed wire lines, and is watched by a waitpid-based wall-clock
-// watchdog (real hang detection, complementing the deterministic
+// checksummed wire lines, and is watched by a wall-clock watchdog
+// (supervise/fork_runner.h) (real hang detection, complementing the deterministic
 // step-budget watchdog inside the instrumented lane).  A worker death by
 // signal is classified into the campaign's Crash outcome from its
 // exit status — SIGSEGV and friends map to Crash even when the in-process

@@ -715,6 +715,130 @@ TEST(ServeRestart, RepeatedShutdownCannotCleanAFailedDrain) {
   std::remove(path.c_str());
 }
 
+TEST(ServeRestart, HeartbeatStallIsAHangAndRespawns) {
+  // A client that connects and says nothing parks the accept loop in its
+  // handshake recv for up to 3 s; the heartbeat stops, and the 0.5 s
+  // stall watchdog kills the generation as a hang and respawns it.
+  const std::string path = unique_socket_path();
+  respawn_config config;
+  config.server = quick_config(path);
+  config.server.handshake_timeout_s = 3.0;
+  config.stall_timeout_s = 0.5;
+  config.stable_uptime_s = 0.2;
+  config.backoff.base_delay_ms = 10.0;
+  config.backoff.max_delay_ms = 100.0;
+  respawn_supervisor supervisor(config);
+  respawn_stats stats;
+  std::thread runner([&] { stats = supervisor.run(); });
+  ASSERT_TRUE(wait_for_path(path, 10.0));
+
+  const int silent = connect_raw(path);
+  ASSERT_GE(silent, 0);
+  // The second generation answers stats once it has booted (and installed
+  // its drain handler, so the shutdown below drains it).
+  bool respawned = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  while (!respawned && std::chrono::steady_clock::now() < deadline) {
+    try {
+      client c(path, 1.0);
+      respawned = c.stats().restarts == 1;
+    } catch (const io_error&) {
+    }
+    if (!respawned) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ::close(silent);
+  supervisor.request_shutdown();
+  runner.join();
+  EXPECT_TRUE(respawned);
+  EXPECT_EQ(stats.hangs, 1u);
+  EXPECT_EQ(stats.generations, 2u);
+  EXPECT_EQ(stats.crashes + stats.failures, 0u);
+  EXPECT_TRUE(stats.clean_exit);
+}
+
+TEST(ServeRestart, SupervisedIsolatedJobsSurviveAGenerationKill) {
+  // Each generation forks a worker per job: the generation's own fork
+  // boundary must not wedge its first isolated job, and a SIGKILL of the
+  // generation is seen at its exit, not when the orphaned job worker that
+  // inherited the heartbeat pipe lets go of it.
+  const std::string path = unique_socket_path();
+  const std::string journal = path + ".journal";
+  respawn_config config;
+  config.server = quick_config(path);
+  config.server.isolate = true;
+  config.server.runners = 1;
+  config.server.journal_path = journal;
+  config.stall_timeout_s = 20.0;
+  config.stable_uptime_s = 0.2;
+  config.backoff.base_delay_ms = 10.0;
+  config.backoff.max_delay_ms = 100.0;
+  respawn_supervisor supervisor(config);
+  respawn_stats stats;
+  std::thread runner([&] { stats = supervisor.run(); });
+  ASSERT_TRUE(wait_for_path(path, 10.0));
+
+  job_request first;
+  first.input = video::input_id::input1;
+  first.alg = app::algorithm::vs;
+  first.frames = 8;
+  first.client_key = "isolated-0";
+  {
+    client c(path, 120.0);
+    const auto outcome = c.submit(first);
+    ASSERT_TRUE(outcome.complete.has_value());
+    EXPECT_TRUE(outcome.complete->montage == reference_run(first).panorama);
+  }
+
+  job_request second;
+  second.input = video::input_id::input2;
+  second.alg = app::algorithm::vs_rfd;
+  second.frames = 24;
+  second.client_key = "isolated-1";
+  submit_outcome killed;
+  std::thread submitter([&] {
+    resilient_policy policy;
+    policy.backoff.max_attempts = 12;
+    policy.backoff.base_delay_ms = 20.0;
+    policy.backoff.max_delay_ms = 300.0;
+    client c(path, 120.0);
+    killed = c.submit_resilient(second, policy);
+  });
+  bool in_flight = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!in_flight && std::chrono::steady_clock::now() < deadline) {
+    try {
+      client c(path, 5.0);
+      in_flight = c.stats().in_flight >= 1;
+    } catch (const io_error&) {
+    }
+    if (!in_flight) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(in_flight);
+  const pid_t victim = supervisor.child_pid();
+  const auto t0 = std::chrono::steady_clock::now();
+  supervisor.kill_child();
+  while (supervisor.child_pid() <= 0 || supervisor.child_pid() == victim) {
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const double respawn_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  submitter.join();
+  supervisor.request_shutdown();
+  runner.join();
+
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.hangs, 0u);
+  EXPECT_LT(respawn_s, config.stall_timeout_s / 4);
+  ASSERT_TRUE(killed.complete.has_value()) << "the killed job was lost";
+  EXPECT_TRUE(killed.complete->montage == reference_run(second).panorama);
+  std::remove(journal.c_str());
+  std::remove(path.c_str());  // the killed generation never unlinked it
+}
+
 TEST(ServeRestart, DuplicateClientKeyExecutesOnce) {
   const std::string path = unique_socket_path();
   const std::string journal = path + ".journal";

@@ -7,6 +7,7 @@
 // which experiments die is deterministic — real SIGSEGV deaths, real
 // worker hangs, exercised against real fork/waitpid containment.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <chrono>
@@ -24,6 +25,7 @@
 #include "fault/campaign.h"
 #include "fault/wire.h"
 #include "rt/instrument.h"
+#include "supervise/fork_runner.h"
 #include "supervise/journal.h"
 #include "supervise/supervisor.h"
 #include "video/generator.h"
@@ -461,6 +463,137 @@ TEST(Supervisor, QuarantinesShardAfterPersistentFailures) {
   EXPECT_EQ(sharded.campaign.rates.experiments,
             sharded.campaign.records.size());
   EXPECT_GE(sharded.stats.retries, 1u);
+}
+
+// --- the fork boundary itself (supervise/fork_runner.h) ---
+
+using supervise::fork_ending;
+using supervise::run_forked;
+using supervise::watchdog;
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(ForkRunner, IdleWatchdogIsRearmedByOutputAndFiresOnSilence) {
+  // Ten bytes 80 ms apart outlast a 300 ms idle timeout several times
+  // over; then the child goes quiet and takes the SIGKILL.
+  std::string bytes;
+  const auto t0 = std::chrono::steady_clock::now();
+  const fork_ending ending = run_forked(
+      [](int fd) {
+        for (int i = 0; i < 10; ++i) {
+          supervise::child_write(fd, "x", 1);
+          ::usleep(80 * 1000);
+        }
+        ::sleep(30);
+        _exit(0);
+      },
+      0.3,
+      [&](const char* data, std::size_t size) { bytes.append(data, size); },
+      watchdog::idle);
+  const double elapsed = seconds_since(t0);
+  EXPECT_EQ(ending.how, fork_ending::kind::timeout);
+  EXPECT_EQ(bytes, std::string(10, 'x'));
+  EXPECT_GE(elapsed, 0.9);
+  EXPECT_LT(elapsed, 10.0);
+}
+
+TEST(ForkRunner, DeadlineFiresWhileTheChildKeepsWriting) {
+  std::size_t received = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const fork_ending ending = run_forked(
+      [](int fd) {
+        for (;;) {
+          supervise::child_write(fd, "y", 1);
+          ::usleep(5 * 1000);
+        }
+      },
+      0.3, [&](const char*, std::size_t size) { received += size; },
+      watchdog::deadline);
+  EXPECT_EQ(ending.how, fork_ending::kind::timeout);
+  EXPECT_GT(received, 0u);
+  EXPECT_LT(seconds_since(t0), 10.0);
+}
+
+TEST(ForkRunner, AttemptEndsOnExitWhileADescendantHoldsThePipe) {
+  // The child forks a grandchild that keeps the pipe's write end open for
+  // 30 s, reports both pids, and exits: the attempt must end with the
+  // child, and the pid handed to on_start must be the child's.
+  std::string bytes;
+  pid_t started = -1;
+  const auto t0 = std::chrono::steady_clock::now();
+  const fork_ending ending = run_forked(
+      [](int fd) {
+        const pid_t grandchild = ::fork();
+        if (grandchild == 0) {
+          ::sleep(30);
+          _exit(0);
+        }
+        const std::string pids = std::to_string(::getpid()) + " " +
+                                 std::to_string(grandchild);
+        supervise::child_write(fd, pids.data(), pids.size());
+        _exit(0);
+      },
+      60.0,
+      [&](const char* data, std::size_t size) { bytes.append(data, size); },
+      watchdog::deadline, [&](pid_t pid) { started = pid; });
+  const double elapsed = seconds_since(t0);
+  std::istringstream in(bytes);
+  pid_t child = -1;
+  pid_t grandchild = -1;
+  in >> child >> grandchild;
+  if (grandchild > 0) ::kill(grandchild, SIGKILL);
+  EXPECT_EQ(ending.how, fork_ending::kind::clean);
+  EXPECT_EQ(started, child);
+  EXPECT_GT(grandchild, 0);
+  EXPECT_LT(elapsed, 10.0) << "the attempt waited for the descendant";
+}
+
+TEST(ForkRunner, NestedRunForkedFromAForkedBodyCompletes) {
+  // A forked body that forks workers of its own, as a supervised server
+  // generation does for isolated jobs.
+  std::string bytes;
+  const fork_ending ending = run_forked(
+      [](int fd) {
+        std::string inner;
+        const fork_ending nested = run_forked(
+            [](int inner_fd) {
+              supervise::child_write(inner_fd, "inner", 5);
+              _exit(0);
+            },
+            10.0,
+            [&](const char* data, std::size_t size) {
+              inner.append(data, size);
+            });
+        if (nested.how == fork_ending::kind::clean) inner += " clean";
+        supervise::child_write(fd, inner.data(), inner.size());
+        _exit(0);
+      },
+      20.0,
+      [&](const char* data, std::size_t size) { bytes.append(data, size); });
+  EXPECT_EQ(ending.how, fork_ending::kind::clean);
+  EXPECT_EQ(bytes, "inner clean");
+}
+
+TEST(ForkRunner, EndingsMapToThePapersOutcomes) {
+  const auto outcome = [](fork_ending::kind how, int sig = 0) {
+    fork_ending e;
+    e.how = how;
+    e.sig = sig;
+    return e.outcome();
+  };
+  EXPECT_EQ(outcome(fork_ending::kind::timeout), fault::outcome::hang);
+  EXPECT_EQ(outcome(fork_ending::kind::signal, SIGSEGV),
+            fault::outcome::crash_segfault);
+  EXPECT_EQ(outcome(fork_ending::kind::signal, SIGKILL),
+            fault::outcome::crash_segfault);
+  EXPECT_EQ(outcome(fork_ending::kind::signal, SIGABRT),
+            fault::outcome::crash_abort);
+  EXPECT_EQ(outcome(fork_ending::kind::signal, SIGFPE),
+            fault::outcome::crash_abort);
+  EXPECT_EQ(outcome(fork_ending::kind::failure), fault::outcome::crash_abort);
 }
 
 }  // namespace
