@@ -7,9 +7,11 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 #include <thread>
 
 #include "core/log.h"
+#include "fault/wire.h"
 #include "supervise/fork_runner.h"
 
 namespace vs::serve {
@@ -128,11 +130,24 @@ respawn_stats respawn_supervisor::run() {
     const std::string gen_tag =
         "respawn: generation " + std::to_string(generation);
     const auto born = clock::now();
+    // The pipe carries heartbeats and, from a generation that fails, one
+    // "E <message>" line (supervise::child_fail): keep its reason.
+    fault::wire::line_reader lines;
+    std::string reason;
+    const auto keep_reason = [&reason](std::string_view payload) {
+      fault::wire::field_reader in(payload, "E");
+      const std::string_view message = in.text();
+      if (in.done()) reason = message;
+    };
     // Every heartbeat byte rearms the idle watchdog; a generation whose
     // accept loop wedges goes quiet and is SIGKILLed as a hang.
     const supervise::fork_ending ending = supervise::run_forked(
         [this, generation](int wfd) { child_main(config_, generation, wfd); },
-        config_.stall_timeout_s, nullptr, supervise::watchdog::idle,
+        config_.stall_timeout_s,
+        [&](const char* data, std::size_t size) {
+          lines.feed(std::string_view(data, size), keep_reason);
+        },
+        supervise::watchdog::idle,
         [&](pid_t pid) {
           child_pid_.store(pid);
           // A shutdown that raced this fork found no pid to signal.
@@ -141,6 +156,7 @@ respawn_stats respawn_supervisor::run() {
           log::info(gen_tag + " up (pid " + std::to_string(pid) + ")");
         });
     child_pid_.store(-1);
+    lines.finish(keep_reason);
 
     const double uptime = seconds_between(born, clock::now());
     if (ending.how == supervise::fork_ending::kind::clean) {
@@ -160,7 +176,8 @@ respawn_stats respawn_supervisor::run() {
       ++stats.failures;
     }
     log::warn(gen_tag + " " + how + ": " +
-              fault::outcome_name(ending.outcome()));
+              fault::outcome_name(ending.outcome()) +
+              (reason.empty() ? "" : " (" + reason + ")"));
     if (shutdown_.load()) {
       // Requested after this generation was already gone: same clean end
       // as between generations.  Requested while it lived: its death

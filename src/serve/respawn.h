@@ -9,7 +9,8 @@
 // byte rearms the watchdog, so a wedged loop goes quiet and takes the
 // SIGKILL after stall_timeout_s.  The ending maps to the paper's outcomes
 // like any forked attempt (fork_ending::outcome): a signal is a crash, a
-// stall-kill a hang, a nonzero exit a reported failure; exit 0 ends
+// stall-kill a hang, a nonzero exit a reported failure (whose warning
+// quotes the child's "E <message>" line); exit 0 ends
 // supervision, and so does a shutdown request that finds no generation
 // alive.  The attempt ends when the generation exits, even while one of
 // its isolated job workers still holds the heartbeat pipe.

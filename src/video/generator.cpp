@@ -1,5 +1,6 @@
 #include "video/generator.h"
 
+#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -14,25 +15,31 @@
 namespace vs::video {
 
 synthetic_video::synthetic_video(const clip_params& params)
-    : params_(params), scene_(generate_landscape(params.scene)) {
+    : synthetic_video(params, std::make_shared<const img::image_u8>(
+                                  generate_landscape(params.scene))) {}
+
+synthetic_video::synthetic_video(const clip_params& params,
+                                 std::shared_ptr<const img::image_u8> scene)
+    : params_(params), scene_(std::move(scene)) {
+  if (scene_ == nullptr || scene_->empty()) {
+    throw invalid_argument("synthetic_video: no scene");
+  }
   if (params.frame_width < 32 || params.frame_height < 32) {
     throw invalid_argument("synthetic_video: frames must be >= 32x32");
   }
   if (params.clutter_stability < 0.0 || params.clutter_stability > 1.0) {
     throw invalid_argument("synthetic_video: clutter_stability not in [0,1]");
   }
-  path_ = generate_path(params.path, scene_.width(), scene_.height(),
+  path_ = generate_path(params.path, scene_->width(), scene_->height(),
                         params.seed);
 
   // Precompute each clutter point's relocation history: point k relocates
   // at frame i when its (k, i) hash exceeds the stability threshold.
-  const auto points = static_cast<std::size_t>(
+  clutter_points_ = static_cast<std::size_t>(
       std::max(0, params.dynamic_clutter));
-  clutter_epoch_.assign(points, {});
   const auto frames = path_.size();
-  for (std::size_t k = 0; k < points; ++k) {
-    auto& epochs = clutter_epoch_[k];
-    epochs.resize(frames);
+  clutter_epoch_.resize(clutter_points_ * frames);
+  for (std::size_t k = 0; k < clutter_points_; ++k) {
     std::uint16_t epoch = 0;
     for (std::size_t i = 0; i < frames; ++i) {
       if (i > 0) {
@@ -42,7 +49,7 @@ synthetic_video::synthetic_video(const clip_params& params)
             static_cast<double>(splitmix64(h) >> 11) * 0x1.0p-53;
         if (roll > params.clutter_stability) ++epoch;
       }
-      epochs[i] = epoch;
+      clutter_epoch_[i * clutter_points_ + k] = epoch;
     }
   }
 }
@@ -72,7 +79,7 @@ img::image_u8 synthetic_video::frame_instrumented(int index) const {
   for (int y = 0; y < out.height(); ++y) {
     for (int x = 0; x < out.width(); ++x) {
       const geo::vec2 s = to_scene.apply({x + 0.5, y + 0.5});
-      const auto v = geo::sample_bilinear(scene_, s.x, s.y);
+      const auto v = geo::sample_bilinear(*scene_, s.x, s.y);
       double pixel = v ? static_cast<double>(*v) : 0.0;
       if (params_.sensor_noise_sigma > 0.0) {
         pixel += noise.normal() * params_.sensor_noise_sigma;
@@ -114,7 +121,7 @@ img::image_u8 synthetic_video::frame_clean(int index) const {
         for (int y = static_cast<int>(y0); y < y1; ++y) {
           for (int x = 0; x < w; ++x) {
             const geo::vec2 s = to_scene.apply({x + 0.5, y + 0.5});
-            const auto v = geo::sample_bilinear(scene_, s.x, s.y);
+            const auto v = geo::sample_bilinear(*scene_, s.x, s.y);
             double pixel = v ? static_cast<double>(*v) : 0.0;
             if (noisy) {
               pixel += noise_buf[static_cast<std::size_t>(y) * w + x] *
@@ -136,20 +143,22 @@ void synthetic_video::overlay_clutter(img::image_u8& out,
   // (seed, point id, relocation epoch), so it is stable while the point
   // survives and jumps when it relocates.  Points blend over one another in
   // id order, so both lanes run this sequentially.
-  if (!clutter_epoch_.empty()) {
+  if (clutter_points_ > 0) {
     const auto from_scene = to_scene.inverse();
     if (from_scene) {
-      for (std::size_t k = 0; k < clutter_epoch_.size(); ++k) {
-        const std::uint16_t epoch =
-            clutter_epoch_[k][static_cast<std::size_t>(index)];
+      const std::uint16_t* epochs =
+          clutter_epoch_.data() +
+          static_cast<std::size_t>(index) * clutter_points_;
+      for (std::size_t k = 0; k < clutter_points_; ++k) {
+        const std::uint16_t epoch = epochs[k];
         std::uint64_t h = params_.seed ^ (0xc1a77e57ULL + k * 0x2545f491ULL);
         h += static_cast<std::uint64_t>(epoch) * 0x9e3779b97f4a7c15ULL;
         const std::uint64_t r0 = splitmix64(h);
         const std::uint64_t r1 = splitmix64(h);
         double sx = static_cast<double>(r0 % 100000) * 1e-5 *
-                    (scene_.width() - 4);
+                    (scene_->width() - 4);
         double sy = static_cast<double>(r1 % 100000) * 1e-5 *
-                    (scene_.height() - 4);
+                    (scene_->height() - 4);
         if (params_.clutter_height_max > 0.0) {
           // Parallax: an elevated point's apparent ground position leans
           // away from the camera nadir in proportion to its height.  The
@@ -211,8 +220,8 @@ void synthetic_video::overlay_clutter(img::image_u8& out,
           }
         }
       }
-      rt::account(rt::op::int_alu, clutter_epoch_.size() * 8);
-      rt::account(rt::op::fp_alu, clutter_epoch_.size() * 6);
+      rt::account(rt::op::int_alu, clutter_points_ * 8);
+      rt::account(rt::op::fp_alu, clutter_points_ * 6);
     }
   }
 }
@@ -248,8 +257,7 @@ const char* input_name(input_id id) noexcept {
   return "Input?";
 }
 
-std::shared_ptr<const synthetic_video> make_input(input_id id, int frames,
-                                                  int replica) {
+clip_params input_params(input_id id, int frames, int replica) {
   clip_params params;
   params.frame_width = 128;
   params.frame_height = 96;
@@ -297,7 +305,46 @@ std::shared_ptr<const synthetic_video> make_input(input_id id, int frames,
     params.clutter_stability = 0.80;
   }
   params.seed += static_cast<std::uint64_t>(replica) * 10007u;
-  return std::make_shared<const synthetic_video>(params);
+  return params;
+}
+
+namespace {
+
+using scene_ptr = std::shared_ptr<const img::image_u8>;
+
+/// One published scene per input_id; null until its first use.
+std::atomic<const scene_ptr*> g_scenes[3] = {};
+
+/// `id`'s landscape, generated on the first call and kept for the life of
+/// the process.  Publication is one compare-exchange on a pointer, so no
+/// lock is ever held while a scene is generated: a child forked while
+/// another thread is inside this function inherits no lock, only a slot
+/// that is either empty (the child generates its own) or complete.  When two
+/// threads race, both generate the same bytes and the loser drops its
+/// copy.  The published holder is never freed; it stays reachable from
+/// its slot.
+scene_ptr input_scene(input_id id, const landscape_params& params) {
+  auto& slot = g_scenes[static_cast<std::size_t>(id)];
+  const scene_ptr* seen = slot.load(std::memory_order_acquire);
+  if (seen == nullptr) {
+    auto built = std::make_unique<const scene_ptr>(
+        std::make_shared<const img::image_u8>(generate_landscape(params)));
+    if (slot.compare_exchange_strong(seen, built.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      seen = built.release();
+    }
+  }
+  return *seen;
+}
+
+}  // namespace
+
+std::shared_ptr<const synthetic_video> make_input(input_id id, int frames,
+                                                  int replica) {
+  const clip_params params = input_params(id, frames, replica);
+  return std::make_shared<const synthetic_video>(
+      params, input_scene(id, params.scene));
 }
 
 }  // namespace vs::video

@@ -56,10 +56,16 @@ struct clip_params {
 
 /// Synthetic aerial clip: a landscape plus a camera path; frame(i) samples
 /// the landscape through the pose-i camera with bilinear interpolation and
-/// adds deterministic per-frame sensor noise.
+/// adds deterministic per-frame sensor noise.  The landscape is immutable
+/// and may be shared by any number of clips.
 class synthetic_video final : public video_source {
  public:
+  /// Generates `params.scene` for this clip alone.
   explicit synthetic_video(const clip_params& params);
+  /// Samples an already built scene, which must be
+  /// `generate_landscape(params.scene)` for the frames to be the clip's.
+  synthetic_video(const clip_params& params,
+                  std::shared_ptr<const img::image_u8> scene);
 
   [[nodiscard]] int frame_count() const override;
   [[nodiscard]] int frame_width() const override { return params_.frame_width; }
@@ -68,7 +74,7 @@ class synthetic_video final : public video_source {
   }
   [[nodiscard]] img::image_u8 frame(int index) const override;
 
-  [[nodiscard]] const img::image_u8& scene() const noexcept { return scene_; }
+  [[nodiscard]] const img::image_u8& scene() const noexcept { return *scene_; }
   [[nodiscard]] const std::vector<pose>& path() const noexcept { return path_; }
 
  private:
@@ -82,11 +88,13 @@ class synthetic_video final : public video_source {
                        int index) const;
 
   clip_params params_;
-  img::image_u8 scene_;
+  std::shared_ptr<const img::image_u8> scene_;
   std::vector<pose> path_;
-  /// clutter_epoch_[k][i]: how many times clutter point k has relocated by
-  /// frame i.  Precomputed so frame rendering is O(points) per frame.
-  std::vector<std::vector<std::uint16_t>> clutter_epoch_;
+  std::size_t clutter_points_ = 0;
+  /// clutter_epoch_[i * clutter_points_ + k]: how many times clutter point
+  /// k has relocated by frame i, one row per frame.  Precomputed so frame
+  /// rendering is O(points) per frame.
+  std::vector<std::uint16_t> clutter_epoch_;
 };
 
 /// An in-memory list of frames (tests, replay of saved clips).
@@ -110,12 +118,20 @@ enum class input_id { input1, input2, input3 };
 
 [[nodiscard]] const char* input_name(input_id id) noexcept;
 
-/// Builds the standard evaluation clip for `id` with `frames` frames.
-/// Frame geometry and scene seeds are fixed so results are comparable
-/// across experiments; the paper's 1000-frame clips are represented at
-/// laptop scale (default 40 frames — see EXPERIMENTS.md).
+/// The parameters of the standard evaluation clip for `id` with `frames`
+/// frames.  Frame geometry and scene seeds are fixed so results are
+/// comparable across experiments; the paper's 1000-frame clips are
+/// represented at laptop scale (default 40 frames — see EXPERIMENTS.md).
 /// `replica` varies the flight path and dynamic content (not the scene),
 /// for experiments that average over several runs of the same input class.
+[[nodiscard]] clip_params input_params(input_id id, int frames = 40,
+                                       int replica = 0);
+
+/// Builds the clip of `input_params(id, frames, replica)`.  Its landscape
+/// depends on `id` alone, so it is generated once per process on first use
+/// and shared by every later clip of that input (DESIGN §5m).  Safe to call
+/// from any thread, and from a child forked while another thread is inside
+/// it: no lock is taken.
 [[nodiscard]] std::shared_ptr<const synthetic_video> make_input(
     input_id id, int frames = 40, int replica = 0);
 

@@ -839,6 +839,33 @@ TEST(ServeRestart, SupervisedIsolatedJobsSurviveAGenerationKill) {
   std::remove(path.c_str());  // the killed generation never unlinked it
 }
 
+TEST(ServeRestart, FailedGenerationLogsItsReason) {
+  // A generation that cannot bind its socket reports why on its pipe
+  // (supervise::child_fail) and exits nonzero; the respawn warning for
+  // each such generation carries that reason.
+  const std::string path =
+      "/tmp/vs_serve_test_missing_" + std::to_string(::getpid()) + "/x.sock";
+  respawn_config config;
+  config.server = quick_config(path);
+  config.max_consecutive_failures = 1;
+  config.backoff.base_delay_ms = 10.0;
+  config.backoff.max_delay_ms = 10.0;
+  respawn_supervisor supervisor(config);
+  testing::internal::CaptureStderr();
+  const respawn_stats stats = supervisor.run();
+  const std::string logged = testing::internal::GetCapturedStderr();
+
+  EXPECT_EQ(stats.generations, 2u);
+  EXPECT_EQ(stats.failures, 2u);
+  EXPECT_TRUE(stats.gave_up);
+  const std::string warning =
+      "exited nonzero: Crash(abort) (serve:_cannot_listen_on_" + path +
+      ":_No_such_file_or_directory)";
+  for (const char* generation : {"generation 0 ", "generation 1 "}) {
+    EXPECT_NE(logged.find(generation + warning), std::string::npos) << logged;
+  }
+}
+
 TEST(ServeRestart, DuplicateClientKeyExecutesOnce) {
   const std::string path = unique_socket_path();
   const std::string journal = path + ".journal";

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
 
 #include "core/error.h"
+#include "supervise/fork_runner.h"
 #include "video/generator.h"
 
 namespace vs::video {
@@ -174,6 +181,85 @@ TEST(SyntheticVideo, RejectsBadStability) {
   clip_params params;
   params.clutter_stability = 1.5;
   EXPECT_THROW((void)synthetic_video(params), invalid_argument);
+}
+
+constexpr input_id kInputs[] = {input_id::input1, input_id::input2,
+                                 input_id::input3};
+
+TEST(SharedScene, IsTheInputsLandscape) {
+  for (const input_id id : kInputs) {
+    EXPECT_TRUE(make_input(id, 4, 1)->scene() ==
+                generate_landscape(input_params(id).scene))
+        << input_name(id);
+  }
+}
+
+TEST(SharedScene, OneScenePerInputAcrossFramesAndReplicas) {
+  for (const input_id id : kInputs) {
+    const auto a = make_input(id, 4, 0);
+    const auto b = make_input(id, 11, 2);
+    EXPECT_EQ(&a->scene(), &b->scene()) << input_name(id);
+  }
+  EXPECT_NE(&make_input(input_id::input1, 4)->scene(),
+            &make_input(input_id::input2, 4)->scene());
+}
+
+TEST(SharedScene, ConcurrentFirstUseYieldsOneSceneAndTheSameFrames) {
+  constexpr int kThreads = 8;
+  constexpr int kFrames = 3;
+  std::vector<std::shared_ptr<const synthetic_video>> clips(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      clips[static_cast<std::size_t>(t)] =
+          make_input(input_id::input3, kFrames);
+    });
+  }
+  go.store(true);
+  for (auto& t : threads) t.join();
+
+  const synthetic_video own(input_params(input_id::input3, kFrames));
+  for (const auto& clip : clips) {
+    EXPECT_EQ(&clip->scene(), &clips[0]->scene());
+    for (int i = 0; i < kFrames; ++i) {
+      EXPECT_TRUE(clip->frame(i) == own.frame(i)) << "frame " << i;
+    }
+  }
+}
+
+TEST(SharedScene, ChildForkedDuringGenerationBuildsItsOwn) {
+  // A child forked while another thread generates a scene inherits that
+  // half-done work frozen.  Publication takes no lock, so the child finds
+  // the slot empty (and generates its own scene) or complete, and never
+  // waits on a thread that does not exist in it.
+  std::atomic<bool> started{false};
+  std::thread builder([&] {
+    started.store(true);
+    (void)make_input(input_id::input1, 2);
+  });
+  while (!started.load()) std::this_thread::yield();
+  const auto t0 = std::chrono::steady_clock::now();
+  const supervise::fork_ending ending = supervise::run_forked(
+      [](int) {
+        // Only make_input in the child: frame() would use the thread pool,
+        // whose workers were not forked.
+        const auto clip = make_input(input_id::input1, 2);
+        _exit(clip->scene().empty() ? 1 : 0);
+      },
+      20.0, nullptr);
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  builder.join();
+  EXPECT_EQ(ending.how, supervise::fork_ending::kind::clean);
+  EXPECT_LT(waited_s, 10.0);
+}
+
+TEST(SharedScene, ConstructorRejectsAMissingScene) {
+  EXPECT_THROW((void)synthetic_video(clip_params{}, nullptr),
+               invalid_argument);
 }
 
 TEST(FrameList, ServesStoredFrames) {
