@@ -138,13 +138,13 @@ int main(int argc, char** argv) {
                                               4];
       request.frames = frames;
       request.client_key = "rec-" + pid_tag + "-" + std::to_string(i);
-      serve::resilient_policy policy;
-      policy.backoff.max_attempts = 12;
-      policy.backoff.base_delay_ms = 25.0;
-      policy.backoff.max_delay_ms = 400.0;
-      policy.backoff.seed = opt.seed + static_cast<std::uint64_t>(i);
+      core::backoff_policy backoff;
+      backoff.max_attempts = 12;
+      backoff.base_delay_ms = 25.0;
+      backoff.max_delay_ms = 400.0;
+      backoff.seed = opt.seed + static_cast<std::uint64_t>(i);
       serve::client client(socket_path, 120.0);
-      const auto out = client.submit_resilient(request, policy);
+      const auto out = client.submit_resilient(request, backoff);
       const auto done = clock_type::now();
 
       const std::lock_guard<std::mutex> lock(record_mutex);

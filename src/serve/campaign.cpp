@@ -135,11 +135,11 @@ serve_campaign_result run_serve_campaign(
   }
 
   client cli(socket_path, /*receive_timeout_s=*/30.0);
-  resilient_policy policy;
-  policy.backoff.max_attempts = std::max(1, config.client_attempts);
-  policy.backoff.base_delay_ms = 20.0;
-  policy.backoff.max_delay_ms = 250.0;
-  policy.backoff.seed = config.seed;
+  core::backoff_policy backoff;
+  backoff.max_attempts = std::max(1, config.client_attempts);
+  backoff.base_delay_ms = 20.0;
+  backoff.max_delay_ms = 250.0;
+  backoff.seed = config.seed;
 
   double mean_wall_ms = 0.0;
   std::uint64_t wall_samples = 0;
@@ -178,7 +178,7 @@ serve_campaign_result run_serve_campaign(
     }
 
     const auto t0 = clock::now();
-    const submit_outcome out = cli.submit_resilient(request, policy);
+    const submit_outcome out = cli.submit_resilient(request, backoff);
     const double wall = ms_between(t0, clock::now());
     if (killer.joinable()) killer.join();
 

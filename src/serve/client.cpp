@@ -74,7 +74,7 @@ client::client(std::string socket_path, double receive_timeout_s)
     : socket_path_(std::move(socket_path)),
       receive_timeout_s_(receive_timeout_s) {}
 
-int client::connect_and_hello() {
+int client::open_connection() {
   sockaddr_un addr{};
   if (socket_path_.empty() ||
       socket_path_.size() >= sizeof(addr.sun_path)) {
@@ -94,31 +94,21 @@ int client::connect_and_hello() {
     throw io_error("serve client: cannot connect to " + socket_path_ +
                    ": " + why);
   }
-  if (receive_timeout_s_ > 0) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(receive_timeout_s_);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (receive_timeout_s_ - static_cast<double>(tv.tv_sec)) * 1e6);
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
+  set_socket_timeout(fd, SO_RCVTIMEO, receive_timeout_s_);
   return fd;
 }
 
 submit_outcome client::submit(
     const job_request& request,
     const std::function<void(const panorama_msg&)>& on_panorama) {
-  const fd_guard fd(connect_and_hello());
+  const fd_guard fd(open_connection());
   frame_decoder decoder;
-
-  send_or_throw(fd.get(), encode_hello(hello_msg{}));
   send_or_throw(fd.get(), encode_submit(request));
 
   submit_outcome outcome;
   for (;;) {
     const frame f = next_frame(fd.get(), decoder);
     switch (static_cast<msg_type>(f.type)) {
-      case msg_type::hello:
-        continue;  // handshake echo
       case msg_type::rejected: {
         auto m = parse_rejected(f.payload);
         if (!m) throw io_error("serve client: garbled rejected frame");
@@ -158,10 +148,10 @@ submit_outcome client::submit(
 }
 
 submit_outcome client::submit_resilient(
-    job_request request, const resilient_policy& policy,
+    job_request request, const core::backoff_policy& backoff,
     const std::function<void(const panorama_msg&)>& on_panorama) {
   if (request.client_key.empty()) request.client_key = auto_client_key();
-  const int max_attempts = std::max(1, policy.backoff.max_attempts);
+  const int max_attempts = std::max(1, backoff.max_attempts);
   int reconnects = 0;
   // Highest mini index already handed to on_panorama: a reconnect adopts
   // the server-side sink and replays the whole stream, so earlier minis
@@ -182,7 +172,7 @@ submit_outcome client::submit_resilient(
       // the same key to adopt it.
       ++reconnects;
       if (attempt < max_attempts) {
-        sleep_backoff(policy.backoff.delay_ms(attempt));
+        sleep_backoff(backoff.delay_ms(attempt));
       }
       continue;
     }
@@ -194,12 +184,9 @@ submit_outcome client::submit_resilient(
       const bool retryable = reason == reject_reason::queue_full ||
                              reason == reject_reason::draining;
       if (!retryable || attempt == max_attempts) return out;
-      double delay = policy.backoff.delay_ms(attempt);
-      if (policy.honor_retry_after && out.rejected->retry_after_ms > 0) {
-        delay = std::max(
-            delay, static_cast<double>(out.rejected->retry_after_ms));
-      }
-      sleep_backoff(delay);
+      sleep_backoff(std::max(
+          backoff.delay_ms(attempt),
+          static_cast<double>(out.rejected->retry_after_ms)));
       continue;
     }
     return out;  // defensive: submit() always sets a terminal field
@@ -214,20 +201,17 @@ submit_outcome client::submit_resilient(
 }
 
 stats_reply client::stats() {
-  const fd_guard fd(connect_and_hello());
+  const fd_guard fd(open_connection());
   frame_decoder decoder;
   send_or_throw(fd.get(), encode_stats_request());
-  for (;;) {
-    const frame f = next_frame(fd.get(), decoder);
-    if (static_cast<msg_type>(f.type) == msg_type::hello) continue;
-    if (static_cast<msg_type>(f.type) != msg_type::stats_reply) {
-      throw io_error("serve client: unexpected frame type " +
-                     std::to_string(f.type));
-    }
-    const auto m = parse_stats_reply(f.payload);
-    if (!m) throw io_error("serve client: garbled stats frame");
-    return *m;
+  const frame f = next_frame(fd.get(), decoder);
+  if (static_cast<msg_type>(f.type) != msg_type::stats_reply) {
+    throw io_error("serve client: unexpected frame type " +
+                   std::to_string(f.type));
   }
+  const auto m = parse_stats_reply(f.payload);
+  if (!m) throw io_error("serve client: garbled stats frame");
+  return *m;
 }
 
 }  // namespace vs::serve

@@ -1,9 +1,9 @@
 // Client side of the summarization service (`vs submit`).
 //
-// One connection per request, mirroring the server: connect, handshake,
-// submit one clip job, then consume the streamed response — each
-// mini-panorama as the server closes it, then the final montage — through
-// an optional callback.  The returned submit_outcome holds everything a
+// One connection per request, mirroring the server: connect, send one
+// request frame, then consume the streamed response — each mini-panorama
+// as the server closes it, then the final montage — through an optional
+// callback.  The returned submit_outcome holds everything a
 // caller needs to reproduce the one-shot `vs summarize` behaviour
 // byte-for-byte: the montage in `complete->montage` is the same image
 // summarize() returns in summary_result::panorama.
@@ -38,16 +38,6 @@ struct submit_outcome {
   int reconnects = 0;  ///< reconnects after a dead/unreachable server
 };
 
-/// Knobs for submit_resilient().  The backoff's max_attempts bounds total
-/// submissions (connect failures and mid-stream deaths both consume one);
-/// deterministic jitter keeps a reconnecting fleet from stampeding the
-/// freshly respawned server.
-struct resilient_policy {
-  core::backoff_policy backoff;
-  /// Sleep at least the server's queue-full retry_after hint, when given.
-  bool honor_retry_after = true;
-};
-
 class client {
  public:
   /// `receive_timeout_s` bounds each wait for server bytes (0 = forever).
@@ -68,13 +58,14 @@ class client {
   /// (serve/server.h, "crash-only serving").  An empty request.client_key
   /// gets a process-unique one.  Retries connect failures, mid-stream
   /// deaths, and queue_full/draining rejections (sleeping the server's
-  /// retry_after hint when longer than the backoff).  Minis already
+  /// retry_after hint when longer than the backoff).  Every attempt, even a
+  /// failed connect, counts against `backoff.max_attempts`.  Minis already
   /// streamed on a previous attempt are not re-delivered to `on_panorama`.
   /// Returns the terminal outcome, or — attempts exhausted with no
   /// terminal reply — an outcome with neither complete, failed, nor
   /// rejected set: the job is Lost from this client's point of view.
   [[nodiscard]] submit_outcome submit_resilient(
-      job_request request, const resilient_policy& policy = {},
+      job_request request, const core::backoff_policy& backoff = {},
       const std::function<void(const panorama_msg&)>& on_panorama = {});
 
   /// Fetches the server's live stats snapshot.  Throws io_error on
@@ -86,7 +77,8 @@ class client {
   }
 
  private:
-  [[nodiscard]] int connect_and_hello();
+  /// A connected socket to the server, receive timeout applied.
+  [[nodiscard]] int open_connection();
 
   std::string socket_path_;
   double receive_timeout_s_;

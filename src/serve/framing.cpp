@@ -1,8 +1,10 @@
 #include "serve/framing.h"
 
 #include <sys/socket.h>
+#include <sys/time.h>
 
 #include <cerrno>
+#include <chrono>
 
 #include "fault/wire.h"
 
@@ -49,6 +51,19 @@ std::uint32_t frame_checksum(std::uint16_t type, std::uint16_t flags,
   put_u32(sealed, length);
   sealed.append(payload.data(), payload.size());
   return fault::wire::checksum(sealed);
+}
+
+/// True once a send begun at `t0` has (all but: jiffy rounding) spent the
+/// socket's send timeout.  A blocking send returns short only when that
+/// timeout or a signal cuts it, and a signal must not drop the peer.
+bool send_timeout_spent(int fd, std::chrono::steady_clock::time_point t0) {
+  timeval tv{};
+  socklen_t len = sizeof(tv);
+  if (::getsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, &len) != 0) return false;
+  const auto timeout = std::chrono::seconds(tv.tv_sec) +
+                       std::chrono::microseconds(tv.tv_usec);
+  return timeout.count() > 0 && std::chrono::steady_clock::now() - t0 >=
+                                    timeout - std::chrono::milliseconds(10);
 }
 
 }  // namespace
@@ -120,12 +135,17 @@ std::optional<frame> frame_decoder::next() {
 }
 
 bool send_all(int fd, std::string_view bytes) {
+  const auto t0 = std::chrono::steady_clock::now();
   std::size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n =
         ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
+      if (sent < bytes.size() && send_timeout_spent(fd, t0)) {
+        errno = EAGAIN;
+        return false;
+      }
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -142,6 +162,15 @@ ssize_t recv_into(int fd, frame_decoder& decoder) {
   } while (n < 0 && errno == EINTR);
   if (n > 0) decoder.feed(buf, static_cast<std::size_t>(n));
   return n;
+}
+
+void set_socket_timeout(int fd, int option, double seconds) {
+  if (seconds <= 0) return;
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(seconds);
+  tv.tv_usec = static_cast<suseconds_t>(
+      (seconds - static_cast<double>(tv.tv_sec)) * 1e6);
+  (void)::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
 }
 
 }  // namespace vs::serve

@@ -37,7 +37,8 @@
 
 namespace vs::serve {
 
-/// Protocol identity: bump the trailing digit for incompatible layouts.
+/// Protocol identity and the one version mark: bump the trailing digit for
+/// an incompatible frame layout or message vocabulary.
 inline constexpr std::uint32_t kFrameMagic = 0x31465356u;  // "VSF1" in LE
 inline constexpr std::size_t kFrameHeaderSize = 16;
 /// Upper bound on a payload: comfortably above any montage the pipeline
@@ -88,7 +89,9 @@ class frame_decoder {
 
 /// Sends every byte, retrying EINTR.  MSG_NOSIGNAL: a vanished peer
 /// surfaces as EPIPE, never as a SIGPIPE.  False once the peer is gone
-/// (errno says why).
+/// (errno says why), or once the socket's send timeout (SO_SNDTIMEO) has
+/// run out, counted over the whole call rather than per send(2): a peer
+/// that stops reading costs one timeout, not one per partial send.
 [[nodiscard]] bool send_all(int fd, std::string_view bytes);
 
 /// One recv(2) into `decoder`, retried on EINTR — a signal landing in a
@@ -96,5 +99,9 @@ class frame_decoder {
 /// non-restartable even under SA_RESTART).  Returns recv's result: bytes
 /// fed, 0 at EOF, -1 on error or receive timeout (errno set).
 ssize_t recv_into(int fd, frame_decoder& decoder);
+
+/// Bounds each blocking recv (`option` = SO_RCVTIMEO) or send
+/// (SO_SNDTIMEO) on `fd` to `seconds`; <= 0 leaves it unbounded.
+void set_socket_timeout(int fd, int option, double seconds);
 
 }  // namespace vs::serve

@@ -80,7 +80,6 @@ const char* reject_reason_name(reject_reason r) noexcept {
     case reject_reason::queue_full: return "queue_full";
     case reject_reason::draining: return "draining";
     case reject_reason::bad_request: return "bad_request";
-    case reject_reason::version: return "version";
   }
   return "unknown";
 }
@@ -121,10 +120,6 @@ std::optional<job_request> read_request_fields(field_reader& in) {
   m.fault.step_budget = in.num();
   if (!in.done()) return std::nullopt;
   return m;
-}
-
-std::string encode_hello(const hello_msg& m) {
-  return frame_of(msg_type::hello, field_writer("H").num(m.version).str());
 }
 
 std::string encode_submit(const job_request& m) {
@@ -214,14 +209,6 @@ std::string encode_stats_reply(const stats_reply& m) {
   return frame_of(msg_type::stats_reply, w.str());
 }
 
-std::optional<hello_msg> parse_hello(std::string_view payload) {
-  field_reader in(payload, "H");
-  hello_msg m;
-  m.version = in.num<std::uint32_t>();
-  if (!in.done()) return std::nullopt;
-  return m;
-}
-
 std::optional<job_request> parse_submit(std::string_view payload) {
   field_reader in(payload, "J");
   return read_request_fields(in);
@@ -240,7 +227,7 @@ std::optional<job_rejected> parse_rejected(std::string_view payload) {
   field_reader in(payload, "R");
   job_rejected m;
   m.reason = in.num<reject_reason>(
-      static_cast<std::uint64_t>(reject_reason::version));
+      static_cast<std::uint64_t>(reject_reason::bad_request));
   m.retry_after_ms = in.num();
   m.queue_depth = in.num();
   if (!in.done()) return std::nullopt;

@@ -28,12 +28,9 @@
 
 namespace vs::serve {
 
-/// Protocol revision carried in the hello handshake (the frame magic pins
-/// the framing layout; this pins the message vocabulary on top of it).
-inline constexpr std::uint32_t kProtocolVersion = 1;
-
+/// One request frame (submit or stats_request) per connection, then the
+/// server's answer.  Number 1 is retired and stays unused.
 enum class msg_type : std::uint16_t {
-  hello = 1,          ///< both directions: version handshake
   submit = 2,         ///< client -> server: one clip job
   accepted = 3,       ///< server -> client: job admitted, id assigned
   rejected = 4,       ///< server -> client: admission refused, retry-after
@@ -55,14 +52,9 @@ enum class reject_reason : std::uint8_t {
   queue_full = 0,   ///< bounded queue at capacity — honor retry_after
   draining = 1,     ///< server is in SIGTERM drain, not admitting
   bad_request = 2,  ///< malformed or out-of-range submit
-  version = 3,      ///< hello version mismatch
 };
 
 [[nodiscard]] const char* reject_reason_name(reject_reason r) noexcept;
-
-struct hello_msg {
-  std::uint32_t version = kProtocolVersion;
-};
 
 /// Maximum length of a client idempotency key on the wire (bounds journal
 /// line growth from hostile submits).
@@ -153,7 +145,6 @@ struct stats_reply {
 
 // --- encoders: each returns the complete frame (header + payload) ---
 
-[[nodiscard]] std::string encode_hello(const hello_msg& m);
 [[nodiscard]] std::string encode_submit(const job_request& m);
 [[nodiscard]] std::string encode_accepted(const job_accepted& m);
 [[nodiscard]] std::string encode_rejected(const job_rejected& m);
@@ -169,7 +160,6 @@ struct stats_reply {
 // --- parsers: take a validated frame's payload; nullopt on any malformed
 // field (including image dimensions that disagree with the byte count) ---
 
-[[nodiscard]] std::optional<hello_msg> parse_hello(std::string_view payload);
 [[nodiscard]] std::optional<job_request> parse_submit(
     std::string_view payload);
 [[nodiscard]] std::optional<job_accepted> parse_accepted(

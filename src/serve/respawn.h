@@ -38,10 +38,10 @@ namespace vs::serve {
 struct respawn_config {
   server_config server;  ///< what every generation boots with
   /// No heartbeat for this long -> SIGKILL, classified as a hang; <= 0 =
-  /// off.  The accept loop serves each connection's handshake inline and
-  /// does not beat while it waits, so a value at or below
-  /// server.handshake_timeout_s lets one silent client get a generation
-  /// killed.
+  /// off.  A silent client does not stall the beat (the accept loop polls
+  /// it with the rest); only an adopting resubmit whose client stops
+  /// reading mid-replay blocks the loop, for at most the server's 5 s send
+  /// timeout.
   double stall_timeout_s = 10.0;
   /// Respawn delay schedule (attempt = current quick-death streak).
   core::backoff_policy backoff;

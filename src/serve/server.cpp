@@ -30,21 +30,26 @@ namespace {
 /// journal dedupes by server id, not key.
 constexpr std::size_t kCompletedCacheCap = 32;
 
+/// How long a connection may take to deliver its request frame, and how
+/// long one send_all to a client may block.
+constexpr std::chrono::seconds kPeerTimeout{5};
+/// Connections owing their request at once; the listen backlog holds more.
+constexpr std::size_t kMaxWaiting = 64;
+/// Bytes a connection may send short of a request frame (a submit is ~100).
+constexpr std::size_t kMaxRequestBytes = 64 * 1024;
+
 using clock = std::chrono::steady_clock;
 
 double ms_between(clock::time_point a, clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-void set_recv_timeout(int fd, double seconds) {
-  if (seconds <= 0) return;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>((seconds - static_cast<double>(
-                                                       tv.tv_sec)) *
-                                        1e6);
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
+/// An accepted connection that still owes its one request frame.
+struct waiting_request {
+  int fd = -1;
+  frame_decoder decoder;
+  clock::time_point deadline;
+};
 
 fault::outcome outcome_of(const std::exception& e) {
   if (const auto* crash = dynamic_cast<const crash_error*>(&e)) {
@@ -330,17 +335,33 @@ void server::request_drain() noexcept {
 }
 
 void server::run() {
+  // Connections owing their request share the poll set with the listen
+  // socket and the wake pipe, one read per POLLIN: a silent client holds
+  // up no one else.
+  std::vector<waiting_request> waiting;
+  std::vector<pollfd> fds;
+  // Drain finished and socket path gone: the loop only answers the clients
+  // left in the backlog or owing their request (a submit gets `draining`)
+  // instead of leaving them an RST when the listen fd closes.
+  bool closing = false;
   for (;;) {
     // Heartbeat hook: the supervisor shell (serve/respawn.h) pulses its
     // liveness line from here, so a wedged accept loop reads as a stall.
     if (config_.on_tick) config_.on_tick();
-    pollfd fds[2];
-    fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {wake_rd_, POLLIN, 0};
-    const int ready = ::poll(fds, 2, 100);
-    if (ready < 0 && errno != EINTR) break;
+    fds.clear();
+    fds.push_back({wake_rd_, POLLIN, 0});
+    // poll() skips a negative fd: at kMaxWaiting the backlog waits.
+    fds.push_back(
+        {waiting.size() < kMaxWaiting ? listen_fd_ : -1, POLLIN, 0});
+    for (const auto& w : waiting) fds.push_back({w.fd, POLLIN, 0});
+    const int ready = ::poll(fds.data(), fds.size(),
+                             closing && waiting.empty() ? 0 : 100);
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
 
-    if (ready > 0 && (fds[1].revents & POLLIN) != 0) {
+    if ((fds[0].revents & POLLIN) != 0) {
       char sink[16];
       while (::read(wake_rd_, sink, sizeof(sink)) > 0) {
       }
@@ -357,36 +378,55 @@ void server::run() {
       work_cv_.notify_all();
     }
 
-    if (ready > 0 && (fds[0].revents & POLLIN) != 0) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd >= 0) handle_connection(fd);
+    const auto now = clock::now();
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < waiting.size(); ++i) {
+      waiting_request& w = waiting[i];
+      if (fds[i + 2].revents != 0) {
+        const ssize_t n = recv_into(w.fd, w.decoder);
+        if (const std::optional<frame> request = w.decoder.next()) {
+          handle_request(w.fd, *request);
+          continue;
+        }
+        if (n <= 0 || w.decoder.pending_bytes() > kMaxRequestBytes) {
+          w.deadline = now;  // hung up, or garbage: close it now
+        }
+      }
+      if (now >= w.deadline) {
+        ::close(w.fd);
+        continue;
+      }
+      if (kept != i) waiting[kept] = std::move(w);
+      ++kept;
     }
+    waiting.resize(kept);
 
-    {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      if (draining_ && interactive_.empty() && batch_.empty() &&
-          in_flight_ == 0) {
-        break;
+    if ((fds[1].revents & POLLIN) != 0) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd >= 0) {
+        set_socket_timeout(fd, SO_SNDTIMEO,
+                           static_cast<double>(kPeerTimeout.count()));
+        waiting.push_back({fd, {}, clock::now() + kPeerTimeout});
       }
     }
+
+    if (closing) {
+      if (waiting.empty() && (fds[1].revents & POLLIN) == 0) break;
+      continue;
+    }
+    const std::lock_guard<std::mutex> lock(state_mutex_);
+    closing = draining_ && interactive_.empty() && batch_.empty() &&
+              in_flight_ == 0;
+    // Unlink first: once the path is gone no new connect can start.
+    if (closing) (void)::unlink(config_.socket_path.c_str());
   }
 
+  for (const auto& w : waiting) ::close(w.fd);
   work_cv_.notify_all();
   for (auto& t : runners_) {
     if (t.joinable()) t.join();
   }
   runners_.clear();
-  // Unlink before closing: once the path is gone no new connect can start,
-  // and a final non-blocking sweep politely rejects the clients already
-  // queued in the listen backlog instead of leaving them to take an RST
-  // when the fd closes.
-  (void)::unlink(config_.socket_path.c_str());
-  (void)::fcntl(listen_fd_, F_SETFL, O_NONBLOCK);
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) break;
-    handle_connection(fd);
-  }
   ::close(listen_fd_);
   listen_fd_ = -1;
   std::uint64_t deferred = 0;
@@ -400,56 +440,23 @@ void server::run() {
                           : std::string()));
 }
 
-void server::handle_connection(int fd) {
-  set_recv_timeout(fd, config_.handshake_timeout_s);
-  frame_decoder decoder;
-  bool fd_owned = true;
-
-  while (fd_owned) {
-    std::optional<frame> f = decoder.next();
-    if (!f) {
-      // EOF, timeout, or error drops the connection; a signal does not.
-      if (recv_into(fd, decoder) <= 0) break;
-      continue;
-    }
-
-    switch (static_cast<msg_type>(f->type)) {
-      case msg_type::hello: {
-        const auto hello = parse_hello(f->payload);
-        if (!hello || hello->version != kProtocolVersion) {
-          job_rejected r;
-          r.reason = reject_reason::version;
-          (void)send_all(fd, encode_rejected(r));
-          fd_owned = false;  // terminal: close below
-          ::close(fd);
-          return;
-        }
-        (void)send_all(fd, encode_hello(hello_msg{}));
-        continue;  // await the actual request
+void server::handle_request(int fd, const frame& request) {
+  switch (static_cast<msg_type>(request.type)) {
+    case msg_type::stats_request:
+      (void)send_all(fd, encode_stats_reply(stats()));
+      break;
+    case msg_type::submit:
+      if (const auto job = parse_submit(request.payload)) {
+        if (admit_or_reject(fd, *job)) return;  // a job's sink owns fd now
+      } else {
+        job_rejected r;
+        r.reason = reject_reason::bad_request;
+        (void)send_all(fd, encode_rejected(r));
       }
-      case msg_type::stats_request: {
-        (void)send_all(fd, encode_stats_reply(stats()));
-        ::close(fd);
-        return;
-      }
-      case msg_type::submit: {
-        const auto request = parse_submit(f->payload);
-        if (!request) {
-          job_rejected r;
-          r.reason = reject_reason::bad_request;
-          (void)send_all(fd, encode_rejected(r));
-          ::close(fd);
-          return;
-        }
-        admit_or_reject(fd, *request, fd_owned);
-        if (fd_owned) ::close(fd);
-        return;
-      }
-      default:
-        // A frame we validated but don't speak: protocol confusion, drop.
-        ::close(fd);
-        return;
-    }
+      break;
+    default:
+      // A retired or unknown message type: protocol confusion, drop.
+      break;
   }
   ::close(fd);
 }
@@ -498,8 +505,7 @@ server::pending_job server::enqueue_locked(std::uint64_t id,
   return job;
 }
 
-void server::admit_or_reject(int fd, const job_request& request,
-                             bool& fd_owned) {
+bool server::admit_or_reject(int fd, const job_request& request) {
   // Idempotent resubmission: a key we already know adopts the existing
   // job's buffered stream — never a second execution.  Checked before the
   // drain gate so a client chasing its pre-crash job can still collect
@@ -513,8 +519,7 @@ void server::admit_or_reject(int fd, const job_request& request,
     }
     if (existing) {
       existing->adopt(fd);
-      fd_owned = false;  // the sink owns the connection now
-      return;
+      return true;
     }
   }
 
@@ -559,20 +564,20 @@ void server::admit_or_reject(int fd, const job_request& request,
       } else {
         if (!config_.journal_path.empty()) ++journal_depth_;
         (void)enqueue_locked(id, request, fd);
-        fd_owned = false;  // the job's sink owns the connection now
       }
     }
   }
   if (unjournaled) {
     log::error("serve: cannot journal an admission to " +
                config_.journal_path + "; job not accepted");
-    return;  // fd_owned stays true: caller closes without a reply
+    return false;  // closed without a reply
   }
   if (rejected) {
     (void)send_all(fd, encode_rejected(rejection));
-    return;  // fd_owned stays true: caller closes
+    return false;
   }
   work_cv_.notify_one();
+  return true;
 }
 
 void server::runner_loop() {

@@ -1,9 +1,12 @@
 // The long-running summarization service behind `vs serve`.
 //
-// One Unix-domain socket, one connection per request.  A connection either
-// asks for a stats snapshot or submits one clip job; an admitted job's
-// connection stays open while the server streams each mini-panorama the
-// moment the pipeline closes it, then the final montage + run statistics.
+// One Unix-domain socket, one request frame per connection.  A connection
+// either asks for a stats snapshot or submits one clip job; an admitted
+// job's connection stays open while the server streams each mini-panorama
+// the moment the pipeline closes it, then the final montage + run
+// statistics.  A request must arrive within 5 s of the accept, and a send
+// to a client gives up after 5 s: a client that stops reading loses its
+// connection (its job runs on, adoptable by key), not a runner.
 // The response to a given job is byte-identical to what a one-shot
 // `vs summarize` of the same (input, variant, frames, hardening) produces,
 // at any concurrency — jobs run under worker-slot leases from one shared
@@ -74,9 +77,6 @@ struct server_config {
   bool isolate = false;         ///< fork one worker process per job
   /// Isolate-mode watchdog for jobs that carry no deadline; <= 0 = off.
   double job_timeout_s = 0.0;
-  /// How long a freshly accepted connection may dawdle before its first
-  /// request frame arrives.
-  double handshake_timeout_s = 5.0;
   /// Streaming per-job CSV log (fault::report_stream); empty = off.
   std::string report_path;
   /// Per-job clean-lane lookahead (pipeline_config::frames_in_flight).
@@ -140,8 +140,12 @@ class server {
     std::chrono::steady_clock::time_point admitted;
   };
 
-  void handle_connection(int fd);
-  void admit_or_reject(int fd, const job_request& request, bool& fd_owned);
+  /// Answers a connection's one request frame; closes `fd` unless a job's
+  /// sink took it.
+  void handle_request(int fd, const frame& request);
+  /// Admits, adopts or rejects one submit.  True when a job's sink took
+  /// `fd`; false when the caller still owns it.
+  bool admit_or_reject(int fd, const job_request& request);
   void runner_loop();
   void execute_job(pending_job job);
   void run_in_process(const pending_job& job, core::pool_lease& lease);

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -260,12 +261,12 @@ TEST(Serve, FullQueueRejectsWithRetryAfterHint) {
           outcome.rejected->reason == reject_reason::queue_full) {
         ++rejections;
         if (outcome.rejected->retry_after_ms == 0) ++missing_hints;
-        resilient_policy policy;
-        policy.backoff.max_attempts = 16;
-        policy.backoff.base_delay_ms = 1.0;
-        policy.backoff.max_delay_ms = 1.0;
-        policy.backoff.jitter = 0.0;
-        outcome = c.submit_resilient(quick_request, policy);
+        core::backoff_policy backoff;
+        backoff.max_attempts = 16;
+        backoff.base_delay_ms = 1.0;
+        backoff.max_delay_ms = 1.0;
+        backoff.jitter = 0.0;
+        outcome = c.submit_resilient(quick_request, backoff);
         if (outcome.attempts > 1) ++retried;
       }
       served[i] = outcome.complete &&
@@ -515,11 +516,11 @@ TEST(Serve, MalformedSubmitPayloadIsRejectedAsBadRequest) {
 
 void ignore_signal(int) {}
 
-TEST(Serve, SignalMidHandshakeDoesNotDropTheClient) {
+TEST(Serve, SignalWhileAwaitingTheRequestDoesNotDropTheClient) {
   // A handler installed without SA_RESTART makes a signal interrupt the
-  // serving thread's blocked recv (SO_RCVTIMEO alone already makes recv
-  // non-restartable).  An interrupted recv is not a dead peer: the client
-  // must still get its answer.
+  // serving thread's poll while it waits for a connection's request.  An
+  // interrupted poll is not a dead peer: the client, whose request arrives
+  // in two pieces around the signals, must still get its answer.
   struct sigaction quiet {};
   struct sigaction previous {};
   quiet.sa_handler = ignore_signal;
@@ -530,18 +531,15 @@ TEST(Serve, SignalMidHandshakeDoesNotDropTheClient) {
   server_fixture fixture(quick_config(path));
   const int fd = connect_raw(path);
   ASSERT_GE(fd, 0);
-  frame_decoder decoder;
-  ASSERT_TRUE(send_all(fd, encode_hello(hello_msg{})));
-  const std::optional<frame> echo = read_frame(fd, decoder);
-  ASSERT_TRUE(echo.has_value());
-  EXPECT_EQ(echo->type, static_cast<std::uint16_t>(msg_type::hello));
-
-  // Mid-handshake: the server now blocks in recv awaiting the request.
+  const std::string request = encode_stats_request();
+  const std::size_t half = request.size() / 2;
+  ASSERT_TRUE(send_all(fd, std::string_view(request).substr(0, half)));
   for (int i = 0; i < 5; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     ASSERT_EQ(::pthread_kill(fixture.run_thread(), SIGUSR2), 0);
   }
-  ASSERT_TRUE(send_all(fd, encode_stats_request()));
+  ASSERT_TRUE(send_all(fd, std::string_view(request).substr(half)));
+  frame_decoder decoder;
   const std::optional<frame> reply = read_frame(fd, decoder);
   ::close(fd);
   fixture.shutdown();
@@ -550,6 +548,127 @@ TEST(Serve, SignalMidHandshakeDoesNotDropTheClient) {
   ASSERT_TRUE(reply.has_value()) << "the signal dropped the connection";
   EXPECT_EQ(reply->type, static_cast<std::uint16_t>(msg_type::stats_reply));
   EXPECT_TRUE(parse_stats_reply(reply->payload).has_value());
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(Serve, SilentClientDoesNotDelayOtherClients) {
+  // A client that connects and says nothing owes its request for up to the
+  // server's 5 s deadline; meanwhile every other client is answered at once.
+  const std::string path = unique_socket_path();
+  server_fixture fixture(quick_config(path));
+  const int silent = connect_raw(path);
+  ASSERT_GE(silent, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const stats_reply stats = client(path, 10.0).stats();
+  const double stats_s = seconds_since(t0);
+  job_request request;
+  request.frames = 8;
+  const auto outcome = client(path, 120.0).submit(request);
+  ::close(silent);
+
+  EXPECT_LT(stats_s, 1.0) << "the silent client held up the stats request";
+  EXPECT_FALSE(stats.draining);
+  ASSERT_TRUE(outcome.complete.has_value());
+  EXPECT_TRUE(outcome.complete->montage == reference_run(request).panorama);
+}
+
+TEST(Serve, ClientSendingMoreThanARequestIsHungUpOn) {
+  // A header claiming a 1 MiB payload, then 128 KiB of it: no request is
+  // that large, so the server hangs up long before the 5 s request deadline
+  // instead of buffering what a waiting connection sends.
+  const std::string path = unique_socket_path();
+  server_fixture fixture(quick_config(path));
+  const int fd = connect_raw(path);
+  ASSERT_GE(fd, 0);
+  const std::string prefix =
+      encode_frame(static_cast<std::uint16_t>(msg_type::submit),
+                   std::string(1 << 20, 'x'))
+          .substr(0, kFrameHeaderSize + (128 << 10));
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)send_all(fd, prefix);
+  char byte;
+  const ssize_t n = ::recv(fd, &byte, 1, 0);
+  const double hung_up_s = seconds_since(t0);
+  ::close(fd);
+  EXPECT_LE(n, 0);
+  EXPECT_LT(hung_up_s, 2.0);
+}
+
+TEST(Serve, SendAllToAStoppedReaderCostsOneSendTimeout) {
+  // 1 MiB into a socket nobody reads: the first send(2) fills the buffer
+  // and returns short when its 0.5 s timeout runs out; send_all must give
+  // up then, not start a second 0.5 s wait.
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  set_socket_timeout(pair[0], SO_SNDTIMEO, 0.5);
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool sent = send_all(pair[0], std::string(1 << 20, 'x'));
+  const double took_s = seconds_since(t0);
+  ::close(pair[0]);
+  ::close(pair[1]);
+  EXPECT_FALSE(sent);
+  EXPECT_GE(took_s, 0.45);
+  EXPECT_LT(took_s, 0.9);
+}
+
+TEST(Serve, ClientThatStopsReadingDoesNotHoldTheRunner) {
+  // A raw client submits a 60-frame job, whose montage alone (1.25 MB) is
+  // far beyond a socket buffer, and never reads.  The runner's blocked send
+  // gives up after the server's 5 s send timeout and detaches the peer;
+  // the job settles, so an 8-frame job queued behind it on the one runner
+  // completes, and the stalled job's whole stream stays adoptable by key.
+  const std::string path = unique_socket_path();
+  server_config config;
+  config.socket_path = path;
+  config.queue_capacity = 8;
+  config.runners = 1;
+  config.pool_budget = 1;
+  server_fixture fixture(std::move(config));
+
+  job_request stalled;
+  stalled.input = video::input_id::input1;
+  stalled.frames = 60;
+  stalled.client_key = "never-reads";
+  const int fd = connect_raw(path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, encode_submit(stalled)));
+  for (int i = 0; i < 10000 && fixture.get().stats().in_flight == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  job_request quick;
+  quick.frames = 8;
+  const auto t0 = std::chrono::steady_clock::now();
+  submit_outcome behind;
+  try {
+    behind = client(path, 60.0).submit(quick);
+  } catch (const io_error&) {
+  }
+  const double waited_s = seconds_since(t0);
+  ::close(fd);
+
+  ASSERT_TRUE(behind.complete.has_value())
+      << "the job behind the stalled client never finished";
+  EXPECT_TRUE(behind.complete->montage == reference_run(quick).panorama);
+  // The 5 s send timeout plus a generous slack for both runs on a slow or
+  // sanitized build.
+  EXPECT_LT(waited_s, 5.0 + 30.0);
+
+  const auto adopted = client(path, 120.0).submit(stalled);
+  ASSERT_TRUE(adopted.complete.has_value());
+  const auto reference = reference_run(stalled);
+  EXPECT_TRUE(adopted.complete->montage == reference.panorama);
+  ASSERT_EQ(adopted.panoramas.size(), reference.mini_panoramas.size());
+  for (std::size_t i = 0; i < adopted.panoramas.size(); ++i) {
+    EXPECT_TRUE(adopted.panoramas[i].image == reference.mini_panoramas[i]);
+  }
+  EXPECT_EQ(fixture.get().stats().completed, 2u);  // adoption ran nothing
 }
 
 // --- crash-only serving: journal replay, dedupe, drain deferral ---
@@ -615,12 +734,12 @@ TEST(ServeRestart, SigkillWithQueuedJobsReplaysByteIdentically) {
       request.alg = i % 2 == 0 ? app::algorithm::vs : app::algorithm::vs_rfd;
       request.frames = 8;
       request.client_key = "restart-" + std::to_string(i);
-      resilient_policy policy;
-      policy.backoff.max_attempts = 12;
-      policy.backoff.base_delay_ms = 20.0;
-      policy.backoff.max_delay_ms = 300.0;
+      core::backoff_policy backoff;
+      backoff.max_attempts = 12;
+      backoff.base_delay_ms = 20.0;
+      backoff.max_delay_ms = 300.0;
       client c(path, 120.0);
-      const auto outcome = c.submit_resilient(request, policy);
+      const auto outcome = c.submit_resilient(request, backoff);
       if (!outcome.complete) return;
       if (outcome.reconnects > 0) ++reconnected;
       ok[i] = outcome.complete->montage == reference_run(request).panorama
@@ -715,25 +834,35 @@ TEST(ServeRestart, RepeatedShutdownCannotCleanAFailedDrain) {
   std::remove(path.c_str());
 }
 
-TEST(ServeRestart, HeartbeatStallIsAHangAndRespawns) {
-  // A client that connects and says nothing parks the accept loop in its
-  // handshake recv for up to 3 s; the heartbeat stops, and the 0.5 s
-  // stall watchdog kills the generation as a hang and respawns it.
-  const std::string path = unique_socket_path();
+/// A supervisor config whose 0.5 s heartbeat watchdog catches a wedged
+/// generation quickly; the live child's pid goes to `<socket>.pid`.
+respawn_config stall_config(const std::string& path) {
   respawn_config config;
   config.server = quick_config(path);
-  config.server.handshake_timeout_s = 3.0;
   config.stall_timeout_s = 0.5;
   config.stable_uptime_s = 0.2;
   config.backoff.base_delay_ms = 10.0;
   config.backoff.max_delay_ms = 100.0;
+  config.pidfile = path + ".pid";
+  return config;
+}
+
+TEST(ServeRestart, HeartbeatStallIsAHangAndRespawns) {
+  // SIGSTOP freezes the generation, pid taken from the pidfile as a crash
+  // drill would; the heartbeat stops, and the 0.5 s stall watchdog kills
+  // the generation as a hang and respawns it.
+  const std::string path = unique_socket_path();
+  const respawn_config config = stall_config(path);
   respawn_supervisor supervisor(config);
   respawn_stats stats;
   std::thread runner([&] { stats = supervisor.run(); });
   ASSERT_TRUE(wait_for_path(path, 10.0));
+  ASSERT_TRUE(wait_for_path(config.pidfile, 10.0));
 
-  const int silent = connect_raw(path);
-  ASSERT_GE(silent, 0);
+  long pid = 0;
+  std::ifstream(config.pidfile) >> pid;
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(::kill(static_cast<pid_t>(pid), SIGSTOP), 0);
   // The second generation answers stats once it has booted (and installed
   // its drain handler, so the shutdown below drains it).
   bool respawned = false;
@@ -747,13 +876,41 @@ TEST(ServeRestart, HeartbeatStallIsAHangAndRespawns) {
     }
     if (!respawned) std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  ::close(silent);
   supervisor.request_shutdown();
   runner.join();
+  std::remove(config.pidfile.c_str());
   EXPECT_TRUE(respawned);
   EXPECT_EQ(stats.hangs, 1u);
   EXPECT_EQ(stats.generations, 2u);
   EXPECT_EQ(stats.crashes + stats.failures, 0u);
+  EXPECT_TRUE(stats.clean_exit);
+}
+
+TEST(ServeRestart, SilentClientIsNotAHang) {
+  // A client that connects and says nothing for 2 s, four stall timeouts,
+  // waits in the accept loop's poll set; the loop keeps beating and serving.
+  const std::string path = unique_socket_path();
+  const respawn_config config = stall_config(path);
+  respawn_supervisor supervisor(config);
+  respawn_stats stats;
+  std::thread runner([&] { stats = supervisor.run(); });
+  ASSERT_TRUE(wait_for_path(path, 10.0));
+
+  const int silent = connect_raw(path);
+  ASSERT_GE(silent, 0);
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  std::uint64_t restarts = ~0ULL;
+  try {
+    restarts = client(path, 5.0).stats().restarts;
+  } catch (const io_error&) {
+  }
+  ::close(silent);
+  supervisor.request_shutdown();
+  runner.join();
+  std::remove(config.pidfile.c_str());
+  EXPECT_EQ(restarts, 0u);
+  EXPECT_EQ(stats.hangs, 0u);
+  EXPECT_EQ(stats.generations, 1u);
   EXPECT_TRUE(stats.clean_exit);
 }
 
@@ -797,12 +954,12 @@ TEST(ServeRestart, SupervisedIsolatedJobsSurviveAGenerationKill) {
   second.client_key = "isolated-1";
   submit_outcome killed;
   std::thread submitter([&] {
-    resilient_policy policy;
-    policy.backoff.max_attempts = 12;
-    policy.backoff.base_delay_ms = 20.0;
-    policy.backoff.max_delay_ms = 300.0;
+    core::backoff_policy backoff;
+    backoff.max_attempts = 12;
+    backoff.base_delay_ms = 20.0;
+    backoff.max_delay_ms = 300.0;
     client c(path, 120.0);
-    killed = c.submit_resilient(second, policy);
+    killed = c.submit_resilient(second, backoff);
   });
   bool in_flight = false;
   const auto deadline =

@@ -135,9 +135,6 @@ TEST(WireBytes, WorkerAndHeartbeatLines) {
 
 TEST(WireBytes, ServeMessages) {
   using serve::msg_type;
-  EXPECT_EQ(payload_of(serve::encode_hello(serve::hello_msg{}),
-                       msg_type::hello),
-            "H 1");
   EXPECT_EQ(payload_of(serve::encode_submit(pinned_request()),
                        msg_type::submit),
             "J 2 2 24 2 0 1500 3 key_7 1 1 987654321 61 5555555");

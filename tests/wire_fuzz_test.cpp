@@ -244,7 +244,6 @@ TEST(ProtocolFuzz, GarbagePayloadsNeverCrashParsers) {
   std::mt19937_64 rng(31);
   for (int i = 0; i < 300; ++i) {
     const std::string junk = random_bytes(rng, 200);
-    (void)serve::parse_hello(junk);
     (void)serve::parse_submit(junk);
     (void)serve::parse_accepted(junk);
     (void)serve::parse_rejected(junk);

@@ -743,11 +743,11 @@ int cmd_fleet(int argc, char** argv) {
       request.client_key = "fleet-" +
                            std::to_string(static_cast<long>(::getpid())) +
                            "-" + std::to_string(i);
-      serve::resilient_policy policy;
-      if (retries > 0) policy.backoff.max_attempts = retries;
+      core::backoff_policy backoff;
+      if (retries > 0) backoff.max_attempts = retries;
       serve::client c(socket_path, /*receive_timeout_s=*/300.0);
       const auto t0 = std::chrono::steady_clock::now();
-      const serve::submit_outcome out = c.submit_resilient(request, policy);
+      const serve::submit_outcome out = c.submit_resilient(request, backoff);
       clip_row& r = rows[i];
       r.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
@@ -977,9 +977,9 @@ int cmd_submit(int argc, char** argv) {
   if (resilient) {
     // Crash-tolerant path: reconnect with backoff under an idempotency
     // key; a resubmission adopts the journaled job instead of re-running.
-    serve::resilient_policy policy;
-    if (retries > 0) policy.backoff.max_attempts = retries;
-    outcome = c.submit_resilient(request, policy, on_mini);
+    core::backoff_policy backoff;
+    if (retries > 0) backoff.max_attempts = retries;
+    outcome = c.submit_resilient(request, backoff, on_mini);
     if (outcome.reconnects > 0) {
       std::printf("reconnected %d time(s) over %d attempt(s)\n",
                   outcome.reconnects, outcome.attempts);
