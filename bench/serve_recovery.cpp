@@ -3,8 +3,9 @@
 //
 // Scenario A — kill mid-load: boots a SUPERVISED, journaled, isolate-mode
 // server, offers a 16-client burst of jobs (each with an idempotency key
-// and a resilient-submit budget), SIGKILLs the server child once the burst
-// is in flight, and verifies the crash-only contract end to end:
+// and a resilient-submit budget), SIGKILLs the server child once a second
+// client sees a job in flight, and verifies the crash-only contract end to
+// end:
 //
 //   * zero accepted jobs lost — every client eventually holds a terminal
 //     completion despite the kill;
@@ -23,11 +24,14 @@
 // Emits BENCH_serve_recovery.json through benchutil::bench_report: the
 // per-job completion times of the burst as one row with spread, and every
 // drill and campaign count as a one-sample row.  Exit status is the gate:
-// non-zero if any accepted job was lost or any delivered montage diverged.
+// non-zero if any accepted job was lost, any delivered montage diverged, or
+// the drill restarted no server (a kill that landed after the burst proves
+// nothing).
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -106,14 +110,14 @@ int main(int argc, char** argv) {
   rc.server.isolate = true;
   rc.server.runners = 4;
   rc.server.queue_capacity = 32;
-  rc.server.lookahead = 0;
   rc.stable_uptime_s = 0.2;
   rc.max_consecutive_failures = 20;
   rc.backoff.base_delay_ms = 10.0;
   rc.backoff.max_delay_ms = 100.0;
 
   serve::respawn_supervisor supervisor(rc);
-  std::thread supervisor_thread([&] { (void)supervisor.run(); });
+  serve::respawn_stats supervision;
+  std::thread supervisor_thread([&] { supervision = supervisor.run(); });
   if (!wait_for_socket(socket_path, 10.0)) {
     std::fprintf(stderr, "FAIL: supervised server never came up\n");
     supervisor.request_shutdown();
@@ -126,6 +130,8 @@ int main(int argc, char** argv) {
 
   std::mutex record_mutex;
   std::vector<clock_type::time_point> completions;
+  std::atomic<int> settled{0};
+  std::atomic<bool> burst_over{false};
   const auto burst_t0 = clock_type::now();
 
   std::vector<std::thread> burst;
@@ -146,6 +152,7 @@ int main(int argc, char** argv) {
       serve::client client(socket_path, 120.0);
       const auto out = client.submit_resilient(request, backoff);
       const auto done = clock_type::now();
+      if (++settled == drill.jobs) burst_over.store(true);
 
       const std::lock_guard<std::mutex> lock(record_mutex);
       if (out.complete) {
@@ -167,12 +174,14 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Let the burst get admitted and mid-flight, then pull the rug.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  // Pull the rug once the server reports a job mid-flight.
+  const bool killed =
+      serve::kill_server_mid_job(supervisor, socket_path, burst_over);
   const auto kill_t = clock_type::now();
-  supervisor.kill_child();
-  std::printf("SIGKILLed server child %.0f ms into the burst\n",
-              ms_between(burst_t0, kill_t));
+  if (killed) {
+    std::printf("SIGKILLed server child %.0f ms into the burst\n",
+                ms_between(burst_t0, kill_t));
+  }
 
   for (auto& t : burst) t.join();
   drill.wall_ms = ms_between(burst_t0, clock_type::now());
@@ -186,16 +195,14 @@ int main(int argc, char** argv) {
   drill.recovery_ms = first_after < 0 ? 0.0 : first_after;
 
   try {
-    serve::client cli(socket_path, 10.0);
-    const auto stats = cli.stats();
-    drill.server_restarts = stats.restarts;
-    drill.replayed_at_boot = stats.replayed;
+    drill.replayed_at_boot = serve::client(socket_path, 10.0).stats().replayed;
   } catch (const std::exception&) {
     // Server already gone; the client-side tallies stand on their own.
   }
 
   supervisor.request_shutdown();
   supervisor_thread.join();
+  drill.server_restarts = supervision.restarts();
   (void)::unlink(socket_path.c_str());
   (void)::unlink(journal_path.c_str());
 
@@ -210,7 +217,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(drill.replayed_at_boot),
               drill.recovery_ms, drill.wall_ms);
 
-  bool ok = drill.lost == 0 && drill.hash_mismatches == 0;
+  bool ok = drill.lost == 0 && drill.hash_mismatches == 0 &&
+            drill.server_restarts > 0;
 
   // Scenario B: the serve-layer fault campaign across all three scenarios.
   benchutil::heading("Serve-layer fault campaign (client-visible taxonomy)");
@@ -282,8 +290,9 @@ int main(int argc, char** argv) {
 
   if (!ok) {
     std::fprintf(stderr,
-                 "FAIL: an accepted job was lost or a delivered montage "
-                 "diverged from its one-shot reference\n");
+                 "FAIL: an accepted job was lost, a delivered montage "
+                 "diverged from its one-shot reference, or the drill "
+                 "restarted no server\n");
     return 1;
   }
   return 0;

@@ -60,10 +60,10 @@ struct pipeline_config {
   /// function of the frame index, consumed in stitch order).
   int frames_in_flight = 2;
 
-  /// External stage scheduler to feed instead of a per-run private one —
-  /// the serving front end shares one across admitted jobs so deep queues
-  /// batch frames from different clips into single dispatches.  Must
-  /// outlive the run.  Null = own scheduler when the lookahead is active.
+  /// External stage scheduler to feed instead of a per-run private one;
+  /// runs that share one may have their frames batched into the same
+  /// dispatches.  Must outlive the run.  Null = own scheduler when the
+  /// lookahead is active.
   pipeline::stage_scheduler* scheduler = nullptr;
 
   /// Real-time frame gating (src/gate/): the temporal-approximation axis.

@@ -32,14 +32,9 @@ void pool_lease::release() noexcept {
 
 pool_arbiter::pool_arbiter(unsigned budget) : budget_(resolve_threads(budget)) {}
 
-unsigned pool_arbiter::clamp_grant(unsigned min_slots,
-                                   unsigned max_slots) const noexcept {
-  return std::clamp(max_slots, std::clamp(min_slots, 1u, budget_), budget_);
-}
-
 pool_lease pool_arbiter::acquire(unsigned min_slots, unsigned max_slots) {
   const unsigned need = std::clamp(min_slots, 1u, budget_);
-  const unsigned want = clamp_grant(min_slots, max_slots);
+  const unsigned want = std::clamp(max_slots, need, budget_);
 
   std::unique_lock<std::mutex> lock(mutex_);
   const std::uint64_t ticket = next_ticket_++;
@@ -52,23 +47,6 @@ pool_lease pool_arbiter::acquire(unsigned min_slots, unsigned max_slots) {
   peak_ = std::max(peak_, leased_);
   lock.unlock();
   slots_cv_.notify_all();  // the next ticket may also be satisfiable
-  return pool_lease(this, grant);
-}
-
-pool_lease pool_arbiter::try_acquire(unsigned min_slots, unsigned max_slots) {
-  const unsigned need = std::clamp(min_slots, 1u, budget_);
-  const unsigned want = clamp_grant(min_slots, max_slots);
-
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // Don't jump the queue: an empty grant if someone is already waiting.
-  if (next_ticket_ != serving_ticket_ || budget_ - leased_ < need) {
-    return pool_lease{};
-  }
-  ++next_ticket_;
-  ++serving_ticket_;
-  const unsigned grant = std::min(want, budget_ - leased_);
-  leased_ += grant;
-  peak_ = std::max(peak_, leased_);
   return pool_lease(this, grant);
 }
 

@@ -74,10 +74,6 @@ class pool_arbiter {
   /// max_slots to [min_slots, budget].
   [[nodiscard]] pool_lease acquire(unsigned min_slots, unsigned max_slots);
 
-  /// Non-blocking acquire: an empty lease when min_slots aren't free.
-  [[nodiscard]] pool_lease try_acquire(unsigned min_slots,
-                                       unsigned max_slots);
-
   [[nodiscard]] unsigned budget() const noexcept { return budget_; }
   [[nodiscard]] unsigned in_use() const;
   /// High-water mark of concurrently leased slots (never exceeds budget).
@@ -86,8 +82,6 @@ class pool_arbiter {
  private:
   friend class pool_lease;
   void release_slots(unsigned width);
-  [[nodiscard]] unsigned clamp_grant(unsigned min_slots,
-                                     unsigned max_slots) const noexcept;
 
   const unsigned budget_;
   mutable std::mutex mutex_;

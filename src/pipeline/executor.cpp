@@ -31,12 +31,11 @@ frame_executor::frame_executor(const resil::hardening_config& hardening,
   if (scheduler != nullptr) {
     scheduler_ = scheduler;
   } else {
-    stage_scheduler::options opt;
     // Batches dispatch to the pool this run's own kernels use, so a job
     // under a leased-width pool (core/pool_budget.h) keeps its prefetch on
     // the lease instead of escaping to the process-wide pool.
-    opt.pool = &core::thread_pool::current();
-    owned_scheduler_ = std::make_unique<stage_scheduler>(opt);
+    owned_scheduler_ =
+        std::make_unique<stage_scheduler>(core::thread_pool::current());
     scheduler_ = owned_scheduler_.get();
   }
   job_ = scheduler_->attach();

@@ -61,8 +61,8 @@ class frame_executor {
   /// check uses it instead of a full recompute-and-compare of `detect`.
   ///
   /// Prefetch rides a stage_scheduler's per-stage batch queues.
-  /// `scheduler` shares an external one (the serving front end's cross-job
-  /// queues); when null and the lookahead is active the executor owns a
+  /// `scheduler` shares an external one (pipeline_config::scheduler); when
+  /// null and the lookahead is active the executor owns a
   /// private one dispatching to the pool its own kernels use.  Output is
   /// byte-identical at every depth: tickets are consumed in stitch order.
   ///

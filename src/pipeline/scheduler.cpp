@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/pool_budget.h"
 #include "core/thread_pool.h"
 
 namespace vs::pipeline {
@@ -21,8 +20,7 @@ void bump_peak(std::atomic<std::uint64_t>& peak, std::uint64_t value) {
 
 }  // namespace
 
-stage_scheduler::stage_scheduler(const options& opt)
-    : opt_(opt), inline_pool_(std::make_unique<core::thread_pool>(1)) {
+stage_scheduler::stage_scheduler(core::thread_pool& pool) : pool_(pool) {
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -58,13 +56,7 @@ std::future<frame_work> stage_scheduler::submit(std::uint64_t job, int frame,
 }
 
 int stage_scheduler::batch_limit() const noexcept {
-  unsigned width = 1;
-  if (opt_.arbiter != nullptr) {
-    width = opt_.arbiter->budget();
-  } else if (opt_.pool != nullptr) {
-    width = opt_.pool->thread_count();
-  }
-  return static_cast<int>(std::max(width, 1u));
+  return static_cast<int>(std::max(pool_.thread_count(), 1u));
 }
 
 scheduler_stats stage_scheduler::stats() const noexcept {
@@ -73,7 +65,6 @@ scheduler_stats stage_scheduler::stats() const noexcept {
   s.frames = frames_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.peak_batch = peak_batch_.load(std::memory_order_relaxed);
-  s.inline_batches = inline_batches_.load(std::memory_order_relaxed);
   s.evicted = evicted_.load(std::memory_order_relaxed);
   return s;
 }
@@ -153,7 +144,7 @@ std::vector<std::unique_ptr<stage_scheduler::item>> stage_scheduler::run_batch(
       }
     });
   }
-  dispatch(tasks);
+  pool_.run_tasks(tasks);
   std::vector<std::unique_ptr<item>> advanced;
   advanced.reserve(batch.size());
   for (auto& slot : batch) {
@@ -171,27 +162,6 @@ std::vector<std::unique_ptr<stage_scheduler::item>> stage_scheduler::run_batch(
     }
   }
   return advanced;
-}
-
-void stage_scheduler::dispatch(std::span<const std::function<void()>> tasks) {
-  if (opt_.arbiter != nullptr) {
-    core::pool_lease lease = opt_.arbiter->try_acquire(
-        1, static_cast<unsigned>(tasks.size()));
-    if (lease) {
-      lease.pool().run_tasks(tasks);
-      return;
-    }
-    // Every slot is leased to running jobs whose consumers are waiting on
-    // tickets only this thread resolves: run the batch inline rather than
-    // block.  inline_pool_ holds the nested-parallelism guard so kernels
-    // inside the batch cannot escape the budget via the process-wide pool.
-    inline_batches_.fetch_add(1, std::memory_order_relaxed);
-    inline_pool_->run_tasks(tasks);
-    return;
-  }
-  core::thread_pool* pool =
-      opt_.pool != nullptr ? opt_.pool : inline_pool_.get();
-  pool->run_tasks(tasks);
 }
 
 }  // namespace vs::pipeline

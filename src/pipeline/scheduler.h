@@ -29,13 +29,11 @@
 // size, any pool width, and any interleaving of jobs in the queues.  The
 // instrumented lane never touches the scheduler at all.
 //
-// Serving: one scheduler is shared across every admitted job, so deep
-// admission queues batch frames from different clips into one dispatch.
-// Batches run under non-blocking core::pool_arbiter leases — the runner
-// threads hold blocking leases for whole jobs while they wait on tickets,
-// so a blocking acquire here could deadlock the fleet; when no slots are
-// free the batch runs inline on the dispatcher thread (a bounded,
-// transient extra lane of compute that keeps tickets flowing).
+// Sharing: an executor may feed an external scheduler
+// (pipeline_config::scheduler) instead of a private one; frames from
+// different runs then share batches, and every ticket still resolves with
+// its own run's work.  Every batch dispatches to the one pool the scheduler
+// was given.
 #pragma once
 
 #include <atomic>
@@ -46,7 +44,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -55,7 +52,6 @@
 #include "pipeline/stage.h"
 
 namespace vs::core {
-class pool_arbiter;
 class thread_pool;
 }  // namespace vs::core
 
@@ -75,7 +71,6 @@ struct scheduler_stats {
   std::uint64_t frames = 0;          ///< tickets submitted
   std::uint64_t batches = 0;         ///< grouped dispatches issued
   std::uint64_t peak_batch = 0;      ///< widest batch dispatched
-  std::uint64_t inline_batches = 0;  ///< ran on the dispatcher (no lease free)
   std::uint64_t evicted = 0;         ///< items poisoned out of a batch
 };
 
@@ -85,19 +80,11 @@ class stage_scheduler {
   using extract_step =
       std::function<feat::frame_features(const img::image_u8&)>;
 
-  struct options {
-    /// Fixed dispatch pool (standalone summarize: the executor passes the
-    /// pool its own kernels dispatch to, so a leased-width job keeps its
-    /// batches on the leased pool).  Ignored when `arbiter` is set.
-    core::thread_pool* pool = nullptr;
-    /// Leased dispatch (serving): every batch runs under a NON-BLOCKING
-    /// try_acquire lease; no free slots -> the batch runs inline on the
-    /// dispatcher thread.  Blocking would deadlock: runner threads hold
-    /// their job leases while waiting on tickets only this thread resolves.
-    core::pool_arbiter* arbiter = nullptr;
-  };
-
-  explicit stage_scheduler(const options& opt);
+  /// Every batch dispatches to `pool` (standalone summarize: the executor
+  /// passes the pool its own kernels dispatch to, so a leased-width job
+  /// keeps its batches on the leased pool).  `pool` must outlive the
+  /// scheduler.
+  explicit stage_scheduler(core::thread_pool& pool);
   /// Drains every queued item (poisoning is not an option for work whose
   /// consumer may still hold a ticket), then joins the dispatcher.
   ~stage_scheduler();
@@ -115,8 +102,7 @@ class stage_scheduler {
                                                acquire_step acquire,
                                                extract_step extract);
 
-  /// Most frames one dispatch may take: the dispatch width (arbiter budget
-  /// or pool width; 1 when neither is set).
+  /// Most frames one dispatch may take: the dispatch pool's width.
   [[nodiscard]] int batch_limit() const noexcept;
 
   [[nodiscard]] scheduler_stats stats() const noexcept;
@@ -138,15 +124,9 @@ class stage_scheduler {
   /// fulfilled its ticket instead).
   [[nodiscard]] std::vector<std::unique_ptr<item>> run_batch(
       stage_id stage, std::vector<std::unique_ptr<item>> batch);
-  void dispatch(std::span<const std::function<void()>> tasks);
   [[nodiscard]] bool have_work_locked() const noexcept;
 
-  const options opt_;
-  /// Width-1 pool backing inline fallback dispatches: run_tasks on it runs
-  /// the batch sequentially on the dispatcher with the nested-parallelism
-  /// guard held, so kernels inside a fallback batch cannot escape to the
-  /// process-wide pool behind the arbiter's back.
-  std::unique_ptr<core::thread_pool> inline_pool_;
+  core::thread_pool& pool_;
 
   mutable std::mutex m_;
   std::condition_variable cv_;
@@ -159,7 +139,6 @@ class stage_scheduler {
   std::atomic<std::uint64_t> frames_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> peak_batch_{0};
-  std::atomic<std::uint64_t> inline_batches_{0};
   std::atomic<std::uint64_t> evicted_{0};
 
   std::thread dispatcher_;  ///< last member: joined before queues die

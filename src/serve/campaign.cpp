@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
@@ -26,7 +27,7 @@ double ms_between(clock::time_point a, clock::time_point b) {
 }
 
 /// The same deterministic workload the server's forked worker executes for
-/// these (input, alg, frames): lookahead forced to 0 on both sides so the
+/// these (input, alg, frames), inline as every served job runs, so the
 /// golden op count and hash match the served runs bit for bit.
 fault::workload make_workload(const serve_campaign_config& config) {
   return [config] {
@@ -49,6 +50,23 @@ bool wait_for_socket(const std::string& path, double timeout_s) {
 }
 
 }  // namespace
+
+bool kill_server_mid_job(respawn_supervisor& supervisor,
+                         const std::string& socket_path,
+                         const std::atomic<bool>& stop) {
+  while (!stop.load()) {
+    try {
+      if (client(socket_path, 5.0).stats().in_flight >= 1) {
+        supervisor.kill_child();
+        return true;
+      }
+    } catch (const std::exception&) {
+      // Between generations or still booting: keep polling.
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
+}
 
 const char* client_outcome_name(client_outcome o) noexcept {
   switch (o) {
@@ -119,14 +137,14 @@ serve_campaign_result run_serve_campaign(
   rc.server.pool_budget = config.pool_budget;
   rc.server.queue_capacity =
       std::max<std::size_t>(8, static_cast<std::size_t>(config.runners) * 4);
-  rc.server.lookahead = 0;
   rc.stable_uptime_s = 0.2;       // deliberate kills must not exhaust the
   rc.max_consecutive_failures = 50;  // failure budget mid-campaign
   rc.backoff.base_delay_ms = 10.0;
   rc.backoff.max_delay_ms = 100.0;
 
   respawn_supervisor supervisor(rc);
-  std::thread supervisor_thread([&] { (void)supervisor.run(); });
+  respawn_stats supervision;
+  std::thread supervisor_thread([&] { supervision = supervisor.run(); });
   if (!wait_for_socket(socket_path, 10.0)) {
     supervisor.request_shutdown();
     supervisor_thread.join();
@@ -140,9 +158,6 @@ serve_campaign_result run_serve_campaign(
   backoff.base_delay_ms = 20.0;
   backoff.max_delay_ms = 250.0;
   backoff.seed = config.seed;
-
-  double mean_wall_ms = 0.0;
-  std::uint64_t wall_samples = 0;
 
   for (std::size_t i = 0;
        i < static_cast<std::size_t>(std::max(1, config.injections)); ++i) {
@@ -163,23 +178,21 @@ serve_campaign_result run_serve_campaign(
     request.fault.bit = plan.plan.bit;
     request.fault.step_budget = setup.step_budget;
 
-    // Crash drill: SIGKILL the server child mid-job on every N-th
-    // experiment, roughly half a mean job into the run.
+    // Crash drill: on every N-th experiment, SIGKILL the server child once
+    // a second client sees the job in flight.
+    std::atomic<bool> settled{false};
     std::thread killer;
     if (config.kill_every > 0 &&
         (i + 1) % static_cast<std::size_t>(config.kill_every) == 0) {
-      const double delay_ms =
-          wall_samples > 0 ? std::max(20.0, mean_wall_ms / 2.0) : 150.0;
-      killer = std::thread([&supervisor, delay_ms] {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(delay_ms));
-        supervisor.kill_child();
+      killer = std::thread([&] {
+        (void)kill_server_mid_job(supervisor, socket_path, settled);
       });
     }
 
     const auto t0 = clock::now();
     const submit_outcome out = cli.submit_resilient(request, backoff);
     const double wall = ms_between(t0, clock::now());
+    settled.store(true);
     if (killer.joinable()) killer.join();
 
     serve_experiment record;
@@ -193,10 +206,6 @@ serve_campaign_result run_serve_campaign(
                            ? client_outcome::completed_after_restart
                            : client_outcome::completed;
       record.sdc = out.complete->panorama_hash != result.golden_hash;
-      mean_wall_ms =
-          (mean_wall_ms * static_cast<double>(wall_samples) + wall) /
-          static_cast<double>(wall_samples + 1);
-      ++wall_samples;
     } else if (out.failed || out.rejected) {
       // Rejected = the service ANSWERED: either an admission refusal or
       // the contained failure taxonomy (crash/hang caught at the process
@@ -210,16 +219,11 @@ serve_campaign_result run_serve_campaign(
     result.records.push_back(record);
   }
 
-  // The live generation's stats carry its respawn index — the number of
-  // restarts the campaign actually caused.
-  try {
-    result.server_restarts = cli.stats().restarts;
-  } catch (const std::exception&) {
-    result.server_restarts = 0;  // server already down; taxonomy stands
-  }
-
   supervisor.request_shutdown();
   supervisor_thread.join();
+  // Injected faults kill only forked job workers, so every restart replaced
+  // a server the drill killed.
+  result.server_restarts = supervision.restarts();
   (void)::unlink(socket_path.c_str());
   (void)::unlink(journal_path.c_str());
   return result;

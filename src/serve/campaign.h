@@ -27,14 +27,16 @@
 // service boundary undetected.
 //
 // With kill_every > 0 the campaign doubles as a crash drill: every N-th
-// experiment SIGKILLs the server child mid-job, exercising respawn +
-// journal replay under fire.  Determinism caveat: experiment *plans* are
-// the same pure function of (seed, total_ops, index) the offline campaign
-// uses, but kill timing is wall-clock, so the split between Completed and
+// experiment SIGKILLs the server child once the server reports the job in
+// flight (kill_server_mid_job), exercising respawn + journal replay under
+// fire.  Determinism caveat: experiment *plans* are the same pure function
+// of (seed, total_ops, index) the offline campaign uses, but where in the
+// job the kill lands is wall-clock, so the split between Completed and
 // Completed-after-restart is scenario-dependent even though the set of
 // delivered montage hashes is not.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,6 +46,8 @@
 #include "video/generator.h"
 
 namespace vs::serve {
+
+class respawn_supervisor;
 
 /// Client-visible fate of one serve-layer experiment.
 enum class client_outcome : std::uint8_t {
@@ -96,6 +100,13 @@ struct serve_campaign_result {
 
   [[nodiscard]] std::string to_string() const;
 };
+
+/// Crash drill step: polls the server at `socket_path` for stats until a
+/// job is in flight, then SIGKILLs the supervisor's live child.  Returns
+/// true once it killed; false, without killing, once `stop` is set first.
+bool kill_server_mid_job(respawn_supervisor& supervisor,
+                         const std::string& socket_path,
+                         const std::atomic<bool>& stop);
 
 /// Runs the campaign: boots a supervised isolate-mode server, fires every
 /// experiment through submit_resilient, classifies client-visibly, shuts

@@ -64,6 +64,11 @@ struct respawn_stats {
   /// generation was alive (nothing in flight, every accepted job
   /// journaled).
   bool clean_exit = false;
+
+  /// Generations after the first: each one replaced a generation that died.
+  [[nodiscard]] std::uint64_t restarts() const noexcept {
+    return generations > 0 ? generations - 1 : 0;
+  }
 };
 
 class respawn_supervisor {

@@ -66,22 +66,17 @@ fault::outcome outcome_of(const std::exception& e) {
 /// The pipeline run shared by both execution modes: byte-identical to
 /// `vs summarize` because the config is built the same way (defaults plus
 /// the requested variant/hardening), the leased pool only changes *who*
-/// computes each fixed chunk, and the batched prefetch is consumed in
-/// stitch order (scheduler tickets are per-frame promises, so which
-/// dispatch produced a frame never shows in the bytes).  `lookahead`
-/// frames per job ride `scheduler` (the server's shared cross-job queue
-/// set; null = a private one per job); at lookahead 0 the job runs
-/// strictly inline and every live thread is a leased slot.
+/// computes each fixed chunk, and the frame lookahead never changes output
+/// bytes.  The job runs strictly inline (no lookahead, so no scheduler
+/// thread): every live thread is a leased slot.
 app::summary_result run_job_pipeline(
     const job_request& request, core::thread_pool& pool,
-    const std::function<void(int, const img::image_u8&)>& on_mini,
-    pipeline::stage_scheduler* scheduler, int lookahead) {
+    const std::function<void(int, const img::image_u8&)>& on_mini) {
   const auto source = video::make_input(request.input, request.frames);
   app::pipeline_config config;
   config.approx.alg = request.alg;
   config.hardening.level = request.hardening;
-  config.frames_in_flight = lookahead;
-  config.scheduler = scheduler;
+  config.frames_in_flight = 0;
   config.on_mini_panorama = on_mini;
   // Serve-layer fault campaign: arm the journaled injection plan around
   // exactly this job's pipeline run, the same RAII shape the offline
@@ -204,7 +199,6 @@ server::server(server_config config)
     : config_(std::move(config)), arbiter_(config_.pool_budget) {
   config_.runners = std::max(1, config_.runners);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
-  config_.lookahead = std::max(0, config_.lookahead);
 }
 
 server::~server() {
@@ -300,18 +294,6 @@ void server::start() {
     }
   }
 
-  // Cross-job stage batching: every in-process job feeds the same per-stage
-  // queues, so frames from different admitted clips coalesce into single
-  // pool dispatches.  Batches lease dispatch width from the same arbiter the
-  // runners lease job width from — non-blocking, so scheduler progress never
-  // depends on a runner releasing its lease.  Isolate mode skips the shared
-  // scheduler (jobs run in forked children, which own private ones).
-  if (config_.lookahead > 0 && !config_.isolate) {
-    pipeline::stage_scheduler::options opt;
-    opt.arbiter = &arbiter_;
-    scheduler_ = std::make_unique<pipeline::stage_scheduler>(opt);
-  }
-
   for (int i = 0; i < config_.runners; ++i) {
     runners_.emplace_back([this] { runner_loop(); });
   }
@@ -319,8 +301,7 @@ void server::start() {
   log::info("serve: listening on " + config_.socket_path + " (" +
                   std::to_string(config_.runners) + " runners, budget " +
                   std::to_string(arbiter_.budget()) + " slots" +
-                  (config_.isolate ? ", isolated" : "") + ", lookahead " +
-                  std::to_string(config_.lookahead) + ")");
+                  (config_.isolate ? ", isolated" : "") + ")");
 }
 
 void server::request_drain() noexcept {
@@ -655,8 +636,7 @@ void server::run_in_process(const pending_job& job,
         },
         job.id);
     const app::summary_result result =
-        run_job_pipeline(job.request, lease.pool(), std::ref(stream),
-                         scheduler_.get(), config_.lookahead);
+        run_job_pipeline(job.request, lease.pool(), std::ref(stream));
     const auto wall_us = static_cast<std::uint64_t>(
         ms_between(t0, clock::now()) * 1000.0);
     // Account the job before the final send: the moment the client reads
@@ -709,10 +689,6 @@ void server::run_isolated(const pending_job& job, core::pool_lease& lease) {
   const job_request request = job.request;
   const std::uint64_t id = job.id;
   const unsigned width = std::max(1u, lease.width());
-  // The forked worker owns a private scheduler on its own pool (batching
-  // within the job); the parent's shared one cannot cross the process
-  // boundary.
-  const int lookahead = config_.lookahead;
 
   frame_decoder decoder;
   bool saw_complete = false;
@@ -721,7 +697,7 @@ void server::run_isolated(const pending_job& job, core::pool_lease& lease) {
   const auto t0 = clock::now();
 
   const supervise::fork_ending ending = supervise::run_forked(
-      [request, id, width, lookahead](int wfd) {
+      [request, id, width](int wfd) {
         try {
           core::thread_pool pool(width);
           mini_streamer stream(
@@ -731,8 +707,8 @@ void server::run_isolated(const pending_job& job, core::pool_lease& lease) {
               },
               id);
           const auto child_t0 = clock::now();
-          const app::summary_result result = run_job_pipeline(
-              request, pool, std::ref(stream), nullptr, lookahead);
+          const app::summary_result result =
+              run_job_pipeline(request, pool, std::ref(stream));
           const auto wall_us = static_cast<std::uint64_t>(
               ms_between(child_t0, clock::now()) * 1000.0);
           const std::string done =

@@ -9,10 +9,13 @@
 // connection (its job runs on, adoptable by key), not a runner.
 // The response to a given job is byte-identical to what a one-shot
 // `vs summarize` of the same (input, variant, frames, hardening) produces,
-// at any concurrency — jobs run under worker-slot leases from one shared
-// core::pool_arbiter, so M concurrent clips on an N-slot budget never run
-// more than N live worker threads, and the kernels' fixed chunk tiling
-// makes the pixels independent of the width actually granted.
+// at any concurrency — every job runs app::summarize inline (no frame
+// lookahead, so no scheduler thread) on a worker-slot lease from one shared
+// core::pool_arbiter.  The server itself starts exactly `runners` threads
+// and every other thread it runs belongs to a lease (a runner is its
+// lease's first slot), so M concurrent clips on an N-slot budget never
+// compute on more than N threads, and the kernels' fixed chunk tiling makes
+// the pixels independent of the width granted.
 //
 // Admission is a bounded two-class priority queue (interactive overtakes
 // batch, FIFO within a class).  A full queue rejects with a retry-after
@@ -62,7 +65,6 @@
 #include "core/pool_budget.h"
 #include "fault/report.h"
 #include "perf/latency.h"
-#include "pipeline/scheduler.h"
 #include "serve/job_journal.h"
 #include "serve/protocol.h"
 #include "supervise/journal.h"
@@ -79,13 +81,6 @@ struct server_config {
   double job_timeout_s = 0.0;
   /// Streaming per-job CSV log (fault::report_stream); empty = off.
   std::string report_path;
-  /// Per-job clean-lane lookahead (pipeline_config::frames_in_flight).
-  /// Every in-process job feeds its prefetchable stage prefix into ONE
-  /// shared stage_scheduler, so deep admission queues batch frames from
-  /// different clips into single pool dispatches (isolate mode gives each
-  /// forked worker a private scheduler instead).  0 runs every job
-  /// strictly inline, with no scheduler at all.
-  int lookahead = 2;
   /// Durable admission journal (serve/job_journal.h); empty = volatile
   /// queue, the pre-crash-only behavior.
   std::string journal_path;
@@ -169,11 +164,6 @@ class server {
   /// latency includes the queue wait itself, so under load it would
   /// over-estimate by the very backlog the hint meters.
   perf::latency_recorder service_latency_;
-  /// Shared cross-job stage scheduler (in-process, lookahead > 0).
-  /// Created in start(); destroyed after every runner joined, so no
-  /// executor ticket can outlive its dispatcher.
-  std::unique_ptr<pipeline::stage_scheduler> scheduler_;
-
   int listen_fd_ = -1;
   int wake_rd_ = -1;
   int wake_wr_ = -1;

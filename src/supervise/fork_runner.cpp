@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -64,6 +65,7 @@ fork_ending run_forked(const std::function<void(int)>& body, double timeout_s,
                        const std::function<void(pid_t)>& on_start) {
   int fds[2];
   if (::pipe(fds) != 0) throw io_error("fork_runner: pipe() failed");
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
@@ -71,6 +73,11 @@ fork_ending run_forked(const std::function<void(int)>& body, double timeout_s,
     throw io_error("fork_runner: fork() failed");
   }
   if (pid == 0) {
+    // Die with the forking thread: an orphan's output has no reader left,
+    // and it would hold open the pipes and client sockets it inherited.
+    if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 || ::getppid() != parent) {
+      _exit(4);
+    }
     ::close(fds[0]);
     body(fds[1]);  // must _exit, never return
     _exit(0);

@@ -20,7 +20,10 @@
 // That same rule is why there is no lock around fork(): a worker that
 // inherits another attempt's write end delays no one, and a lock held
 // across fork() would be inherited locked by the child, deadlocking a
-// child that forks workers of its own.
+// child that forks workers of its own.  A worker never outlives the thread
+// that forked it (PR_SET_PDEATHSIG SIGKILL): a SIGKILLed generation's job
+// workers die with it instead of living on as orphans that hold each
+// other's pipes, and its clients' sockets, open.
 #pragma once
 
 #include <sys/types.h>

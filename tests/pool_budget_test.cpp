@@ -68,16 +68,6 @@ TEST(PoolArbiter, MoveTransfersOwnership) {
   EXPECT_EQ(arbiter.in_use(), 0u);
 }
 
-TEST(PoolArbiter, TryAcquireFailsWhenBusy) {
-  pool_arbiter arbiter(2);
-  pool_lease all = arbiter.acquire(2, 2);
-  pool_lease none = arbiter.try_acquire(1, 1);
-  EXPECT_FALSE(static_cast<bool>(none));
-  all.release();
-  pool_lease now = arbiter.try_acquire(1, 1);
-  EXPECT_TRUE(static_cast<bool>(now));
-}
-
 TEST(PoolArbiter, AcquireBlocksUntilSlotsFree) {
   pool_arbiter arbiter(1);
   pool_lease held = arbiter.acquire(1, 1);

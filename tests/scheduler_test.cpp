@@ -66,9 +66,7 @@ feat::frame_features stamped_features(const img::image_u8& frame) {
 
 TEST(StageScheduler, TicketsResolveWithTheirOwnFramesWork) {
   core::thread_pool pool(2);
-  stage_scheduler::options opt;
-  opt.pool = &pool;
-  stage_scheduler scheduler(opt);
+  stage_scheduler scheduler(pool);
   const std::uint64_t job = scheduler.attach();
   EXPECT_EQ(scheduler.batch_limit(), 2);  // the pool width
 
@@ -100,9 +98,7 @@ TEST(StageScheduler, TicketsResolveWithTheirOwnFramesWork) {
 TEST(StageScheduler, EvictionPoisonsOnlyTheThrowingFrame) {
   // Wide enough that the faulty frame shares a batch.
   core::thread_pool pool(4);
-  stage_scheduler::options opt;
-  opt.pool = &pool;
-  stage_scheduler scheduler(opt);
+  stage_scheduler scheduler(pool);
   const std::uint64_t job = scheduler.attach();
   EXPECT_EQ(scheduler.batch_limit(), 4);
 
@@ -136,9 +132,7 @@ TEST(StageScheduler, EvictionPoisonsOnlyTheThrowingFrame) {
 
 TEST(StageScheduler, ExtractionFaultsPoisonTheTicketToo) {
   core::thread_pool pool(2);
-  stage_scheduler::options opt;
-  opt.pool = &pool;
-  stage_scheduler scheduler(opt);
+  stage_scheduler scheduler(pool);
   const std::uint64_t job = scheduler.attach();
   EXPECT_EQ(scheduler.batch_limit(), 2);
   auto poisoned = scheduler.submit(
@@ -156,13 +150,11 @@ TEST(StageScheduler, ExtractionFaultsPoisonTheTicketToo) {
 }
 
 TEST(StageScheduler, SharedAcrossJobsKeepsTicketsSeparate) {
-  // Two producers feed one scheduler — the serving shape.  Frames from
-  // different jobs may share a batch, but each ticket resolves with its own
-  // job's work.
+  // Two producers feed one external scheduler.  Frames from different
+  // jobs may share a batch, but each ticket resolves with its own job's
+  // work.
   core::thread_pool pool(2);
-  stage_scheduler::options opt;
-  opt.pool = &pool;
-  stage_scheduler scheduler(opt);
+  stage_scheduler scheduler(pool);
   const std::uint64_t job_a = scheduler.attach();
   const std::uint64_t job_b = scheduler.attach();
   EXPECT_NE(job_a, job_b);
@@ -196,9 +188,7 @@ TEST(StageScheduler, DestructorDrainsUnconsumedTickets) {
   core::thread_pool pool(1);
   std::future<pipeline::frame_work> abandoned;
   {
-    stage_scheduler::options opt;
-    opt.pool = &pool;
-    stage_scheduler scheduler(opt);
+    stage_scheduler scheduler(pool);
     const std::uint64_t job = scheduler.attach();
     EXPECT_EQ(scheduler.batch_limit(), 1);
     abandoned = scheduler.submit(

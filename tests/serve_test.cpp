@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <thread>
@@ -22,6 +23,7 @@
 
 #include "app/pipeline.h"
 #include "fault/wire.h"
+#include "serve/campaign.h"
 #include "serve/client.h"
 #include "serve/job_journal.h"
 #include "serve/respawn.h"
@@ -434,6 +436,30 @@ TEST(Serve, StatsReflectServedWork) {
 
   const auto local = fixture.get().stats();
   EXPECT_EQ(local.completed, wire_stats.completed);
+}
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(Serve, StartLaunchesOnlyItsRunners) {
+  // Served jobs run inline on their leases: besides the runners, start()
+  // launches no thread (no stage-scheduler dispatcher), so every thread a
+  // job computes on is a leased slot.
+  const std::string path = unique_socket_path();
+  auto config = quick_config(path);
+  config.runners = 3;
+  server srv(std::move(config));
+  const std::size_t before = live_threads();
+  srv.start();
+  EXPECT_EQ(live_threads(), before + 3);
+  std::remove(path.c_str());  // run() never ran to unlink it
 }
 
 TEST(Serve, GarbageSprayingClientDoesNotDisturbTheService) {
@@ -1021,6 +1047,30 @@ TEST(ServeRestart, FailedGenerationLogsItsReason) {
   for (const char* generation : {"generation 0 ", "generation 1 "}) {
     EXPECT_NE(logged.find(generation + warning), std::string::npos) << logged;
   }
+}
+
+TEST(ServeRestart, CampaignCountsEveryRestartItCaused) {
+  // The serve campaign's crash drill kills the server child once a job is
+  // in flight; its restart count is the supervisor's, so it equals the
+  // generation deaths the supervisor logged, even when the last kill
+  // leaves no live server to ask.
+  serve_campaign_config config;
+  config.frames = 6;
+  config.injections = 6;
+  config.kill_every = 3;
+  config.socket_path = unique_socket_path();
+  testing::internal::CaptureStderr();
+  const serve_campaign_result result = run_serve_campaign(config);
+  const std::string logged = testing::internal::GetCapturedStderr();
+
+  std::uint64_t deaths = 0;
+  for (std::size_t at = logged.find("died on signal");
+       at != std::string::npos; at = logged.find("died on signal", at + 1)) {
+    ++deaths;
+  }
+  EXPECT_GE(deaths, 1u) << logged;
+  EXPECT_EQ(result.server_restarts, deaths) << logged;
+  EXPECT_EQ(result.counts[static_cast<int>(client_outcome::lost)], 0u);
 }
 
 TEST(ServeRestart, DuplicateClientKeyExecutesOnce) {

@@ -197,9 +197,8 @@ void expect_matrix_matches_instrumented_lane(video::input_id id,
 /// Same golden contract along the batch axis: the scheduler's batch size
 /// is its dispatch pool's width, so at depth 4 every pool width is a batch
 /// size.  Each width runs twice — on the executor's private scheduler, and
-/// on an external one shared the way the serving front end shares its
-/// cross-job queues — and every cell must reproduce the sequential
-/// instrumented-lane digest.
+/// on an external one (pipeline_config::scheduler) — and every cell must
+/// reproduce the sequential instrumented-lane digest.
 void expect_batch_matrix_matches_instrumented_lane(video::input_id id,
                                                    bool hardened) {
   const pool_width_guard guard;
@@ -230,9 +229,7 @@ void expect_batch_matrix_matches_instrumented_lane(video::input_id id,
       EXPECT_EQ(reference, summary_hash(app::summarize(source, config)))
           << at << " private scheduler";
 
-      pipeline::stage_scheduler::options opt;
-      opt.pool = &core::thread_pool::global();
-      pipeline::stage_scheduler shared(opt);
+      pipeline::stage_scheduler shared(core::thread_pool::global());
       ASSERT_EQ(shared.batch_limit(), static_cast<int>(width));
       config.scheduler = &shared;
       EXPECT_EQ(reference, summary_hash(app::summarize(source, config)))

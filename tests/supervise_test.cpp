@@ -577,6 +577,50 @@ TEST(ForkRunner, NestedRunForkedFromAForkedBodyCompletes) {
   EXPECT_EQ(bytes, "inner clean");
 }
 
+/// True once `pid` has exited: gone, or a zombie not yet reaped.
+bool process_ended(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return true;
+  const std::size_t state = line.rfind(')') + 2;  // "pid (comm) S ..."
+  return state >= line.size() || line[state] == 'Z' || line[state] == 'X';
+}
+
+TEST(ForkRunner, WorkerDiesWithTheProcessThatForkedIt) {
+  // A server generation SIGKILLed mid-job must not leave its job worker
+  // running: nobody reads the worker's result any more, and it would hold
+  // the pipes and client sockets it inherited open.
+  std::string bytes;
+  const fork_ending ending = run_forked(
+      [](int fd) {
+        (void)run_forked(
+            [](int) {
+              ::pause();
+              _exit(0);
+            },
+            0.0, {}, watchdog::deadline,
+            [fd](pid_t worker) {
+              const std::string pid = std::to_string(worker);
+              supervise::child_write(fd, pid.data(), pid.size());
+              ::kill(::getpid(), SIGKILL);
+            });
+        _exit(0);
+      },
+      20.0,
+      [&](const char* data, std::size_t size) { bytes.append(data, size); });
+  EXPECT_EQ(ending.how, fork_ending::kind::signal);
+  pid_t worker = -1;
+  std::istringstream(bytes) >> worker;
+  ASSERT_GT(worker, 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  while (!process_ended(worker) && seconds_since(t0) < 5.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const bool ended = process_ended(worker);
+  if (!ended) ::kill(worker, SIGKILL);
+  EXPECT_TRUE(ended) << "the orphaned worker outlived its parent";
+}
+
 TEST(ForkRunner, EndingsMapToThePapersOutcomes) {
   const auto outcome = [](fork_ending::kind how, int sig = 0) {
     fork_ending e;

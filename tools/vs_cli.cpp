@@ -41,7 +41,6 @@
 #include "fault/wire.h"
 #include "image/image_io.h"
 #include "perf/profiler.h"
-#include "pipeline/scheduler.h"
 #include "pipeline/stage.h"
 #include "resil/cfcss.h"
 #include "quality/metric.h"
@@ -84,9 +83,8 @@ using namespace vs;
       "                                --budget=N]\n"
       "  vs serve     <socket> [--queue=N] [--runners=N] [--budget=N]\n"
       "               [--isolate] [--timeout=S] [--report=path]\n"
-      "               [--lookahead=N] [--journal=path] [--supervised]\n"
-      "               [--pidfile=path] [--stall-timeout=S]\n"
-      "               [--max-respawns=N]\n"
+      "               [--journal=path] [--supervised] [--pidfile=path]\n"
+      "               [--stall-timeout=S] [--max-respawns=N]\n"
       "  vs submit    <socket> <input1|input2|input3> [algorithm] [frames]\n"
       "               [out.pgm] [--hardening=off|detectors|cfcss|full]\n"
       "               [--priority=interactive|batch] [--deadline=MS]\n"
@@ -631,10 +629,6 @@ int cmd_fleet(int argc, char** argv) {
   const auto input = parse_input(argv[2]);
 
   serve::server_config config;
-  // Every live thread is a leased slot: no shared stage scheduler, whose
-  // dispatcher would be an unbudgeted extra thread.  The montage is
-  // byte-identical at any lookahead.
-  config.lookahead = 0;
   int frames = 20;
   std::string csv_path;
   std::string json_path;
@@ -827,8 +821,6 @@ int cmd_serve(int argc, char** argv) {
       config.job_timeout_s = parse_seconds(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--report=", 9) == 0) {
       config.report_path = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--lookahead=", 12) == 0) {
-      config.lookahead = parse_count(argv[i] + 12);
     } else if (std::strncmp(argv[i], "--journal=", 10) == 0) {
       config.journal_path = argv[i] + 10;
     } else if (std::strcmp(argv[i], "--supervised") == 0) {
