@@ -51,13 +51,13 @@ struct pipeline_config {
   std::uint64_t seed = 42;  ///< seeds RANSAC sampling and RFD dropping
 
   /// Clean-lane frame lookahead: how many frames beyond the one being
-  /// stitched may have their prefetchable stage prefix (acquire + detect +
-  /// describe) in flight in the stage scheduler's batch queues
-  /// (pipeline/scheduler.h), which group them into per-stage pool
-  /// dispatches as wide as the pool.  0 runs every stage inline; the
-  /// instrumented lane always runs strictly inline whatever this says.
-  /// Output is byte-identical at every depth (the prefix is a pure
-  /// function of the frame index, consumed in stitch order).
+  /// stitched may have their acquisition in flight in the stage
+  /// scheduler's queue (pipeline/scheduler.h), which groups them into pool
+  /// dispatches as wide as the pool; extraction always runs at the stitch
+  /// point.  0 runs every stage inline; the instrumented lane always runs
+  /// strictly inline whatever this says.  Output is byte-identical at
+  /// every depth (acquisition is a pure function of the frame index,
+  /// consumed in stitch order).
   int frames_in_flight = 2;
 
   /// External stage scheduler to feed instead of a per-run private one;

@@ -317,9 +317,9 @@ summary_result summarize(const video::video_source& source,
 
   // The stage-graph spine: the executor owns CFCSS transitions, watchdog
   // budgets, the recovery boundary, lane selection, and — clean lane only —
-  // the multi-frame lookahead that keeps the prefetchable prefix of frames
-  // t+1..t+k in flight while frame t is matched and composited.  What
-  // remains below is stage definitions plus mini-panorama policy.
+  // the multi-frame lookahead that keeps the acquisition of frames
+  // t+1..t+k in flight while frame t is extracted, matched and composited.
+  // What remains below is stage definitions plus mini-panorama policy.
   const auto full_extract = [&config](const img::image_u8& frame) {
     return feat::orb_extract(frame, config.orb);
   };
@@ -330,10 +330,7 @@ summary_result summarize(const video::video_source& source,
                 const feat::frame_features& features) {
         return feat::orb_verify_features(frame, features, config.orb);
       },
-      config.scheduler,
-      // Gated runs prefetch acquisition only: whether (and over which ROI)
-      // extraction happens is decided per frame behind the gate stage.
-      /*acquire_only=*/gating);
+      config.scheduler);
 
   // Remembers the frame the reference feature set describes (the
   // extrapolator refines predicted motion against its pixels) and re-seeds
@@ -392,7 +389,7 @@ summary_result summarize(const video::video_source& source,
   // --- the per-frame unit of work: acquire -> detect -> describe ->
   // --- match -> estimate -> composite, exactly the legacy statement order -
   auto frame_body = [&](int index) {
-    pipeline::frame_work work = exec.obtain(index);
+    pipeline::frame_work work{exec.obtain(index), {}};
 
     // --- real-time gating: classify before any extraction ---------------
     gate::frame_class cls = gate::frame_class::full;
@@ -476,19 +473,16 @@ summary_result summarize(const video::video_source& source,
       return;
     }
 
-    if (gating) {
-      // Extraction moved behind the gate.  The gate classifies against the
-      // last processed frame, so it can never run ahead of the stitch point
-      // and the executor prefetches acquisition only.  Full frames extract
-      // everywhere, delta frames only over the newly-revealed ROI strips.
-      if (delta_mode) {
-        exec.extract(work, [&](const img::image_u8& frame) {
-          return gate::extract_roi(frame, plan.fresh, config.orb,
-                                   config.gate.roi_margin);
-        });
-      } else {
-        exec.extract(work, full_extract);
-      }
+    // Extraction runs here, at the stitch point, behind the gate: full
+    // frames extract everywhere, delta frames only over the newly-revealed
+    // ROI strips.  Ungated, nothing runs between obtain() and this call.
+    if (delta_mode) {
+      exec.extract(work, [&](const img::image_u8& frame) {
+        return gate::extract_roi(frame, plan.fresh, config.orb,
+                                 config.gate.roi_margin);
+      });
+    } else {
+      exec.extract(work, full_extract);
     }
     st.result.stats.keypoints_detected += work.features.size();
 

@@ -79,7 +79,7 @@ class thread_pool {
 
   /// Grouped submit: runs `tasks` as ONE pool dispatch, task i as chunk i of
   /// the fixed grain-1 tiling over [0, tasks.size()).  This is the primitive
-  /// the per-stage batch scheduler fans a batch of frames out with: because
+  /// the batched stage scheduler fans a batch of frames out with: because
   /// every task is exactly one chunk, each task's work is identical to
   /// running it alone (a nested parallel_for inside a task degrades to
   /// inline, same as any chunk body), so grouping k frames into one dispatch

@@ -10,8 +10,7 @@ namespace vs::pipeline {
 frame_executor::frame_executor(const resil::hardening_config& hardening,
                                int frame_count, int frames_in_flight,
                                acquire_fn acquire, detect_fn detect,
-                               verify_fn verify, stage_scheduler* scheduler,
-                               bool acquire_only)
+                               verify_fn verify, stage_scheduler* scheduler)
     : hardening_(hardening),
       hardened_(hardening.enabled()),
       frame_count_(frame_count),
@@ -19,7 +18,6 @@ frame_executor::frame_executor(const resil::hardening_config& hardening,
       // frame_count anyway, and the clamp keeps index + 1 + depth_ from
       // overflowing at any requested depth.
       depth_(std::clamp(frames_in_flight, 0, std::max(0, frame_count))),
-      acquire_only_(acquire_only),
       // The instrumented lane never prefetches: acquisition must stay
       // inline so its hooks keep their position in the dynamic-instruction
       // stream the fault plans address.
@@ -41,11 +39,7 @@ frame_executor::frame_executor(const resil::hardening_config& hardening,
   job_ = scheduler_->attach();
 }
 
-frame_executor::~frame_executor() {
-  for (ticket& t : tickets_) {
-    if (t.work.valid()) t.work.wait();
-  }
-}
+frame_executor::~frame_executor() { drain_stale(frame_count_); }
 
 frame_executor::stage_guard::stage_guard(const frame_executor& exec,
                                          stage_id s) {
@@ -78,7 +72,8 @@ void frame_executor::check_extract_replica(const frame_work& work) const {
 
 void frame_executor::drain_stale(int index) {
   while (!tickets_.empty() && tickets_.front().index < index) {
-    if (tickets_.front().work.valid()) tickets_.front().work.wait();
+    ticket& t = tickets_.front();
+    if (!scheduler_->withdraw(job_, t.index)) t.frame.wait();
     tickets_.pop_front();
   }
 }
@@ -86,64 +81,54 @@ void frame_executor::drain_stale(int index) {
 void frame_executor::top_up(int index) {
   const int horizon = std::min(frame_count_, index + 1 + depth_);
   if (next_prefetch_ <= index) next_prefetch_ = index + 1;
-  // Each frame becomes a (job, frame) ticket in the scheduler's acquire
-  // queue; the dispatcher groups queued tickets — across jobs, under
-  // serving — into one pool dispatch per stage.  Only acquire, detect and
-  // describe run ahead: they are pure functions of the frame index.  The
-  // gate stage sits between acquire and detect but never runs ahead — it
-  // classifies against the previous processed frame — so a gated executor
-  // prefetches acquisition only and extracts at the stitch point.  Match
-  // onward needs the previous frame's features and the open canvas.
+  // Each frame becomes a (job, frame) ticket in the scheduler's
+  // acquisition queue; the dispatcher groups queued tickets into one pool
+  // dispatch.  Only acquisition runs ahead: it is a pure function of the
+  // frame index.  The gate classifies against the previous processed
+  // frame and decides whether (and over which ROI) extraction happens, and
+  // match onward needs the previous frame's features and the open canvas,
+  // so everything after acquire runs at the stitch point.
   while (next_prefetch_ < horizon) {
     const int i = next_prefetch_++;
-    stage_scheduler::extract_step extract;
-    if (!acquire_only_) {
-      extract = [this](const img::image_u8& frame) { return detect_(frame); };
-    }
-    tickets_.push_back({i, scheduler_->submit(
-                               job_, i, [this, i] { return acquire_(i); },
-                               std::move(extract))});
+    tickets_.push_back(
+        {i, scheduler_->submit(job_, i, [this, i] { return acquire_(i); })});
   }
 }
 
-frame_work frame_executor::obtain(int index) {
-  if (overlap_ && !retrying_) {
-    drain_stale(index);
-    if (!tickets_.empty() && tickets_.front().index == index) {
-      // Interprocedural CFCSS: consuming a ticket signs through the
-      // prefetch node, so control flow that jumps out of (or into) the
-      // prefetched path is caught by the acquire transition's fan-in.
-      resil::mark(resil::cfcss::node::prefetch);
-      std::future<frame_work> work = std::move(tickets_.front().work);
-      tickets_.pop_front();
-      frame_work w;
-      {
-        // A poisoned prefetch (the scheduler's acquisition or extraction
-        // threw) rethrows here, inside the acquire stage, where the
-        // recovery boundary contains it like an inline failure.
-        const stage_guard g = enter(stage_id::acquire);
-        w = work.get();
-      }
-      if (!acquire_only_) {
-        // The scheduler already ran the extraction: take its product.
-        extract(w,
-                [&w](const img::image_u8&) { return std::move(w.features); });
-      }
-      top_up(index);
-      return w;
+img::image_u8 frame_executor::acquire_inline(int index) const {
+  // Acquire runs no replica check: it is the I/O boundary, outside the
+  // sphere of replication.
+  const stage_guard g = enter(stage_id::acquire);
+  return acquire_(index);
+}
+
+img::image_u8 frame_executor::obtain(int index) {
+  // Inline: the instrumented lane, depth 0, or a recovery retry recomputing
+  // a consumed ticket.
+  if (!overlap_ || retrying_) return acquire_inline(index);
+  drain_stale(index);
+  std::future<img::image_u8> prefetched;
+  if (!tickets_.empty() && tickets_.front().index == index) {
+    // A ticket no dispatch has taken yet is withdrawn: this thread
+    // acquires the frame itself rather than idle behind the queue.
+    if (!scheduler_->withdraw(job_, index)) {
+      prefetched = std::move(tickets_.front().frame);
     }
+    tickets_.pop_front();
   }
-  // Inline: the instrumented lane, depth 0, the lookahead's cold start, or
-  // a recovery retry recomputing a consumed ticket.  Acquire runs no replica
-  // check: it is the I/O boundary, outside the sphere of replication.
-  frame_work w;
-  {
-    const stage_guard g = enter(stage_id::acquire);
-    w.frame = acquire_(index);
-  }
-  if (!acquire_only_) extract(w, detect_);
-  if (overlap_ && !retrying_) top_up(index);
-  return w;
+  // Top up before acquiring, so the dispatcher works on the next frames
+  // while this one is acquired, waited for, or extracted.
+  top_up(index);
+  if (!prefetched.valid()) return acquire_inline(index);
+  // Interprocedural CFCSS: consuming a ticket signs through the prefetch
+  // node, so control flow that jumps out of (or into) the prefetched path
+  // is caught by the acquire transition's fan-in.
+  resil::mark(resil::cfcss::node::prefetch);
+  // A poisoned prefetch (the scheduler's acquisition threw) rethrows here,
+  // inside the acquire stage, where the recovery boundary contains it like
+  // an inline failure.
+  const stage_guard g = enter(stage_id::acquire);
+  return prefetched.get();
 }
 
 }  // namespace vs::pipeline

@@ -11,19 +11,22 @@
 //                           inline (fault plans address injections by
 //                           dynamic-op index, so acquisition must keep its
 //                           position in the hook stream), while the clean
-//                           lane feeds the prefetchable stage prefix
-//                           (acquire/detect/describe) of frames t+1..t+k
-//                           into a stage_scheduler's per-stage batch queues
-//                           while frame t is matched and composited;
+//                           lane feeds the acquisition of frames t+1..t+k
+//                           into a stage_scheduler's batched queue while
+//                           frame t is extracted, matched and composited
+//                           on the calling (stitch) thread;
 //   * profiling           — attribution scopes stay inside the kernels,
 //                           but the registry's fn->stage mapping is what
 //                           perf and fault reports aggregate by.
 //
-// The scheduling invariant: prefetched stages are pure functions of the
-// frame index, consumed strictly in stitch order, so the summary is
+// The scheduling invariant: acquisition is a pure function of the frame
+// index, consumed strictly in stitch order, so the summary is
 // byte-identical at any in-flight depth — and the instrumented lane never
 // prefetches, so its hook stream is bit-for-bit the one the campaigns
-// measured.
+// measured.  Extraction always runs at the stitch point, through
+// extract(): whether (and over which ROI) a frame is extracted is decided
+// there, behind the gate stage, and the dispatcher thread is left free to
+// acquire the next frame.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +47,13 @@
 
 namespace vs::pipeline {
 
+/// One frame's products at the stitch point: the acquired frame and the
+/// features extract() stored for it.
+struct frame_work {
+  img::image_u8 frame;
+  feat::frame_features features;
+};
+
 class frame_executor {
  public:
   using acquire_fn = std::function<img::image_u8(int)>;
@@ -60,22 +70,16 @@ class frame_executor {
   /// inline.  When `verify` is provided the extraction stages' replication
   /// check uses it instead of a full recompute-and-compare of `detect`.
   ///
-  /// Prefetch rides a stage_scheduler's per-stage batch queues.
-  /// `scheduler` shares an external one (pipeline_config::scheduler); when
-  /// null and the lookahead is active the executor owns a
-  /// private one dispatching to the pool its own kernels use.  Output is
-  /// byte-identical at every depth: tickets are consumed in stitch order.
-  ///
-  /// `acquire_only` degrades the prefetchable prefix to frame acquisition
-  /// (gated runs: whether — and over which ROI — extraction happens is
-  /// decided per frame at the stitch point, behind the gate stage, so it
-  /// cannot run ahead).  obtain() then returns frames with empty features
-  /// and the caller runs extraction through extract().
+  /// Prefetch rides a stage_scheduler's acquisition queue.  `scheduler`
+  /// shares an external one (pipeline_config::scheduler); when null and
+  /// the lookahead is active the executor owns a private one dispatching
+  /// to the pool its own kernels use.  Output is byte-identical at every
+  /// depth: tickets are consumed in stitch order.
   frame_executor(const resil::hardening_config& hardening, int frame_count,
                  int frames_in_flight, acquire_fn acquire, detect_fn detect,
-                 verify_fn verify = {}, stage_scheduler* scheduler = nullptr,
-                 bool acquire_only = false);
-  /// Drains every in-flight prefetch before the frame source can die.
+                 verify_fn verify = {}, stage_scheduler* scheduler = nullptr);
+  /// Withdraws every still-queued prefetch and waits for the dispatched
+  /// ones before the frame source can die.
   ~frame_executor();
   frame_executor(const frame_executor&) = delete;
   frame_executor& operator=(const frame_executor&) = delete;
@@ -102,11 +106,14 @@ class frame_executor {
   /// Marks the frame_end CFCSS node closing the per-frame graph.
   void end_frame() const { resil::mark(resil::cfcss::node::frame_end); }
 
-  /// Runs the prefetchable stage prefix for `index` and returns its
-  /// products.  Clean lane: consumes the in-flight tickets (draining those
-  /// of frames the policy skipped) and tops them up to the lookahead depth.
-  /// Instrumented lane, depth 0, or a recovery retry: computes inline.
-  [[nodiscard]] frame_work obtain(int index);
+  /// The acquire stage for `index`: returns the acquired frame.  Clean
+  /// lane: tops the tickets up to the lookahead depth, so the dispatcher
+  /// starts on the next acquisition at once, and consumes this frame's
+  /// ticket — withdrawing it and acquiring inline when no dispatch has
+  /// taken it yet.  Tickets of frames the policy skipped are withdrawn, or
+  /// waited for when already dispatched.  Instrumented lane, depth 0, or a
+  /// recovery retry: acquires inline.
+  [[nodiscard]] img::image_u8 obtain(int index);
 
   /// Re-acquires a frame for the degraded placement path: always inline,
   /// never touches the tickets, launches nothing.
@@ -114,15 +121,14 @@ class frame_executor {
     return acquire_(index);
   }
 
-  /// The extraction stages (detect + describe) over `w.frame`: enters
-  /// detect, stores `run(w.frame)` in `w.features`, marks describe — a
-  /// CFCSS mark only, since describe is fused into the same extraction
-  /// call and rides in detect's watchdog scope — and runs the extraction
-  /// pair's replica check.  `run` is the full
-  /// extractor, the ROI one on a gated delta frame, or the hand-over of a
-  /// prefetched ticket's features; either way the check sees only freshly
-  /// extracted features (reused or cached descriptors intentionally differ
-  /// from a re-derivation).
+  /// The extraction stages (detect + describe) over `w.frame`, on the
+  /// calling thread: enters detect, stores `run(w.frame)` in `w.features`,
+  /// marks describe — a CFCSS mark only, since describe is fused into the
+  /// same extraction call and rides in detect's watchdog scope — and runs
+  /// the extraction pair's replica check.  `run` is the full extractor, or
+  /// the ROI one on a gated delta frame; either way the check sees only
+  /// freshly extracted features (reused or cached descriptors
+  /// intentionally differ from a re-derivation).
   template <class Run>
   void extract(frame_work& w, Run&& run) const {
     const stage_guard g = enter(stage_id::detect);
@@ -131,8 +137,8 @@ class frame_executor {
     check_extract_replica(w);
   }
 
-  /// Whether the current obtain() call is a recovery retry (gated callers
-  /// must invalidate learned state before trusting it on a retry).
+  /// Whether the current frame is a recovery retry (gated callers must
+  /// invalidate learned state before trusting it on a retry).
   [[nodiscard]] bool retrying() const noexcept { return retrying_; }
 
   /// The frame-level recovery boundary over one frame's unit of work:
@@ -196,20 +202,21 @@ class frame_executor {
   /// budgeted — in the stage it implicates.  (Acquire has no check: it is
   /// the I/O boundary, outside the sphere of replication.)
   void check_extract_replica(const frame_work& work) const;
-  /// Finishes and discards tickets of frames consumption skipped past
-  /// (RFD-dropped frames): the scheduler reads the source, so the ticket
-  /// must complete before it dies.
+  /// Discards the tickets of frames before `index` (RFD-dropped frames, or
+  /// every ticket at teardown): a queued one is withdrawn and never
+  /// acquired; a dispatched one must complete before the source dies.
   void drain_stale(int index);
-  /// Schedules the prefix of frames index+1 .. index+depth.  Monotonic:
-  /// a frame is scheduled at most once per run, so a retry can never
-  /// double-schedule work the first attempt already launched.
+  /// Schedules the acquisition of frames index+1 .. index+depth.
+  /// Monotonic: a frame is scheduled at most once per run, so a retry can
+  /// never double-schedule work the first attempt already launched.
   void top_up(int index);
+  /// The acquire stage run inline on the calling thread.
+  [[nodiscard]] img::image_u8 acquire_inline(int index) const;
 
   const resil::hardening_config& hardening_;
   const bool hardened_;
   const int frame_count_;
   const int depth_;
-  const bool acquire_only_;
   const bool overlap_;
   bool retrying_ = false;
   acquire_fn acquire_;
@@ -225,7 +232,7 @@ class frame_executor {
 
   struct ticket {
     int index = -1;
-    std::future<frame_work> work;
+    std::future<img::image_u8> frame;
   };
   std::deque<ticket> tickets_;  ///< in-flight frames, ascending index
   int next_prefetch_ = 0;  ///< first frame index never scheduled

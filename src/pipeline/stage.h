@@ -7,10 +7,9 @@
 // its step allowances, the profiler attributes rt::fn scopes to it, and
 // selective replication names the stages that may dual-execute.  This
 // registry is the one shared description those subsystems consume, and it
-// holds only what code reads.  Scheduling facts (which prefix runs ahead of
-// the stitch point, which queue a fused stage rides) are stated once, at
-// the code that enforces them: pipeline/executor.cpp and
-// pipeline/scheduler.cpp.
+// holds only what code reads.  Scheduling facts (only acquisition runs
+// ahead of the stitch point) are stated once, at the code that enforces
+// them: pipeline/executor.cpp.
 #pragma once
 
 #include <cstdint>

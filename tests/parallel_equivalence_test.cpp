@@ -433,28 +433,37 @@ TEST(ParallelEquivalence, EndToEndFullyHardened) {
   }
 }
 
-// The batch axis: the per-stage scheduler (pipeline/scheduler.h) must be
-// byte-invisible.  Its batch size is the dispatch pool's width, so at a
-// lookahead of 4 the sweep over pool widths {1, 2, 4} x SIMD levels covers
-// every batch size from one frame per dispatch to four; each cell must
-// reproduce the instrumented-lane reference.
+// The batch and depth axes: the acquisition scheduler (pipeline/scheduler.h)
+// must be byte-invisible.  Its batch size is the dispatch pool's width, so
+// the sweep over lookaheads {0, 1, 2, 4} x pool widths {1, 2, 4} x SIMD
+// levels covers every batch size from one frame per dispatch to four, at
+// the default depth of `vs summarize` (2) too, gate off and at `all`.
+// Each cell must reproduce the instrumented-lane reference, which is the
+// depth-0 summary.
 TEST(ParallelEquivalence, EndToEndBatchAxis) {
   const pool_width_guard guard;
   const simd_level_guard simd_guard;
   for (const auto id : {video::input_id::input1, video::input_id::input2}) {
     const auto& source = clip(id);
-    app::summary_result reference;
-    {
-      rt::session session;
-      reference = app::summarize(source, app::pipeline_config{});
+    for (const auto level : {gate::level::off, gate::level::all}) {
+      app::pipeline_config config;
+      config.gate.request = static_cast<int>(level);
+      app::summary_result reference;
+      {
+        rt::session session;
+        reference = app::summarize(source, config);
+      }
+      for (const int depth : {0, 1, 2, 4}) {
+        config.frames_in_flight = depth;
+        for_each_matrix_point([&](const std::string& at) {
+          const auto clean = app::summarize(source, config);
+          expect_same_summary(reference, clean,
+                              std::string(video::input_name(id)) + " gate " +
+                                  gate::level_name(level) + " depth " +
+                                  std::to_string(depth) + " at " + at);
+        });
+      }
     }
-    app::pipeline_config config;
-    config.frames_in_flight = 4;
-    for_each_matrix_point([&](const std::string& at) {
-      const auto clean = app::summarize(source, config);
-      expect_same_summary(reference, clean,
-                          std::string(video::input_name(id)) + " at " + at);
-    });
   }
 }
 

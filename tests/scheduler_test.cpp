@@ -1,12 +1,14 @@
-// Unit tests for the per-stage batched scheduler (pipeline/scheduler.h):
+// Unit tests for the batched acquisition scheduler (pipeline/scheduler.h):
 // the grouped-submit pool primitive it dispatches through, the batch limit
 // it takes from the dispatch pool's width, ticket resolution, per-item
-// eviction, and the stats counters.
+// eviction, withdrawal of queued tickets, and the stats counters.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <latch>
 #include <vector>
 
 #include "core/error.h"
@@ -56,13 +58,20 @@ img::image_u8 stamped_frame(int index) {
   return img::image_u8(4, 1, 1, static_cast<std::uint8_t>(index));
 }
 
-feat::frame_features stamped_features(const img::image_u8& frame) {
-  feat::frame_features f;
-  feat::keypoint kp;
-  kp.x = static_cast<float>(frame.at(0, 0));
-  f.keypoints.push_back(kp);
-  return f;
-}
+/// Holds the dispatcher inside one acquisition until released, so the
+/// tickets submitted behind it stay queued for as long as a test needs.
+struct dispatch_hold {
+  std::latch entered{1};
+  std::latch release{1};
+
+  [[nodiscard]] stage_scheduler::acquire_step step() {
+    return [this] {
+      entered.count_down();
+      release.wait();
+      return stamped_frame(0xff);
+    };
+  }
+};
 
 TEST(StageScheduler, TicketsResolveWithTheirOwnFramesWork) {
   core::thread_pool pool(2);
@@ -71,25 +80,21 @@ TEST(StageScheduler, TicketsResolveWithTheirOwnFramesWork) {
   EXPECT_EQ(scheduler.batch_limit(), 2);  // the pool width
 
   constexpr int kFrames = 9;
-  std::vector<std::future<pipeline::frame_work>> tickets;
+  std::vector<std::future<img::image_u8>> tickets;
   for (int i = 0; i < kFrames; ++i) {
-    tickets.push_back(scheduler.submit(
-        job, i, [i] { return stamped_frame(i); },
-        [](const img::image_u8& frame) { return stamped_features(frame); }));
+    tickets.push_back(scheduler.submit(job, i, [i] { return stamped_frame(i); }));
   }
   for (int i = 0; i < kFrames; ++i) {
-    auto work = tickets[static_cast<std::size_t>(i)].get();
-    EXPECT_EQ(work.frame.at(0, 0), static_cast<std::uint8_t>(i));
-    ASSERT_EQ(work.features.keypoints.size(), 1u);
-    EXPECT_EQ(work.features.keypoints[0].x, static_cast<float>(i));
+    EXPECT_EQ(tickets[static_cast<std::size_t>(i)].get().at(0, 0),
+              static_cast<std::uint8_t>(i));
   }
 
   const auto stats = scheduler.stats();
   EXPECT_EQ(stats.jobs, 1u);
   EXPECT_EQ(stats.frames, static_cast<std::uint64_t>(kFrames));
-  // Every frame crosses two queues (acquire, then detect), capped at the
-  // pool width per dispatch.
-  EXPECT_GE(stats.batches, static_cast<std::uint64_t>(kFrames));
+  // Every frame crosses the one acquisition queue, capped at the pool
+  // width per dispatch.
+  EXPECT_GE(stats.batches, static_cast<std::uint64_t>((kFrames + 1) / 2));
   EXPECT_GE(stats.peak_batch, 1u);
   EXPECT_LE(stats.peak_batch, 2u);
   EXPECT_EQ(stats.evicted, 0u);
@@ -104,49 +109,27 @@ TEST(StageScheduler, EvictionPoisonsOnlyTheThrowingFrame) {
 
   constexpr int kFrames = 8;
   constexpr int kFaulty = 3;
-  std::vector<std::future<pipeline::frame_work>> tickets;
+  std::vector<std::future<img::image_u8>> tickets;
   for (int i = 0; i < kFrames; ++i) {
-    tickets.push_back(scheduler.submit(
-        job, i,
-        [i] {
-          if (i == kFaulty) {
-            throw crash_error(crash_kind::segfault, "acquire fault (test)");
-          }
-          return stamped_frame(i);
-        },
-        [](const img::image_u8& frame) { return stamped_features(frame); }));
+    tickets.push_back(scheduler.submit(job, i, [i] {
+      if (i == kFaulty) {
+        throw crash_error(crash_kind::segfault, "acquire fault (test)");
+      }
+      return stamped_frame(i);
+    }));
   }
   for (int i = 0; i < kFrames; ++i) {
     auto& ticket = tickets[static_cast<std::size_t>(i)];
     if (i == kFaulty) {
       EXPECT_THROW((void)ticket.get(), crash_error) << "frame " << i;
     } else {
-      EXPECT_EQ(ticket.get().frame.at(0, 0), static_cast<std::uint8_t>(i))
+      EXPECT_EQ(ticket.get().at(0, 0), static_cast<std::uint8_t>(i))
           << "frame " << i;
     }
   }
   const auto stats = scheduler.stats();
   EXPECT_EQ(stats.frames, static_cast<std::uint64_t>(kFrames));
   EXPECT_EQ(stats.evicted, 1u);
-}
-
-TEST(StageScheduler, ExtractionFaultsPoisonTheTicketToo) {
-  core::thread_pool pool(2);
-  stage_scheduler scheduler(pool);
-  const std::uint64_t job = scheduler.attach();
-  EXPECT_EQ(scheduler.batch_limit(), 2);
-  auto poisoned = scheduler.submit(
-      job, 0, [] { return stamped_frame(0); },
-      [](const img::image_u8&) -> feat::frame_features {
-        throw detected_error(detect_kind::replica_divergence,
-                             "extraction fault (test)");
-      });
-  auto healthy = scheduler.submit(
-      job, 1, [] { return stamped_frame(1); },
-      [](const img::image_u8& frame) { return stamped_features(frame); });
-  EXPECT_THROW((void)poisoned.get(), detected_error);
-  EXPECT_EQ(healthy.get().frame.at(0, 0), 1);
-  EXPECT_EQ(scheduler.stats().evicted, 1u);
 }
 
 TEST(StageScheduler, SharedAcrossJobsKeepsTicketsSeparate) {
@@ -159,20 +142,17 @@ TEST(StageScheduler, SharedAcrossJobsKeepsTicketsSeparate) {
   const std::uint64_t job_b = scheduler.attach();
   EXPECT_NE(job_a, job_b);
 
-  std::vector<std::future<pipeline::frame_work>> a;
-  std::vector<std::future<pipeline::frame_work>> b;
+  std::vector<std::future<img::image_u8>> a;
+  std::vector<std::future<img::image_u8>> b;
   for (int i = 0; i < 6; ++i) {
-    a.push_back(scheduler.submit(
-        job_a, i, [i] { return stamped_frame(i); },
-        [](const img::image_u8& frame) { return stamped_features(frame); }));
-    b.push_back(scheduler.submit(
-        job_b, i, [i] { return stamped_frame(100 + i); },
-        [](const img::image_u8& frame) { return stamped_features(frame); }));
+    a.push_back(scheduler.submit(job_a, i, [i] { return stamped_frame(i); }));
+    b.push_back(
+        scheduler.submit(job_b, i, [i] { return stamped_frame(100 + i); }));
   }
   for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(a[static_cast<std::size_t>(i)].get().frame.at(0, 0),
+    EXPECT_EQ(a[static_cast<std::size_t>(i)].get().at(0, 0),
               static_cast<std::uint8_t>(i));
-    EXPECT_EQ(b[static_cast<std::size_t>(i)].get().frame.at(0, 0),
+    EXPECT_EQ(b[static_cast<std::size_t>(i)].get().at(0, 0),
               static_cast<std::uint8_t>(100 + i));
   }
   const auto stats = scheduler.stats();
@@ -186,17 +166,89 @@ TEST(StageScheduler, DestructorDrainsUnconsumedTickets) {
   // promise destroyed unfulfilled would turn future::get into
   // broken_promise at some later consumer.
   core::thread_pool pool(1);
-  std::future<pipeline::frame_work> abandoned;
+  std::future<img::image_u8> abandoned;
   {
     stage_scheduler scheduler(pool);
     const std::uint64_t job = scheduler.attach();
     EXPECT_EQ(scheduler.batch_limit(), 1);
-    abandoned = scheduler.submit(
-        job, 0, [] { return stamped_frame(7); },
-        [](const img::image_u8& frame) { return stamped_features(frame); });
+    abandoned = scheduler.submit(job, 0, [] { return stamped_frame(7); });
     // Scheduler destroyed here with the ticket possibly still queued.
   }
-  EXPECT_EQ(abandoned.get().frame.at(0, 0), 7);
+  EXPECT_EQ(abandoned.get().at(0, 0), 7);
+}
+
+TEST(StageScheduler, WithdrawTakesBackOnlyAQueuedTicket) {
+  // Pool width 1: one ticket per dispatch.  Frame 0 is held inside its
+  // dispatch, so frames 1 and 2 stay queued behind it.
+  core::thread_pool pool(1);
+  stage_scheduler scheduler(pool);
+  const std::uint64_t job = scheduler.attach();
+  dispatch_hold hold;
+  std::array<std::atomic<int>, 3> acquired{};
+  const auto counted = [&acquired](int i) {
+    return [&acquired, i] {
+      ++acquired[static_cast<std::size_t>(i)];
+      return stamped_frame(i);
+    };
+  };
+  auto running = scheduler.submit(job, 0, hold.step());
+  hold.entered.wait();
+  auto queued = scheduler.submit(job, 1, counted(1));
+  auto kept = scheduler.submit(job, 2, counted(2));
+
+  EXPECT_FALSE(scheduler.withdraw(job, 0));      // in a running dispatch
+  EXPECT_TRUE(scheduler.withdraw(job, 1));       // still queued
+  EXPECT_FALSE(scheduler.withdraw(job, 1));      // already withdrawn
+  EXPECT_FALSE(scheduler.withdraw(job + 1, 2));  // another job's key
+  hold.release.count_down();
+
+  EXPECT_EQ(running.get().at(0, 0), 0xff);
+  EXPECT_EQ(kept.get().at(0, 0), 2);
+  EXPECT_FALSE(scheduler.withdraw(job, 2));  // done
+  // The withdrawn ticket's step never ran and its future is abandoned.
+  EXPECT_THROW((void)queued.get(), std::future_error);
+  EXPECT_EQ(acquired[1].load(), 0);
+  EXPECT_EQ(acquired[2].load(), 1);
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.frames, 3u);
+  EXPECT_EQ(stats.withdrawn, 1u);
+  EXPECT_EQ(stats.batches, 2u);
+}
+
+TEST(StageScheduler, DestructorDrainsCleanlyWithWithdrawnTickets) {
+  // Tickets withdrawn from the middle of the queue leave no hole: the
+  // destructor still runs every ticket left queued, and never the
+  // withdrawn ones.
+  core::thread_pool pool(1);
+  dispatch_hold hold;
+  std::array<std::atomic<int>, 5> acquired{};
+  std::vector<std::future<img::image_u8>> tickets;
+  {
+    stage_scheduler scheduler(pool);
+    const std::uint64_t job = scheduler.attach();
+    tickets.push_back(scheduler.submit(job, 0, hold.step()));
+    hold.entered.wait();
+    for (int i = 1; i < 5; ++i) {
+      tickets.push_back(scheduler.submit(job, i, [&acquired, i] {
+        ++acquired[static_cast<std::size_t>(i)];
+        return stamped_frame(i);
+      }));
+    }
+    EXPECT_TRUE(scheduler.withdraw(job, 2));
+    EXPECT_TRUE(scheduler.withdraw(job, 4));
+    hold.release.count_down();
+    // Scheduler destroyed here with frames 1 and 3 possibly still queued.
+  }
+  EXPECT_EQ(tickets[0].get().at(0, 0), 0xff);
+  for (const int i : {1, 3}) {
+    EXPECT_EQ(tickets[static_cast<std::size_t>(i)].get().at(0, 0), i);
+    EXPECT_EQ(acquired[static_cast<std::size_t>(i)].load(), 1) << i;
+  }
+  for (const int i : {2, 4}) {
+    EXPECT_THROW((void)tickets[static_cast<std::size_t>(i)].get(),
+                 std::future_error);
+    EXPECT_EQ(acquired[static_cast<std::size_t>(i)].load(), 0) << i;
+  }
 }
 
 }  // namespace

@@ -6,10 +6,15 @@
 // test for recovery retries racing the acquisition prefetch.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <latch>
 #include <limits>
 #include <string>
+#include <thread>
 
 #include "app/pipeline.h"
 #include "core/error.h"
@@ -310,9 +315,10 @@ class transient_fault_source final : public video::video_source {
 
 TEST(StageGraphRecovery, RetryRecomputesAPoisonedPrefetchInline) {
   // Frame 2's prefetch is queued while frame 1 is being stitched at every
-  // depth >= 1, and its acquire throws.  At pool width 1 every ticket is a
-  // dispatch of its own; the poisoned ticket must be contained at the
-  // recovery boundary and recomputed inline, off the queues, rather than
+  // depth >= 1, and its first acquisition throws — in its dispatch, or
+  // inline when obtain() withdrew the still-queued ticket.  At pool width 1
+  // every ticket is a dispatch of its own; the fault must be contained at
+  // the recovery boundary and recomputed inline, off the queue, rather than
   // swap in a later frame's ticket or re-submit it.
   const pool_width_guard guard;
   const auto& pristine = clip(video::input_id::input1);
@@ -423,8 +429,7 @@ TEST(FrameExecutor, LookaheadIsClampedToTheClip) {
       [](const img::image_u8&) { return feat::frame_features{}; });
   EXPECT_EQ(exec.frames_in_flight(), 5);
   for (int index = 0; index < 5; ++index) {
-    EXPECT_EQ(exec.obtain(index).frame.at(0, 0),
-              static_cast<std::uint8_t>(index));
+    EXPECT_EQ(exec.obtain(index).at(0, 0), static_cast<std::uint8_t>(index));
   }
   EXPECT_EQ(calls.load(), 5);
 
@@ -436,26 +441,186 @@ TEST(FrameExecutor, LookaheadIsClampedToTheClip) {
   EXPECT_EQ(reference, summary_hash(app::summarize(source, config)));
 }
 
+img::image_u8 stamped_frame(int index) {
+  return img::image_u8(4, 1, 1, static_cast<std::uint8_t>(index));
+}
+
+feat::frame_features no_features(const img::image_u8&) { return {}; }
+
 TEST(FrameExecutor, ObtainDrainsSkippedFramesAndConsumesInOrder) {
-  // Consumption that skips indices (the RFD drop path) must finish and
-  // discard the stale slots, and every consumed frame must be the right one.
-  std::atomic<int> calls{0};
+  // Consumption that skips indices (the RFD drop path) must discard the
+  // stale tickets, and every consumed frame must be the right one.
+  std::array<std::atomic<int>, 10> acquired{};
+  resil::hardening_config hardening;
+  {
+    pipeline::frame_executor exec(
+        hardening, 10, 3,
+        [&acquired](int index) {
+          ++acquired[static_cast<std::size_t>(index)];
+          return stamped_frame(index);
+        },
+        no_features);
+    for (const int index : {0, 1, 4, 5, 9}) {
+      EXPECT_EQ(exec.obtain(index).at(0, 0), static_cast<std::uint8_t>(index))
+          << "frame " << index;
+    }
+  }
+  // Every consumed frame was acquired exactly once, and a skipped one at
+  // most once: a frame is scheduled at most once per run (monotonic
+  // top-up), and a withdrawn ticket never runs.
+  for (int index = 0; index < 10; ++index) {
+    EXPECT_LE(acquired[static_cast<std::size_t>(index)].load(), 1)
+        << "frame " << index;
+  }
+  for (const int index : {0, 1, 4, 5, 9}) {
+    EXPECT_EQ(acquired[static_cast<std::size_t>(index)].load(), 1)
+        << "frame " << index;
+  }
+}
+
+/// Parks a scheduler's dispatcher inside another job's frame 0 acquisition
+/// until released — at the latest when the hold goes out of scope, so a
+/// failing assertion cannot leave the dispatcher parked.
+class dispatch_hold {
+ public:
+  explicit dispatch_hold(pipeline::stage_scheduler& scheduler)
+      : ticket_(scheduler.submit(scheduler.attach(), 0, [this] {
+          entered_.count_down();
+          release_.wait();
+          return stamped_frame(0xff);
+        })) {
+    entered_.wait();
+  }
+  ~dispatch_hold() {
+    release();
+    ticket_.wait();
+  }
+  dispatch_hold(const dispatch_hold&) = delete;
+  dispatch_hold& operator=(const dispatch_hold&) = delete;
+
+  void release() {
+    if (released_) return;
+    released_ = true;
+    release_.count_down();
+  }
+
+ private:
+  std::latch entered_{1};
+  std::latch release_{1};
+  bool released_ = false;
+  std::future<img::image_u8> ticket_;
+};
+
+TEST(FrameExecutor, SkippedQueuedFramesAreNeverAcquired) {
+  // The dispatcher is held inside another job's acquisition, so every
+  // ticket this executor submits stays queued.  Frames 1 and 2 are skipped
+  // (as VS_RFD drops frames after they were scheduled): obtain(3) must
+  // withdraw their tickets instead of waiting for them, and acquire frame
+  // 3 on its own thread rather than idle behind the held dispatch.  The
+  // end-to-end VS_RFD digests at depths 1, 2 and 4 are pinned by the
+  // StageGraphGolden matrices.
+  core::thread_pool pool(1);
+  pipeline::stage_scheduler scheduler(pool);
+  std::array<std::atomic<int>, 10> acquired{};
+  std::array<std::thread::id, 10> acquired_on{};
   resil::hardening_config hardening;
   pipeline::frame_executor exec(
       hardening, 10, 3,
-      [&calls](int index) {
-        ++calls;
-        return img::image_u8(4, 1, 1, static_cast<std::uint8_t>(index));
+      [&](int index) {
+        const auto at = static_cast<std::size_t>(index);
+        ++acquired[at];
+        acquired_on[at] = std::this_thread::get_id();
+        return stamped_frame(index);
       },
-      [](const img::image_u8&) { return feat::frame_features{}; });
-  for (const int index : {0, 1, 4, 5, 9}) {
-    const auto work = exec.obtain(index);
-    EXPECT_EQ(work.frame.at(0, 0), static_cast<std::uint8_t>(index))
+      no_features, {}, &scheduler);
+  ASSERT_TRUE(exec.overlapping());
+  dispatch_hold hold(scheduler);
+
+  EXPECT_EQ(exec.obtain(0).at(0, 0), 0);  // cold start: inline
+  // obtain(3) runs on a helper thread so that waiting behind the held
+  // dispatch fails the test instead of hanging it.
+  std::thread::id consumer;
+  auto skipped = std::async(std::launch::async, [&] {
+    consumer = std::this_thread::get_id();
+    return exec.obtain(3);
+  });
+  const bool returned = skipped.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  EXPECT_TRUE(returned) << "obtain(3) waited behind the held dispatch";
+  if (returned) {
+    EXPECT_EQ(scheduler.stats().withdrawn, 3u);  // frames 1, 2 and 3
+  }
+  hold.release();
+  EXPECT_EQ(skipped.get().at(0, 0), 3);
+  EXPECT_EQ(acquired_on[3], consumer);
+  for (const int index : {4, 5, 6, 8}) {
+    EXPECT_EQ(exec.obtain(index).at(0, 0), static_cast<std::uint8_t>(index))
         << "frame " << index;
   }
-  // Every scheduled acquisition ran exactly once: 0 and the prefetches of
-  // 1..9 (monotonic top-up never re-schedules a frame).
-  EXPECT_EQ(calls.load(), 10);
+  EXPECT_EQ(acquired[1].load(), 0);
+  EXPECT_EQ(acquired[2].load(), 0);
+  for (const int index : {0, 3, 4, 5, 6, 8}) {
+    EXPECT_EQ(acquired[static_cast<std::size_t>(index)].load(), 1)
+        << "frame " << index;
+  }
+  EXPECT_LE(acquired[7].load(), 1);
+}
+
+TEST(FrameExecutor, ExtractionRunsOnTheObtainingThread) {
+  // Only acquisition is prefetched: at pool widths 1 and 4 every detect_fn
+  // call — the frame body's extraction and the executor's own
+  // recompute-and-compare replica check — runs on the thread that calls
+  // obtain(), never on the dispatcher or a pool worker.
+  const pool_width_guard guard;
+  resil::hardening_config hardening;
+  hardening.level = resil::hardening_level::detectors;
+  hardening.replicate_stages = pipeline::stage_bit(stage_id::detect);
+  resil::session session(hardening);
+  const std::thread::id stitch_thread = std::this_thread::get_id();
+  for (const unsigned width : {1u, 4u}) {
+    core::thread_pool::set_global_threads(width);
+    std::atomic<int> calls{0};
+    std::atomic<int> elsewhere{0};
+    const auto detect = [&](const img::image_u8&) {
+      ++calls;
+      if (std::this_thread::get_id() != stitch_thread) ++elsewhere;
+      return feat::frame_features{};
+    };
+    constexpr int kFrames = 12;
+    pipeline::frame_executor exec(hardening, kFrames, 4, stamped_frame,
+                                  detect);
+    ASSERT_TRUE(exec.overlapping());
+    for (int index = 0; index < kFrames; ++index) {
+      pipeline::frame_work work{exec.obtain(index), {}};
+      exec.extract(work, detect);
+    }
+    EXPECT_EQ(calls.load(), 2 * kFrames) << "width " << width;
+    EXPECT_EQ(elsewhere.load(), 0) << "width " << width;
+  }
+}
+
+TEST(FrameExecutor, ExtractionFaultsFailInlineAtTheStitchPoint) {
+  // Extraction is never part of a prefetch ticket: a throwing extractor
+  // fails inside extract() on the calling thread, where the recovery
+  // boundary contains it like any inline stage, and the acquisition queue
+  // evicts nothing.
+  core::thread_pool pool(2);
+  pipeline::stage_scheduler scheduler(pool);
+  resil::hardening_config hardening;
+  pipeline::frame_executor exec(hardening, 4, 2, stamped_frame, no_features,
+                                {}, &scheduler);
+  (void)exec.obtain(0);
+  pipeline::frame_work work{exec.obtain(1), {}};
+  EXPECT_EQ(work.frame.at(0, 0), 1);
+  EXPECT_THROW(exec.extract(work,
+                            [](const img::image_u8&) -> feat::frame_features {
+                              throw detected_error(
+                                  detect_kind::replica_divergence,
+                                  "extraction fault (test)");
+                            }),
+               detected_error);
+  EXPECT_EQ(exec.obtain(2).at(0, 0), 2);
+  EXPECT_EQ(scheduler.stats().evicted, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -506,9 +671,10 @@ TEST(StageRegistry, ReplicateSpecParsingAndNaming) {
 }
 
 /// Drives the extraction dual check through the clean lane at `depth` with
-/// the verifier disagreeing on the second checked frame — which the
-/// scheduler has prefetched by then.  The check runs at the consuming
-/// obtain() and its divergence must surface there.
+/// the verifier disagreeing on the second checked frame — whose acquisition
+/// the scheduler has prefetched by then.  The check runs in the frame
+/// body's extract() at the stitch point, right after obtain() hands the
+/// frame over, and its divergence must surface there.
 void expect_prefetched_replica_divergence_detected(int depth) {
   // detectors level: containment without the CFCSS monitor, so the
   // executor can be driven directly; the explicit mask turns the
@@ -521,14 +687,18 @@ void expect_prefetched_replica_divergence_detected(int depth) {
   std::atomic<int> checks{0};
   pipeline::frame_executor exec(
       hardening, 6, depth, [](int) { return img::image_u8(4, 4, 1); },
-      [](const img::image_u8&) { return feat::frame_features{}; },
+      no_features,
       [&checks](const img::image_u8&, const feat::frame_features&) {
         return ++checks != 2;
       });
   ASSERT_TRUE(exec.overlapping());
-  (void)exec.obtain(0);  // inline cold start: check runs and passes
+  const auto obtain_and_extract = [&exec](int index) {
+    pipeline::frame_work work{exec.obtain(index), {}};
+    exec.extract(work, no_features);
+  };
+  obtain_and_extract(0);  // inline cold start: check runs and passes
   try {
-    (void)exec.obtain(1);  // consumed from a prefetched ticket: diverges
+    obtain_and_extract(1);  // a prefetched frame: its check diverges
     FAIL() << "replica divergence was not raised";
   } catch (const detected_error& e) {
     EXPECT_EQ(e.kind(), detect_kind::replica_divergence);
@@ -538,15 +708,15 @@ void expect_prefetched_replica_divergence_detected(int depth) {
 }
 
 TEST(FrameExecutor, ReplicaDivergenceInAPrefetchedStageIsDetected) {
-  // Pool width 1: every prefetched ticket is a dispatch of its own.
+  // Pool width 1: every prefetched acquisition is a dispatch of its own.
   const pool_width_guard guard;
   core::thread_pool::set_global_threads(1);
   expect_prefetched_replica_divergence_detected(2);
 }
 
 TEST(FrameExecutor, ReplicaDivergenceInABatchedStageIsDetected) {
-  // Pool width 4 at depth 4: the checked frame comes out of a grouped
-  // dispatch.
+  // Pool width 4 at depth 4: the checked frame's acquisition may come out
+  // of a grouped dispatch; its extraction still runs at the stitch point.
   const pool_width_guard guard;
   core::thread_pool::set_global_threads(4);
   expect_prefetched_replica_divergence_detected(4);
