@@ -10,17 +10,19 @@
 // path fault campaigns replay.  The gap between the two is the price of
 // instrumentation plus the clean lane's parallel speedup.
 //
-// Vectorized kernels are measured a third time: the plain name pins the
-// clean lane to the scalar twins, and the `_simd` twin runs at the best
-// level the host offers.  ci/check_bench_gate.sh holds the _simd/scalar
-// ratio against the committed floor in ci/bench_floor.json.
+// The five vectorized kernels (fast_detect, orb_extract, match_descriptors,
+// warp_perspective, blend_feather) are measured once more: the plain name
+// pins the clean lane to the scalar twins, and the `_simd` twin runs at the
+// best level the host offers.  ci/check_bench_gate.sh holds each
+// _simd/scalar ratio against its committed floor in ci/bench_floor.json.
 //
 // Every benchmark runs 5 repetitions unless --benchmark_repetitions says
 // otherwise.  Unless --benchmark_out is given, the repetitions' real time
 // per op is summarized through benchutil::bench_report into
-// bench_out/BENCH_kernels.json (or --out-dir); with it, google-benchmark
-// writes its own per-repetition record there instead, which is what
-// ci/check_bench_gate.sh pairs scalar against _simd from.
+// bench_out/BENCH_kernels.json under the working directory (the binary
+// takes google-benchmark's flags only, no --out-dir); with it,
+// google-benchmark writes its own per-repetition record there instead,
+// which is what ci/check_bench_gate.sh pairs scalar against _simd from.
 
 #include <benchmark/benchmark.h>
 
@@ -37,8 +39,6 @@
 
 #include "app/pipeline.h"
 #include "core/simd.h"
-#include "features/harris.h"
-#include "features/pyramid.h"
 #include "quality/metrics_extra.h"
 #include "app/wp.h"
 #include "core/rng.h"
@@ -254,33 +254,6 @@ void bm_box_blur(benchmark::State& state) {
 }
 BENCHMARK(bm_box_blur);
 
-void bm_resize_bilinear(benchmark::State& state) {
-  const scoped_simd scalar(core::simd::level::scalar);
-  const auto& frame = test_frame();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(feat::resize_bilinear(frame, 96, 72));
-  }
-}
-BENCHMARK(bm_resize_bilinear);
-
-void bm_resize_bilinear_simd(benchmark::State& state) {
-  const scoped_simd best(core::simd::detected());
-  const auto& frame = test_frame();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(feat::resize_bilinear(frame, 96, 72));
-  }
-}
-BENCHMARK(bm_resize_bilinear_simd);
-
-void bm_resize_bilinear_seq(benchmark::State& state) {
-  const auto& frame = test_frame();
-  rt::session session;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(feat::resize_bilinear(frame, 96, 72));
-  }
-}
-BENCHMARK(bm_resize_bilinear_seq);
-
 // Compositor paint + feather of one canvas-sized patch at unit gain: the
 // masked byte copy, the seam bookkeeping, and the generation demotion —
 // the per-frame stitch cost outside of warping.
@@ -321,14 +294,6 @@ void bm_blend_feather_simd(benchmark::State& state) {
 }
 BENCHMARK(bm_blend_feather_simd);
 
-void bm_harris_response(benchmark::State& state) {
-  const auto& frame = test_frame();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(feat::harris_response(frame, 40, 40));
-  }
-}
-BENCHMARK(bm_harris_response);
-
 void bm_ssim(benchmark::State& state) {
   const auto& frame = test_frame();
   const auto blurred = img::box_blur3(frame);
@@ -337,14 +302,6 @@ void bm_ssim(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_ssim);
-
-void bm_pyramid(benchmark::State& state) {
-  const auto& frame = test_frame();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(feat::build_pyramid(frame));
-  }
-}
-BENCHMARK(bm_pyramid);
 
 void bm_full_pipeline(benchmark::State& state) {
   const auto source = video::make_input(video::input_id::input2,

@@ -41,7 +41,7 @@ trap 'rm -rf "$work"' EXIT
 export VS_THREADS=1
 
 "$bench_bin" \
-  --benchmark_filter='bm_(fast_detect|orb_extract|match_descriptors|warp_perspective|resize_bilinear|blend_feather)(_simd)?$' \
+  --benchmark_filter='bm_(fast_detect|orb_extract|match_descriptors|warp_perspective|blend_feather)(_simd)?$' \
   --benchmark_out="$work/kernels.json" \
   --benchmark_out_format=json >/dev/null
 "$gate_bin" --quick --out-dir="$work" >/dev/null

@@ -70,10 +70,6 @@ void emit(level lvl, const std::string& message) {
   }
 }
 
-const std::string& thread_tag() noexcept { return g_thread_tag; }
-
-void set_thread_tag(std::string tag) { g_thread_tag = std::move(tag); }
-
 scoped_tag::scoped_tag(std::string tag) : prev_(std::move(g_thread_tag)) {
   g_thread_tag = std::move(tag);
 }

@@ -26,12 +26,9 @@ void set_level(level lvl) noexcept;
 /// lines.
 void emit(level lvl, const std::string& message);
 
-/// The calling thread's log tag ("" when unset).  Server job runners and
-/// fleet workers set one ("job 7") so interleaved lines stay attributable.
-[[nodiscard]] const std::string& thread_tag() noexcept;
-void set_thread_tag(std::string tag);
-
-/// RAII tag for the calling thread; restores the previous tag on exit.
+/// RAII log tag for the calling thread ("job 7": server job runners set one
+/// so interleaved lines stay attributable); restores the previous tag on
+/// exit.
 class scoped_tag {
  public:
   explicit scoped_tag(std::string tag);

@@ -9,7 +9,6 @@
 #include "core/simd.h"
 #include "core/thread_pool.h"
 #include "features/fast_simd.h"
-#include "features/harris.h"
 #include "rt/instrument.h"
 
 namespace vs::feat {
@@ -75,10 +74,7 @@ std::vector<keypoint> fast_detect_clean(const img::image_u8& gray,
           for (int x = border; x < w - border; ++x) {
             const int score = row_scores[static_cast<std::size_t>(x)];
             if (score <= 0) continue;
-            scores.at(x, y) =
-                params.score == corner_score::harris
-                    ? static_cast<float>(1e6 * harris_response(gray, x, y))
-                    : static_cast<float>(score);
+            scores.at(x, y) = static_cast<float>(score);
           }
         }
       });
@@ -96,21 +92,19 @@ std::vector<keypoint> fast_detect_clean(const img::image_u8& gray,
           for (int x = border; x < w - border; ++x) {
             const float s = scores.at(x, y);
             if (s <= 0.0f) continue;
-            if (params.nonmax_suppression) {
-              bool is_max = true;
-              for (int dy = -1; dy <= 1 && is_max; ++dy) {
-                for (int dx = -1; dx <= 1; ++dx) {
-                  if (dx == 0 && dy == 0) continue;
-                  const float neighbour = scores.at(x + dx, y + dy);
-                  if (neighbour > s ||
-                      (neighbour == s && (dy < 0 || (dy == 0 && dx < 0)))) {
-                    is_max = false;
-                    break;
-                  }
+            bool is_max = true;
+            for (int dy = -1; dy <= 1 && is_max; ++dy) {
+              for (int dx = -1; dx <= 1; ++dx) {
+                if (dx == 0 && dy == 0) continue;
+                const float neighbour = scores.at(x + dx, y + dy);
+                if (neighbour > s ||
+                    (neighbour == s && (dy < 0 || (dy == 0 && dx < 0)))) {
+                  is_max = false;
+                  break;
                 }
               }
-              if (!is_max) continue;
             }
+            if (!is_max) continue;
             out.push_back(keypoint{static_cast<float>(x),
                                    static_cast<float>(y), s, 0.0f});
           }
@@ -205,11 +199,7 @@ std::vector<keypoint> fast_detect_instrumented(const img::image_u8& gray,
           fast_score(gray, static_cast<int>(x), y, threshold);
       rt::account(rt::op::int_alu, 48);
       if (score <= 0) continue;
-      scores.at(static_cast<int>(x), y) =
-          params.score == corner_score::harris
-              ? static_cast<float>(
-                    1e6 * harris_response(gray, static_cast<int>(x), y))
-              : static_cast<float>(score);
+      scores.at(static_cast<int>(x), y) = static_cast<float>(score);
     }
     rt::account(rt::op::branch, static_cast<std::uint64_t>(w));
   }
@@ -219,22 +209,20 @@ std::vector<keypoint> fast_detect_instrumented(const img::image_u8& gray,
     for (int x = border; x < w - border; ++x) {
       const float s = scores.at(x, y);
       if (s <= 0.0f) continue;
-      if (params.nonmax_suppression) {
-        bool is_max = true;
-        for (int dy = -1; dy <= 1 && is_max; ++dy) {
-          for (int dx = -1; dx <= 1; ++dx) {
-            if (dx == 0 && dy == 0) continue;
-            const float neighbour = scores.at(x + dx, y + dy);
-            // Strict on earlier raster positions keeps exactly one of a tie.
-            if (neighbour > s ||
-                (neighbour == s && (dy < 0 || (dy == 0 && dx < 0)))) {
-              is_max = false;
-              break;
-            }
+      bool is_max = true;
+      for (int dy = -1; dy <= 1 && is_max; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          if (dx == 0 && dy == 0) continue;
+          const float neighbour = scores.at(x + dx, y + dy);
+          // Strict on earlier raster positions keeps exactly one of a tie.
+          if (neighbour > s ||
+              (neighbour == s && (dy < 0 || (dy == 0 && dx < 0)))) {
+            is_max = false;
+            break;
           }
         }
-        if (!is_max) continue;
       }
+      if (!is_max) continue;
       found.push_back(keypoint{static_cast<float>(x), static_cast<float>(y),
                                s, 0.0f});
     }

@@ -9,21 +9,15 @@
 
 namespace vs::feat {
 
-/// How detected corners are scored (for NMS and strongest-first ranking).
-enum class corner_score {
-  segment_test,  ///< FAST's own SAD score (this reproduction's default)
-  harris,        ///< Harris response, as ORB proper ranks FAST corners
-};
-
 struct fast_params {
   int threshold = 10;        ///< intensity delta for the segment test
   int max_keypoints = 300;   ///< keep the strongest N after NMS
-  bool nonmax_suppression = true;
   int border = 17;           ///< keep-out margin (descriptor patch + 1)
-  corner_score score = corner_score::segment_test;
 };
 
-/// Detects FAST-9 corners on a grayscale image.  Keypoints are returned
+/// Detects FAST-9 corners on a grayscale image, scored by fast_score and
+/// thinned by 3x3 non-maximum suppression (of a tie between neighbours only
+/// the earliest in raster order survives).  Keypoints are returned
 /// strongest-first; ties broken by raster order for determinism.
 [[nodiscard]] std::vector<keypoint> fast_detect(const img::image_u8& gray,
                                                 const fast_params& params);

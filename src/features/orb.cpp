@@ -11,7 +11,6 @@
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
-#include "features/harris.h"
 #include "rt/instrument.h"
 
 namespace vs::feat {
@@ -385,10 +384,7 @@ bool orb_verify_features(const img::image_u8& gray,
     if (x < border || y < border || x >= w - border || y >= h - border) {
       return false;
     }
-    const float score =
-        params.fast.score == corner_score::harris
-            ? static_cast<float>(1e6 * harris_response(gray, x, y))
-            : static_cast<float>(fast_score(gray, x, y, threshold));
+    const auto score = static_cast<float>(fast_score(gray, x, y, threshold));
     if (score != kp.score || !(score > 0.0f)) return false;
     const int bin =
         orientation_bin(intensity_centroid_angle_clean(gray, x, y, tables));

@@ -1,5 +1,6 @@
 // ORB descriptors: intensity-centroid orientation + rotated BRIEF
-// (Rublee et al., ICCV 2011), over FAST keypoints.
+// (Rublee et al., ICCV 2011), over FAST keypoints.  Single-scale, as in the
+// VS application, and keypoints keep their FAST segment-test score.
 #pragma once
 
 #include <vector>

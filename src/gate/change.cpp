@@ -124,18 +124,6 @@ change_stats score_impl(const img::image_u8& cur, const img::image_u8& ref,
 
 }  // namespace
 
-const char* frame_class_name(frame_class c) noexcept {
-  switch (c) {
-    case frame_class::skip:
-      return "skip";
-    case frame_class::delta:
-      return "delta";
-    case frame_class::full:
-      return "full";
-  }
-  return "?";
-}
-
 img::image_u8 make_thumb(const img::image_u8& frame, int factor) {
   if (factor < 1) factor = 1;
   const int tw = std::max(1, frame.width() / factor);

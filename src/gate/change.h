@@ -35,8 +35,6 @@ enum class frame_class : std::uint8_t {
   full,      ///< the exact pipeline
 };
 
-[[nodiscard]] const char* frame_class_name(frame_class c) noexcept;
-
 /// Block-mean downsampled thumbnail (`factor` x `factor` blocks, integer
 /// arithmetic).  Deterministic and hook-free: the thumb is data movement;
 /// the score below is the gated decision value.

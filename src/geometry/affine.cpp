@@ -41,38 +41,4 @@ std::optional<mat3> estimate_affine(std::span<const point_pair> pairs) {
   return m;
 }
 
-std::optional<mat3> estimate_similarity(std::span<const point_pair> pairs) {
-  if (pairs.size() < 2) return std::nullopt;
-  rt::scope attributed(rt::fn::homography);
-
-  // Unknowns (a, b, tx, ty) for [a -b tx; b a ty].  Each pair contributes:
-  //   a*x - b*y + tx = u
-  //   b*x + a*y + ty = v
-  const std::size_t rows = 2 * pairs.size();
-  std::vector<double> a(rows * 4, 0.0);
-  std::vector<double> b(rows, 0.0);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const double x = pairs[i].src.x;
-    const double y = pairs[i].src.y;
-    double* r0 = &a[(2 * i) * 4];
-    double* r1 = &a[(2 * i + 1) * 4];
-    r0[0] = x;
-    r0[1] = -y;
-    r0[2] = 1.0;
-    b[2 * i] = pairs[i].dst.x;
-    r1[0] = y;
-    r1[1] = x;
-    r1[3] = 1.0;
-    b[2 * i + 1] = pairs[i].dst.y;
-  }
-  rt::account(rt::op::fp_alu, 10 * pairs.size());
-
-  const auto sol = solve_least_squares(a, b, rows, 4);
-  if (!sol) return std::nullopt;
-  const double ca = (*sol)[0];
-  const double cb = (*sol)[1];
-  if (!std::isfinite(ca) || !std::isfinite(cb)) return std::nullopt;
-  return mat3::affine(ca, -cb, (*sol)[2], cb, ca, (*sol)[3]);
-}
-
 }  // namespace vs::geo

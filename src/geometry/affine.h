@@ -17,10 +17,4 @@ inline constexpr std::size_t affine_min_pairs = 3;
 [[nodiscard]] std::optional<mat3> estimate_affine(
     std::span<const point_pair> pairs);
 
-/// Rigid-ish similarity estimate (4 unknowns: scale, rotation, translation)
-/// from >= 2 correspondences.  Used by tests and by the quality metric's
-/// global-alignment step.
-[[nodiscard]] std::optional<mat3> estimate_similarity(
-    std::span<const point_pair> pairs);
-
 }  // namespace vs::geo

@@ -1,5 +1,5 @@
-// Tests for the substrate extensions: recorded video, Harris scoring,
-// pyramids / resizing, and gain-compensated compositing.
+// Tests for the substrate extensions: recorded video and gain-compensated
+// compositing.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -10,8 +10,6 @@
 
 #include "app/config.h"
 #include "core/error.h"
-#include "features/harris.h"
-#include "features/pyramid.h"
 #include "image/draw.h"
 #include "image/image_io.h"
 #include "stitch/compositor.h"
@@ -69,135 +67,6 @@ TEST_F(RecordedVideo, ListFindsOnlyPnm) {
   const auto files = video::list_pnm_files(dir_);
   EXPECT_EQ(files.size(), 4u);  // 3 pgm + 1 ppm, txt ignored
   EXPECT_TRUE(std::is_sorted(files.begin(), files.end()));
-}
-
-// ---------------------------------------------------------------------------
-// Harris response
-// ---------------------------------------------------------------------------
-
-TEST(Harris, FlatRegionScoresNearZero) {
-  img::image_u8 flat(32, 32, 1, 100);
-  EXPECT_NEAR(feat::harris_response(flat, 16, 16), 0.0, 1e-9);
-}
-
-TEST(Harris, EdgeScoresNegative) {
-  img::image_u8 edge(32, 32, 1, 0);
-  for (int y = 0; y < 32; ++y) {
-    for (int x = 16; x < 32; ++x) edge.at(x, y) = 200;
-  }
-  EXPECT_LT(feat::harris_response(edge, 16, 16), 0.0);
-}
-
-TEST(Harris, CornerScoresPositiveAndAboveEdge) {
-  img::image_u8 corner(32, 32, 1, 0);
-  img::fill_rect(corner, 16, 16, 16, 16, img::color{200, 200, 200});
-  const double at_corner = feat::harris_response(corner, 16, 16);
-  EXPECT_GT(at_corner, 0.0);
-  img::image_u8 edge(32, 32, 1, 0);
-  for (int y = 0; y < 32; ++y) {
-    for (int x = 16; x < 32; ++x) edge.at(x, y) = 200;
-  }
-  EXPECT_GT(at_corner, feat::harris_response(edge, 16, 16));
-}
-
-TEST(Harris, FastWithHarrisScoringStillDetects) {
-  img::image_u8 im(64, 64, 1, 60);
-  img::fill_rect(im, 24, 24, 16, 16, img::color{220, 220, 220});
-  feat::fast_params params;
-  params.border = 8;
-  params.score = feat::corner_score::harris;
-  const auto keypoints = feat::fast_detect(im, params);
-  EXPECT_FALSE(keypoints.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Pyramid / resize
-// ---------------------------------------------------------------------------
-
-TEST(Resize, PreservesFlatContent) {
-  img::image_u8 flat(20, 10, 1, 77);
-  const auto resized = feat::resize_bilinear(flat, 13, 7);
-  EXPECT_EQ(resized.width(), 13);
-  EXPECT_EQ(resized.height(), 7);
-  for (std::size_t i = 0; i < resized.size(); ++i) {
-    EXPECT_NEAR(resized[i], 77, 1);
-  }
-}
-
-TEST(Resize, DownThenUpApproximatesSmooth) {
-  img::image_u8 ramp(32, 32, 1);
-  for (int y = 0; y < 32; ++y) {
-    for (int x = 0; x < 32; ++x) {
-      ramp.at(x, y) = static_cast<std::uint8_t>(4 * x + 2 * y);
-    }
-  }
-  const auto down = feat::resize_bilinear(ramp, 16, 16);
-  const auto up = feat::resize_bilinear(down, 32, 32);
-  EXPECT_LT(img::mean_abs_diff(ramp, up), 6.0);
-}
-
-TEST(Resize, RejectsBadArguments) {
-  EXPECT_THROW((void)feat::resize_bilinear(img::image_u8{}, 4, 4),
-               invalid_argument);
-  EXPECT_THROW((void)feat::resize_bilinear(img::image_u8(4, 4, 1), 0, 4),
-               invalid_argument);
-}
-
-TEST(Pyramid, LevelsShrinkByFactor) {
-  img::image_u8 base(128, 96, 1, 50);
-  feat::pyramid_params params;
-  params.levels = 3;
-  params.scale_factor = 2.0;
-  params.min_dimension = 24;
-  const auto pyramid = feat::build_pyramid(base, params);
-  ASSERT_EQ(pyramid.size(), 3u);
-  EXPECT_EQ(pyramid[0].image.width(), 128);
-  EXPECT_EQ(pyramid[1].image.width(), 64);
-  EXPECT_EQ(pyramid[2].image.width(), 32);
-  EXPECT_NEAR(pyramid[2].scale, 4.0, 1e-9);
-}
-
-TEST(Pyramid, StopsAtMinDimension) {
-  img::image_u8 base(100, 100, 1);
-  feat::pyramid_params params;
-  params.levels = 10;
-  params.scale_factor = 2.0;
-  params.min_dimension = 40;
-  const auto pyramid = feat::build_pyramid(base, params);
-  EXPECT_EQ(pyramid.size(), 2u);  // 100, 50; 25 < 40 stops
-}
-
-TEST(Pyramid, RejectsBadParams) {
-  img::image_u8 base(64, 64, 1);
-  feat::pyramid_params params;
-  params.levels = 0;
-  EXPECT_THROW((void)feat::build_pyramid(base, params), invalid_argument);
-  params.levels = 2;
-  params.scale_factor = 1.0;
-  EXPECT_THROW((void)feat::build_pyramid(base, params), invalid_argument);
-}
-
-TEST(Pyramid, MultiScaleExtractCoversAllLevels) {
-  // Corner-rich scene: multi-scale extraction finds at least the
-  // single-scale set, with coordinates in base-image range.
-  img::image_u8 im(128, 96, 1, 60);
-  for (int y = 20; y < 80; y += 12) {
-    for (int x = 20; x < 110; x += 12) {
-      img::fill_rect(im, x, y, 3, 3, img::color{230, 230, 230});
-    }
-  }
-  feat::orb_params params;
-  const auto single = feat::orb_extract(im, params);
-  feat::pyramid_params pyr;
-  pyr.levels = 3;
-  const auto multi = feat::orb_extract_pyramid(im, params, pyr);
-  EXPECT_GE(multi.size(), single.size());
-  for (const auto& kp : multi.keypoints) {
-    EXPECT_GE(kp.x, 0.0f);
-    EXPECT_LT(kp.x, 128.0f);
-    EXPECT_GE(kp.y, 0.0f);
-    EXPECT_LT(kp.y, 96.0f);
-  }
 }
 
 // ---------------------------------------------------------------------------

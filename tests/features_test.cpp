@@ -5,15 +5,18 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/simd.h"
+#include "core/thread_pool.h"
 #include "features/fast.h"
 #include "features/fast_simd.h"
 #include "features/orb.h"
 #include "image/draw.h"
+#include "rt/instrument.h"
 
 namespace vs::feat {
 namespace {
@@ -107,6 +110,46 @@ TEST(Fast, RespectsBorder) {
 TEST(Fast, GrayOnlyInput) {
   img::image_u8 rgb(32, 32, 3);
   EXPECT_THROW((void)fast_detect(rgb, fast_params{}), invalid_argument);
+}
+
+TEST(Fast, NonMaxSuppressionKeepsTheEarliestOfATie) {
+  // Isolated bright pixels on a flat background: no other bright pixel lies
+  // on any one's radius-3 circle, so each scores 16 * (190 - threshold) and
+  // every neighbouring pair ties.  A 2x2 block ties horizontally, vertically
+  // and diagonally; an anti-diagonal pair ties across the row boundary
+  // (the later pixel's tied neighbour sits above and to its right).
+  img::image_u8 im(64, 64, 1, 60);
+  img::fill_rect(im, 20, 20, 2, 2, img::color{250, 250, 250});
+  im.at(41, 40) = 250;
+  im.at(40, 41) = 250;
+  fast_params params;
+  params.border = 8;
+  const std::pair<int, int> tied[] = {{20, 20}, {21, 20}, {20, 21},
+                                      {21, 21}, {41, 40}, {40, 41}};
+  for (const auto& [x, y] : tied) {
+    ASSERT_EQ(fast_score(im, x, y, params.threshold),
+              16 * (190 - params.threshold))
+        << "(" << x << ", " << y << ")";
+  }
+
+  const auto expect_earliest = [](const std::vector<keypoint>& found,
+                                  const std::string& lane) {
+    ASSERT_EQ(found.size(), 2u) << lane;
+    EXPECT_EQ(found[0].x, 20.0f) << lane;
+    EXPECT_EQ(found[0].y, 20.0f) << lane;
+    EXPECT_EQ(found[1].x, 41.0f) << lane;
+    EXPECT_EQ(found[1].y, 40.0f) << lane;
+  };
+  {
+    rt::session session;
+    expect_earliest(fast_detect(im, params), "instrumented");
+  }
+  for (const unsigned width : {1u, 4u}) {
+    core::thread_pool::set_global_threads(width);
+    expect_earliest(fast_detect(im, params),
+                    "clean, pool width " + std::to_string(width));
+  }
+  core::thread_pool::set_global_threads(0);
 }
 
 // ---------------------------------------------------------------------------

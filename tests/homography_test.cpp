@@ -116,23 +116,6 @@ TEST(Affine, CollinearDegenerate) {
   EXPECT_FALSE(estimate_affine(pairs).has_value());
 }
 
-TEST(Similarity, RecoversRotationScaleTranslation) {
-  const double s = 1.4;
-  const double theta = 0.6;
-  const mat3 truth =
-      mat3::translation(3.0, -2.0) * mat3::rotation(theta) *
-      mat3::scaling(s, s);
-  const auto pairs = exact_pairs(truth, 8, 23);
-  const auto estimate = estimate_similarity(pairs);
-  ASSERT_TRUE(estimate.has_value());
-  EXPECT_LT(estimate->projective_distance(truth), 1e-6);
-}
-
-TEST(Similarity, NeedsTwoPairs) {
-  std::vector<point_pair> one = {{{0, 0}, {1, 1}}};
-  EXPECT_FALSE(estimate_similarity(one).has_value());
-}
-
 TEST(Ransac, RecoversModelDespiteOutliers) {
   const mat3 truth = mat3::translation(6.0, -3.0) * mat3::rotation(0.15);
   auto pairs = exact_pairs(truth, 40, 31);

@@ -22,7 +22,6 @@
 #include "resil/hardening.h"
 #include "features/fast.h"
 #include "features/orb.h"
-#include "features/pyramid.h"
 #include "gate/gate.h"
 #include "geometry/warp.h"
 #include "match/matcher.h"
@@ -152,26 +151,13 @@ constexpr frame_kind kFrameKinds[] = {frame_kind::textured, frame_kind::flat,
 /// score block once the extractor's border is applied.
 constexpr int kFrameWidths[] = {128, 101, 45};
 
-std::string frame_point(frame_kind kind, int width, int threshold,
-                        feat::corner_score score) {
+std::string frame_point(frame_kind kind, int width, int threshold) {
   return std::string(frame_kind_name(kind)) + " w" + std::to_string(width) +
-         " t" + std::to_string(threshold) +
-         (score == feat::corner_score::harris ? " harris" : " fast");
+         " t" + std::to_string(threshold);
 }
 
-/// The (threshold, score) points both extraction sweeps cover.
-struct score_point {
-  int threshold;
-  feat::corner_score score;
-};
-constexpr score_point kScorePoints[] = {
-    {10, feat::corner_score::segment_test},
-    {1, feat::corner_score::segment_test},
-    {255, feat::corner_score::segment_test},
-    {300, feat::corner_score::segment_test},
-    {10, feat::corner_score::harris},
-    {1, feat::corner_score::harris},
-};
+/// The detection thresholds both extraction sweeps cover.
+constexpr int kThresholds[] = {10, 1, 255, 300};
 
 TEST(ParallelEquivalence, FastDetect) {
   const pool_width_guard guard;
@@ -179,12 +165,10 @@ TEST(ParallelEquivalence, FastDetect) {
   for (const frame_kind kind : kFrameKinds) {
     for (const int frame_width : kFrameWidths) {
       const auto gray = kind_frame(kind, frame_width);
-      for (const score_point& point : kScorePoints) {
+      for (const int threshold : kThresholds) {
         feat::fast_params params;
-        params.threshold = point.threshold;
-        params.score = point.score;
-        const std::string frame_at =
-            frame_point(kind, frame_width, point.threshold, point.score);
+        params.threshold = threshold;
+        const std::string frame_at = frame_point(kind, frame_width, threshold);
         std::vector<feat::keypoint> reference;
         {
           rt::session session;
@@ -230,12 +214,10 @@ TEST(ParallelEquivalence, OrbExtract) {
   for (const frame_kind kind : kFrameKinds) {
     for (const int frame_width : kFrameWidths) {
       const auto gray = kind_frame(kind, frame_width);
-      for (const score_point& point : kScorePoints) {
+      for (const int threshold : kThresholds) {
         feat::orb_params params;
-        params.fast.threshold = point.threshold;
-        params.fast.score = point.score;
-        run(gray, params,
-            frame_point(kind, frame_width, point.threshold, point.score));
+        params.fast.threshold = threshold;
+        run(gray, params, frame_point(kind, frame_width, threshold));
       }
     }
   }
@@ -323,20 +305,6 @@ TEST(ParallelEquivalence, WarpPerspective) {
     EXPECT_EQ(reference.valid, clean.valid) << at;
     EXPECT_EQ(reference.x0, clean.x0) << at;
     EXPECT_EQ(reference.y0, clean.y0) << at;
-  });
-}
-
-TEST(ParallelEquivalence, ResizeBilinear) {
-  const pool_width_guard guard;
-  const simd_level_guard simd_guard;
-  const auto src = test_frame(video::input_id::input1, 0);
-  img::image_u8 reference;
-  {
-    rt::session session;
-    reference = feat::resize_bilinear(src, 77, 53);
-  }
-  for_each_matrix_point([&](const std::string& at) {
-    EXPECT_EQ(reference, feat::resize_bilinear(src, 77, 53)) << at;
   });
 }
 
