@@ -50,14 +50,16 @@ struct pipeline_config {
   bool gain_compensation = false;
   std::uint64_t seed = 42;  ///< seeds RANSAC sampling and RFD dropping
 
-  /// Clean-lane frame lookahead: how many frames beyond the one being
-  /// stitched may have their acquisition in flight in the stage
-  /// scheduler's queue (pipeline/scheduler.h), which groups them into pool
-  /// dispatches as wide as the pool; extraction always runs at the stitch
-  /// point.  0 runs every stage inline; the instrumented lane always runs
-  /// strictly inline whatever this says.  Output is byte-identical at
-  /// every depth (acquisition is a pure function of the frame index,
-  /// consumed in stitch order).
+  /// Frame lookahead: how many frames beyond the one being stitched may
+  /// have their acquisition in flight in the stage scheduler's queue
+  /// (pipeline/scheduler.h), which groups them into pool dispatches as
+  /// wide as the pool; on the clean lane extraction always runs at the
+  /// stitch point.  0 runs every stage inline; an armed or hardened
+  /// instrumented run always runs strictly inline whatever this says, and
+  /// a counting session prefetches with the counts of the inline run
+  /// (pipeline/executor.h).  Output is byte-identical at every depth
+  /// (acquisition is a pure function of the frame index, consumed in
+  /// stitch order).
   int frames_in_flight = 2;
 
   /// External stage scheduler to feed instead of a per-run private one;

@@ -126,8 +126,10 @@ struct pipeline_state {
 // --- campaign checkpoints (rt/frame_log.h) ------------------------------
 // A fault campaign's golden run records one checkpoint at the top of every
 // frame and one after the last: everything the rest of the call reads.
-// The frame executor keeps nothing across frames on the instrumented lane,
-// and the source and config are the caller's, which a run never changes.
+// The frame executor keeps nothing across frames in an armed session; the
+// golden run's prefetch tickets hold only what an experiment recomputes
+// inline from the frame index.  The source and config are the caller's,
+// which a run never changes.
 
 struct checkpoint {
   pipeline_state st;
@@ -316,9 +318,10 @@ summary_result summarize(const video::video_source& source,
       static_cast<int>(rt::ctrl(source.frame_count()));
 
   // The stage-graph spine: the executor owns CFCSS transitions, watchdog
-  // budgets, the recovery boundary, lane selection, and — clean lane only —
-  // the multi-frame lookahead that keeps the acquisition of frames
-  // t+1..t+k in flight while frame t is extracted, matched and composited.
+  // budgets, the recovery boundary, lane selection, and — clean lane and
+  // counting sessions only — the multi-frame lookahead that keeps the
+  // acquisition of frames t+1..t+k in flight while frame t is extracted,
+  // matched and composited.
   // What remains below is stage definitions plus mini-panorama policy.
   const auto full_extract = [&config](const img::image_u8& frame) {
     return feat::orb_extract(frame, config.orb);
@@ -330,7 +333,7 @@ summary_result summarize(const video::video_source& source,
                 const feat::frame_features& features) {
         return feat::orb_verify_features(frame, features, config.orb);
       },
-      config.scheduler);
+      config.scheduler, gating);
 
   // Remembers the frame the reference feature set describes (the
   // extrapolator refines predicted motion against its pixels) and re-seeds
@@ -389,7 +392,7 @@ summary_result summarize(const video::video_source& source,
   // --- the per-frame unit of work: acquire -> detect -> describe ->
   // --- match -> estimate -> composite, exactly the legacy statement order -
   auto frame_body = [&](int index) {
-    pipeline::frame_work work{exec.obtain(index), {}};
+    pipeline::frame_work work = exec.obtain(index);
 
     // --- real-time gating: classify before any extraction ---------------
     gate::frame_class cls = gate::frame_class::full;

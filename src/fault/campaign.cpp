@@ -7,6 +7,7 @@
 #include "core/error.h"
 #include "core/log.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "resil/runtime.h"
 #include "rt/frame_log.h"
 
@@ -26,6 +27,14 @@ std::uint64_t class_ops(const rt::counters& c, const campaign_config& cfg) {
   return sites;
 }
 
+// Parallel workers of a campaign: config.threads, or hardware concurrency.
+unsigned campaign_threads(const campaign_config& config) {
+  const unsigned n = config.threads > 0
+                         ? static_cast<unsigned>(config.threads)
+                         : std::thread::hardware_concurrency();
+  return std::clamp(n, 1u, 64u);
+}
+
 /// What run_campaign keeps of its golden run for the experiments it runs
 /// itself: the frame-boundary checkpoints (rt/frame_log.h), plus what an
 /// experiment that rejoins them needs to classify itself without running
@@ -40,6 +49,12 @@ campaign_setup measure(const workload& work, const campaign_config& config,
                        golden_log* log) {
   campaign_setup setup;
   {
+    // The golden run is a counting session: it prefetches each frame's
+    // acquisition and extraction (pipeline/executor.h) on a pool as wide
+    // as the campaign, whose experiment threads are idle until it ends.
+    // Its counts are those of the inline run at any width.
+    core::thread_pool pool(campaign_threads(config));
+    const core::pool_scope on_campaign_width(pool);
     rt::session session(log != nullptr ? &log->frames : nullptr);
     resil::clear_last_run_report();
     setup.golden = work();
@@ -258,11 +273,7 @@ campaign_result run_campaign(const workload& work,
     }
   };
 
-  unsigned thread_count = config.threads > 0
-                              ? static_cast<unsigned>(config.threads)
-                              : std::thread::hardware_concurrency();
-  if (thread_count == 0) thread_count = 1;
-  thread_count = std::min<unsigned>(thread_count, 64);
+  const unsigned thread_count = campaign_threads(config);
   if (thread_count <= 1 || m < 2) {
     worker();
   } else {

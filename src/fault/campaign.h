@@ -77,8 +77,10 @@ struct campaign_setup {
 };
 
 /// Performs the golden run and derives the fault-site count and watchdog
-/// budget.  Throws invalid_argument when the workload executes no dynamic
-/// ops of the targeted class.  Keeps no frame checkpoints: callers that
+/// budget.  The golden run may prefetch frames on a pool of the campaign's
+/// width (pipeline/executor.h); its counts are those of the inline run.
+/// Throws invalid_argument when the workload executes no dynamic ops of
+/// the targeted class.  Keeps no frame checkpoints: callers that
 /// hold many setups at once (the supervisor, vsbench) would hold every
 /// clip's states too.
 [[nodiscard]] campaign_setup measure_golden(const workload& work,

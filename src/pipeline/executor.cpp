@@ -7,10 +7,22 @@
 
 namespace vs::pipeline {
 
+namespace {
+
+// Width of the pool the tickets would dispatch to.
+unsigned dispatch_width(const stage_scheduler* shared) {
+  return shared != nullptr
+             ? static_cast<unsigned>(shared->batch_limit())
+             : core::thread_pool::current().thread_count();
+}
+
+}  // namespace
+
 frame_executor::frame_executor(const resil::hardening_config& hardening,
                                int frame_count, int frames_in_flight,
                                acquire_fn acquire, detect_fn detect,
-                               verify_fn verify, stage_scheduler* scheduler)
+                               verify_fn verify, stage_scheduler* scheduler,
+                               bool gated)
     : hardening_(hardening),
       hardened_(hardening.enabled()),
       frame_count_(frame_count),
@@ -18,10 +30,16 @@ frame_executor::frame_executor(const resil::hardening_config& hardening,
       // frame_count anyway, and the clamp keeps index + 1 + depth_ from
       // overflowing at any requested depth.
       depth_(std::clamp(frames_in_flight, 0, std::max(0, frame_count))),
-      // The instrumented lane never prefetches: acquisition must stay
-      // inline so its hooks keep their position in the dynamic-instruction
-      // stream the fault plans address.
-      overlap_(!rt::instrumented() && depth_ > 0 && frame_count > 1),
+      counting_(rt::counting() && !hardened_),
+      extract_ahead_(counting_ && !gated),
+      // An armed session (and a hardened one, whose stage budgets meter
+      // where each op runs) never prefetches: acquisition must stay inline
+      // so its hooks keep their position in the dynamic-instruction stream
+      // the fault plans address.  A counting session's prefetch needs a
+      // second thread; at width 1 it stays inline and starts none.
+      overlap_(depth_ > 0 && frame_count > 1 &&
+               (!rt::instrumented() ||
+                (counting_ && dispatch_width(scheduler) > 1))),
       acquire_(std::move(acquire)),
       detect_(std::move(detect)),
       verify_(std::move(verify)) {
@@ -73,7 +91,7 @@ void frame_executor::check_extract_replica(const frame_work& work) const {
 void frame_executor::drain_stale(int index) {
   while (!tickets_.empty() && tickets_.front().index < index) {
     ticket& t = tickets_.front();
-    if (!scheduler_->withdraw(job_, t.index)) t.frame.wait();
+    if (!scheduler_->withdraw(job_, t.index)) t.work.wait();
     tickets_.pop_front();
   }
 }
@@ -81,45 +99,65 @@ void frame_executor::drain_stale(int index) {
 void frame_executor::top_up(int index) {
   const int horizon = std::min(frame_count_, index + 1 + depth_);
   if (next_prefetch_ <= index) next_prefetch_ = index + 1;
-  // Each frame becomes a (job, frame) ticket in the scheduler's
-  // acquisition queue; the dispatcher groups queued tickets into one pool
-  // dispatch.  Only acquisition runs ahead: it is a pure function of the
-  // frame index.  The gate classifies against the previous processed
-  // frame and decides whether (and over which ROI) extraction happens, and
-  // match onward needs the previous frame's features and the open canvas,
-  // so everything after acquire runs at the stitch point.
+  // Each frame becomes a (job, frame) ticket in the scheduler's queue; the
+  // dispatcher groups queued tickets into one pool dispatch.  Acquisition
+  // runs ahead: it is a pure function of the frame index.  The gate
+  // classifies against the previous processed frame and decides whether
+  // (and over which ROI) extraction happens, and match onward needs the
+  // previous frame's features and the open canvas, so everything after
+  // acquire runs at the stitch point — except in an ungated counting
+  // session, whose extraction is then a pure function of the frame index
+  // too, and the bulk of an instrumented frame.
+  const rt::fn cur = rt::tls.cur;
   while (next_prefetch_ < horizon) {
     const int i = next_prefetch_++;
-    tickets_.push_back(
-        {i, scheduler_->submit(job_, i, [this, i] { return acquire_(i); })});
+    tickets_.push_back({i, scheduler_->submit(job_, i, [this, i, cur] {
+                          return prefetch(i, cur);
+                        })});
   }
 }
 
-img::image_u8 frame_executor::acquire_inline(int index) const {
+prefetched frame_executor::prefetch(int index, rt::fn cur) const {
+  prefetched out;
+  if (!counting_) {
+    out.frame = acquire_(index);
+    return out;
+  }
+  const rt::session session;
+  const rt::scope attributed(cur);
+  out.frame = acquire_(index);
+  if (extract_ahead_) out.features = detect_(out.frame);
+  out.counts = session.executed();
+  return out;
+}
+
+frame_work frame_executor::acquire_inline(int index) const {
   // Acquire runs no replica check: it is the I/O boundary, outside the
   // sphere of replication.
   const stage_guard g = enter(stage_id::acquire);
-  return acquire_(index);
+  frame_work work;
+  work.frame = acquire_(index);
+  return work;
 }
 
-img::image_u8 frame_executor::obtain(int index) {
-  // Inline: the instrumented lane, depth 0, or a recovery retry recomputing
-  // a consumed ticket.
+frame_work frame_executor::obtain(int index) {
+  // Inline: no lookahead, or a recovery retry recomputing a consumed
+  // ticket.
   if (!overlap_ || retrying_) return acquire_inline(index);
   drain_stale(index);
-  std::future<img::image_u8> prefetched;
+  std::future<prefetched> ticket;
   if (!tickets_.empty() && tickets_.front().index == index) {
     // A ticket no dispatch has taken yet is withdrawn: this thread
     // acquires the frame itself rather than idle behind the queue.
     if (!scheduler_->withdraw(job_, index)) {
-      prefetched = std::move(tickets_.front().frame);
+      ticket = std::move(tickets_.front().work);
     }
     tickets_.pop_front();
   }
   // Top up before acquiring, so the dispatcher works on the next frames
   // while this one is acquired, waited for, or extracted.
   top_up(index);
-  if (!prefetched.valid()) return acquire_inline(index);
+  if (!ticket.valid()) return acquire_inline(index);
   // Interprocedural CFCSS: consuming a ticket signs through the prefetch
   // node, so control flow that jumps out of (or into) the prefetched path
   // is caught by the acquire transition's fan-in.
@@ -128,7 +166,17 @@ img::image_u8 frame_executor::obtain(int index) {
   // inside the acquire stage, where the recovery boundary contains it like
   // an inline failure.
   const stage_guard g = enter(stage_id::acquire);
-  return prefetched.get();
+  prefetched done = ticket.get();
+  // The inline run counts the frame's acquisition here, and (ungated)
+  // nothing else before its extraction.
+  if (counting_) rt::absorb(done.counts);
+  frame_work work;
+  work.frame = std::move(done.frame);
+  if (done.features) {
+    work.features = std::move(*done.features);
+    work.extracted = true;
+  }
+  return work;
 }
 
 }  // namespace vs::pipeline

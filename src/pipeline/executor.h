@@ -7,26 +7,39 @@
 //   * recovery boundary   — run_frame wraps the whole frame in
 //                           resil::attempt with snapshot/restore and the
 //                           retry -> degrade policy ladder;
-//   * lane selection      — the instrumented lane executes every stage
-//                           inline (fault plans address injections by
-//                           dynamic-op index, so acquisition must keep its
-//                           position in the hook stream), while the clean
-//                           lane feeds the acquisition of frames t+1..t+k
-//                           into a stage_scheduler's batched queue while
-//                           frame t is extracted, matched and composited
-//                           on the calling (stitch) thread;
+//   * lane selection      — an armed session executes every stage inline
+//                           (fault plans address injections by dynamic-op
+//                           index, so acquisition must keep its position
+//                           in the hook stream), while the clean lane
+//                           feeds the acquisition of frames t+1..t+k into
+//                           a stage_scheduler's batched queue while frame
+//                           t is extracted, matched and composited on the
+//                           calling (stitch) thread, and a counting
+//                           session prefetches too (below);
 //   * profiling           — attribution scopes stay inside the kernels,
 //                           but the registry's fn->stage mapping is what
 //                           perf and fault reports aggregate by.
 //
 // The scheduling invariant: acquisition is a pure function of the frame
 // index, consumed strictly in stitch order, so the summary is
-// byte-identical at any in-flight depth — and the instrumented lane never
+// byte-identical at any in-flight depth — and an armed session never
 // prefetches, so its hook stream is bit-for-bit the one the campaigns
-// measured.  Extraction always runs at the stitch point, through
-// extract(): whether (and over which ROI) a frame is extracted is decided
-// there, behind the gate stage, and the dispatcher thread is left free to
-// acquire the next frame.
+// measured.  On the clean lane extraction always runs at the stitch point,
+// through extract(): whether (and over which ROI) a frame is extracted is
+// decided there, behind the gate stage, and the dispatcher thread is left
+// free to acquire the next frame.
+//
+// A counting session (rt::counting(): no plan armed or fired, no step
+// budget; and an unhardened run) — the fault campaign's golden run,
+// `vs profile` — prefetches when the pool it dispatches to is at least two
+// wide.  Each ticket runs in a counting rt::session of its own on the pool
+// thread: it acquires the frame and, with the gate off, also extracts it
+// (the gate decides whether and where a gated run extracts).  obtain()
+// absorbs the ticket's tally into the consumer's session at the point
+// where the inline run counts that work, and extract() keeps the
+// prefetched features; a frame never consumed (RFD-dropped, or pending at
+// teardown) takes its counts with it.  So the session's counters, step
+// meters and frame_log boundaries are exactly the inline run's.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +65,9 @@ namespace vs::pipeline {
 struct frame_work {
   img::image_u8 frame;
   feat::frame_features features;
+  /// `features` already holds the full extraction of `frame` (a counting
+  /// session's prefetch): extract() keeps them instead of running again.
+  bool extracted = false;
 };
 
 class frame_executor {
@@ -65,19 +81,23 @@ class frame_executor {
       std::function<bool(const img::image_u8&, const feat::frame_features&)>;
 
   /// `hardening` must outlive the executor (it is the pipeline_config's).
-  /// `frames_in_flight` is the clean-lane lookahead (clamped to
-  /// [0, frame_count]); the instrumented lane ignores it and runs strictly
-  /// inline.  When `verify` is provided the extraction stages' replication
-  /// check uses it instead of a full recompute-and-compare of `detect`.
+  /// `frames_in_flight` is the lookahead (clamped to [0, frame_count]); an
+  /// armed or hardened instrumented run ignores it and runs strictly
+  /// inline, and so does a counting session whose pool is one wide.  When
+  /// `verify` is provided the extraction stages' replication check uses it
+  /// instead of a full recompute-and-compare of `detect`.  `gated` says the
+  /// gate decides per frame whether and where extraction runs, so a
+  /// counting session prefetches acquisition only.
   ///
-  /// Prefetch rides a stage_scheduler's acquisition queue.  `scheduler`
-  /// shares an external one (pipeline_config::scheduler); when null and
-  /// the lookahead is active the executor owns a private one dispatching
-  /// to the pool its own kernels use.  Output is byte-identical at every
-  /// depth: tickets are consumed in stitch order.
+  /// Prefetch rides a stage_scheduler's queue.  `scheduler` shares an
+  /// external one (pipeline_config::scheduler); when null and the
+  /// lookahead is active the executor owns a private one dispatching to the
+  /// pool its own kernels use.  Output is byte-identical at every depth:
+  /// tickets are consumed in stitch order.
   frame_executor(const resil::hardening_config& hardening, int frame_count,
                  int frames_in_flight, acquire_fn acquire, detect_fn detect,
-                 verify_fn verify = {}, stage_scheduler* scheduler = nullptr);
+                 verify_fn verify = {}, stage_scheduler* scheduler = nullptr,
+                 bool gated = false);
   /// Withdraws every still-queued prefetch and waits for the dispatched
   /// ones before the frame source can die.
   ~frame_executor();
@@ -106,14 +126,16 @@ class frame_executor {
   /// Marks the frame_end CFCSS node closing the per-frame graph.
   void end_frame() const { resil::mark(resil::cfcss::node::frame_end); }
 
-  /// The acquire stage for `index`: returns the acquired frame.  Clean
-  /// lane: tops the tickets up to the lookahead depth, so the dispatcher
-  /// starts on the next acquisition at once, and consumes this frame's
-  /// ticket — withdrawing it and acquiring inline when no dispatch has
-  /// taken it yet.  Tickets of frames the policy skipped are withdrawn, or
-  /// waited for when already dispatched.  Instrumented lane, depth 0, or a
-  /// recovery retry: acquires inline.
-  [[nodiscard]] img::image_u8 obtain(int index);
+  /// The acquire stage for `index`: returns the acquired frame, and its
+  /// features when a counting session prefetched them.  With the lookahead
+  /// active: tops the tickets up to the lookahead depth, so the dispatcher
+  /// starts on the next frame at once, and consumes this frame's ticket —
+  /// withdrawing it and acquiring inline when no dispatch has taken it
+  /// yet.  A counting session absorbs the consumed ticket's tally here.
+  /// Tickets of frames the policy skipped are withdrawn, or waited for
+  /// when already dispatched.  No lookahead, or a recovery retry: acquires
+  /// inline.
+  [[nodiscard]] frame_work obtain(int index);
 
   /// Re-acquires a frame for the degraded placement path: always inline,
   /// never touches the tickets, launches nothing.
@@ -122,7 +144,8 @@ class frame_executor {
   }
 
   /// The extraction stages (detect + describe) over `w.frame`, on the
-  /// calling thread: enters detect, stores `run(w.frame)` in `w.features`,
+  /// calling thread: enters detect, stores `run(w.frame)` in `w.features`
+  /// (unless obtain() already handed over the prefetched extraction),
   /// marks describe — a CFCSS mark only, since describe is fused into the
   /// same extraction call and rides in detect's watchdog scope — and runs
   /// the extraction pair's replica check.  `run` is the full extractor, or
@@ -132,7 +155,7 @@ class frame_executor {
   template <class Run>
   void extract(frame_work& w, Run&& run) const {
     const stage_guard g = enter(stage_id::detect);
-    w.features = run(w.frame);
+    if (!w.extracted) w.features = run(w.frame);
     resil::mark(stage_info(stage_id::describe).node);
     check_extract_replica(w);
   }
@@ -189,7 +212,7 @@ class frame_executor {
     }
   }
 
-  /// Whether the clean-lane lookahead is active this run.
+  /// Whether the lookahead is active this run.
   [[nodiscard]] bool overlapping() const noexcept { return overlap_; }
   [[nodiscard]] int frames_in_flight() const noexcept { return depth_; }
 
@@ -206,17 +229,25 @@ class frame_executor {
   /// every ticket at teardown): a queued one is withdrawn and never
   /// acquired; a dispatched one must complete before the source dies.
   void drain_stale(int index);
-  /// Schedules the acquisition of frames index+1 .. index+depth.
+  /// Schedules the prefetch of frames index+1 .. index+depth.
   /// Monotonic: a frame is scheduled at most once per run, so a retry can
   /// never double-schedule work the first attempt already launched.
   void top_up(int index);
+  /// One ticket's work, on a pool thread: the clean lane acquires; a
+  /// counting session acquires (and, ungated, extracts) inside a counting
+  /// session of its own, attributing to `cur` as the consumer would.
+  [[nodiscard]] prefetched prefetch(int index, rt::fn cur) const;
   /// The acquire stage run inline on the calling thread.
-  [[nodiscard]] img::image_u8 acquire_inline(int index) const;
+  [[nodiscard]] frame_work acquire_inline(int index) const;
 
   const resil::hardening_config& hardening_;
   const bool hardened_;
   const int frame_count_;
   const int depth_;
+  /// A counting session: tickets carry their work's tally.
+  const bool counting_;
+  /// Tickets also extract (counting session, gate off).
+  const bool extract_ahead_;
   const bool overlap_;
   bool retrying_ = false;
   acquire_fn acquire_;
@@ -232,7 +263,7 @@ class frame_executor {
 
   struct ticket {
     int index = -1;
-    std::future<img::image_u8> frame;
+    std::future<prefetched> work;
   };
   std::deque<ticket> tickets_;  ///< in-flight frames, ascending index
   int next_prefetch_ = 0;  ///< first frame index never scheduled

@@ -36,14 +36,13 @@ std::uint64_t stage_scheduler::attach() noexcept {
   return next_job_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-std::future<img::image_u8> stage_scheduler::submit(std::uint64_t job,
-                                                   int frame,
-                                                   acquire_step acquire) {
+std::future<prefetched> stage_scheduler::submit(std::uint64_t job, int frame,
+                                                prefetch_step step) {
   auto it = std::make_unique<item>();
   it->job = job;
   it->frame = frame;
-  it->acquire = std::move(acquire);
-  std::future<img::image_u8> ticket = it->done.get_future();
+  it->step = std::move(step);
+  std::future<prefetched> ticket = it->done.get_future();
   frames_.fetch_add(1, std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(m_);
@@ -112,7 +111,7 @@ void stage_scheduler::run_batch(
     item* it = slot.get();
     tasks.push_back([this, it] {
       try {
-        it->done.set_value(it->acquire());
+        it->done.set_value(it->step());
       } catch (...) {
         // Eviction: poison only this ticket.  The consumer's get() rethrows
         // inside its acquire stage guard — the recovery boundary contains

@@ -1,12 +1,13 @@
-// stage_scheduler — the batched acquisition queue, the clean lane's only
-// prefetch producer behind the frame_executor.
+// stage_scheduler — the batched prefetch queue behind the frame_executor.
 //
 // The executor's lookahead (pipeline_config::frames_in_flight) submits the
 // acquisition of frames t+1..t+k as tickets into one queue keyed by
-// (job, frame).  Acquisition is the only stage that runs ahead: extraction
-// runs on the consuming thread at the stitch point, so at pool width 1 the
-// dispatcher acquires frame t+1 while the stitch thread extracts, matches
-// and composites frame t (DESIGN §5i has the measured per-frame split):
+// (job, frame).  On the clean lane acquisition is the only stage that runs
+// ahead: extraction runs on the consuming thread at the stitch point, so at
+// pool width 1 the dispatcher acquires frame t+1 while the stitch thread
+// extracts, matches and composites frame t (DESIGN §5i has the measured
+// per-frame split).  A counting session's ticket (pipeline/executor.h) also
+// extracts when the gate is off, and carries the hook counts of its work.
 //
 //   * submit() enqueues a frame ticket and hands the consumer a future;
 //   * one dispatcher thread pops up to batch_limit() queued tickets — the
@@ -21,13 +22,13 @@
 //     inline failure) while the batch's other items complete untouched.
 //     The consumer's retry then recomputes inline, bypassing the queue.
 //
-// Determinism: each frame's acquisition is a pure function of the frame
-// index, each run_tasks task is exactly one chunk of the pool's fixed
+// Determinism: each ticket's work is a pure function of the frame index,
+// each run_tasks task is exactly one chunk of the pool's fixed
 // tiling, and tickets are fulfilled per frame — so consumption order,
 // chunk shapes and therefore every output byte are identical at any batch
 // size, any pool width, any interleaving of jobs in the queue, and whether
-// a frame was dispatched or withdrawn.  The instrumented lane never touches
-// the scheduler at all.
+// a frame was dispatched or withdrawn.  An armed session never touches the
+// scheduler at all.
 //
 // Sharing: an executor may feed an external scheduler
 // (pipeline_config::scheduler) instead of a private one; frames from
@@ -44,10 +45,13 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "features/keypoint.h"
 #include "image/image.h"
+#include "rt/instrument.h"
 
 namespace vs::core {
 class thread_pool;
@@ -66,9 +70,18 @@ struct scheduler_stats {
   std::uint64_t withdrawn = 0;       ///< tickets taken back before dispatch
 };
 
+/// What a ticket resolves with: the acquired frame and, for a counting
+/// session's prefetch, the frame's features (gate off) and the tally of
+/// the hook counts its work executed on the pool thread.
+struct prefetched {
+  img::image_u8 frame;
+  std::optional<feat::frame_features> features;
+  rt::tally counts;
+};
+
 class stage_scheduler {
  public:
-  using acquire_step = std::function<img::image_u8()>;
+  using prefetch_step = std::function<prefetched()>;
 
   /// Every batch dispatches to `pool` (standalone summarize: the executor
   /// passes the pool its own kernels dispatch to, so a leased-width job
@@ -88,8 +101,8 @@ class stage_scheduler {
   /// The step runs at most once, inside a grouped dispatch; an exception
   /// from it poisons the ticket (eviction — the batch's other items still
   /// complete) and rethrows at get().
-  [[nodiscard]] std::future<img::image_u8> submit(std::uint64_t job, int frame,
-                                                  acquire_step acquire);
+  [[nodiscard]] std::future<prefetched> submit(std::uint64_t job, int frame,
+                                               prefetch_step step);
 
   /// Takes back the queued ticket (job, frame): true when no dispatch had
   /// taken it, and its step will never run (the ticket's future is
@@ -107,8 +120,8 @@ class stage_scheduler {
   struct item {
     std::uint64_t job = 0;
     int frame = -1;
-    acquire_step acquire;
-    std::promise<img::image_u8> done;
+    prefetch_step step;
+    std::promise<prefetched> done;
   };
 
   void dispatcher_loop();

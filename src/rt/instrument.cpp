@@ -54,6 +54,12 @@ const char* op_name(op k) noexcept {
   return "?";
 }
 
+void absorb(const tally& t) noexcept {
+  tls.c += t.c;
+  tls.steps += t.steps;
+  tls.stage_steps += t.stage_steps;
+}
+
 namespace detail {
 
 void raise_hang() {

@@ -121,7 +121,26 @@ struct counters {
     return hooks_by_fn[static_cast<int>(f)][static_cast<int>(cls)];
   }
 
+  counters& operator+=(const counters& o) noexcept {
+    for (int f = 0; f < fn_count; ++f) {
+      for (int k = 0; k < op_count; ++k) by_fn[f][k] += o.by_fn[f][k];
+      for (int r = 0; r < 2; ++r) hooks_by_fn[f][r] += o.hooks_by_fn[f][r];
+      unstruck_by_fn[f] += o.unstruck_by_fn[f];
+    }
+    return *this;
+  }
+
   bool operator==(const counters&) const = default;
+};
+
+/// What a session has executed so far: its counters and its two step
+/// meters.  A counting session's prefetch (pipeline/executor.h) takes one
+/// on the pool thread that did a frame's work, and the consumer absorb()s
+/// it where the inline run would have counted that work.
+struct tally {
+  counters c;
+  std::uint64_t steps = 0;
+  std::uint64_t stage_steps = 0;
 };
 
 /// One planned injection: flip `bit` of the value flowing through the
@@ -213,6 +232,18 @@ extern thread_local constinit state tls VS_RT_TLS_MODEL;
 /// is active, hooks are live).  The two-lane kernel dispatch and the
 /// pipeline's frame scheduler key off this one predicate.
 [[nodiscard]] inline bool instrumented() noexcept { return tls.enabled; }
+
+/// Whether this thread runs a counting session: instrumented, with no plan
+/// armed or fired and no step budget.  Its counts are all such a session
+/// produces, so work may run on another thread in a session of its own and
+/// be absorb()ed here: no fault plan addresses its op order, and no
+/// watchdog can trip in between.
+[[nodiscard]] inline bool counting() noexcept {
+  return tls.enabled && !tls.armed && !tls.fired && tls.step_budget == ~0ULL;
+}
+
+/// Adds `t` to this thread's session, as if its work had run here.
+void absorb(const tally& t) noexcept;
 
 namespace detail {
 [[noreturn]] void raise_hang();
@@ -470,6 +501,10 @@ class session {
 
   /// Counters accumulated so far in this session.
   [[nodiscard]] const counters& stats() const noexcept { return tls.c; }
+  /// Counters and step meters accumulated so far in this session.
+  [[nodiscard]] tally executed() const noexcept {
+    return {tls.c, tls.steps, tls.stage_steps};
+  }
   /// Whether the armed injection was actually applied.
   [[nodiscard]] bool fired() const noexcept { return tls.fired; }
 

@@ -5,12 +5,14 @@
 // carries no checkpoints.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <mutex>
 #include <thread>
 
 #include "app/pipeline.h"
 #include "app/wp.h"
+#include "core/thread_pool.h"
 #include "fault/campaign.h"
 #include "gate/gate.h"
 #include "rt/frame_log.h"
@@ -329,6 +331,104 @@ TEST(CampaignResume, MiniPanoramaCallbackRunsEveryFrame) {
     }
   }
   expect_equivalent(work, config, campaign);
+}
+
+// --- the golden run's prefetch ------------------------------------------
+// A golden run is a counting session: it prefetches each frame's
+// acquisition (and, ungated, extraction) on a pool as wide as the campaign
+// and absorbs that work's counts where the inline run counts it
+// (pipeline/executor.h).  Everything a campaign derives from it must be
+// the inline run's.
+
+/// The counts a golden run leaves: its counters and every boundary's.
+struct golden_counts {
+  rt::counters total;
+  std::vector<rt::boundary> boundaries;
+};
+
+golden_counts record_golden(const video::video_source& source,
+                            const app::pipeline_config& config,
+                            unsigned width) {
+  core::thread_pool pool(width);
+  const core::pool_scope scope(pool);
+  rt::frame_log log;
+  rt::session session(&log);
+  (void)app::summarize(source, config);
+  return {session.stats(), std::move(log.boundaries)};
+}
+
+void expect_same_counts(const golden_counts& got, const golden_counts& want) {
+  EXPECT_TRUE(got.total == want.total);
+  ASSERT_EQ(got.boundaries.size(), want.boundaries.size());
+  for (std::size_t b = 0; b < want.boundaries.size(); ++b) {
+    EXPECT_TRUE(got.boundaries[b].c == want.boundaries[b].c)
+        << "boundary " << b;
+    EXPECT_EQ(got.boundaries[b].steps, want.boundaries[b].steps)
+        << "boundary " << b;
+    EXPECT_EQ(got.boundaries[b].stage_steps, want.boundaries[b].stage_steps)
+        << "boundary " << b;
+  }
+}
+
+TEST(Campaign, PrefetchedGoldenIsTheInlineGolden) {
+  constexpr int kClipFrames = 6;
+  const std::array<std::shared_ptr<const video::synthetic_video>, 3> clips = {
+      video::make_input(video::input_id::input1, kClipFrames),
+      video::make_input(video::input_id::input2, kClipFrames),
+      video::make_input(video::input_id::input3, kClipFrames)};
+  bool dropped = false;
+  for (std::size_t input = 0; input < clips.size(); ++input) {
+    for (const auto alg : {app::algorithm::vs, app::algorithm::vs_rfd,
+                           app::algorithm::vs_kds, app::algorithm::vs_sm}) {
+      for (const auto level : {gate::level::off, gate::level::all}) {
+        SCOPED_TRACE(std::string("input") + std::to_string(input + 1) + " " +
+                     app::algorithm_name(alg) + " gate " +
+                     gate::level_name(level));
+        const auto& source = *clips[input];
+        app::pipeline_config config = variant(alg);
+        config.gate.request = static_cast<int>(level);
+        app::pipeline_config inline_config = config;
+        inline_config.frames_in_flight = 0;
+        dropped = dropped ||
+                  app::summarize(source, config).stats.frames_dropped_rfd > 0;
+        const auto work = [&source](const app::pipeline_config& c) {
+          return fault::workload(
+              [&source, c] { return app::summarize(source, c).panorama; });
+        };
+
+        fault::campaign_config campaign;
+        campaign.injections = 4;
+        campaign.threads = 1;
+        const auto want_setup =
+            fault::measure_golden(work(inline_config), campaign);
+        const auto want_run =
+            fault::run_campaign(work(inline_config), campaign);
+        const auto want_counts = record_golden(source, inline_config, 1);
+        for (const unsigned threads : {1u, 2u, 4u}) {
+          SCOPED_TRACE("threads " + std::to_string(threads));
+          campaign.threads = static_cast<int>(threads);
+          const auto setup = fault::measure_golden(work(config), campaign);
+          EXPECT_EQ(setup.golden, want_setup.golden);
+          EXPECT_TRUE(setup.golden_counters == want_setup.golden_counters);
+          EXPECT_EQ(setup.total_ops, want_setup.total_ops);
+          EXPECT_EQ(setup.step_budget, want_setup.step_budget);
+
+          const auto run = fault::run_campaign(work(config), campaign);
+          EXPECT_EQ(run.golden, want_run.golden);
+          EXPECT_TRUE(run.golden_counters == want_run.golden_counters);
+          ASSERT_EQ(run.records.size(), want_run.records.size());
+          for (std::size_t i = 0; i < run.records.size(); ++i) {
+            expect_same_record(run.records[i], want_run.records[i], i);
+          }
+
+          expect_same_counts(record_golden(source, config, threads),
+                             want_counts);
+        }
+      }
+    }
+  }
+  // A prefetched frame that VS_RFD then drops takes its counts with it.
+  EXPECT_TRUE(dropped) << "no clip drops a frame: the test proves less";
 }
 
 }  // namespace

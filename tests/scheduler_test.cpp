@@ -19,6 +19,7 @@
 namespace vs {
 namespace {
 
+using pipeline::prefetched;
 using pipeline::stage_scheduler;
 
 // ---------------------------------------------------------------------------
@@ -54,8 +55,10 @@ TEST(RunTasks, EmptyGroupIsANoop) {
 // stage_scheduler behaviour.
 // ---------------------------------------------------------------------------
 
-img::image_u8 stamped_frame(int index) {
-  return img::image_u8(4, 1, 1, static_cast<std::uint8_t>(index));
+prefetched stamped_frame(int index) {
+  prefetched out;
+  out.frame = img::image_u8(4, 1, 1, static_cast<std::uint8_t>(index));
+  return out;
 }
 
 /// Holds the dispatcher inside one acquisition until released, so the
@@ -64,7 +67,7 @@ struct dispatch_hold {
   std::latch entered{1};
   std::latch release{1};
 
-  [[nodiscard]] stage_scheduler::acquire_step step() {
+  [[nodiscard]] stage_scheduler::prefetch_step step() {
     return [this] {
       entered.count_down();
       release.wait();
@@ -80,12 +83,12 @@ TEST(StageScheduler, TicketsResolveWithTheirOwnFramesWork) {
   EXPECT_EQ(scheduler.batch_limit(), 2);  // the pool width
 
   constexpr int kFrames = 9;
-  std::vector<std::future<img::image_u8>> tickets;
+  std::vector<std::future<prefetched>> tickets;
   for (int i = 0; i < kFrames; ++i) {
     tickets.push_back(scheduler.submit(job, i, [i] { return stamped_frame(i); }));
   }
   for (int i = 0; i < kFrames; ++i) {
-    EXPECT_EQ(tickets[static_cast<std::size_t>(i)].get().at(0, 0),
+    EXPECT_EQ(tickets[static_cast<std::size_t>(i)].get().frame.at(0, 0),
               static_cast<std::uint8_t>(i));
   }
 
@@ -109,7 +112,7 @@ TEST(StageScheduler, EvictionPoisonsOnlyTheThrowingFrame) {
 
   constexpr int kFrames = 8;
   constexpr int kFaulty = 3;
-  std::vector<std::future<img::image_u8>> tickets;
+  std::vector<std::future<prefetched>> tickets;
   for (int i = 0; i < kFrames; ++i) {
     tickets.push_back(scheduler.submit(job, i, [i] {
       if (i == kFaulty) {
@@ -123,7 +126,7 @@ TEST(StageScheduler, EvictionPoisonsOnlyTheThrowingFrame) {
     if (i == kFaulty) {
       EXPECT_THROW((void)ticket.get(), crash_error) << "frame " << i;
     } else {
-      EXPECT_EQ(ticket.get().at(0, 0), static_cast<std::uint8_t>(i))
+      EXPECT_EQ(ticket.get().frame.at(0, 0), static_cast<std::uint8_t>(i))
           << "frame " << i;
     }
   }
@@ -142,17 +145,17 @@ TEST(StageScheduler, SharedAcrossJobsKeepsTicketsSeparate) {
   const std::uint64_t job_b = scheduler.attach();
   EXPECT_NE(job_a, job_b);
 
-  std::vector<std::future<img::image_u8>> a;
-  std::vector<std::future<img::image_u8>> b;
+  std::vector<std::future<prefetched>> a;
+  std::vector<std::future<prefetched>> b;
   for (int i = 0; i < 6; ++i) {
     a.push_back(scheduler.submit(job_a, i, [i] { return stamped_frame(i); }));
     b.push_back(
         scheduler.submit(job_b, i, [i] { return stamped_frame(100 + i); }));
   }
   for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(a[static_cast<std::size_t>(i)].get().at(0, 0),
+    EXPECT_EQ(a[static_cast<std::size_t>(i)].get().frame.at(0, 0),
               static_cast<std::uint8_t>(i));
-    EXPECT_EQ(b[static_cast<std::size_t>(i)].get().at(0, 0),
+    EXPECT_EQ(b[static_cast<std::size_t>(i)].get().frame.at(0, 0),
               static_cast<std::uint8_t>(100 + i));
   }
   const auto stats = scheduler.stats();
@@ -166,7 +169,7 @@ TEST(StageScheduler, DestructorDrainsUnconsumedTickets) {
   // promise destroyed unfulfilled would turn future::get into
   // broken_promise at some later consumer.
   core::thread_pool pool(1);
-  std::future<img::image_u8> abandoned;
+  std::future<prefetched> abandoned;
   {
     stage_scheduler scheduler(pool);
     const std::uint64_t job = scheduler.attach();
@@ -174,7 +177,7 @@ TEST(StageScheduler, DestructorDrainsUnconsumedTickets) {
     abandoned = scheduler.submit(job, 0, [] { return stamped_frame(7); });
     // Scheduler destroyed here with the ticket possibly still queued.
   }
-  EXPECT_EQ(abandoned.get().at(0, 0), 7);
+  EXPECT_EQ(abandoned.get().frame.at(0, 0), 7);
 }
 
 TEST(StageScheduler, WithdrawTakesBackOnlyAQueuedTicket) {
@@ -202,8 +205,8 @@ TEST(StageScheduler, WithdrawTakesBackOnlyAQueuedTicket) {
   EXPECT_FALSE(scheduler.withdraw(job + 1, 2));  // another job's key
   hold.release.count_down();
 
-  EXPECT_EQ(running.get().at(0, 0), 0xff);
-  EXPECT_EQ(kept.get().at(0, 0), 2);
+  EXPECT_EQ(running.get().frame.at(0, 0), 0xff);
+  EXPECT_EQ(kept.get().frame.at(0, 0), 2);
   EXPECT_FALSE(scheduler.withdraw(job, 2));  // done
   // The withdrawn ticket's step never ran and its future is abandoned.
   EXPECT_THROW((void)queued.get(), std::future_error);
@@ -222,7 +225,7 @@ TEST(StageScheduler, DestructorDrainsCleanlyWithWithdrawnTickets) {
   core::thread_pool pool(1);
   dispatch_hold hold;
   std::array<std::atomic<int>, 5> acquired{};
-  std::vector<std::future<img::image_u8>> tickets;
+  std::vector<std::future<prefetched>> tickets;
   {
     stage_scheduler scheduler(pool);
     const std::uint64_t job = scheduler.attach();
@@ -239,9 +242,9 @@ TEST(StageScheduler, DestructorDrainsCleanlyWithWithdrawnTickets) {
     hold.release.count_down();
     // Scheduler destroyed here with frames 1 and 3 possibly still queued.
   }
-  EXPECT_EQ(tickets[0].get().at(0, 0), 0xff);
+  EXPECT_EQ(tickets[0].get().frame.at(0, 0), 0xff);
   for (const int i : {1, 3}) {
-    EXPECT_EQ(tickets[static_cast<std::size_t>(i)].get().at(0, 0), i);
+    EXPECT_EQ(tickets[static_cast<std::size_t>(i)].get().frame.at(0, 0), i);
     EXPECT_EQ(acquired[static_cast<std::size_t>(i)].load(), 1) << i;
   }
   for (const int i : {2, 4}) {

@@ -10,7 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <latch>
 #include <limits>
 #include <string>
@@ -370,8 +372,8 @@ TEST(StageGraphRecovery, RetryRecomputesAnEvictedBatchedFrameInline) {
 }
 
 TEST(StageGraphRecovery, InstrumentedLaneContainsTheSameTransientFault) {
-  // The instrumented lane never prefetches; the same transient fault is
-  // contained on its inline path with an identical summary.
+  // A hardened instrumented run never prefetches; the same transient fault
+  // is contained on its inline path with an identical summary.
   const auto& pristine = clip(video::input_id::input1);
   const auto config = hardened_config(pristine, app::algorithm::vs);
   std::uint64_t expected = 0;
@@ -391,13 +393,154 @@ TEST(StageGraphRecovery, InstrumentedLaneContainsTheSameTransientFault) {
 // Executor unit behaviour.
 // ---------------------------------------------------------------------------
 
-TEST(FrameExecutor, InstrumentedLaneNeverOverlaps) {
-  rt::session session;
-  resil::hardening_config hardening;
+std::size_t live_threads() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator{}));
+}
+
+/// A stand-in acquisition with fault sites: where it ran, and the hooks
+/// it executed, must be exactly what an inline acquisition would give.
+img::image_u8 hooked_frame(int index) {
+  const rt::scope decode(rt::fn::video_decode);
+  img::image_u8 frame(4, 1, 1);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame[rt::idx(static_cast<std::int64_t>(i), frame.size())] =
+        static_cast<std::uint8_t>(rt::g32(index));
+  }
+  return frame;
+}
+
+feat::frame_features hooked_features(const img::image_u8& frame) {
+  const rt::scope detect(rt::fn::fast_detect);
+  feat::frame_features out;
+  out.keypoints.push_back(
+      {static_cast<float>(rt::f64(frame.at(0, 0))), 0.0f, 0.0f, 0.0f});
+  out.descriptors.emplace_back();
+  return out;
+}
+
+/// What probe_lane saw.
+struct lane_probe {
+  bool overlapping = false;
+  int acquired_elsewhere = 0;
+  int extracted_ahead = 0;
+  bool started_a_thread = false;
+};
+
+/// Runs an executor over `frames` frames at depth 4 and reports whether it
+/// overlapped, how many acquisitions left the calling thread, how many
+/// frames came with their features, and whether a thread was started
+/// while it ran.
+lane_probe probe_lane(const resil::hardening_config& hardening,
+                      int frames = 8) {
+  (void)core::thread_pool::global();  // its workers predate the baseline
+  const std::size_t before = live_threads();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  lane_probe out;
   pipeline::frame_executor exec(
-      hardening, 8, 4, [](int) { return img::image_u8(2, 2, 1); },
-      [](const img::image_u8&) { return feat::frame_features{}; });
-  EXPECT_FALSE(exec.overlapping());
+      hardening, frames, 4,
+      [&](int index) {
+        if (std::this_thread::get_id() != caller) ++elsewhere;
+        return hooked_frame(index);
+      },
+      hooked_features);
+  out.overlapping = exec.overlapping();
+  for (int index = 0; index < frames; ++index) {
+    pipeline::frame_work work = exec.obtain(index);
+    if (work.extracted) ++out.extracted_ahead;
+    exec.extract(work, hooked_features);
+    // A stitch thread that takes a while, so a dispatched ticket is not
+    // always withdrawn before the dispatcher gets to it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  out.started_a_thread = live_threads() != before;
+  out.acquired_elsewhere = elsewhere.load();
+  return out;
+}
+
+void expect_inline(const lane_probe& p) {
+  EXPECT_FALSE(p.overlapping);
+  EXPECT_EQ(p.acquired_elsewhere, 0);
+  EXPECT_EQ(p.extracted_ahead, 0);
+  EXPECT_FALSE(p.started_a_thread);
+}
+
+TEST(FrameExecutor, ArmedSessionsNeverPrefetch) {
+  // Only a counting session (no plan armed or fired, no step budget, an
+  // unhardened run) may prefetch on the instrumented lane, and only on a
+  // pool at least two wide.  Everything else acquires inline on the
+  // calling thread and starts no thread: a fault plan addresses its hooks
+  // by their position in the op stream.
+  const pool_width_guard guard;
+  core::thread_pool::set_global_threads(4);
+  const resil::hardening_config unhardened;
+  rt::fault_plan never;  // a target no run reaches
+  never.target = ~0ULL;
+  {
+    SCOPED_TRACE("armed plan");
+    const rt::session session(never);
+    expect_inline(probe_lane(unhardened));
+  }
+  {
+    SCOPED_TRACE("fired plan");
+    rt::fault_plan first = never;
+    first.target = 0;
+    const rt::session session(first);
+    (void)rt::g64(0);
+    ASSERT_TRUE(session.fired());
+    expect_inline(probe_lane(unhardened));
+  }
+  {
+    SCOPED_TRACE("step budget");
+    const rt::session session;
+    rt::tls.step_budget = std::uint64_t{1} << 40;
+    expect_inline(probe_lane(unhardened));
+  }
+  {
+    SCOPED_TRACE("hardened");
+    resil::hardening_config hardened;
+    hardened.level = resil::hardening_level::detectors;
+    const rt::session session;
+    expect_inline(probe_lane(hardened));
+  }
+  {
+    SCOPED_TRACE("pool width 1");
+    core::thread_pool narrow(1);
+    const core::pool_scope scope(narrow);
+    const rt::session session;
+    expect_inline(probe_lane(unhardened));
+  }
+
+  // A counting session on a wider pool prefetches — acquisition and
+  // extraction off the calling thread — and its counts are the inline
+  // run's.
+  rt::counters inline_counts;
+  {
+    core::thread_pool narrow(1);
+    const core::pool_scope scope(narrow);
+    const rt::session session;
+    (void)probe_lane(unhardened);
+    inline_counts = session.stats();
+  }
+  for (const unsigned width : {2u, 4u}) {
+    SCOPED_TRACE("counting session, width " + std::to_string(width));
+    core::thread_pool wide(width);
+    const core::pool_scope scope(wide);
+    const rt::session session;
+    const lane_probe p = probe_lane(unhardened, 16);
+    EXPECT_TRUE(p.overlapping);
+    EXPECT_GT(p.acquired_elsewhere, 0);
+    EXPECT_EQ(p.extracted_ahead, p.acquired_elsewhere);
+  }
+  {
+    core::thread_pool wide(4);
+    const core::pool_scope scope(wide);
+    const rt::session session;
+    (void)probe_lane(unhardened);
+    EXPECT_TRUE(session.stats() == inline_counts);
+  }
 }
 
 TEST(FrameExecutor, CleanLaneOverlapsOnlyWithDepthAndFrames) {
@@ -429,7 +572,7 @@ TEST(FrameExecutor, LookaheadIsClampedToTheClip) {
       [](const img::image_u8&) { return feat::frame_features{}; });
   EXPECT_EQ(exec.frames_in_flight(), 5);
   for (int index = 0; index < 5; ++index) {
-    EXPECT_EQ(exec.obtain(index).at(0, 0), static_cast<std::uint8_t>(index));
+    EXPECT_EQ(exec.obtain(index).frame.at(0, 0), static_cast<std::uint8_t>(index));
   }
   EXPECT_EQ(calls.load(), 5);
 
@@ -461,7 +604,7 @@ TEST(FrameExecutor, ObtainDrainsSkippedFramesAndConsumesInOrder) {
         },
         no_features);
     for (const int index : {0, 1, 4, 5, 9}) {
-      EXPECT_EQ(exec.obtain(index).at(0, 0), static_cast<std::uint8_t>(index))
+      EXPECT_EQ(exec.obtain(index).frame.at(0, 0), static_cast<std::uint8_t>(index))
           << "frame " << index;
     }
   }
@@ -487,7 +630,9 @@ class dispatch_hold {
       : ticket_(scheduler.submit(scheduler.attach(), 0, [this] {
           entered_.count_down();
           release_.wait();
-          return stamped_frame(0xff);
+          pipeline::prefetched out;
+          out.frame = stamped_frame(0xff);
+          return out;
         })) {
     entered_.wait();
   }
@@ -508,7 +653,7 @@ class dispatch_hold {
   std::latch entered_{1};
   std::latch release_{1};
   bool released_ = false;
-  std::future<img::image_u8> ticket_;
+  std::future<pipeline::prefetched> ticket_;
 };
 
 TEST(FrameExecutor, SkippedQueuedFramesAreNeverAcquired) {
@@ -536,7 +681,7 @@ TEST(FrameExecutor, SkippedQueuedFramesAreNeverAcquired) {
   ASSERT_TRUE(exec.overlapping());
   dispatch_hold hold(scheduler);
 
-  EXPECT_EQ(exec.obtain(0).at(0, 0), 0);  // cold start: inline
+  EXPECT_EQ(exec.obtain(0).frame.at(0, 0), 0);  // cold start: inline
   // obtain(3) runs on a helper thread so that waiting behind the held
   // dispatch fails the test instead of hanging it.
   std::thread::id consumer;
@@ -551,10 +696,10 @@ TEST(FrameExecutor, SkippedQueuedFramesAreNeverAcquired) {
     EXPECT_EQ(scheduler.stats().withdrawn, 3u);  // frames 1, 2 and 3
   }
   hold.release();
-  EXPECT_EQ(skipped.get().at(0, 0), 3);
+  EXPECT_EQ(skipped.get().frame.at(0, 0), 3);
   EXPECT_EQ(acquired_on[3], consumer);
   for (const int index : {4, 5, 6, 8}) {
-    EXPECT_EQ(exec.obtain(index).at(0, 0), static_cast<std::uint8_t>(index))
+    EXPECT_EQ(exec.obtain(index).frame.at(0, 0), static_cast<std::uint8_t>(index))
         << "frame " << index;
   }
   EXPECT_EQ(acquired[1].load(), 0);
@@ -591,7 +736,7 @@ TEST(FrameExecutor, ExtractionRunsOnTheObtainingThread) {
                                   detect);
     ASSERT_TRUE(exec.overlapping());
     for (int index = 0; index < kFrames; ++index) {
-      pipeline::frame_work work{exec.obtain(index), {}};
+      pipeline::frame_work work = exec.obtain(index);
       exec.extract(work, detect);
     }
     EXPECT_EQ(calls.load(), 2 * kFrames) << "width " << width;
@@ -610,7 +755,7 @@ TEST(FrameExecutor, ExtractionFaultsFailInlineAtTheStitchPoint) {
   pipeline::frame_executor exec(hardening, 4, 2, stamped_frame, no_features,
                                 {}, &scheduler);
   (void)exec.obtain(0);
-  pipeline::frame_work work{exec.obtain(1), {}};
+  pipeline::frame_work work = exec.obtain(1);
   EXPECT_EQ(work.frame.at(0, 0), 1);
   EXPECT_THROW(exec.extract(work,
                             [](const img::image_u8&) -> feat::frame_features {
@@ -619,7 +764,7 @@ TEST(FrameExecutor, ExtractionFaultsFailInlineAtTheStitchPoint) {
                                   "extraction fault (test)");
                             }),
                detected_error);
-  EXPECT_EQ(exec.obtain(2).at(0, 0), 2);
+  EXPECT_EQ(exec.obtain(2).frame.at(0, 0), 2);
   EXPECT_EQ(scheduler.stats().evicted, 0u);
 }
 
@@ -693,7 +838,7 @@ void expect_prefetched_replica_divergence_detected(int depth) {
       });
   ASSERT_TRUE(exec.overlapping());
   const auto obtain_and_extract = [&exec](int index) {
-    pipeline::frame_work work{exec.obtain(index), {}};
+    pipeline::frame_work work = exec.obtain(index);
     exec.extract(work, no_features);
   };
   obtain_and_extract(0);  // inline cold start: check runs and passes
