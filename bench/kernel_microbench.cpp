@@ -294,6 +294,20 @@ void bm_blend_feather_simd(benchmark::State& state) {
 }
 BENCHMARK(bm_blend_feather_simd);
 
+void bm_blend_feather_seq(benchmark::State& state) {
+  const auto patch = full_frame_patch();
+  const geo::rect rect{0, 0, patch.pixels.width(), patch.pixels.height()};
+  rt::session session;
+  for (auto _ : state) {
+    stitch::compositor comp;
+    comp.ensure(rect);
+    comp.blend(patch);
+    comp.feather_seams();
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_blend_feather_seq);
+
 void bm_ssim(benchmark::State& state) {
   const auto& frame = test_frame();
   const auto blurred = img::box_blur3(frame);

@@ -14,10 +14,13 @@
 // silently clamps to what the host can run, so VS_SIMD=avx2 on an SSE-only
 // box degrades instead of faulting.
 //
-// The instrumented lane never consults this layer: fault campaigns replay a
-// fixed scalar dynamic-op stream, and vectorizing it would re-index every
-// fault plan.  NEON is a recognized name but currently maps to scalar twins
-// (stub tier for non-x86 hosts).
+// No hooked code consults this layer: fault campaigns replay a fixed scalar
+// dynamic-op stream, and vectorizing it would re-index every fault plan.
+// Each kernel's clean-lane driver selects its row kernel outside the body
+// it shares with the instrumented lane (core/dispatch.h); only the
+// hook-free box blur runs its row kernel on both lanes.  NEON is a
+// recognized name but currently maps to scalar twins (stub tier for
+// non-x86 hosts).
 #pragma once
 
 #include <optional>

@@ -41,12 +41,53 @@ bool has_contiguous_arc(const int (&cls)[16], int sign) {
   return false;
 }
 
-// Clean lane: band-parallel detection without fault-site hooks.  The
-// arithmetic mirrors the instrumented lane below exactly (the hooks are
-// value-preserving when disabled), the fixed row tiling makes the result
+// The tail both lanes share.  Non-max suppression over rows [y0, y1) of a
+// frozen score map appends the surviving corners in raster order; of a tie
+// between neighbours only the earliest in raster order survives.
+void collect_maxima(const img::basic_image<float>& scores, int border,
+                    int y0, int y1, std::vector<keypoint>& out) {
+  const int w = scores.width();
+  for (int y = y0; y < y1; ++y) {
+    for (int x = border; x < w - border; ++x) {
+      const float s = scores.at(x, y);
+      if (s <= 0.0f) continue;
+      bool is_max = true;
+      for (int dy = -1; dy <= 1 && is_max; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          if (dx == 0 && dy == 0) continue;
+          const float neighbour = scores.at(x + dx, y + dy);
+          // Strict on earlier raster positions keeps exactly one of a tie.
+          if (neighbour > s ||
+              (neighbour == s && (dy < 0 || (dy == 0 && dx < 0)))) {
+            is_max = false;
+            break;
+          }
+        }
+      }
+      if (!is_max) continue;
+      out.push_back(keypoint{static_cast<float>(x), static_cast<float>(y), s,
+                             0.0f});
+    }
+  }
+}
+
+// Strongest first, ties in raster order, capped at max_keypoints.  The cap
+// is an allocation size, so it passes rt::alloc_size's check in both lanes.
+void keep_strongest(std::vector<keypoint>& found, int max_keypoints) {
+  std::stable_sort(found.begin(), found.end(),
+                   [](const keypoint& a, const keypoint& b) {
+                     return a.score > b.score;
+                   });
+  const auto cap = rt::alloc_size(max_keypoints, 1 << 20);
+  if (found.size() > cap) found.resize(cap);
+}
+
+// Clean lane: band-parallel detection without fault-site hooks.  Every
+// pixel is scored by the active SIMD tier's row kernel (exact integer
+// fast_score, no compass early exit), the fixed row tiling makes the result
 // independent of the worker count, and the per-band keypoint vectors are
-// concatenated in band order so the final list matches the sequential
-// raster order byte for byte.
+// concatenated in band order so the final list matches the instrumented
+// lane's raster order byte for byte.
 constexpr std::int64_t row_band = 16;
 
 std::vector<keypoint> fast_detect_clean(const img::image_u8& gray,
@@ -87,28 +128,8 @@ std::vector<keypoint> fast_detect_clean(const img::image_u8& gray,
   pool.parallel_for(
       border, h - border, row_band,
       [&](std::int64_t y0, std::int64_t y1, std::size_t band) {
-        auto& out = band_found[band];
-        for (int y = static_cast<int>(y0); y < y1; ++y) {
-          for (int x = border; x < w - border; ++x) {
-            const float s = scores.at(x, y);
-            if (s <= 0.0f) continue;
-            bool is_max = true;
-            for (int dy = -1; dy <= 1 && is_max; ++dy) {
-              for (int dx = -1; dx <= 1; ++dx) {
-                if (dx == 0 && dy == 0) continue;
-                const float neighbour = scores.at(x + dx, y + dy);
-                if (neighbour > s ||
-                    (neighbour == s && (dy < 0 || (dy == 0 && dx < 0)))) {
-                  is_max = false;
-                  break;
-                }
-              }
-            }
-            if (!is_max) continue;
-            out.push_back(keypoint{static_cast<float>(x),
-                                   static_cast<float>(y), s, 0.0f});
-          }
-        }
+        collect_maxima(scores, border, static_cast<int>(y0),
+                       static_cast<int>(y1), band_found[band]);
       });
 
   std::vector<keypoint> found;
@@ -118,13 +139,7 @@ std::vector<keypoint> fast_detect_clean(const img::image_u8& gray,
   for (const auto& band : band_found) {
     found.insert(found.end(), band.begin(), band.end());
   }
-
-  std::stable_sort(found.begin(), found.end(),
-                   [](const keypoint& a, const keypoint& b) {
-                     return a.score > b.score;
-                   });
-  const auto cap = rt::alloc_size(params.max_keypoints, 1 << 20);
-  if (found.size() > cap) found.resize(cap);
+  keep_strongest(found, params.max_keypoints);
   return found;
 }
 
@@ -205,36 +220,9 @@ std::vector<keypoint> fast_detect_instrumented(const img::image_u8& gray,
   }
 
   std::vector<keypoint> found;
-  for (int y = border; y < h - border; ++y) {
-    for (int x = border; x < w - border; ++x) {
-      const float s = scores.at(x, y);
-      if (s <= 0.0f) continue;
-      bool is_max = true;
-      for (int dy = -1; dy <= 1 && is_max; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          if (dx == 0 && dy == 0) continue;
-          const float neighbour = scores.at(x + dx, y + dy);
-          // Strict on earlier raster positions keeps exactly one of a tie.
-          if (neighbour > s ||
-              (neighbour == s && (dy < 0 || (dy == 0 && dx < 0)))) {
-            is_max = false;
-            break;
-          }
-        }
-      }
-      if (!is_max) continue;
-      found.push_back(keypoint{static_cast<float>(x), static_cast<float>(y),
-                               s, 0.0f});
-    }
-  }
+  collect_maxima(scores, border, border, h - border, found);
   rt::account(rt::op::branch, found.size() * 9);
-
-  std::stable_sort(found.begin(), found.end(),
-                   [](const keypoint& a, const keypoint& b) {
-                     return a.score > b.score;
-                   });
-  const auto cap = rt::alloc_size(params.max_keypoints, 1 << 20);
-  if (found.size() > cap) found.resize(cap);
+  keep_strongest(found, params.max_keypoints);
   return found;
 }
 

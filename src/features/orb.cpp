@@ -52,39 +52,6 @@ const brief_pattern& pattern_for_radius(int radius) {
   return pattern;
 }
 
-}  // namespace
-
-float intensity_centroid_angle(const img::image_u8& gray, int x, int y,
-                               int radius) {
-  rt::scope attributed(rt::fn::orb_describe);
-  const std::uint8_t* data = gray.data();
-  const std::size_t n = gray.size();
-  const int w = gray.width();
-  std::int64_t m01 = 0;
-  std::int64_t m10 = 0;
-  for (int dy = -radius; dy <= radius; ++dy) {
-    for (int dx = -radius; dx <= radius; ++dx) {
-      if (dx * dx + dy * dy > radius * radius) continue;
-      const std::int64_t off =
-          static_cast<std::int64_t>(y + dy) * w + (x + dx);
-      const int v = data[rt::idx(off, n)];
-      m10 += static_cast<std::int64_t>(dx) * v;
-      m01 += static_cast<std::int64_t>(dy) * v;
-    }
-  }
-  rt::account(rt::op::int_alu,
-              static_cast<std::uint64_t>((2 * radius + 1) * (2 * radius + 1)) *
-                  4);
-  // The moments feed an FPR op (atan2): one representative FP fault site.
-  const double angle =
-      std::atan2(rt::f64(static_cast<double>(m01)),
-                 static_cast<double>(rt::g64(m10)));
-  rt::account(rt::op::fp_alu, 6);
-  return static_cast<float>(angle);
-}
-
-namespace {
-
 // Pre-rotated integer sampling offsets for every orientation bin, as OpenCV
 // does with its precomputed pattern tables: the per-keypoint cost is then
 // two guarded loads and a compare per pair, with no per-pair trigonometry.
@@ -123,19 +90,13 @@ std::unique_ptr<const rotated_bins> build_rotated(int patch_radius) {
 
 // The rotated pattern scaled to `patch_radius`.  Each radius is built once,
 // on first use, and kept for the life of the process (a run uses one or
-// two radii).  The instrumented lane asks once per keypoint, so each
-// thread remembers its last answer and skips the shared lock.
+// two radii).
 const rotated_bins& rotated_for_radius(int patch_radius) {
-  thread_local int last_radius = 0;
-  thread_local const rotated_bins* last = nullptr;
-  if (last != nullptr && last_radius == patch_radius) return *last;
   static std::mutex mutex;
   static std::map<int, std::unique_ptr<const rotated_bins>> built;
   const std::lock_guard lock(mutex);
   auto& slot = built[patch_radius];
   if (!slot) slot = build_rotated(patch_radius);
-  last_radius = patch_radius;
-  last = slot.get();
   return *slot;
 }
 
@@ -146,9 +107,7 @@ int orientation_bin(double angle) {
          orientation_bins;
 }
 
-// Clean lane: hook-free twins of the per-keypoint kernels, computing the
-// same integers as the instrumented versions (whose hooks are
-// value-preserving when disabled) from tables built once per extraction:
+// Tables built once per extraction, in both lanes:
 //
 //   * the rotated pairs flattened to row-major offsets from the keypoint
 //     for one image width, so a pair costs two loads and a compare;
@@ -183,38 +142,58 @@ struct describe_tables {
   }
 };
 
-float intensity_centroid_angle_clean(const img::image_u8& gray, int x, int y,
-                                     const describe_tables& tables) {
+// The per-keypoint bodies both lanes run (rt::live on the instrumented
+// lane, rt::inert on the clean lane and in orb_verify_features).  Every
+// pixel load is guarded address arithmetic on the instrumented lane, so an
+// injected offset becomes a wild (wrapped or faulting) read.
+
+// Intensity-centroid orientation of the disc of tables.radius around
+// (x, y), walked row by row in raster order.
+template <class H>
+float centroid_angle(const img::image_u8& gray, int x, int y,
+                     const describe_tables& tables) {
+  typename H::scope attributed(rt::fn::orb_describe);
+  const std::uint8_t* data = gray.data();
+  const std::size_t n = gray.size();
   const int w = gray.width();
   const int r = tables.radius;
-  const std::uint8_t* center =
-      gray.data() + static_cast<std::ptrdiff_t>(y) * w + x;
+  const std::int64_t center = static_cast<std::int64_t>(y) * w + x;
   std::int64_t m01 = 0;
   std::int64_t m10 = 0;
   for (int dy = -r; dy <= r; ++dy) {
     const int half = tables.disc_half[static_cast<std::size_t>(dy + r)];
-    const std::uint8_t* row = center + static_cast<std::ptrdiff_t>(dy) * w;
+    const std::int64_t row = center + static_cast<std::int64_t>(dy) * w;
     int row_sum = 0;
     int row_moment = 0;
     for (int dx = -half; dx <= half; ++dx) {
-      row_sum += row[dx];
-      row_moment += dx * row[dx];
+      const int v = data[H::idx(row + dx, n)];
+      row_sum += v;
+      row_moment += dx * v;
     }
     m10 += row_moment;
     m01 += static_cast<std::int64_t>(dy) * row_sum;
   }
-  return static_cast<float>(
-      std::atan2(static_cast<double>(m01), static_cast<double>(m10)));
+  H::account(rt::op::int_alu,
+             static_cast<std::uint64_t>((2 * r + 1) * (2 * r + 1)) * 4);
+  // The moments feed an FPR op (atan2): one representative FP fault site.
+  const double angle =
+      std::atan2(H::f64(static_cast<double>(m01)),
+                 static_cast<double>(H::g64(m10)));
+  H::account(rt::op::fp_alu, 6);
+  return static_cast<float>(angle);
 }
 
-descriptor orb_describe_one_clean(const img::image_u8& gray,
-                                  const keypoint& kp,
-                                  const describe_tables& tables) {
+// Rotated-BRIEF descriptor of one oriented keypoint.
+template <class H>
+descriptor describe(const img::image_u8& gray, const keypoint& kp,
+                    const describe_tables& tables) {
+  typename H::scope attributed(rt::fn::orb_describe);
   const std::int32_t* a = tables.pairs(orientation_bin(kp.angle));
   const std::int32_t* b = a + pattern_size;
-  const std::uint8_t* center =
-      gray.data() + static_cast<std::ptrdiff_t>(static_cast<int>(kp.y)) *
-                        gray.width() +
+  const std::uint8_t* data = gray.data();
+  const std::size_t n = gray.size();
+  const std::int64_t center =
+      static_cast<std::int64_t>(static_cast<int>(kp.y)) * gray.width() +
       static_cast<int>(kp.x);
 
   descriptor d;
@@ -222,132 +201,95 @@ descriptor orb_describe_one_clean(const img::image_u8& gray,
     std::uint64_t bits = 0;
     for (int j = 0; j < 64; ++j) {
       const std::size_t i = word * 64 + static_cast<std::size_t>(j);
-      bits |= static_cast<std::uint64_t>(center[a[i]] < center[b[i]]) << j;
+      // Two statements: the hooks' order is what fault plans address.
+      const std::uint8_t va = data[H::idx(center + a[i], n)];
+      const std::uint8_t vb = data[H::idx(center + b[i], n)];
+      bits |= static_cast<std::uint64_t>(va < vb) << j;
     }
     d.bits[word] = bits;
+  }
+  H::account(rt::op::int_alu, pattern_size * 4);
+  // The packed descriptor words are long-lived register values while the
+  // frame is matched; expose each as a GPR fault site once.
+  for (auto& word : d.bits) {
+    word = static_cast<std::uint64_t>(H::g64(static_cast<std::int64_t>(word)));
   }
   return d;
 }
 
-// Clean lane of the full extraction: detection dispatches to its own clean
-// lane, then orientation + description fan out over keypoint chunks.  Each
-// chunk writes disjoint slots of the pre-sized outputs, so the result is
-// identical to the sequential in-order loop.
-frame_features orb_extract_clean(const img::image_u8& gray,
-                                 const orb_params& params) {
-  fast_params fp = params.fast;
-  fp.border = std::max(fp.border, params.patch_radius * 2 + 2);
-
-  frame_features out;
-  out.keypoints = fast_detect(gray, fp);
-  const img::image_u8 smooth = img::box_blur3(gray);
-  out.descriptors.resize(out.keypoints.size());
-  if (out.keypoints.empty()) return out;
-  const describe_tables tables(params.patch_radius, gray.width());
-
+// Orients keypoint `kp` and describes it into `d`.  ORB quantizes
+// orientation (OpenCV uses ~12 degree steps via its precomputed pattern
+// tables); quantizing here keeps descriptors of the same physical corner
+// bit-identical under small orientation jitter.
+template <class H>
+void orient_and_describe(const img::image_u8& gray, const img::image_u8& smooth,
+                         const describe_tables& tables, keypoint& kp,
+                         descriptor& d) {
   constexpr double two_pi = 2.0 * 3.14159265358979323846;
-  core::thread_pool::current().parallel_for(
-      0, static_cast<std::int64_t>(out.keypoints.size()), 32,
-      [&](std::int64_t i0, std::int64_t i1, std::size_t) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          auto& kp = out.keypoints[static_cast<std::size_t>(i)];
-          const int bin = orientation_bin(intensity_centroid_angle_clean(
-              gray, static_cast<int>(kp.x), static_cast<int>(kp.y), tables));
-          kp.angle = static_cast<float>(bin * two_pi / orientation_bins);
-          out.descriptors[static_cast<std::size_t>(i)] =
-              orb_describe_one_clean(smooth, kp, tables);
-        }
-      });
-  return out;
+  const int bin = orientation_bin(centroid_angle<H>(
+      gray, static_cast<int>(kp.x), static_cast<int>(kp.y), tables));
+  kp.angle = static_cast<float>(bin * two_pi / orientation_bins);
+  d = describe<H>(smooth, kp, tables);
 }
 
 }  // namespace
 
-descriptor orb_describe_one(const img::image_u8& gray, const keypoint& kp,
-                            int patch_radius) {
-  rt::scope attributed(rt::fn::orb_describe);
-  constexpr double two_pi = 2.0 * 3.14159265358979323846;
-  const double positive = kp.angle < 0 ? kp.angle + two_pi : kp.angle;
-  const int bin = static_cast<int>(positive / two_pi * orientation_bins + 0.5) %
-                  orientation_bins;
-  const rotated_pattern& pat =
-      rotated_for_radius(patch_radius)[static_cast<std::size_t>(bin)];
-
-  const std::uint8_t* data = gray.data();
-  const std::size_t n = gray.size();
-  const int w = gray.width();
-  const auto cx = static_cast<int>(kp.x);
-  const auto cy = static_cast<int>(kp.y);
-
-  descriptor d;
-  for (int i = 0; i < pattern_size; ++i) {
-    const std::int64_t off_a =
-        static_cast<std::int64_t>(cy + pat.ay[i]) * w + (cx + pat.ax[i]);
-    const std::int64_t off_b =
-        static_cast<std::int64_t>(cy + pat.by[i]) * w + (cx + pat.bx[i]);
-    const std::uint8_t va = data[rt::idx(off_a, n)];
-    const std::uint8_t vb = data[rt::idx(off_b, n)];
-    if (va < vb) {
-      d.bits[static_cast<std::size_t>(i >> 6)] |= 1ULL << (i & 63);
-    }
-  }
-  rt::account(rt::op::int_alu, pattern_size * 4);
-  // The packed descriptor words are long-lived register values while the
-  // frame is matched; expose each as a GPR fault site once.
-  for (auto& word : d.bits) {
-    word = static_cast<std::uint64_t>(
-        rt::g64(static_cast<std::int64_t>(word)));
-  }
-  return d;
+float intensity_centroid_angle(const img::image_u8& gray, int x, int y,
+                               int radius) {
+  return centroid_angle<rt::live>(gray, x, y,
+                                  describe_tables(radius, gray.width()));
 }
 
-namespace {
+descriptor orb_describe_one(const img::image_u8& gray, const keypoint& kp,
+                            int patch_radius) {
+  return describe<rt::live>(gray, kp,
+                            describe_tables(patch_radius, gray.width()));
+}
 
-frame_features orb_extract_instrumented(const img::image_u8& gray,
-                                        const orb_params& params) {
+frame_features orb_extract(const img::image_u8& gray,
+                           const orb_params& params) {
+  if (gray.channels() != 1) throw invalid_argument("orb_extract: need gray");
   fast_params fp = params.fast;
   fp.border = std::max(fp.border, params.patch_radius * 2 + 2);
 
   frame_features out;
   out.keypoints = fast_detect(gray, fp);
-  out.descriptors.reserve(out.keypoints.size());
+  out.descriptors.resize(out.keypoints.size());
   // Describe on a smoothed image (detection stays on the raw one): BRIEF
-  // comparisons on an unsmoothed image are flipped by sensor noise.
-  const img::image_u8 smooth = [&] {
+  // comparisons on an unsmoothed image are flipped by sensor noise.  The
+  // blur has no fault sites; the instrumented lane accounts its ops here.
+  {
     rt::scope attributed(rt::fn::orb_describe);
     rt::account(rt::op::int_alu,
                 static_cast<std::uint64_t>(gray.width()) * gray.height() * 4);
     rt::account(rt::op::mem,
                 static_cast<std::uint64_t>(gray.width()) * gray.height() * 2);
-    return img::box_blur3(gray);
-  }();
-  // ORB quantizes orientation (OpenCV uses ~12 degree steps via its
-  // precomputed pattern tables); quantizing here keeps descriptors of the
-  // same physical corner bit-identical under small orientation jitter.
-  constexpr double two_pi = 2.0 * 3.14159265358979323846;
-  constexpr int angle_bins = 30;
-  for (auto& kp : out.keypoints) {
-    const float raw = intensity_centroid_angle(
-        gray, static_cast<int>(kp.x), static_cast<int>(kp.y),
-        params.patch_radius);
-    const double positive = raw < 0 ? raw + two_pi : raw;
-    const int bin =
-        static_cast<int>(positive / two_pi * angle_bins + 0.5) % angle_bins;
-    kp.angle = static_cast<float>(bin * two_pi / angle_bins);
-    out.descriptors.push_back(
-        orb_describe_one(smooth, kp, params.patch_radius));
   }
+  const img::image_u8 smooth = img::box_blur3(gray);
+  if (out.keypoints.empty()) return out;
+  const describe_tables tables(params.patch_radius, gray.width());
+
+  const auto count = static_cast<std::int64_t>(out.keypoints.size());
+  core::dispatch(
+      [&] {
+        // Clean lane: keypoint chunks fan out; each writes disjoint slots.
+        core::thread_pool::current().parallel_for(
+            0, count, 32, [&](std::int64_t i0, std::int64_t i1, std::size_t) {
+              for (auto i = static_cast<std::size_t>(i0);
+                   i < static_cast<std::size_t>(i1); ++i) {
+                orient_and_describe<rt::inert>(gray, smooth, tables,
+                                               out.keypoints[i],
+                                               out.descriptors[i]);
+              }
+            });
+      },
+      [&] {
+        for (std::size_t i = 0; i < out.keypoints.size(); ++i) {
+          orient_and_describe<rt::live>(gray, smooth, tables,
+                                        out.keypoints[i], out.descriptors[i]);
+        }
+      });
   return out;
-}
-
-}  // namespace
-
-frame_features orb_extract(const img::image_u8& gray,
-                           const orb_params& params) {
-  if (gray.channels() != 1) throw invalid_argument("orb_extract: need gray");
-  return core::dispatch(
-      [&] { return orb_extract_clean(gray, params); },
-      [&] { return orb_extract_instrumented(gray, params); });
 }
 
 bool orb_verify_features(const img::image_u8& gray,
@@ -387,11 +329,11 @@ bool orb_verify_features(const img::image_u8& gray,
     const auto score = static_cast<float>(fast_score(gray, x, y, threshold));
     if (score != kp.score || !(score > 0.0f)) return false;
     const int bin =
-        orientation_bin(intensity_centroid_angle_clean(gray, x, y, tables));
+        orientation_bin(centroid_angle<rt::inert>(gray, x, y, tables));
     if (kp.angle != static_cast<float>(bin * two_pi / orientation_bins)) {
       return false;
     }
-    if (!(orb_describe_one_clean(smooth, kp, tables) ==
+    if (!(describe<rt::inert>(smooth, kp, tables) ==
           features.descriptors[i])) {
       return false;
     }

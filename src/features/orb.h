@@ -21,7 +21,8 @@ struct orb_params {
 [[nodiscard]] float intensity_centroid_angle(const img::image_u8& gray, int x,
                                              int y, int radius);
 
-/// Computes the 256-bit rotated-BRIEF descriptor of one oriented keypoint.
+/// Computes the 256-bit rotated-BRIEF descriptor of one oriented keypoint
+/// (the body orb_extract runs per keypoint).  Exposed for tests.
 [[nodiscard]] descriptor orb_describe_one(const img::image_u8& gray,
                                           const keypoint& kp,
                                           int patch_radius);

@@ -9,9 +9,7 @@ namespace vs::gate {
 namespace {
 
 /// One shifted-window absolute-difference pass: sums |cur[p + o] - ref[p]|
-/// over the overlap of the two thumbs.  Pure integer arithmetic, shared by
-/// the hooked and the clean lane so their accumulations are bitwise
-/// identical.
+/// over the overlap of the two thumbs.  Pure integer arithmetic.
 struct diff_sum {
   std::uint64_t sum = 0;
   std::uint64_t count = 0;
@@ -49,7 +47,7 @@ bool mean_less(const diff_sum& a, const diff_sum& b) {
   return a.sum * b.count < b.sum * a.count;
 }
 
-template <bool Hooked>
+template <class H>
 change_stats score_impl(const img::image_u8& cur, const img::image_u8& ref,
                         int radius, int factor) {
   change_stats stats;
@@ -64,25 +62,21 @@ change_stats score_impl(const img::image_u8& cur, const img::image_u8& ref,
   // Zero-shift pass first: it is the legacy change score, and in the
   // instrumented lane its per-row partials are live register values — the
   // gate's densest fault sites.
-  diff_sum raw;
-  if constexpr (Hooked) {
-    std::int64_t sum = 0;
-    for (int y = 0; y < h; ++y) {
-      int row = 0;
-      const std::size_t base = ref.offset(0, y);
-      for (int x = 0; x < w; ++x) {
-        row += std::abs(int(cur[base + std::size_t(x)]) -
-                        int(ref[base + std::size_t(x)]));
-      }
-      sum += rt::g32(row);
-      rt::account(rt::op::int_alu, static_cast<std::uint64_t>(w) * 3);
-      rt::account(rt::op::mem, static_cast<std::uint64_t>(w) * 2);
+  std::int64_t sum = 0;
+  for (int y = 0; y < h; ++y) {
+    int row = 0;
+    const std::size_t base = ref.offset(0, y);
+    for (int x = 0; x < w; ++x) {
+      row += std::abs(int(cur[base + std::size_t(x)]) -
+                      int(ref[base + std::size_t(x)]));
     }
-    raw.sum = std::uint64_t(rt::g64(sum));
-    raw.count = std::uint64_t(w) * std::uint64_t(h);
-  } else {
-    raw = shifted_diff(cur, ref, 0, 0);
+    sum += H::g32(row);
+    H::account(rt::op::int_alu, static_cast<std::uint64_t>(w) * 3);
+    H::account(rt::op::mem, static_cast<std::uint64_t>(w) * 2);
   }
+  diff_sum raw;
+  raw.sum = std::uint64_t(H::g64(sum));
+  raw.count = std::uint64_t(w) * std::uint64_t(h);
   stats.raw = static_cast<double>(raw.sum) / static_cast<double>(raw.count);
 
   // Translation search, row-major order, strict-less so the first minimum
@@ -95,11 +89,8 @@ change_stats score_impl(const img::image_u8& cur, const img::image_u8& ref,
     for (int ox = -radius; ox <= radius; ++ox) {
       if (ox == 0 && oy == 0) continue;
       const diff_sum d = shifted_diff(cur, ref, ox, oy);
-      if constexpr (Hooked) {
-        rt::account(rt::op::int_alu,
-                    static_cast<std::uint64_t>(d.count) * 3);
-        rt::account(rt::op::mem, static_cast<std::uint64_t>(d.count) * 2);
-      }
+      H::account(rt::op::int_alu, static_cast<std::uint64_t>(d.count) * 3);
+      H::account(rt::op::mem, static_cast<std::uint64_t>(d.count) * 2);
       if (mean_less(d, best)) {
         best = d;
         best_ox = ox;
@@ -107,18 +98,16 @@ change_stats score_impl(const img::image_u8& cur, const img::image_u8& ref,
       }
     }
   }
-  if constexpr (Hooked) {
-    // The chosen shift and the compensated score are the gated decision
-    // values: single-strike targets that steer skip/delta/full.
-    best_ox = int(rt::g32(best_ox));
-    best_oy = int(rt::g32(best_oy));
-  }
+  // The chosen shift and the compensated score are the gated decision
+  // values: single-strike targets that steer skip/delta/full.
+  best_ox = H::g32(best_ox);
+  best_oy = H::g32(best_oy);
   stats.shift_x = best_ox * factor;
   stats.shift_y = best_oy * factor;
   stats.score = best.count == 0 ? 255.0
                                 : static_cast<double>(best.sum) /
                                       static_cast<double>(best.count);
-  if constexpr (Hooked) stats.score = rt::f64(stats.score);
+  stats.score = H::f64(stats.score);
   return stats;
 }
 
@@ -149,13 +138,13 @@ img::image_u8 make_thumb(const img::image_u8& frame, int factor) {
 change_stats change_score(const img::image_u8& cur, const img::image_u8& ref,
                           int radius, int factor) {
   rt::scope attributed(rt::fn::gate);
-  return score_impl<true>(cur, ref, radius, factor);
+  return score_impl<rt::live>(cur, ref, radius, factor);
 }
 
 change_stats change_score_clean(const img::image_u8& cur,
                                 const img::image_u8& ref, int radius,
                                 int factor) {
-  return score_impl<false>(cur, ref, radius, factor);
+  return score_impl<rt::inert>(cur, ref, radius, factor);
 }
 
 frame_class classify(const change_stats& stats, const gate_config& cfg,

@@ -10,11 +10,6 @@ mat3 mat3::rotation(double radians) {
   return {c, -s, 0, s, c, 0, 0, 0, 1};
 }
 
-mat3 mat3::rotation_about(double radians, vec2 center) {
-  return translation(center.x, center.y) * rotation(radians) *
-         translation(-center.x, -center.y);
-}
-
 mat3 mat3::operator*(const mat3& o) const {
   mat3 r;
   for (int i = 0; i < 3; ++i) {

@@ -29,8 +29,6 @@ class mat3 {
   }
   /// Rotation by `radians` counter-clockwise about the origin.
   [[nodiscard]] static mat3 rotation(double radians);
-  /// Rotation about an arbitrary center point.
-  [[nodiscard]] static mat3 rotation_about(double radians, vec2 center);
   /// Affine matrix from the 6 coefficients [a b tx; c d ty; 0 0 1].
   [[nodiscard]] static constexpr mat3 affine(double a, double b, double tx,
                                              double c, double d, double ty) {

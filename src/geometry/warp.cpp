@@ -75,10 +75,11 @@ std::optional<rect> projected_bounds(const mat3& h, int width, int height,
 namespace {
 
 // remapBilinear: fixed-point interpolation of one pixel.  `fx`/`fy` are the
-// integer source coordinates scaled by inter_scale.  The source reads go
-// through guarded address arithmetic (rt::idx) so an injected index fault
-// behaves like a real wild load; the accumulated value passes one GPR data
-// site before saturation.
+// integer source coordinates scaled by inter_scale.  On the instrumented
+// lane the source reads go through guarded address arithmetic (H::idx) so an
+// injected index fault behaves like a real wild load, and the accumulated
+// value passes one GPR data site before saturation.
+template <class H>
 inline std::uint8_t remap_one(const img::image_u8& src, int sx, int sy,
                               int wx, int wy, int channel) {
   const int ch = src.channels();
@@ -88,126 +89,139 @@ inline std::uint8_t remap_one(const img::image_u8& src, int sx, int sy,
       static_cast<std::int64_t>(sx) * ch + channel;
   const std::size_t n = src.size();
   const std::uint8_t* d = src.data();
-  const int p00 = d[rt::idx(base, n)];
-  const int p10 = d[rt::idx(base + ch, n)];
-  const int p01 = d[rt::idx(base + stride, n)];
-  const int p11 = d[rt::idx(base + stride + ch, n)];
+  const int p00 = d[H::idx(base, n)];
+  const int p10 = d[H::idx(base + ch, n)];
+  const int p01 = d[H::idx(base + stride, n)];
+  const int p11 = d[H::idx(base + stride + ch, n)];
   const int w00 = (inter_scale - wx) * (inter_scale - wy);
   const int w10 = wx * (inter_scale - wy);
   const int w01 = (inter_scale - wx) * wy;
   const int w11 = wx * wy;
-  const int acc = rt::g32(p00 * w00 + p10 * w10 + p01 * w01 + p11 * w11);
-  rt::account(rt::op::int_alu, 10);
+  const int acc = H::g32(p00 * w00 + p10 * w10 + p01 * w01 + p11 * w11);
+  H::account(rt::op::int_alu, 10);
   return img::saturate_u8((acc + inter_round) >> (2 * inter_bits));
 }
 
-// Clean lane of remapBilinear: identical fixed-point math, direct loads.
-inline std::uint8_t remap_one_clean(const img::image_u8& src, int sx, int sy,
-                                    int wx, int wy, int channel) {
-  const int ch = src.channels();
-  const auto stride = static_cast<std::int64_t>(src.width()) * ch;
-  const std::int64_t base = static_cast<std::int64_t>(sy) * stride +
-                            static_cast<std::int64_t>(sx) * ch + channel;
-  const std::uint8_t* d = src.data();
-  const int p00 = d[base];
-  const int p10 = d[base + ch];
-  const int p01 = d[base + stride];
-  const int p11 = d[base + stride + ch];
-  const int w00 = (inter_scale - wx) * (inter_scale - wy);
-  const int w10 = wx * (inter_scale - wy);
-  const int w01 = (inter_scale - wx) * wy;
-  const int w11 = wx * wy;
-  const int acc = p00 * w00 + p10 * w10 + p01 * w01 + p11 * w11;
-  return img::saturate_u8((acc + inter_round) >> (2 * inter_bits));
+// One destination row of the warp, the body both lanes run: the clean lane
+// as warp_row<rt::inert> on row bands without a SIMD row kernel, the
+// instrumented lane as warp_row<rt::live> over every row, with each
+// register-resident value routed through its fault site.
+template <class H>
+void warp_row(const img::image_u8& src, const mat3& m, const rect& out_rect,
+              int y, warped_patch& out) {
+  const int channels = src.channels();
+  // Interpolation domain: [0, width-1) x [0, height-1) so that the 2x2
+  // neighbourhood is fully inside the image.
+  const double max_sx = src.width() - 1.0;
+  const double max_sy = src.height() - 1.0;
+  const int out_w = out.pixels.width();
+  const std::size_t out_n = out.valid.size();
+  std::uint8_t* valid_data = out.valid.data();
+  std::uint8_t* pixel_data = out.pixels.data();
+  // Integer-coordinate convention, as cv::warpPerspective: destination
+  // pixel (x, y) maps through H^-1 directly (keypoints and homographies
+  // use the same convention, so warped content lands where the estimated
+  // model says it does).
+  const double dy = out_rect.y0 + y;
+  // Incremental evaluation along the row, as warpPerspectiveInvoker does:
+  // numerators and denominator are linear in x.
+  double num_x = m(0, 0) * out_rect.x0 + m(0, 1) * dy + m(0, 2);
+  double num_y = m(1, 0) * out_rect.x0 + m(1, 1) * dy + m(1, 2);
+  double den = m(2, 0) * out_rect.x0 + m(2, 1) * dy + m(2, 2);
+  // The row's iteration bound lives in a register for the whole row — a
+  // control fault site; a corrupted bound overruns the row, which the
+  // guarded destination writes below convert into a wild store or, when
+  // the preimage check keeps skipping, a watchdog hang.
+  const auto row_limit = static_cast<std::int64_t>(H::ctrl(out_w));
+  for (std::int64_t x = 0; x < row_limit; ++x) {
+    // The induction variable itself is register-resident: expose it as a
+    // (sparse) control fault site.  A backward-corrupted x re-runs the
+    // row until the watchdog declares a hang; a forward-corrupted x
+    // truncates the row.
+    if ((x & 255) == 255) x = H::ctrl(x);
+    const double inv_den = den != 0.0 ? 1.0 / den : 0.0;
+    // Source coordinates are the FPR fault sites of the hot function.
+    const double sx = H::f64(num_x * inv_den);
+    const double sy = H::f64(num_y * inv_den);
+    H::account(rt::op::fp_alu, 12);  // incl. the per-pixel divide
+    num_x += m(0, 0);
+    num_y += m(1, 0);
+    den += m(2, 0);
+    // The preimage guard tests the already-incremented denominator; the
+    // SIMD row kernels keep that quirk.
+    if (den == 0.0 || !(sx >= 0.0) || !(sy >= 0.0) || sx >= max_sx ||
+        sy >= max_sy) {
+      continue;  // preimage outside the interpolation domain
+    }
+    typename H::scope remap_scope(rt::fn::remap);
+    const auto fx = static_cast<int>(sx * inter_scale);
+    const auto fy = static_cast<int>(sy * inter_scale);
+    const int ix = fx >> inter_bits;
+    const int iy = fy >> inter_bits;
+    const int wx = fx & (inter_scale - 1);
+    const int wy = fy & (inter_scale - 1);
+    const std::size_t dst =
+        H::idx(static_cast<std::int64_t>(y) * out_w + x, out_n);
+    for (int c = 0; c < channels; ++c) {
+      pixel_data[dst * channels + c] = remap_one<H>(src, ix, iy, wx, wy, c);
+    }
+    valid_data[dst] = 255;
+    H::account(rt::op::mem, 2);
+  }
+  H::account(rt::op::branch, static_cast<std::uint64_t>(out_w));
 }
 
 // Clean lane: the destination rows are independent (each recomputes its
-// incremental numerators from the row coordinate, exactly as the sequential
-// invoker does), so the warp tiles over row bands.  Per-row floating-point
-// evaluation order matches the instrumented lane operation for operation —
-// including the quirk that the preimage guard tests the already-incremented
-// denominator — so the patch is bit-identical.  With a SIMD row kernel
-// available, each row's incremental chains are materialized into buffers by
-// the same scalar additions and the per-pixel expression tree runs four
-// lanes at a time (IEEE div/mul/compare are lane-exact, the interpolation
-// is integer), which keeps the bytes identical at every SIMD level.
+// incremental numerators from the row coordinate), so the warp tiles over
+// row bands of warp_row<rt::inert>.  With a SIMD row kernel available, each
+// row's incremental chains are materialized into buffers by the same scalar
+// additions and the per-pixel expression tree runs four lanes at a time
+// (IEEE div/mul/compare are lane-exact, the interpolation is integer),
+// which keeps the bytes identical at every SIMD level.
 void warp_rows_clean(const img::image_u8& src, const mat3& m,
                      const rect& out_rect, warped_patch& out) {
-  const int channels = src.channels();
   const double max_sx = src.width() - 1.0;
   const double max_sy = src.height() - 1.0;
-  const int out_h = out.pixels.height();
   const int out_w = out.pixels.width();
-  std::uint8_t* valid_data = out.valid.data();
-  std::uint8_t* pixel_data = out.pixels.data();
   const simd::warp_row_fn row_fn =
-      simd::select_warp_row(core::simd::active(), channels);
+      simd::select_warp_row(core::simd::active(), src.channels());
 
   core::thread_pool::current().parallel_for(
-      0, out_h, 8, [&](std::int64_t y0, std::int64_t y1, std::size_t) {
-        std::vector<double> buf_num_x;
-        std::vector<double> buf_num_y;
-        std::vector<double> buf_den;
-        if (row_fn != nullptr) {
-          buf_num_x.resize(static_cast<std::size_t>(out_w));
-          buf_num_y.resize(static_cast<std::size_t>(out_w));
-          buf_den.resize(static_cast<std::size_t>(out_w) + 1);
+      0, out.pixels.height(), 8,
+      [&](std::int64_t y0, std::int64_t y1, std::size_t) {
+        if (row_fn == nullptr) {
+          for (int y = static_cast<int>(y0); y < y1; ++y) {
+            warp_row<rt::inert>(src, m, out_rect, y, out);
+          }
+          return;
         }
+        std::vector<double> buf_num_x(static_cast<std::size_t>(out_w));
+        std::vector<double> buf_num_y(static_cast<std::size_t>(out_w));
+        std::vector<double> buf_den(static_cast<std::size_t>(out_w) + 1);
         for (int y = static_cast<int>(y0); y < y1; ++y) {
           const double dy = out_rect.y0 + y;
           double num_x = m(0, 0) * out_rect.x0 + m(0, 1) * dy + m(0, 2);
           double num_y = m(1, 0) * out_rect.x0 + m(1, 1) * dy + m(1, 2);
           double den = m(2, 0) * out_rect.x0 + m(2, 1) * dy + m(2, 2);
-          if (row_fn != nullptr) {
-            // Materialize the incremental chains (identical additions in
-            // identical order), then hand the row to the SIMD kernel.
-            for (int x = 0; x < out_w; ++x) {
-              buf_num_x[static_cast<std::size_t>(x)] = num_x;
-              buf_num_y[static_cast<std::size_t>(x)] = num_y;
-              buf_den[static_cast<std::size_t>(x)] = den;
-              num_x += m(0, 0);
-              num_y += m(1, 0);
-              den += m(2, 0);
-            }
-            buf_den[static_cast<std::size_t>(out_w)] = den;
-            const std::size_t row =
-                static_cast<std::size_t>(y) * static_cast<std::size_t>(out_w);
-            row_fn(buf_num_x.data(), buf_num_y.data(), buf_den.data(), out_w,
-                   max_sx, max_sy, src.data(), src.width(), pixel_data + row,
-                   valid_data + row);
-            continue;
-          }
+          // Materialize the incremental chains (identical additions in
+          // identical order), then hand the row to the SIMD kernel.
           for (int x = 0; x < out_w; ++x) {
-            const double inv_den = den != 0.0 ? 1.0 / den : 0.0;
-            const double sx = num_x * inv_den;
-            const double sy = num_y * inv_den;
+            buf_num_x[static_cast<std::size_t>(x)] = num_x;
+            buf_num_y[static_cast<std::size_t>(x)] = num_y;
+            buf_den[static_cast<std::size_t>(x)] = den;
             num_x += m(0, 0);
             num_y += m(1, 0);
             den += m(2, 0);
-            if (den == 0.0 || !(sx >= 0.0) || !(sy >= 0.0) || sx >= max_sx ||
-                sy >= max_sy) {
-              continue;
-            }
-            const auto fx = static_cast<int>(sx * inter_scale);
-            const auto fy = static_cast<int>(sy * inter_scale);
-            const int ix = fx >> inter_bits;
-            const int iy = fy >> inter_bits;
-            const int wx = fx & (inter_scale - 1);
-            const int wy = fy & (inter_scale - 1);
-            const std::size_t dst =
-                static_cast<std::size_t>(y) * out_w + static_cast<std::size_t>(x);
-            for (int c = 0; c < channels; ++c) {
-              pixel_data[dst * channels + c] =
-                  remap_one_clean(src, ix, iy, wx, wy, c);
-            }
-            valid_data[dst] = 255;
           }
+          buf_den[static_cast<std::size_t>(out_w)] = den;
+          const std::size_t row =
+              static_cast<std::size_t>(y) * static_cast<std::size_t>(out_w);
+          row_fn(buf_num_x.data(), buf_num_y.data(), buf_den.data(), out_w,
+                 max_sx, max_sy, src.data(), src.width(),
+                 out.pixels.data() + row, out.valid.data() + row);
         }
       });
 }
-
-void warp_rows_instrumented(const img::image_u8& src, const mat3& m,
-                            const rect& out_rect, warped_patch& out);
 
 }  // namespace
 
@@ -235,87 +249,17 @@ warped_patch warp_perspective(const img::image_u8& src, const mat3& h,
   out.valid = img::image_u8(static_cast<int>(w), static_cast<int>(hgt), 1);
   if (!inv) return out;  // singular homography: nothing lands
 
-  core::dispatch(
-      [&] { warp_rows_clean(src, *inv, out_rect, out); },
-      [&] { warp_rows_instrumented(src, *inv, out_rect, out); });
+  core::dispatch([&] { warp_rows_clean(src, *inv, out_rect, out); },
+                 [&] {
+                   rt::scope warp_scope(rt::fn::warp);
+                   for (int y = 0; y < out.pixels.height(); ++y) {
+                     warp_row<rt::live>(src, *inv, out_rect, y, out);
+                   }
+                 });
   return out;
 }
 
-namespace {
-
-// Instrumented lane of the warp: the same incremental row evaluation as the
-// clean lane, with every register-resident value routed through its rt::
-// fault site.
-void warp_rows_instrumented(const img::image_u8& src, const mat3& m,
-                            const rect& out_rect, warped_patch& out) {
-  rt::scope warp_scope(rt::fn::warp);
-  const int channels = src.channels();
-  // Interpolation domain: [0, width-1) x [0, height-1) so that the 2x2
-  // neighbourhood is fully inside the image.
-  const double max_sx = src.width() - 1.0;
-  const double max_sy = src.height() - 1.0;
-
-  const int out_h = out.pixels.height();
-  const int out_w = out.pixels.width();
-  const std::size_t out_n = out.valid.size();
-  std::uint8_t* valid_data = out.valid.data();
-  std::uint8_t* pixel_data = out.pixels.data();
-  for (int y = 0; y < out_h; ++y) {
-    // Integer-coordinate convention, as cv::warpPerspective: destination
-    // pixel (x, y) maps through H^-1 directly (keypoints and homographies
-    // use the same convention, so warped content lands where the estimated
-    // model says it does).
-    const double dy = out_rect.y0 + y;
-    // Incremental evaluation along the row, as warpPerspectiveInvoker does:
-    // numerators and denominator are linear in x.
-    double num_x = m(0, 0) * out_rect.x0 + m(0, 1) * dy + m(0, 2);
-    double num_y = m(1, 0) * out_rect.x0 + m(1, 1) * dy + m(1, 2);
-    double den = m(2, 0) * out_rect.x0 + m(2, 1) * dy + m(2, 2);
-    // The row's iteration bound lives in a register for the whole row — a
-    // control fault site; a corrupted bound overruns the row, which the
-    // guarded destination writes below convert into a wild store or, when
-    // the preimage check keeps skipping, a watchdog hang.
-    const auto row_limit =
-        static_cast<std::int64_t>(rt::ctrl(out_w));
-    for (std::int64_t x = 0; x < row_limit; ++x) {
-      // The induction variable itself is register-resident: expose it as a
-      // (sparse) control fault site.  A backward-corrupted x re-runs the
-      // row until the watchdog declares a hang; a forward-corrupted x
-      // truncates the row.
-      if ((x & 255) == 255) x = rt::ctrl(x);
-      const double inv_den = den != 0.0 ? 1.0 / den : 0.0;
-      // Source coordinates are the FPR fault sites of the hot function.
-      const double sx = rt::f64(num_x * inv_den);
-      const double sy = rt::f64(num_y * inv_den);
-      rt::account(rt::op::fp_alu, 12);  // incl. the per-pixel divide
-      num_x += m(0, 0);
-      num_y += m(1, 0);
-      den += m(2, 0);
-      if (den == 0.0 || !(sx >= 0.0) || !(sy >= 0.0) || sx >= max_sx ||
-          sy >= max_sy) {
-        continue;  // preimage outside the interpolation domain
-      }
-      rt::scope remap_scope(rt::fn::remap);
-      const auto fx = static_cast<int>(sx * inter_scale);
-      const auto fy = static_cast<int>(sy * inter_scale);
-      const int ix = fx >> inter_bits;
-      const int iy = fy >> inter_bits;
-      const int wx = fx & (inter_scale - 1);
-      const int wy = fy & (inter_scale - 1);
-      const std::size_t dst =
-          rt::idx(static_cast<std::int64_t>(y) * out_w + x, out_n);
-      for (int c = 0; c < channels; ++c) {
-        pixel_data[dst * channels + c] = remap_one(src, ix, iy, wx, wy, c);
-      }
-      valid_data[dst] = 255;
-      rt::account(rt::op::mem, 2);
-    }
-    rt::account(rt::op::branch, static_cast<std::uint64_t>(out_w));
-  }
-}
-
-}  // namespace
-
+template <class H>
 std::optional<std::uint8_t> sample_bilinear(const img::image_u8& src, double x,
                                             double y, int channel) {
   if (src.empty() || channel < 0 || channel >= src.channels()) {
@@ -327,8 +271,13 @@ std::optional<std::uint8_t> sample_bilinear(const img::image_u8& src, double x,
   }
   const auto fx = static_cast<int>(x * inter_scale);
   const auto fy = static_cast<int>(y * inter_scale);
-  return remap_one(src, fx >> inter_bits, fy >> inter_bits,
-                   fx & (inter_scale - 1), fy & (inter_scale - 1), channel);
+  return remap_one<H>(src, fx >> inter_bits, fy >> inter_bits,
+                      fx & (inter_scale - 1), fy & (inter_scale - 1), channel);
 }
+
+template std::optional<std::uint8_t> sample_bilinear<rt::live>(
+    const img::image_u8&, double, double, int);
+template std::optional<std::uint8_t> sample_bilinear<rt::inert>(
+    const img::image_u8&, double, double, int);
 
 }  // namespace vs::geo

@@ -13,6 +13,7 @@
 
 #include "geometry/mat3.h"
 #include "image/image.h"
+#include "rt/instrument.h"
 
 namespace vs::geo {
 
@@ -61,8 +62,16 @@ struct warped_patch {
 
 /// Bilinear sample of `src` at floating-point coordinates using the same
 /// fixed-point arithmetic as warp_perspective.  Returns nullopt outside the
-/// interpolation domain.  Exposed for tests and the quality module.
+/// interpolation domain.  `H` is the hook policy (rt/instrument.h) of the
+/// caller's lane: rt::live routes the loads and the accumulator through
+/// their fault sites, rt::inert is the clean lane's hook-free copy.
+template <class H = rt::live>
 [[nodiscard]] std::optional<std::uint8_t> sample_bilinear(
     const img::image_u8& src, double x, double y, int channel = 0);
+
+extern template std::optional<std::uint8_t> sample_bilinear<rt::live>(
+    const img::image_u8&, double, double, int);
+extern template std::optional<std::uint8_t> sample_bilinear<rt::inert>(
+    const img::image_u8&, double, double, int);
 
 }  // namespace vs::geo

@@ -1,4 +1,4 @@
-// Interior rows of the 3x3 box blur for the clean lane.
+// Interior rows of the 3x3 box blur (both lanes: the blur has no hooks).
 //
 // Away from the image edge no sample needs clamping, so a row is a plain
 // 3-row by 3-column sum over direct row pointers.  The vector tiers sum in

@@ -65,32 +65,4 @@ void fill_circle(image_u8& img, int cx, int cy, int radius, color c) {
   }
 }
 
-void draw_circle(image_u8& img, int cx, int cy, int radius, color c) {
-  int x = radius;
-  int y = 0;
-  int err = 1 - radius;
-  while (x >= y) {
-    put_pixel(img, cx + x, cy + y, c);
-    put_pixel(img, cx - x, cy + y, c);
-    put_pixel(img, cx + x, cy - y, c);
-    put_pixel(img, cx - x, cy - y, c);
-    put_pixel(img, cx + y, cy + x, c);
-    put_pixel(img, cx - y, cy + x, c);
-    put_pixel(img, cx + y, cy - x, c);
-    put_pixel(img, cx - y, cy - x, c);
-    ++y;
-    if (err < 0) {
-      err += 2 * y + 1;
-    } else {
-      --x;
-      err += 2 * (y - x) + 1;
-    }
-  }
-}
-
-void draw_marker(image_u8& img, int x, int y, int arm, color c) {
-  draw_line(img, x - arm, y, x + arm, y, c);
-  draw_line(img, x, y - arm, x, y + arm, c);
-}
-
 }  // namespace vs::img

@@ -28,10 +28,4 @@ void draw_rect(image_u8& img, int x0, int y0, int w, int h, color c);
 /// Filled circle (midpoint), clipped.
 void fill_circle(image_u8& img, int cx, int cy, int radius, color c);
 
-/// Circle outline.
-void draw_circle(image_u8& img, int cx, int cy, int radius, color c);
-
-/// Small "+" marker (used to visualize keypoints).
-void draw_marker(image_u8& img, int x, int y, int arm, color c);
-
 }  // namespace vs::img

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/dispatch.h"
 #include "core/simd.h"
 #include "image/blur_simd.h"
 #include "image/pixel.h"
@@ -67,20 +66,13 @@ std::uint8_t blur_clamped(const image_u8& src, int x, int y) {
   return static_cast<std::uint8_t>((sum + 4) / 9);
 }
 
-// The reference blur, on the instrumented lane: every pixel clamped.
-image_u8 box_blur3_reference(const image_u8& src) {
-  image_u8 out(src.width(), src.height(), 1);
-  for (int y = 0; y < src.height(); ++y) {
-    for (int x = 0; x < src.width(); ++x) {
-      out.at(x, y) = blur_clamped(src, x, y);
-    }
-  }
-  return out;
-}
+}  // namespace
 
-// Clean lane: only the one-pixel frame is clamped; interior rows run the
-// row kernel of the active SIMD tier.  Every pixel equals the reference.
-image_u8 box_blur3_clean(const image_u8& src) {
+// Only the one-pixel frame is clamped; interior rows run the row kernel of
+// the active SIMD tier, whose pixels equal the clamped sum.  The blur has no
+// fault sites (orb_extract accounts its ops), so both lanes run it.
+image_u8 box_blur3(const image_u8& src) {
+  if (src.channels() != 1) throw invalid_argument("box_blur3: need gray");
   const int w = src.width();
   const int h = src.height();
   image_u8 out(w, h, 1);
@@ -99,14 +91,6 @@ image_u8 box_blur3_clean(const image_u8& src) {
     out.at(w - 1, y) = blur_clamped(src, w - 1, y);
   }
   return out;
-}
-
-}  // namespace
-
-image_u8 box_blur3(const image_u8& src) {
-  if (src.channels() != 1) throw invalid_argument("box_blur3: need gray");
-  return core::dispatch([&] { return box_blur3_clean(src); },
-                        [&] { return box_blur3_reference(src); });
 }
 
 double mean_abs_diff(const image_u8& a, const image_u8& b) {

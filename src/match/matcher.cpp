@@ -13,16 +13,13 @@ namespace vs::match {
 
 namespace {
 
-// One query's 2-NN / bounded-1-NN decision, shared by both lanes.  The
-// 64-bit-word popcount Hamming kernel with a running bound: the 2-NN
-// invariant only needs exact distances below the current second-best, so
-// every candidate scan is bounded and most candidates exit after one or two
-// of the four descriptor words.
-struct best_pair {
-  int best = 257;
-  int second = 257;
-  std::size_t best_index = 0;
-};
+// One query's 2-NN / bounded-1-NN scan: the instrumented lane's, and the
+// clean lane's at a SIMD tier without a vectorized scan.  The 64-bit-word
+// popcount Hamming kernel with a running bound: the 2-NN invariant only
+// needs exact distances below the current second-best, so every candidate
+// scan is bounded and most candidates exit after one or two of the four
+// descriptor words.  The result is the SIMD scans' bookkeeping type.
+using best_pair = simd::best2;
 
 inline best_pair scan_ratio(const feat::descriptor& qd,
                             const std::vector<feat::descriptor>& train) {
@@ -55,6 +52,27 @@ inline best_pair scan_simple(const feat::descriptor& qd,
   return r;
 }
 
+// The accept decision on one query's scan result, shared by both lanes.
+// On the instrumented lane the winning distance spends the decision in a
+// register: a GPR fault site.
+template <class H>
+void accept(std::int64_t qi, const best_pair& r, const match_params& params,
+            std::vector<match>& out) {
+  const int best = H::g32(r.best);
+  bool accepted = false;
+  if (params.mode == match_mode::ratio_test) {
+    accepted = r.second < 257 &&
+               static_cast<double>(best) <
+                   params.ratio * static_cast<double>(r.second);
+  } else {
+    accepted = best <= params.max_distance;
+  }
+  if (accepted) {
+    out.push_back(
+        match{static_cast<int>(qi), static_cast<int>(r.best_index), best});
+  }
+}
+
 // Clean lane: query chunks fan out over the pool; per-chunk match vectors
 // concatenated in chunk order reproduce the sequential ascending-query
 // order exactly.  Candidate scans dispatch on core::simd::active(): the
@@ -66,9 +84,10 @@ std::vector<match> match_descriptors_clean(const feat::frame_features& query,
   std::vector<match> out;
   if (query.empty() || train.empty()) return out;
 
-  const auto simd_level = core::simd::active();
-  const simd::scan2_fn scan2 = simd::select_scan2(simd_level);
-  const simd::scan1_fn scan1 = simd::select_scan1(simd_level);
+  const bool ratio = params.mode == match_mode::ratio_test;
+  const simd::scan2_fn scan = ratio
+                                  ? simd::select_scan2(core::simd::active())
+                                  : simd::select_scan1(core::simd::active());
 
   const auto nq = static_cast<std::int64_t>(query.size());
   constexpr std::int64_t query_chunk = 32;
@@ -79,40 +98,18 @@ std::vector<match> match_descriptors_clean(const feat::frame_features& query,
   core::thread_pool::current().parallel_for(
       0, nq, query_chunk,
       [&](std::int64_t q0, std::int64_t q1, std::size_t chunk) {
-        auto& local = partial[chunk];
         for (std::int64_t qi = q0; qi < q1; ++qi) {
           const feat::descriptor& qd =
               query.descriptors[static_cast<std::size_t>(qi)];
           best_pair r;
-          if (params.mode == match_mode::ratio_test) {
-            if (scan2 != nullptr) {
-              const simd::best2 s =
-                  scan2(qd, train.descriptors.data(), train.descriptors.size());
-              r = best_pair{s.best, s.second, s.best_index};
-            } else {
-              r = scan_ratio(qd, train.descriptors);
-            }
+          if (scan != nullptr) {
+            r = scan(qd, train.descriptors.data(), train.descriptors.size());
+          } else if (ratio) {
+            r = scan_ratio(qd, train.descriptors);
           } else {
-            if (scan1 != nullptr) {
-              const simd::best2 s =
-                  scan1(qd, train.descriptors.data(), train.descriptors.size());
-              r = best_pair{s.best, s.second, s.best_index};
-            } else {
-              r = scan_simple(qd, train.descriptors, params.max_distance);
-            }
+            r = scan_simple(qd, train.descriptors, params.max_distance);
           }
-          bool accept = false;
-          if (params.mode == match_mode::ratio_test) {
-            accept = r.second < 257 &&
-                     static_cast<double>(r.best) <
-                         params.ratio * static_cast<double>(r.second);
-          } else {
-            accept = r.best <= params.max_distance;
-          }
-          if (accept) {
-            local.push_back(match{static_cast<int>(qi),
-                                  static_cast<int>(r.best_index), r.best});
-          }
+          accept<rt::inert>(qi, r, params, partial[chunk]);
         }
       });
 
@@ -122,10 +119,6 @@ std::vector<match> match_descriptors_clean(const feat::frame_features& query,
   for (const auto& p : partial) out.insert(out.end(), p.begin(), p.end());
   return out;
 }
-
-}  // namespace
-
-namespace {
 
 std::vector<match> match_descriptors_instrumented(
     const feat::frame_features& query, const feat::frame_features& train,
@@ -143,64 +136,19 @@ std::vector<match> match_descriptors_instrumented(
     const feat::descriptor& qd =
         query.descriptors[rt::idx(static_cast<std::int64_t>(qi),
                                   query.descriptors.size())];
-    int best = 257;
-    int second = 257;
-    std::size_t best_index = 0;
+    best_pair r;
     if (params.mode == match_mode::ratio_test) {
-      // Baseline 2-NN search.  The 2-NN invariant only needs exact
-      // distances below the running second-best: any candidate at or above
-      // `second` changes neither neighbour, so the scan is bounded by
-      // `second` and clips larger distances to second + 1 (which every
-      // comparison below rejects).  Match output is identical to the full
-      // unbounded scan.
-      for (std::size_t ti = 0; ti < nt; ++ti) {
-        const int d =
-            feat::hamming_distance_bounded(qd, train.descriptors[ti], second);
-        if (d < best) {
-          second = best;
-          best = d;
-          best_index = ti;
-        } else if (d < second) {
-          second = d;
-        }
-      }
+      r = scan_ratio(qd, train.descriptors);
       // Scalar 4x (xor + popcount + add) per 256-bit distance plus 2-NN
       // bookkeeping, ~13 dynamic ops per candidate (OpenCV 2.4.9's
       // BFMatcher is scalar).
       rt::account(rt::op::int_alu, nt * 13);
-      rt::account(rt::op::branch, nt);
     } else {
-      // VS_SM: bounded 1-NN search.  The early-exit distance abandons a
-      // candidate as soon as its partial distance exceeds the running
-      // bound, so most candidates cost 1-2 of the 4 descriptor words.
-      for (std::size_t ti = 0; ti < nt; ++ti) {
-        const int limit = std::min(best, params.max_distance);
-        const int d =
-            feat::hamming_distance_bounded(qd, train.descriptors[ti], limit);
-        if (d < best) {
-          best = d;
-          best_index = ti;
-        }
-      }
+      r = scan_simple(qd, train.descriptors, params.max_distance);
       rt::account(rt::op::int_alu, nt * 6);  // early exit halves the work
-      rt::account(rt::op::branch, nt);
     }
-
-    // The winning distance spends the accept/reject decision in a register.
-    best = rt::g32(best);
-
-    bool accept = false;
-    if (params.mode == match_mode::ratio_test) {
-      accept = second < 257 &&
-               static_cast<double>(best) <
-                   params.ratio * static_cast<double>(second);
-    } else {
-      accept = best <= params.max_distance;
-    }
-    if (accept) {
-      out.push_back(match{static_cast<int>(qi), static_cast<int>(best_index),
-                          best});
-    }
+    rt::account(rt::op::branch, nt);
+    accept<rt::live>(static_cast<std::int64_t>(qi), r, params, out);
   }
   return out;
 }

@@ -14,13 +14,6 @@ double ed_cdf::percent_at(int ed) const noexcept {
   return cumulative_percent[i];
 }
 
-std::optional<int> ed_cdf::ed_for_percent(double percent) const {
-  for (std::size_t i = 0; i < cumulative_percent.size(); ++i) {
-    if (cumulative_percent[i] >= percent) return static_cast<int>(i);
-  }
-  return std::nullopt;
-}
-
 ed_cdf build_ed_cdf(const std::vector<sdc_quality>& sdcs, int max_ed) {
   if (max_ed < 0) throw invalid_argument("build_ed_cdf: max_ed < 0");
   ed_cdf cdf;

@@ -1,7 +1,6 @@
 // SDC egregiousness distributions (the Fig 12 curves).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "quality/metric.h"
@@ -23,8 +22,6 @@ struct ed_cdf {
 
   /// Percentage of SDCs with ED <= ed (100-clamped index access).
   [[nodiscard]] double percent_at(int ed) const noexcept;
-  /// Smallest ED at which the curve reaches `percent` (or nullopt).
-  [[nodiscard]] std::optional<int> ed_for_percent(double percent) const;
 };
 
 /// Builds the CDF over a set of analyzed SDCs.  `max_ed` bounds the curve's

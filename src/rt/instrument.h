@@ -418,6 +418,39 @@ class scope {
   fn prev_;
 };
 
+/// Hook policies.  A kernel writes its per-row or per-item body once, as a
+/// template on the policy, and names its hooks through it (`H::idx`,
+/// `H::g32`, `typename H::scope`, ...).  The instrumented lane instantiates
+/// the body with `live`, whose hooks are the free functions above; the clean
+/// lane instantiates it with `inert`, whose hooks are the identity and cost
+/// nothing.  Both lanes therefore run the same statements on the same
+/// values, which is what keeps them bit-identical.
+struct live {
+  static std::size_t idx(std::int64_t i, std::size_t n) {
+    return rt::idx(i, n);
+  }
+  static int g32(int v) { return rt::g32(v); }
+  static std::int64_t g64(std::int64_t v) { return rt::g64(v); }
+  static std::int64_t ctrl(std::int64_t v) { return rt::ctrl(v); }
+  static double f64(double v) { return rt::f64(v); }
+  static void account(op k, std::uint64_t n) { rt::account(k, n); }
+  using scope = rt::scope;
+};
+
+struct inert {
+  static constexpr std::size_t idx(std::int64_t i, std::size_t) noexcept {
+    return static_cast<std::size_t>(i);
+  }
+  static constexpr int g32(int v) noexcept { return v; }
+  static constexpr std::int64_t g64(std::int64_t v) noexcept { return v; }
+  static constexpr std::int64_t ctrl(std::int64_t v) noexcept { return v; }
+  static constexpr double f64(double v) noexcept { return v; }
+  static constexpr void account(op, std::uint64_t) noexcept {}
+  struct scope {
+    explicit constexpr scope(fn) noexcept {}
+  };
+};
+
 /// RAII per-stage watchdog: meters everything executed while alive against
 /// `budget` steps (0 or ~0ULL disables metering).  Exceeding the budget
 /// raises detected_error(stage_hang) — a *detected* symptom the frame-level
@@ -446,12 +479,12 @@ class stage_scope {
 
 /// RAII lane switch for dual-execution replicas (resil::replicated /
 /// verify_replica): disables the hooks while alive, so the replica re-runs
-/// a stage through the hook-free clean-lane twins.  That keeps the second
-/// execution cheap and keeps it out of the instrumented lane's dynamic-op
-/// stream — a replica must neither shift the indices fault plans address
-/// nor offer the already-fired injection a second strike.  The clean twins
-/// are pinned byte-identical to the instrumented kernels, so a fault-free
-/// replica always agrees with a fault-free primary.
+/// a stage on the hook-free clean lane.  That keeps the second execution
+/// cheap and keeps it out of the instrumented lane's dynamic-op stream — a
+/// replica must neither shift the indices fault plans address nor offer the
+/// already-fired injection a second strike.  The clean lane runs the same
+/// kernel bodies with rt::inert hooks, so a fault-free replica always
+/// agrees with a fault-free primary.
 class replica_scope {
  public:
   replica_scope() noexcept : prev_(tls.enabled) { tls.enabled = false; }

@@ -56,8 +56,10 @@ bool kill_server_mid_job(respawn_supervisor& supervisor,
                          const std::atomic<bool>& stop) {
   while (!stop.load()) {
     try {
-      if (client(socket_path, 5.0).stats().in_flight >= 1) {
-        supervisor.kill_child();
+      // A generation can serve before its pid is published; a kill that
+      // signalled nothing is no kill.
+      if (client(socket_path, 5.0).stats().in_flight >= 1 &&
+          supervisor.kill_child()) {
         return true;
       }
     } catch (const std::exception&) {

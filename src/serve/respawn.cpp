@@ -109,9 +109,9 @@ void respawn_supervisor::request_shutdown() noexcept {
   if (pid > 0) (void)::kill(pid, SIGTERM);
 }
 
-void respawn_supervisor::kill_child() noexcept {
+bool respawn_supervisor::kill_child() noexcept {
   const pid_t pid = child_pid_.load(std::memory_order_relaxed);
-  if (pid > 0) (void)::kill(pid, SIGKILL);
+  return pid > 0 && ::kill(pid, SIGKILL) == 0;
 }
 
 respawn_stats respawn_supervisor::run() {

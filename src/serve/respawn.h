@@ -85,8 +85,10 @@ class respawn_supervisor {
   void request_shutdown() noexcept;
 
   /// Crash drill: SIGKILL the live child (the supervisor restarts it
-  /// unless shutdown was requested).  Async-signal-safe.
-  void kill_child() noexcept;
+  /// unless shutdown was requested).  Returns whether a child was
+  /// signalled: false while no generation's pid is published yet (a fork
+  /// in progress) or between generations.  Async-signal-safe.
+  bool kill_child() noexcept;
 
   [[nodiscard]] pid_t child_pid() const noexcept {
     return child_pid_.load(std::memory_order_relaxed);

@@ -12,6 +12,134 @@
 
 namespace vs::stitch {
 
+namespace {
+
+// The bodies below are each written once and run by both lanes: the clean
+// lane instantiates them with rt::inert on its row bands, the instrumented
+// lane with rt::live over every row (rt/instrument.h).
+
+// Copies row y of the old canvas into the grown one at (off_x, off_y).
+template <class H>
+void blit_row(const img::image_u8& pixels, const img::image_u8& mask, int y,
+              int off_x, int off_y, img::image_u8& new_pixels,
+              img::image_u8& new_mask) {
+  for (int x = 0; x < pixels.width(); ++x) {
+    new_pixels.at(x + off_x, y + off_y) = pixels.at(x, y);
+    new_mask.at(x + off_x, y + off_y) = mask.at(x, y);
+  }
+  // Row blits are wide vector copies: ~1 dynamic op per 4 pixels.
+  H::account(rt::op::mem, static_cast<std::uint64_t>(pixels.width()) / 4);
+}
+
+// Canvas offset of patch row y's first pixel.
+std::int64_t canvas_row(const geo::warped_patch& patch, const geo::rect& bounds,
+                        int canvas_w, int y) {
+  return static_cast<std::int64_t>(patch.y0 - bounds.y0 + y) * canvas_w +
+         (patch.x0 - bounds.x0);
+}
+
+// Exposure compensation: the gain that matches the patch's mean to the
+// canvas's over the overlap region, clamped to a modest range.  Sequential
+// in both lanes: the floating-point accumulation order is part of the
+// blended bytes.
+template <class H>
+double exposure_gain(const geo::warped_patch& patch, const geo::rect& bounds,
+                     const img::image_u8& pixels, const img::image_u8& mask) {
+  const std::size_t n = pixels.size();
+  const std::uint8_t* dst = pixels.data();
+  const std::uint8_t* cov = mask.data();
+  double sum_patch = 0.0;
+  double sum_canvas = 0.0;
+  std::size_t overlap = 0;
+  for (int y = 0; y < patch.pixels.height(); ++y) {
+    const std::int64_t row_base = canvas_row(patch, bounds, pixels.width(), y);
+    for (int x = 0; x < patch.pixels.width(); ++x) {
+      if (patch.valid.at(x, y) == 0) continue;
+      const std::size_t at = H::idx(row_base + x, n);
+      if (cov[at] == 0) continue;
+      sum_patch += patch.pixels.at(x, y);
+      sum_canvas += dst[at];
+      ++overlap;
+    }
+  }
+  H::account(rt::op::fp_alu, overlap);
+  if (overlap > 64 && sum_patch > 0.0) {
+    return std::clamp(sum_canvas / sum_patch, 0.7, 1.4);
+  }
+  return 1.0;
+}
+
+// Paints patch row y at canvas offset `row_base` and appends each pixel it
+// overwrites to `seams`.  On the instrumented lane the destination index is
+// address arithmetic in flight: a guarded GPR fault site per pixel.
+template <class H>
+void paint_row(const geo::warped_patch& patch, int y, std::int64_t row_base,
+               double gain, img::image_u8& pixels, img::image_u8& mask,
+               std::vector<std::size_t>& seams) {
+  const std::size_t n = pixels.size();
+  std::uint8_t* dst = pixels.data();
+  std::uint8_t* cov = mask.data();
+  const int patch_w = patch.pixels.width();
+  for (int x = 0; x < patch_w; ++x) {
+    if (patch.valid.at(x, y) == 0) continue;
+    const std::size_t at = H::idx(row_base + x, n);
+    // Unreachable after ensure(); rt::live already traps it, and this is the
+    // same library-bug trap for rt::inert.
+    if (at >= n) rt::detail::raise_logic_oob(row_base + x, n);
+    if (cov[at] == 1) seams.push_back(at);  // overwrites old
+    dst[at] = gain == 1.0 ? patch.pixels.at(x, y)
+                          : img::saturate_u8(gain * patch.pixels.at(x, y));
+    cov[at] = 2;  // newest generation (feather_seams demotes it to 1)
+  }
+  H::account(rt::op::mem, static_cast<std::uint64_t>(patch_w));
+  H::account(rt::op::branch, static_cast<std::uint64_t>(patch_w));
+}
+
+// Smooths every overwrite-boundary pixel (recorded during blend) whose
+// neighbourhood still contains older content, with the mean of its written
+// 3x3 neighbours.  Sequential in both lanes: a seam pixel's mean may read
+// neighbours smoothed earlier in the list, so iteration order is part of
+// the output.
+template <class H>
+void smooth_seams(const std::vector<std::size_t>& seams,
+                  const img::image_u8& mask, img::image_u8& pixels) {
+  const int w = pixels.width();
+  const int h = pixels.height();
+  const std::size_t n = pixels.size();
+  const std::uint8_t* cov = mask.data();
+  std::uint8_t* dst = pixels.data();
+  for (const std::size_t at : seams) {
+    const int x = static_cast<int>(at % static_cast<std::size_t>(w));
+    const int y = static_cast<int>(at / static_cast<std::size_t>(w));
+    const bool seam =
+        (x > 0 && cov[at - 1] == 1) || (x + 1 < w && cov[at + 1] == 1) ||
+        (y > 0 && cov[at - static_cast<std::size_t>(w)] == 1) ||
+        (y + 1 < h && cov[at + static_cast<std::size_t>(w)] == 1);
+    if (!seam) continue;
+    int sum = 0;
+    int count = 0;
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dx = -1; dx <= 1; ++dx) {
+        const int nx = x + dx;
+        const int ny = y + dy;
+        if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
+        const std::size_t neighbour =
+            H::idx(static_cast<std::int64_t>(ny) * w + nx, n);
+        if (cov[neighbour] == 0) continue;
+        sum += dst[neighbour];
+        ++count;
+      }
+    }
+    if (count > 0) {
+      dst[at] = static_cast<std::uint8_t>((sum + count / 2) / count);
+    }
+  }
+  H::account(rt::op::int_alu, seams.size() * 6);
+  H::account(rt::op::branch, seams.size() * 2);
+}
+
+}  // namespace
+
 compositor::compositor(std::size_t max_pixels) : max_pixels_(max_pixels) {}
 
 bool compositor::ensure(const geo::rect& world_rect) {
@@ -39,22 +167,15 @@ bool compositor::ensure(const geo::rect& world_rect) {
               0, pixels_.height(), 64,
               [&](std::int64_t y0, std::int64_t y1, std::size_t) {
                 for (int y = static_cast<int>(y0); y < y1; ++y) {
-                  for (int x = 0; x < pixels_.width(); ++x) {
-                    new_pixels.at(x + off_x, y + off_y) = pixels_.at(x, y);
-                    new_mask.at(x + off_x, y + off_y) = mask_.at(x, y);
-                  }
+                  blit_row<rt::inert>(pixels_, mask_, y, off_x, off_y,
+                                      new_pixels, new_mask);
                 }
               });
         },
         [&] {
           for (int y = 0; y < pixels_.height(); ++y) {
-            for (int x = 0; x < pixels_.width(); ++x) {
-              new_pixels.at(x + off_x, y + off_y) = pixels_.at(x, y);
-              new_mask.at(x + off_x, y + off_y) = mask_.at(x, y);
-            }
-            // Row blits are wide vector copies: ~1 dynamic op per 4 pixels.
-            rt::account(rt::op::mem,
-                        static_cast<std::uint64_t>(pixels_.width()) / 4);
+            blit_row<rt::live>(pixels_, mask_, y, off_x, off_y, new_pixels,
+                               new_mask);
           }
         });
   }
@@ -66,108 +187,37 @@ bool compositor::ensure(const geo::rect& world_rect) {
 
 void compositor::blend(const geo::warped_patch& patch, bool gain_compensate) {
   if (patch.pixels.empty()) return;
-  core::dispatch([&] { blend_clean(patch, gain_compensate); },
-                 [&] { blend_instrumented(patch, gain_compensate); });
-}
-
-void compositor::blend_instrumented(const geo::warped_patch& patch,
-                                    bool gain_compensate) {
-  rt::scope attributed(rt::fn::stitch);
   if (pixels_.empty()) {
     throw invalid_argument("compositor::blend: ensure() the canvas first");
   }
-  const std::size_t n = pixels_.size();
-  std::uint8_t* dst = pixels_.data();
-  std::uint8_t* cov = mask_.data();
-
-  // Exposure compensation: match the patch's mean to the canvas's over the
-  // overlap region, clamped to a modest gain range.
-  double gain = 1.0;
-  if (gain_compensate) {
-    double sum_patch = 0.0;
-    double sum_canvas = 0.0;
-    std::size_t overlap = 0;
-    for (int y = 0; y < patch.pixels.height(); ++y) {
-      const std::int64_t row_base =
-          (static_cast<std::int64_t>(patch.y0 - bounds_.y0 + y)) *
-              pixels_.width() +
-          (patch.x0 - bounds_.x0);
-      for (int x = 0; x < patch.pixels.width(); ++x) {
-        if (patch.valid.at(x, y) == 0) continue;
-        const std::size_t at = rt::idx(row_base + x, n);
-        if (cov[at] == 0) continue;
-        sum_patch += patch.pixels.at(x, y);
-        sum_canvas += dst[at];
-        ++overlap;
-      }
-    }
-    if (overlap > 64 && sum_patch > 0.0) {
-      gain = std::clamp(sum_canvas / sum_patch, 0.7, 1.4);
-    }
-    rt::account(rt::op::fp_alu, overlap);
-  }
-
-  for (int y = 0; y < patch.pixels.height(); ++y) {
-    // The destination row base is address arithmetic in flight — a guarded
-    // GPR fault site per row.
-    const std::int64_t row_base =
-        (static_cast<std::int64_t>(patch.y0 - bounds_.y0 + y)) *
-            pixels_.width() +
-        (patch.x0 - bounds_.x0);
-    for (int x = 0; x < patch.pixels.width(); ++x) {
-      if (patch.valid.at(x, y) == 0) continue;
-      const std::size_t at = rt::idx(row_base + x, n);
-      if (cov[at] == 1) seam_candidates_.push_back(at);  // overwrites old
-      dst[at] = gain == 1.0
-                    ? patch.pixels.at(x, y)
-                    : img::saturate_u8(gain * patch.pixels.at(x, y));
-      cov[at] = 2;  // newest generation (feather_seams demotes it to 1)
-    }
-    rt::account(rt::op::mem, static_cast<std::uint64_t>(patch.pixels.width()));
-    rt::account(rt::op::branch,
-                static_cast<std::uint64_t>(patch.pixels.width()));
-  }
+  core::dispatch([&] { blend_clean(patch, gain_compensate); },
+                 [&] {
+                   rt::scope attributed(rt::fn::stitch);
+                   const double gain =
+                       gain_compensate
+                           ? exposure_gain<rt::live>(patch, bounds_, pixels_,
+                                                     mask_)
+                           : 1.0;
+                   for (int y = 0; y < patch.pixels.height(); ++y) {
+                     paint_row<rt::live>(
+                         patch, y,
+                         canvas_row(patch, bounds_, pixels_.width(), y), gain,
+                         pixels_, mask_, seam_candidates_);
+                   }
+                 });
 }
 
 void compositor::blend_clean(const geo::warped_patch& patch,
                              bool gain_compensate) {
-  if (pixels_.empty()) {
-    throw invalid_argument("compositor::blend: ensure() the canvas first");
-  }
-  const std::size_t n = pixels_.size();
-  std::uint8_t* dst = pixels_.data();
-  std::uint8_t* cov = mask_.data();
-
-  // Gain estimation stays sequential: it is a light pass, and keeping the
-  // floating-point accumulation order identical to the instrumented lane is
-  // what keeps the blended bytes identical.
-  double gain = 1.0;
-  if (gain_compensate) {
-    double sum_patch = 0.0;
-    double sum_canvas = 0.0;
-    std::size_t overlap = 0;
-    for (int y = 0; y < patch.pixels.height(); ++y) {
-      const std::int64_t row_base =
-          (static_cast<std::int64_t>(patch.y0 - bounds_.y0 + y)) *
-              pixels_.width() +
-          (patch.x0 - bounds_.x0);
-      for (int x = 0; x < patch.pixels.width(); ++x) {
-        if (patch.valid.at(x, y) == 0) continue;
-        const auto at = static_cast<std::size_t>(row_base + x);
-        if (cov[at] == 0) continue;
-        sum_patch += patch.pixels.at(x, y);
-        sum_canvas += dst[at];
-        ++overlap;
-      }
-    }
-    if (overlap > 64 && sum_patch > 0.0) {
-      gain = std::clamp(sum_canvas / sum_patch, 0.7, 1.4);
-    }
-  }
+  const double gain =
+      gain_compensate
+          ? exposure_gain<rt::inert>(patch, bounds_, pixels_, mask_)
+          : 1.0;
 
   // Paint pass: patch rows map to disjoint canvas rows, so row bands fan
   // out; per-band seam-candidate lists concatenated in band order reproduce
   // the sequential discovery order that feather_seams depends on.
+  const std::size_t n = pixels_.size();
   const int patch_h = patch.pixels.height();
   const int patch_w = patch.pixels.width();
   constexpr std::int64_t blend_band = 32;
@@ -176,7 +226,7 @@ void compositor::blend_clean(const geo::warped_patch& patch,
   std::vector<std::vector<std::size_t>> band_seams(bands);
   // Unit gain (the default) is a masked byte copy, so it has a SIMD row
   // kernel; rows only use it once proven in-bounds, which keeps the scalar
-  // path's library-bug trap for the unreachable overflow case.
+  // row's library-bug trap for the unreachable overflow case.
   const simd::blend_row_fn blend_row =
       gain == 1.0 && patch.pixels.channels() == 1 &&
               patch.valid.channels() == 1
@@ -188,29 +238,18 @@ void compositor::blend_clean(const geo::warped_patch& patch,
         auto& seams = band_seams[band];
         for (int y = static_cast<int>(y0); y < y1; ++y) {
           const std::int64_t row_base =
-              (static_cast<std::int64_t>(patch.y0 - bounds_.y0 + y)) *
-                  pixels_.width() +
-              (patch.x0 - bounds_.x0);
+              canvas_row(patch, bounds_, pixels_.width(), y);
           if (blend_row != nullptr && row_base >= 0 &&
               static_cast<std::size_t>(row_base) + patch_w <= n) {
             const auto row = static_cast<std::size_t>(y) *
                              static_cast<std::size_t>(patch_w);
             blend_row(patch.pixels.data() + row, patch.valid.data() + row,
-                      dst, cov, static_cast<std::size_t>(row_base), patch_w,
-                      seams);
+                      pixels_.data(), mask_.data(),
+                      static_cast<std::size_t>(row_base), patch_w, seams);
             continue;
           }
-          for (int x = 0; x < patch_w; ++x) {
-            if (patch.valid.at(x, y) == 0) continue;
-            const auto at = static_cast<std::size_t>(row_base + x);
-            // Unreachable after ensure(); same library-bug trap as rt::idx.
-            if (at >= n) rt::detail::raise_logic_oob(row_base + x, n);
-            if (cov[at] == 1) seams.push_back(at);  // overwrites old
-            dst[at] = gain == 1.0
-                          ? patch.pixels.at(x, y)
-                          : img::saturate_u8(gain * patch.pixels.at(x, y));
-            cov[at] = 2;  // newest generation
-          }
+          paint_row<rt::inert>(patch, y, row_base, gain, pixels_, mask_,
+                               seams);
         }
       });
   for (const auto& seams : band_seams) {
@@ -221,111 +260,37 @@ void compositor::blend_clean(const geo::warped_patch& patch,
 
 void compositor::feather_seams() {
   if (pixels_.empty()) return;
-  core::dispatch([&] { feather_seams_clean(); },
-                 [&] { feather_seams_instrumented(); });
-}
-
-void compositor::feather_seams_instrumented() {
-  rt::scope attributed(rt::fn::stitch);
-  const int w = pixels_.width();
-  const int h = pixels_.height();
   const std::size_t n = pixels_.size();
-  const std::uint8_t* cov = mask_.data();
-  std::uint8_t* dst = pixels_.data();
-
-  // Smooth every overwrite-boundary pixel (recorded during blend) whose
-  // neighbourhood still contains older content, with the mean of its
-  // written 3x3 neighbours.
-  for (const std::size_t at : seam_candidates_) {
-    const int x = static_cast<int>(at % static_cast<std::size_t>(w));
-    const int y = static_cast<int>(at / static_cast<std::size_t>(w));
-    const bool seam =
-        (x > 0 && cov[at - 1] == 1) || (x + 1 < w && cov[at + 1] == 1) ||
-        (y > 0 && cov[at - static_cast<std::size_t>(w)] == 1) ||
-        (y + 1 < h && cov[at + static_cast<std::size_t>(w)] == 1);
-    if (!seam) continue;
-    int sum = 0;
-    int count = 0;
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const int nx = x + dx;
-        const int ny = y + dy;
-        if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
-        const std::size_t neighbour = rt::idx(
-            static_cast<std::int64_t>(ny) * w + nx, n);
-        if (cov[neighbour] == 0) continue;
-        sum += dst[neighbour];
-        ++count;
-      }
-    }
-    if (count > 0) {
-      dst[at] = static_cast<std::uint8_t>((sum + count / 2) / count);
-    }
-  }
-  rt::account(rt::op::int_alu, seam_candidates_.size() * 6);
-  rt::account(rt::op::branch, seam_candidates_.size() * 2);
-
-  // The newest generation becomes old content.
-  for (const std::size_t at : seam_candidates_) mask_[at] = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mask_[i] == 2) mask_[i] = 1;
-  }
-  rt::account(rt::op::mem, n / 8);
-  seam_candidates_.clear();
-}
-
-void compositor::feather_seams_clean() {
-  const int w = pixels_.width();
-  const int h = pixels_.height();
-  const std::size_t n = pixels_.size();
-  const std::uint8_t* cov = mask_.data();
-  std::uint8_t* dst = pixels_.data();
-
-  // The smoothing sweep stays sequential: a seam pixel's 3x3 mean may read
-  // neighbours smoothed earlier in the candidate list, so iteration order
-  // is part of the output.  It only visits boundary pixels — the O(canvas)
-  // work is the generation demotion below, which does fan out.
-  for (const std::size_t at : seam_candidates_) {
-    const int x = static_cast<int>(at % static_cast<std::size_t>(w));
-    const int y = static_cast<int>(at / static_cast<std::size_t>(w));
-    const bool seam =
-        (x > 0 && cov[at - 1] == 1) || (x + 1 < w && cov[at + 1] == 1) ||
-        (y > 0 && cov[at - static_cast<std::size_t>(w)] == 1) ||
-        (y + 1 < h && cov[at + static_cast<std::size_t>(w)] == 1);
-    if (!seam) continue;
-    int sum = 0;
-    int count = 0;
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const int nx = x + dx;
-        const int ny = y + dy;
-        if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
-        const auto neighbour =
-            static_cast<std::size_t>(ny) * static_cast<std::size_t>(w) +
-            static_cast<std::size_t>(nx);
-        if (cov[neighbour] == 0) continue;
-        sum += dst[neighbour];
-        ++count;
-      }
-    }
-    if (count > 0) {
-      dst[at] = static_cast<std::uint8_t>((sum + count / 2) / count);
-    }
-  }
-
-  for (const std::size_t at : seam_candidates_) mask_[at] = 1;
   std::uint8_t* mask_data = mask_.data();
-  const simd::demote_fn demote = simd::select_demote(core::simd::active());
-  core::thread_pool::current().parallel_for(
-      0, static_cast<std::int64_t>(n), 1 << 16,
-      [&](std::int64_t i0, std::int64_t i1, std::size_t) {
-        if (demote != nullptr) {
-          demote(mask_data + i0, static_cast<std::size_t>(i1 - i0));
-          return;
-        }
-        for (std::int64_t i = i0; i < i1; ++i) {
+  core::dispatch(
+      [&] {
+        smooth_seams<rt::inert>(seam_candidates_, mask_, pixels_);
+        // The newest generation becomes old content: the O(canvas) part,
+        // which fans out.
+        for (const std::size_t at : seam_candidates_) mask_data[at] = 1;
+        const simd::demote_fn demote =
+            simd::select_demote(core::simd::active());
+        core::thread_pool::current().parallel_for(
+            0, static_cast<std::int64_t>(n), 1 << 16,
+            [&](std::int64_t i0, std::int64_t i1, std::size_t) {
+              if (demote != nullptr) {
+                demote(mask_data + i0, static_cast<std::size_t>(i1 - i0));
+                return;
+              }
+              for (std::int64_t i = i0; i < i1; ++i) {
+                if (mask_data[i] == 2) mask_data[i] = 1;
+              }
+            });
+      },
+      [&] {
+        rt::scope attributed(rt::fn::stitch);
+        smooth_seams<rt::live>(seam_candidates_, mask_, pixels_);
+        // The newest generation becomes old content.
+        for (const std::size_t at : seam_candidates_) mask_data[at] = 1;
+        for (std::size_t i = 0; i < n; ++i) {
           if (mask_data[i] == 2) mask_data[i] = 1;
         }
+        rt::account(rt::op::mem, n / 8);
       });
   seam_candidates_.clear();
 }

@@ -58,13 +58,9 @@ class compositor {
   bool operator==(const compositor&) const = default;
 
  private:
-  // Clean-lane (parallel, hook-free) twins of the hot compositing passes,
-  // dispatched when instrumentation is off.  Byte-identical output.
+  // Clean lane of blend(): row bands of the shared paint row, with the
+  // active SIMD tier's row kernel where it applies.
   void blend_clean(const geo::warped_patch& patch, bool gain_compensate);
-  void blend_instrumented(const geo::warped_patch& patch,
-                          bool gain_compensate);
-  void feather_seams_clean();
-  void feather_seams_instrumented();
 
   std::size_t max_pixels_;
   geo::rect bounds_;

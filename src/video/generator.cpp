@@ -58,81 +58,71 @@ int synthetic_video::frame_count() const {
   return static_cast<int>(path_.size());
 }
 
+namespace {
+
+// One output row of a synthetic frame, the body both lanes run: the scene
+// sampled through the camera pose, plus the row's pre-drawn sensor noise.
+template <class H>
+void render_row(const img::image_u8& scene, const geo::mat3& to_scene,
+                const std::vector<double>& noise, double sigma, int y,
+                img::image_u8& out) {
+  const int w = out.width();
+  for (int x = 0; x < w; ++x) {
+    const geo::vec2 s = to_scene.apply({x + 0.5, y + 0.5});
+    const auto v = geo::sample_bilinear<H>(scene, s.x, s.y);
+    double pixel = v ? static_cast<double>(*v) : 0.0;
+    if (!noise.empty()) {
+      pixel += noise[static_cast<std::size_t>(y) * w + x] * sigma;
+    }
+    out.at(x, y) = img::saturate_u8(pixel);
+  }
+  // Real frame acquisition (decode + color/debayer + undistort) costs
+  // far more than the synthetic sampling that stands in for it here.
+  H::account(rt::op::fp_alu, static_cast<std::uint64_t>(w) * 8);
+  H::account(rt::op::int_alu, static_cast<std::uint64_t>(w) * 14);
+  H::account(rt::op::mem, static_cast<std::uint64_t>(w) * 6);
+}
+
+}  // namespace
+
 img::image_u8 synthetic_video::frame(int index) const {
   if (index < 0 || index >= frame_count()) {
     throw invalid_argument("synthetic_video::frame: index out of range");
   }
-  return core::dispatch([&] { return frame_clean(index); },
-                        [&] { return frame_instrumented(index); });
-}
-
-img::image_u8 synthetic_video::frame_instrumented(int index) const {
-  rt::scope attributed(rt::fn::video_decode);
-
   const geo::mat3 to_scene =
       pose_to_scene(path_[static_cast<std::size_t>(index)],
                     params_.frame_width, params_.frame_height);
-
   img::image_u8 out(params_.frame_width, params_.frame_height, 1);
-  rng noise(params_.seed * 0x51ed2701ULL + static_cast<std::uint64_t>(index));
 
-  for (int y = 0; y < out.height(); ++y) {
-    for (int x = 0; x < out.width(); ++x) {
-      const geo::vec2 s = to_scene.apply({x + 0.5, y + 0.5});
-      const auto v = geo::sample_bilinear(*scene_, s.x, s.y);
-      double pixel = v ? static_cast<double>(*v) : 0.0;
-      if (params_.sensor_noise_sigma > 0.0) {
-        pixel += noise.normal() * params_.sensor_noise_sigma;
-      }
-      out.at(x, y) = img::saturate_u8(pixel);
-    }
-    // Real frame acquisition (decode + color/debayer + undistort) costs
-    // far more than the synthetic sampling that stands in for it here.
-    rt::account(rt::op::fp_alu, static_cast<std::uint64_t>(out.width()) * 8);
-    rt::account(rt::op::int_alu, static_cast<std::uint64_t>(out.width()) * 14);
-    rt::account(rt::op::mem, static_cast<std::uint64_t>(out.width()) * 6);
+  // The per-pixel normal() draws are made up front in raster order, so the
+  // rows can be rendered in any order: Box–Muller caches a spare draw, so
+  // the stream is call-order-sensitive.
+  const double sigma = params_.sensor_noise_sigma;
+  std::vector<double> noise;
+  if (sigma > 0.0) {
+    rng gen(params_.seed * 0x51ed2701ULL + static_cast<std::uint64_t>(index));
+    noise.resize(out.size());
+    for (auto& v : noise) v = gen.normal();
   }
 
-  overlay_clutter(out, to_scene, index);
-  return out;
-}
-
-img::image_u8 synthetic_video::frame_clean(int index) const {
-  const geo::mat3 to_scene =
-      pose_to_scene(path_[static_cast<std::size_t>(index)],
-                    params_.frame_width, params_.frame_height);
-
-  img::image_u8 out(params_.frame_width, params_.frame_height, 1);
-  rng noise(params_.seed * 0x51ed2701ULL + static_cast<std::uint64_t>(index));
-
-  // The per-pixel normal() draws are replicated up front in raster order:
-  // Box–Muller caches a spare draw, so the stream is call-order-sensitive
-  // and must match the instrumented lane's one-call-per-pixel sequence.
-  std::vector<double> noise_buf;
-  const bool noisy = params_.sensor_noise_sigma > 0.0;
-  if (noisy) {
-    noise_buf.resize(out.size());
-    for (auto& v : noise_buf) v = noise.normal();
-  }
-
-  const int w = out.width();
-  core::thread_pool::current().parallel_for(
-      0, out.height(), 8, [&](std::int64_t y0, std::int64_t y1, std::size_t) {
-        for (int y = static_cast<int>(y0); y < y1; ++y) {
-          for (int x = 0; x < w; ++x) {
-            const geo::vec2 s = to_scene.apply({x + 0.5, y + 0.5});
-            const auto v = geo::sample_bilinear(*scene_, s.x, s.y);
-            double pixel = v ? static_cast<double>(*v) : 0.0;
-            if (noisy) {
-              pixel += noise_buf[static_cast<std::size_t>(y) * w + x] *
-                       params_.sensor_noise_sigma;
-            }
-            out.at(x, y) = img::saturate_u8(pixel);
-          }
+  core::dispatch(
+      [&] {
+        core::thread_pool::current().parallel_for(
+            0, out.height(), 8,
+            [&](std::int64_t y0, std::int64_t y1, std::size_t) {
+              for (int y = static_cast<int>(y0); y < y1; ++y) {
+                render_row<rt::inert>(*scene_, to_scene, noise, sigma, y, out);
+              }
+            });
+        overlay_clutter(out, to_scene, index);
+      },
+      [&] {
+        rt::scope attributed(rt::fn::video_decode);
+        for (int y = 0; y < out.height(); ++y) {
+          render_row<rt::live>(*scene_, to_scene, noise, sigma, y, out);
         }
+        overlay_clutter(out, to_scene, index);
       });
-
-  overlay_clutter(out, to_scene, index);
   return out;
 }
 

@@ -78,10 +78,6 @@ class synthetic_video final : public video_source {
   [[nodiscard]] const std::vector<pose>& path() const noexcept { return path_; }
 
  private:
-  /// Clean (parallel) lane of frame(): identical bytes, no fault hooks.
-  [[nodiscard]] img::image_u8 frame_clean(int index) const;
-  /// Instrumented lane of frame(): sequential, rt:: hooks as fault sites.
-  [[nodiscard]] img::image_u8 frame_instrumented(int index) const;
   /// Dynamic-clutter overlay shared by both lanes (order-dependent
   /// blending, so it runs sequentially in each).
   void overlay_clutter(img::image_u8& out, const geo::mat3& to_scene,

@@ -63,25 +63,6 @@ TEST(Draw, FilledCircleContainsCenterNotCorners) {
   EXPECT_EQ(im.at(8 + 5, 8), 0);
 }
 
-TEST(Draw, CircleOutlineIsSymmetric) {
-  image_u8 im(16, 16, 1);
-  draw_circle(im, 8, 8, 5, color{4, 4, 4});
-  EXPECT_EQ(im.at(13, 8), 4);
-  EXPECT_EQ(im.at(3, 8), 4);
-  EXPECT_EQ(im.at(8, 13), 4);
-  EXPECT_EQ(im.at(8, 3), 4);
-}
-
-TEST(Draw, MarkerDrawsCross) {
-  image_u8 im(8, 8, 1);
-  draw_marker(im, 4, 4, 2, color{6, 6, 6});
-  EXPECT_EQ(im.at(2, 4), 6);
-  EXPECT_EQ(im.at(6, 4), 6);
-  EXPECT_EQ(im.at(4, 2), 6);
-  EXPECT_EQ(im.at(4, 6), 6);
-  EXPECT_EQ(im.at(2, 2), 0);
-}
-
 }  // namespace
 }  // namespace vs::img
 

@@ -33,14 +33,6 @@ TEST(Mat3, RotationQuarterTurn) {
   EXPECT_NEAR(q.y, 1.0, kTol);
 }
 
-TEST(Mat3, RotationAboutCenterFixesCenter) {
-  const vec2 center{10.0, 20.0};
-  const auto r = mat3::rotation_about(1.234, center);
-  const vec2 q = r.apply(center);
-  EXPECT_NEAR(q.x, center.x, 1e-9);
-  EXPECT_NEAR(q.y, center.y, 1e-9);
-}
-
 TEST(Mat3, ScalingScalesDeterminant) {
   const auto s = mat3::scaling(2.0, 3.0);
   EXPECT_NEAR(s.det(), 6.0, kTol);

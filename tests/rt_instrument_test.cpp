@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "features/fast.h"
+#include "features/orb.h"
+#include "gate/change.h"
+#include "geometry/warp.h"
+#include "image/image.h"
+#include "match/matcher.h"
 #include "rt/instrument.h"
+#include "stitch/compositor.h"
+#include "video/generator.h"
 
 namespace vs::rt {
 namespace {
@@ -268,3 +277,101 @@ TEST(Instrument, AccountRespectsWatchdog) {
 
 }  // namespace
 }  // namespace vs::rt
+
+namespace vs {
+namespace {
+
+/// Every nonzero entry of `c` (ops, fault-site hooks and unstruck hooks per
+/// scope), so two strings are equal exactly when the counters are.
+std::string pinned_form(const rt::counters& c) {
+  std::string out;
+  for (int f = 0; f < rt::fn_count; ++f) {
+    const std::string name = rt::fn_name(static_cast<rt::fn>(f));
+    auto add = [&](const char* what, std::uint64_t v) {
+      if (v == 0) return;
+      out += (out.empty() ? "" : " ") + name + "." + what + "=" +
+             std::to_string(v);
+    };
+    for (int k = 0; k < rt::op_count; ++k) {
+      add(rt::op_name(static_cast<rt::op>(k)), c.by_fn[f][k]);
+    }
+    add("gpr_hooks", c.hooks_by_fn[f][0]);
+    add("fpr_hooks", c.hooks_by_fn[f][1]);
+    add("unstruck", c.unstruck_by_fn[f]);
+  }
+  return out;
+}
+
+/// Counts what `kernel` executes inside a fresh counting session.
+template <class Kernel>
+std::string counted(Kernel&& kernel) {
+  rt::session s;
+  kernel();
+  return pinned_form(s.stats());
+}
+
+// The per-kernel op streams of the instrumented lane, recorded on a fixed
+// Input 1 frame pair.  Every fault plan addresses these streams, so a kernel
+// rewrite that moves a hook, reorders two or changes an accounted count
+// shows here, before any end-to-end golden moves.
+TEST(KernelHooks, CountsArePinned) {
+  const auto clip = video::make_input(video::input_id::input1, 8);
+  const img::image_u8 a = clip->frame(3);
+  const img::image_u8 b = clip->frame(4);
+  const feat::orb_params orb;
+  const feat::frame_features fa = feat::orb_extract(a, orb);
+  const feat::frame_features fb = feat::orb_extract(b, orb);
+  const geo::mat3 h{0.998, -0.05, 6.5, 0.05, 0.998, -3.25, 1e-5, -2e-5, 1.0};
+  const geo::rect whole{0, 0, a.width(), a.height()};
+  const geo::rect moved = *geo::projected_bounds(h, b.width(), b.height());
+  const geo::warped_patch pa = geo::warp_perspective(a, geo::mat3::identity(),
+                                                     whole);
+  const geo::warped_patch pb = geo::warp_perspective(b, h, moved);
+  match::match_params simple;
+  simple.mode = match::match_mode::simple;
+
+  EXPECT_EQ(counted([&] { (void)clip->frame(3); }),
+            "video_decode.int_alu=379200 video_decode.mem=122880 "
+            "video_decode.fp_alu=152304 video_decode.gpr_hooks=61440");
+  EXPECT_EQ(counted([&] { (void)feat::fast_detect(a, orb.fast); }),
+            "fast_detect.int_alu=184570 fast_detect.mem=29140 "
+            "fast_detect.branch=10122 fast_detect.gpr_hooks=29204 "
+            "fast_detect.unstruck=1");
+  EXPECT_EQ(counted([&] { (void)feat::orb_extract(a, orb); }),
+            "fast_detect.int_alu=184570 fast_detect.mem=29140 "
+            "fast_detect.branch=10122 fast_detect.gpr_hooks=29204 "
+            "fast_detect.unstruck=1 orb_describe.int_alu=504396 "
+            "orb_describe.mem=180572 orb_describe.fp_alu=1652 "
+            "orb_describe.gpr_hooks=157176 orb_describe.fpr_hooks=236");
+  EXPECT_EQ(counted([&] { (void)match::match_descriptors(fa, fb, {}); }),
+            "match.int_alu=702808 match.mem=236 match.branch=54045 "
+            "match.gpr_hooks=473");
+  EXPECT_EQ(counted([&] { (void)match::match_descriptors(fa, fb, simple); }),
+            "match.int_alu=324500 match.mem=236 match.branch=54045 "
+            "match.gpr_hooks=473");
+  EXPECT_EQ(counted([&] { (void)geo::warp_perspective(b, h, moved); }),
+            "other.int_alu=3 other.gpr_hooks=3 other.unstruck=3 "
+            "warpPerspective.branch=14040 warpPerspective.fp_alu=195104 "
+            "warpPerspective.gpr_hooks=104 warpPerspective.fpr_hooks=27872 "
+            "remapBilinear.int_alu=132605 remapBilinear.mem=84385 "
+            "remapBilinear.gpr_hooks=72330");
+  EXPECT_EQ(counted([&] {
+              stitch::compositor canvas;
+              canvas.ensure(whole);
+              canvas.blend(pa, true);
+              canvas.ensure(moved);  // grows: blits the old canvas
+              canvas.blend(pb, true);
+              canvas.feather_seams();
+            }),
+            "stitch.int_alu=4 stitch.mem=79291 stitch.branch=26224 "
+            "stitch.fp_alu=11457 stitch.gpr_hooks=48244 stitch.unstruck=4");
+  EXPECT_EQ(counted([&] { (void)img::box_blur3(a); }), "");
+  const img::image_u8 ta = gate::make_thumb(a, 4);
+  const img::image_u8 tb = gate::make_thumb(b, 4);
+  EXPECT_EQ(counted([&] { (void)gate::change_score(tb, ta, 2, 4); }),
+            "gate.int_alu=52695 gate.mem=35112 gate.fp_alu=1 gate.gpr_hooks=27 "
+            "gate.fpr_hooks=1");
+}
+
+}  // namespace
+}  // namespace vs

@@ -799,12 +799,18 @@ TEST(ServeRestart, ShutdownDuringRespawnBackoffEndsClean) {
   respawn_stats stats;
   std::thread runner([&] { stats = supervisor.run(); });
   ASSERT_TRUE(wait_for_path(path, 10.0));
+  // The generation can bind its socket before the supervisor publishes its
+  // pid, and a kill in between signals nothing: wait for the pid.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (supervisor.child_pid() <= 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
 
   // Crash the only generation and wait until the supervisor has reaped
   // it: no generation is alive, the respawn is parked in its backoff.
-  supervisor.kill_child();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const bool killed = supervisor.kill_child();
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (supervisor.child_pid() > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -824,6 +830,8 @@ TEST(ServeRestart, ShutdownDuringRespawnBackoffEndsClean) {
   // The one generation died abnormally: by the SIGKILL, or — under TSan,
   // which stops a forked child that starts threads — by exiting first.
   EXPECT_EQ(stats.crashes + stats.failures, 1u);
+  EXPECT_TRUE(killed || stats.failures == 1u)
+      << "the kill signalled no generation";
   std::remove(path.c_str());  // the killed generation never unlinked it
 }
 
