@@ -1,27 +1,22 @@
 // Fig 14 (extension study): recovery-aware resiliency under the src/resil/
 // fault-containment subsystem.
 //
-// Part 1 — cumulative hardening levels.  For each scenario, runs the same
-// GPR campaign at four cumulative levels — off / detectors / +CFCSS /
-// +replication(geometry) — and reports how much of the unhardened
-// Crash+SDC mass the containment machinery converts into
-// Detected(recovered)/Detected(degraded), plus the fault-free wall-time
-// overhead each level costs on the production (clean) lane.
-//
-// Part 2 — replication frontier.  At level full, sweeps the per-stage
-// dual-execution mask (off, each replicable stage alone, all) and emits
-// one (stage, on/off) cell per scenario: campaign distribution, Crash+SDC
-// reduction vs replication-off, and fault-free overhead vs the unhardened
-// pipeline.  This is the coverage-vs-overhead frontier the registry's
-// `replicable` attribute buys: the cross-scenario summary
-// shows where all-stage replication lands relative to the geometry-only
-// default.
+// For each scenario, runs the same GPR campaign at four cumulative levels —
+// off / detectors / +CFCSS / full (+ the composite replica) — and reports
+// how much of the unhardened Crash+SDC mass the containment machinery
+// converts into Detected(recovered)/Detected(degraded), plus the
+// fault-free wall-time overhead each level costs on the production (clean)
+// lane.
 //
 // Scenarios are Inputs 1-3 (the paper pair + the low-texture night pass).
-// Writes machine-readable JSON summaries (BENCH_fig14_recovery.json and
-// BENCH_replication_frontier.json) into bench_out/ (or --out-dir).
+// Per level, the Crash+SDC counts are pooled over the inputs (never
+// averaged per-input rates) and printed with a Wilson 95% interval and the
+// unpaired two-proportion z against the rung below: the levels change the
+// op stream, so the cells are not paired samples.  Writes
+// BENCH_fig14_recovery.json into bench_out/ (or --out-dir).
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -30,7 +25,6 @@
 
 #include "common.h"
 #include "fault/detectors.h"
-#include "pipeline/stage.h"
 #include "resil/hardening.h"
 #include "rt/instrument.h"
 
@@ -60,8 +54,35 @@ double wall_ms(const video::video_source& source,
   return best;
 }
 
-double crash_sdc(const fault::outcome_rates& r) {
-  return r.crash_rate() + r.rate(fault::outcome::sdc);
+std::size_t crash_sdc(const fault::outcome_rates& r) {
+  return r.crash_segfault + r.crash_abort + r.sdc;
+}
+
+/// Wilson score interval (95%) of k successes in n trials.
+std::pair<double, double> wilson(std::size_t k, std::size_t n) {
+  if (n == 0) return {0.0, 0.0};
+  constexpr double z = 1.959963984540054;
+  const double nn = static_cast<double>(n);
+  const double p = static_cast<double>(k) / nn;
+  const double denom = 1.0 + z * z / nn;
+  const double center = (p + z * z / (2.0 * nn)) / denom;
+  const double half =
+      z * std::sqrt(p * (1.0 - p) / nn + z * z / (4.0 * nn * nn)) / denom;
+  return {center - half, center + half};
+}
+
+/// Unpaired two-proportion z of k1/n1 against k0/n0 (pooled variance);
+/// negative when the first proportion is lower.
+double two_proportion_z(std::size_t k1, std::size_t n1, std::size_t k0,
+                        std::size_t n0) {
+  if (n1 == 0 || n0 == 0) return 0.0;
+  const double p1 = static_cast<double>(k1) / static_cast<double>(n1);
+  const double p0 = static_cast<double>(k0) / static_cast<double>(n0);
+  const double p = static_cast<double>(k1 + k0) / static_cast<double>(n1 + n0);
+  const double se = std::sqrt(p * (1.0 - p) *
+                              (1.0 / static_cast<double>(n1) +
+                               1.0 / static_cast<double>(n0)));
+  return se > 0.0 ? (p1 - p0) / se : 0.0;
 }
 
 struct level_row {
@@ -70,30 +91,6 @@ struct level_row {
   double wall = 0.0;      ///< fault-free clean-lane wall time, ms
   double overhead = 1.0;  ///< wall / wall(off)
 };
-
-/// One (stage-mask, scenario) cell of the replication frontier.
-struct frontier_cell {
-  std::string setting;     ///< off | <stage> | all
-  std::uint32_t mask = 0;  ///< per-stage replication mask of the cell
-  fault::outcome_rates rates;
-  double wall = 0.0;       ///< fault-free clean-lane wall time, ms
-  double overhead = 1.0;   ///< wall / unhardened wall
-  double reduction = 0.0;  ///< 1 - crash_sdc / crash_sdc(replication off)
-};
-
-/// The frontier's mask axis: replication off, each replicable stage alone,
-/// then every replicable stage at once.  The geometry-only default of
-/// hardening level full is the `estimate` cell.
-std::vector<std::pair<std::string, std::uint32_t>> frontier_settings() {
-  std::vector<std::pair<std::string, std::uint32_t>> settings;
-  settings.emplace_back("off", 0u);
-  for (const auto& stage : pipeline::stage_registry()) {
-    if (!stage.replicable) continue;
-    settings.emplace_back(stage.name, pipeline::stage_bit(stage.id));
-  }
-  settings.emplace_back("all", pipeline::replicable_stage_mask());
-  return settings;
-}
 
 void emit_rates(std::ostringstream& json, const std::string& indent,
                 const fault::outcome_rates& r) {
@@ -106,7 +103,7 @@ void emit_rates(std::ostringstream& json, const std::string& indent,
        << indent << "\"detected_recovered\": " << r.detected_recovered
        << ",\n"
        << indent << "\"detected_degraded\": " << r.detected_degraded << ",\n"
-       << indent << "\"crash_sdc_rate\": " << crash_sdc(r) << ",\n";
+       << indent << "\"crash_sdc\": " << crash_sdc(r) << ",\n";
 }
 
 }  // namespace
@@ -123,20 +120,9 @@ int main(int argc, char** argv) {
        << "  \"frames\": " << fault_frames << ",\n"
        << "  \"inputs\": [";
 
-  std::ostringstream frontier;
-  frontier << "{\n"
-           << "  \"register_class\": \"gpr\",\n"
-           << "  \"injections\": " << opt.injections << ",\n"
-           << "  \"frames\": " << fault_frames << ",\n"
-           << "  \"level\": \"full\",\n"
-           << "  \"geometry_default\": \"estimate\",\n"
-           << "  \"inputs\": [";
-
-  // Cross-scenario accumulators for the frontier summary.
-  std::vector<std::string> settings_order;
-  std::vector<double> sum_crash_sdc;  // per setting, across scenarios
-  std::vector<double> sum_reduction;
-  std::vector<double> max_overhead;
+  // Per level, Crash+SDC and experiments summed over the scenarios.
+  std::vector<std::size_t> pooled_cs(all_levels().size(), 0);
+  std::vector<std::size_t> pooled_n(all_levels().size(), 0);
 
   bool first_input = true;
   for (const auto input : benchutil::all_scenarios()) {
@@ -149,18 +135,6 @@ int main(int argc, char** argv) {
     const app::hardening_calibration calibration = app::calibrate_hardening(
         *source, benchutil::variant_config(app::algorithm::vs), fault_frames);
 
-    const auto run_campaign = [&](const app::pipeline_config& config) {
-      fault::campaign_config campaign;
-      campaign.cls = rt::reg_class::gpr;
-      campaign.injections = opt.injections;
-      campaign.seed = opt.seed;
-      campaign.threads = opt.threads;
-      return fault::run_campaign(benchutil::vs_workload(source, config),
-                                 campaign)
-          .rates;
-    };
-
-    // -------------------- Part 1: cumulative levels --------------------
     benchutil::heading(
         std::string("Fig 14: cumulative hardening (GPR) — ") +
         video::input_name(input) + benchutil::clip_note(fault_frames));
@@ -181,7 +155,16 @@ int main(int argc, char** argv) {
       row.level = level;
       row.wall = wall_ms(*source, config, timing_reps);
       row.overhead = rows.empty() ? 1.0 : row.wall / rows.front().wall;
-      row.rates = run_campaign(config);
+      fault::campaign_config campaign;
+      campaign.cls = rt::reg_class::gpr;
+      campaign.injections = opt.injections;
+      campaign.seed = opt.seed;
+      campaign.threads = opt.threads;
+      row.rates = fault::run_campaign(benchutil::vs_workload(source, config),
+                                      campaign)
+                      .rates;
+      pooled_cs[rows.size()] += crash_sdc(row.rates);
+      pooled_n[rows.size()] += row.rates.experiments;
       rows.push_back(row);
 
       const auto& r = row.rates;
@@ -197,17 +180,8 @@ int main(int argc, char** argv) {
           row.wall, row.overhead);
     }
 
-    const double before = crash_sdc(rows.front().rates);
-    const double after = crash_sdc(rows.back().rates);
-    const double reduction = before > 0.0 ? 1.0 - after / before : 0.0;
-    std::printf("Crash+SDC: %s -> %s under full hardening (%.0f%% reduction)\n",
-                benchutil::pct(before).c_str(), benchutil::pct(after).c_str(),
-                100.0 * reduction);
-
     json << (first_input ? "" : ",") << "\n    {\n"
          << "      \"input\": \"" << video::input_name(input) << "\",\n"
-         << "      \"crash_sdc_reduction_full_vs_off\": " << reduction
-         << ",\n"
          << "      \"levels\": [";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto& row = rows[i];
@@ -220,120 +194,54 @@ int main(int argc, char** argv) {
            << "        }";
     }
     json << "\n      ]\n    }";
-
-    // ------------------ Part 2: replication frontier -------------------
-    const double unhardened_wall = rows.front().wall;
-
-    benchutil::heading(
-        std::string("Replication frontier at level=full (GPR) — ") +
-        video::input_name(input) + benchutil::clip_note(fault_frames));
-    std::printf("%-10s %8s %8s %8s %8s %9s %9s %9s %9s %10s\n", "replicate",
-                "mask", "crash", "sdc", "hang", "det-rec", "det-deg",
-                "wall-ms", "overhead", "c+s-reduct");
-
-    const auto settings = frontier_settings();
-    if (settings_order.empty()) {
-      for (const auto& [name, mask] : settings) {
-        settings_order.push_back(name);
-        (void)mask;
-      }
-      sum_crash_sdc.assign(settings.size(), 0.0);
-      sum_reduction.assign(settings.size(), 0.0);
-      max_overhead.assign(settings.size(), 0.0);
-    }
-
-    std::vector<frontier_cell> cells;
-    for (const auto& [name, mask] : settings) {
-      auto config = benchutil::variant_config(app::algorithm::vs);
-      config.hardening.level = resil::hardening_level::full;
-      config.hardening.replicate_stages = mask;
-      calibration.apply_to(config.hardening);
-
-      frontier_cell cell;
-      cell.setting = name;
-      cell.mask = mask;
-      cell.wall = wall_ms(*source, config, timing_reps);
-      cell.overhead = cell.wall / unhardened_wall;
-      cell.rates = run_campaign(config);
-      const double base =
-          cells.empty() ? crash_sdc(cell.rates) : crash_sdc(cells.front().rates);
-      cell.reduction =
-          base > 0.0 ? 1.0 - crash_sdc(cell.rates) / base : 0.0;
-      cells.push_back(cell);
-
-      const auto& r = cell.rates;
-      std::printf(
-          "%-10s %8s %8s %8s %8s %9s %9s %9.1f %8.2fx %9s\n", name.c_str(),
-          benchutil::pct(r.rate(fault::outcome::masked)).c_str(),
-          benchutil::pct(r.crash_rate()).c_str(),
-          benchutil::pct(r.rate(fault::outcome::sdc)).c_str(),
-          benchutil::pct(r.rate(fault::outcome::hang)).c_str(),
-          benchutil::pct(r.rate(fault::outcome::detected_recovered)).c_str(),
-          benchutil::pct(r.rate(fault::outcome::detected_degraded)).c_str(),
-          cell.wall, cell.overhead,
-          benchutil::pct(cell.reduction, 0).c_str());
-    }
-
-    frontier << (first_input ? "" : ",") << "\n    {\n"
-             << "      \"input\": \"" << video::input_name(input) << "\",\n"
-             << "      \"unhardened_wall_ms\": " << unhardened_wall << ",\n"
-             << "      \"cells\": [";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const auto& cell = cells[i];
-      sum_crash_sdc[i] += crash_sdc(cell.rates);
-      sum_reduction[i] += cell.reduction;
-      if (cell.overhead > max_overhead[i]) max_overhead[i] = cell.overhead;
-      frontier << (i == 0 ? "" : ",") << "\n        {\n"
-               << "          \"replicate\": \"" << cell.setting << "\",\n"
-               << "          \"mask\": " << cell.mask << ",\n";
-      emit_rates(frontier, "          ", cell.rates);
-      frontier << "          \"crash_sdc_reduction_vs_off\": "
-               << cell.reduction << ",\n"
-               << "          \"wall_ms\": " << cell.wall << ",\n"
-               << "          \"fault_free_overhead\": " << cell.overhead
-               << "\n        }";
-    }
-    frontier << "\n      ]\n    }";
     first_input = false;
+  }
+
+  benchutil::heading("Crash+SDC pooled over Inputs 1-3");
+  std::printf("%-10s %12s %8s %20s %12s\n", "level", "crash+sdc", "rate",
+              "wilson 95%", "z vs below");
+  json << "\n  ],\n  \"pooled\": [";
+  for (std::size_t i = 0; i < all_levels().size(); ++i) {
+    const auto [lo, hi] = wilson(pooled_cs[i], pooled_n[i]);
+    const double rate = pooled_n[i] == 0
+                            ? 0.0
+                            : static_cast<double>(pooled_cs[i]) /
+                                  static_cast<double>(pooled_n[i]);
+    const double z = i == 0 ? 0.0
+                            : two_proportion_z(pooled_cs[i], pooled_n[i],
+                                               pooled_cs[i - 1],
+                                               pooled_n[i - 1]);
+    const std::string counts =
+        std::to_string(pooled_cs[i]) + "/" + std::to_string(pooled_n[i]);
+    const std::string interval =
+        "[" + benchutil::pct(lo, 2) + ", " + benchutil::pct(hi, 2) + "]";
+    std::printf("%-10s %12s %8s %20s", resil::hardening_level_name(all_levels()[i]),
+                counts.c_str(), benchutil::pct(rate, 2).c_str(),
+                interval.c_str());
+    if (i == 0) {
+      std::printf(" %12s\n", "-");
+    } else {
+      std::printf(" %12.2f\n", z);
+    }
+    json << (i == 0 ? "" : ",") << "\n    {\n"
+         << "      \"level\": \"" << resil::hardening_level_name(all_levels()[i])
+         << "\",\n"
+         << "      \"crash_sdc\": " << pooled_cs[i] << ",\n"
+         << "      \"experiments\": " << pooled_n[i] << ",\n"
+         << "      \"wilson95\": [" << lo << ", " << hi << "],\n"
+         << "      \"z_vs_level_below\": ";
+    if (i == 0) {
+      json << "null";
+    } else {
+      json << z;
+    }
+    json << "\n    }";
   }
   json << "\n  ]\n}\n";
 
-  // Cross-scenario frontier summary: per setting, mean Crash+SDC and mean
-  // reduction across Inputs 1-3 plus the worst fault-free overhead — the
-  // numbers the coverage-vs-overhead tradeoff is read from.
-  const double scenarios =
-      static_cast<double>(benchutil::all_scenarios().size());
-  frontier << "\n  ],\n  \"summary\": [";
-  benchutil::heading("Frontier summary across Inputs 1-3");
-  std::printf("%-10s %16s %16s %14s\n", "replicate", "mean crash+sdc",
-              "mean reduction", "max overhead");
-  for (std::size_t i = 0; i < settings_order.size(); ++i) {
-    const double mean_cs = sum_crash_sdc[i] / scenarios;
-    const double mean_red = sum_reduction[i] / scenarios;
-    std::printf("%-10s %16s %16s %13.2fx\n", settings_order[i].c_str(),
-                benchutil::pct(mean_cs).c_str(),
-                benchutil::pct(mean_red, 0).c_str(), max_overhead[i]);
-    frontier << (i == 0 ? "" : ",") << "\n    {\n"
-             << "      \"replicate\": \"" << settings_order[i] << "\",\n"
-             << "      \"mean_crash_sdc_rate\": " << mean_cs << ",\n"
-             << "      \"mean_crash_sdc_reduction_vs_off\": " << mean_red
-             << ",\n"
-             << "      \"max_fault_free_overhead\": " << max_overhead[i]
-             << "\n    }";
-  }
-  frontier << "\n  ]\n}\n";
-
   const std::string dir = benchutil::output_dir(opt);
-  {
-    std::ofstream out(dir + "/BENCH_fig14_recovery.json");
-    out << json.str();
-    std::printf("\nwrote %s\n", (dir + "/BENCH_fig14_recovery.json").c_str());
-  }
-  {
-    std::ofstream out(dir + "/BENCH_replication_frontier.json");
-    out << frontier.str();
-    std::printf("wrote %s\n",
-                (dir + "/BENCH_replication_frontier.json").c_str());
-  }
+  std::ofstream out(dir + "/BENCH_fig14_recovery.json");
+  out << json.str();
+  std::printf("\nwrote %s\n", (dir + "/BENCH_fig14_recovery.json").c_str());
   return 0;
 }

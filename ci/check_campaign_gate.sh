@@ -12,10 +12,10 @@
 # the sharding determinism contract: the merged distribution must be
 # bit-identical at any job count.
 #
-# The hardened matrix extends the gate along the selective-replication
-# axis: `--harden --replicate={off,geometry,all}` at level full must match
-# ci/golden_campaign_hardened.txt — including that all-stage replication
-# holds the SDC rate at zero.  The unhardened distribution stays pinned to
+# The hardened matrix extends the gate up the hardening ladder:
+# `--harden={cfcss,full}` must match ci/golden_campaign_hardened.txt —
+# including that level full's composite replica holds the SDC rate at
+# zero.  The unhardened distribution stays pinned to
 # ci/golden_campaign.txt unchanged: the hardening stack must be inert when
 # off.
 #
@@ -75,28 +75,28 @@ check_variant() {
 }
 
 check_hardened() {
-  local rep="$1"
+  local level="$1"
   local out
-  out="$(campaign --harden --replicate="$rep")"
+  out="$(campaign --harden="$level")"
   echo "$out"
   echo
 
-  local actual expected_rep
-  actual="$(echo "$out" | awk -v rep="$rep" '
-    /^  masked/          { printf "%s masked %s\n", rep, substr($2, 1, length($2)-1) }
-    /^  crash/           { printf "%s crash %s\n",  rep, substr($2, 1, length($2)-1) }
-    /^  sdc/             { printf "%s sdc %s\n",    rep, substr($2, 1, length($2)-1) }
-    /^  hang/            { printf "%s hang %s\n",   rep, substr($2, 1, length($2)-1) }
-    /^  detected\(rec\)/ { printf "%s detected_rec %s\n", rep, substr($2, 1, length($2)-1) }
-    /^  detected\(deg\)/ { printf "%s detected_deg %s\n", rep, substr($2, 1, length($2)-1) }')"
-  expected_rep="$(grep -v '^#' "$golden_hardened" | grep "^$rep ")"
+  local actual expected_level
+  actual="$(echo "$out" | awk -v level="$level" '
+    /^  masked/          { printf "%s masked %s\n", level, substr($2, 1, length($2)-1) }
+    /^  crash/           { printf "%s crash %s\n",  level, substr($2, 1, length($2)-1) }
+    /^  sdc/             { printf "%s sdc %s\n",    level, substr($2, 1, length($2)-1) }
+    /^  hang/            { printf "%s hang %s\n",   level, substr($2, 1, length($2)-1) }
+    /^  detected\(rec\)/ { printf "%s detected_rec %s\n", level, substr($2, 1, length($2)-1) }
+    /^  detected\(deg\)/ { printf "%s detected_deg %s\n", level, substr($2, 1, length($2)-1) }')"
+  expected_level="$(grep -v '^#' "$golden_hardened" | grep "^$level ")"
 
-  if [[ "$actual" == "$expected_rep" ]]; then
-    echo "campaign gate [hardened replicate=$rep]: PASS"
+  if [[ "$actual" == "$expected_level" ]]; then
+    echo "campaign gate [harden=$level]: PASS"
   else
-    echo "campaign gate [hardened replicate=$rep]: FAIL — diverged from golden" >&2
+    echo "campaign gate [harden=$level]: FAIL — diverged from golden" >&2
     echo "--- expected ($golden_hardened)" >&2
-    echo "$expected_rep" >&2
+    echo "$expected_level" >&2
     echo "--- actual" >&2
     echo "$actual" >&2
     fail=1
@@ -133,9 +133,9 @@ check_variant "in-process"
 check_variant "supervised jobs=1" --jobs=1
 check_variant "supervised jobs=4" --jobs=4
 check_variant "gate=off forced" --gate=off
-check_hardened off
-check_hardened geometry
-check_hardened all
+for level in cfcss full; do
+  check_hardened "$level"
+done
 check_gate_all
 
 if [[ "$fail" -ne 0 ]]; then

@@ -329,10 +329,6 @@ summary_result summarize(const video::video_source& source,
   pipeline::frame_executor exec(
       config.hardening, frame_count, config.frames_in_flight,
       [&source](int index) { return source.frame(index); }, full_extract,
-      [&config](const img::image_u8& frame,
-                const feat::frame_features& features) {
-        return feat::orb_verify_features(frame, features, config.orb);
-      },
       config.scheduler, gating);
 
   // Remembers the frame the reference feature set describes (the
@@ -414,17 +410,6 @@ summary_result summarize(const video::video_source& source,
         stats = gate::change_score(thumb, st.gate.ref_thumb,
                                    config.gate.thumb_search,
                                    config.gate.thumb_factor);
-        // Dual-execution contract of the gate stage: recompute the
-        // decision values hook-free and require bitwise agreement (both
-        // lanes accumulate the same integers).
-        resil::verify_recomputed(
-            stage_id::gate, stats,
-            [&] {
-              return gate::change_score_clean(thumb, st.gate.ref_thumb,
-                                              config.gate.thumb_search,
-                                              config.gate.thumb_factor);
-            },
-            std::equal_to<gate::change_stats>());
       }
       st.gate.last_score = stats.score;
       const bool can_skip =

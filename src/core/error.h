@@ -43,12 +43,12 @@ class hang_error : public std::runtime_error {
 enum class detect_kind {
   stage_hang,         ///< per-stage watchdog budget exceeded
   control_flow,       ///< CFCSS signature mismatch / illegal stage transition
-  replica_divergence, ///< HAFT-style dual execution disagreed
+  replica_divergence, ///< the composite replica disagreed
 };
 
 /// Thrown by the hardening layer when a fault is *detected* (as opposed to
-/// crashing or silently corrupting): CFCSS signature checks, replicated
-/// geometry math, and the per-stage watchdog.  The frame-level recovery
+/// crashing or silently corrupting): CFCSS signature checks, the composite
+/// replica, and the per-stage watchdog.  The frame-level recovery
 /// boundary converts these into retries / graceful degradation; when no
 /// boundary is installed they classify as detected-and-stopped.
 class detected_error : public std::runtime_error {

@@ -15,7 +15,7 @@ struct keypoint {
   float angle = 0.0f;  ///< orientation in radians (intensity centroid)
 
   // Exact comparison: detection is deterministic and byte-identical across
-  // lanes, so dual-execution checks compare bit patterns, not tolerances.
+  // lanes, so the equivalence checks compare bit patterns, not tolerances.
   bool operator==(const keypoint&) const = default;
 };
 

@@ -143,9 +143,9 @@ struct describe_tables {
 };
 
 // The per-keypoint bodies both lanes run (rt::live on the instrumented
-// lane, rt::inert on the clean lane and in orb_verify_features).  Every
-// pixel load is guarded address arithmetic on the instrumented lane, so an
-// injected offset becomes a wild (wrapped or faulting) read.
+// lane, rt::inert on the clean lane).  Every pixel load is guarded address
+// arithmetic on the instrumented lane, so an injected offset becomes a wild
+// (wrapped or faulting) read.
 
 // Intensity-centroid orientation of the disc of tables.radius around
 // (x, y), walked row by row in raster order.
@@ -290,55 +290,6 @@ frame_features orb_extract(const img::image_u8& gray,
         }
       });
   return out;
-}
-
-bool orb_verify_features(const img::image_u8& gray,
-                         const frame_features& features,
-                         const orb_params& params) {
-  if (features.keypoints.size() != features.descriptors.size()) return false;
-  if (features.keypoints.size() >
-      static_cast<std::size_t>(std::max(0, params.fast.max_keypoints))) {
-    return false;
-  }
-  if (features.keypoints.empty()) return true;
-
-  // Mirror the extractor's effective detection window exactly: any stored
-  // coordinate outside it cannot be a genuine detection, and rejecting it
-  // here keeps the clean-lane reloads below in bounds.
-  const int border =
-      std::max(3, std::max(params.fast.border, params.patch_radius * 2 + 2));
-  const int w = gray.width();
-  const int h = gray.height();
-  const int threshold = std::max(1, params.fast.threshold);
-  const img::image_u8 smooth = img::box_blur3(gray);
-  const describe_tables tables(params.patch_radius, w);
-  constexpr double two_pi = 2.0 * 3.14159265358979323846;
-
-  for (std::size_t i = 0; i < features.keypoints.size(); ++i) {
-    const keypoint& kp = features.keypoints[i];
-    const int x = static_cast<int>(kp.x);
-    const int y = static_cast<int>(kp.y);
-    // FAST emits integral positions; a fractional (or NaN) coordinate can
-    // only come from a fault.
-    if (static_cast<float>(x) != kp.x || static_cast<float>(y) != kp.y) {
-      return false;
-    }
-    if (x < border || y < border || x >= w - border || y >= h - border) {
-      return false;
-    }
-    const auto score = static_cast<float>(fast_score(gray, x, y, threshold));
-    if (score != kp.score || !(score > 0.0f)) return false;
-    const int bin =
-        orientation_bin(centroid_angle<rt::inert>(gray, x, y, tables));
-    if (kp.angle != static_cast<float>(bin * two_pi / orientation_bins)) {
-      return false;
-    }
-    if (!(describe<rt::inert>(smooth, kp, tables) ==
-          features.descriptors[i])) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace vs::feat

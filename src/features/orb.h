@@ -32,20 +32,4 @@ struct orb_params {
 [[nodiscard]] frame_features orb_extract(const img::image_u8& gray,
                                          const orb_params& params);
 
-/// Dual-execution check of an extraction product (the detect/describe
-/// stages' replication contract): re-derives every reported keypoint's
-/// score, quantized orientation, and descriptor *at its stored
-/// coordinates* on the hook-free lane and compares against the stored
-/// fields.  The full-frame corner search is not repeated — scoring a few
-/// hundred keypoints is O(keypoints) against the detector's O(pixels) — so
-/// a fault that invents a well-formed keypoint the search would never have
-/// emitted can escape, but any fault that perturbs a stored coordinate,
-/// score, angle, or descriptor bit of a real detection diverges (the score
-/// is recomputed at the stored position, so corrupt coordinates mismatch
-/// too).  Returns false on the first disagreement.  Intended to run inside
-/// a replica context.
-[[nodiscard]] bool orb_verify_features(const img::image_u8& gray,
-                                       const frame_features& features,
-                                       const orb_params& params);
-
 }  // namespace vs::feat

@@ -65,9 +65,9 @@ struct change_stats {
                                         const img::image_u8& ref, int radius,
                                         int factor);
 
-/// Hook-free recomputation of change_score (the gate stage's
-/// dual-execution recompute contract): bitwise-identical integer
-/// accumulation and the same final divisions.
+/// Hook-free recomputation of change_score, the reference the tests hold
+/// it to: bitwise-identical integer accumulation and the same final
+/// divisions.
 [[nodiscard]] change_stats change_score_clean(const img::image_u8& cur,
                                               const img::image_u8& ref,
                                               int radius, int factor);

@@ -1,13 +1,10 @@
 #include "geometry/homography.h"
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <vector>
 
 #include "core/error.h"
 #include "geometry/linalg.h"
-#include "resil/runtime.h"
 #include "rt/instrument.h"
 
 namespace vs::geo {
@@ -18,28 +15,6 @@ struct normalization {
   mat3 transform;  ///< maps raw points to normalized points
   std::vector<vec2> points;
 };
-
-// Bitwise replica comparison: replicas are deterministic over identical
-// inputs, so any difference is a detected fault, not numerical noise.
-bool bits_equal(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-bool bits_equal(const normalization& a, const normalization& b) {
-  for (int r = 0; r < 3; ++r) {
-    for (int c = 0; c < 3; ++c) {
-      if (!bits_equal(a.transform(r, c), b.transform(r, c))) return false;
-    }
-  }
-  if (a.points.size() != b.points.size()) return false;
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    if (!bits_equal(a.points[i].x, b.points[i].x) ||
-        !bits_equal(a.points[i].y, b.points[i].y)) {
-      return false;
-    }
-  }
-  return true;
-}
 
 // Hartley normalization: translate centroid to origin, scale mean distance
 // to sqrt(2).  Greatly improves the conditioning of the DLT system.
@@ -79,18 +54,8 @@ std::optional<mat3> estimate_homography(std::span<const point_pair> pairs) {
   if (pairs.size() < homography_min_pairs) return std::nullopt;
   rt::scope attributed(rt::fn::homography);
 
-  // HAFT-style replication (active under full hardening only): corrupted
-  // normalization poisons every row of the DLT system at once.
-  const auto replicated_normalize = [&](bool src) {
-    return resil::replicated(
-        pipeline::stage_id::estimate,
-        [&] { return normalize_points(pairs, src); },
-        [](const normalization& a, const normalization& b) {
-          return bits_equal(a, b);
-        });
-  };
-  const normalization src_norm = replicated_normalize(/*src=*/true);
-  const normalization dst_norm = replicated_normalize(/*src=*/false);
+  const normalization src_norm = normalize_points(pairs, /*src=*/true);
+  const normalization dst_norm = normalize_points(pairs, /*src=*/false);
 
   // Each correspondence contributes two rows of the linear system in the 8
   // unknowns (h00..h21), with h22 fixed at 1:

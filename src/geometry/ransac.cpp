@@ -1,39 +1,17 @@
 #include "geometry/ransac.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
 #include "core/error.h"
 #include "geometry/affine.h"
 #include "geometry/homography.h"
-#include "resil/runtime.h"
 #include "rt/instrument.h"
 
 namespace vs::geo {
 
 namespace {
-
-// Bitwise (not tolerance-based) comparison for replica checking: the two
-// replicas are the same deterministic computation over the same inputs, so
-// any difference at all means a fault struck one of them.
-bool bits_equal(const mat3& a, const mat3& b) {
-  for (int r = 0; r < 3; ++r) {
-    for (int c = 0; c < 3; ++c) {
-      if (std::bit_cast<std::uint64_t>(a(r, c)) !=
-          std::bit_cast<std::uint64_t>(b(r, c))) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool bits_equal(const std::optional<mat3>& a, const std::optional<mat3>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  return !a.has_value() || bits_equal(*a, *b);
-}
 
 // Adaptive iteration bound: enough hypotheses to hit an all-inlier sample
 // with the requested confidence given the observed inlier ratio.
@@ -85,47 +63,23 @@ std::optional<ransac_result> ransac_fit(
     for (std::size_t i = 0; i < params.sample_size; ++i) {
       sample[i] = pairs[indices[i]];
     }
-    // HAFT-style selective replication (hardened runs only): the model fit
-    // reads its inputs through FPR fault sites, so a register strike here is
-    // the canonical silent-geometry-corruption path.  Dual execution turns
-    // it into a detected (and frame-retriable) error.
-    const auto model = resil::replicated(
-        pipeline::stage_id::estimate,
-        [&] { return estimator(sample); },
-        [](const std::optional<mat3>& a, const std::optional<mat3>& b) {
-          return bits_equal(a, b);
-        });
+    const auto model = estimator(sample);
     rt::account(rt::op::int_alu, 6 * params.sample_size);
     if (!model) continue;
 
-    struct score_result {
-      std::vector<bool> mask;
-      std::size_t inliers = 0;
-    };
-    // Scoring too: every reprojection error flows through f64 fault sites,
-    // and a corrupted score silently mis-ranks hypotheses.
-    auto scored = resil::replicated(
-        pipeline::stage_id::estimate,
-        [&] {
-          score_result s;
-          s.mask.assign(pairs.size(), false);
-          for (std::size_t i = 0; i < pairs.size(); ++i) {
-            const bool in = error(*model, pairs[i]) <= params.inlier_threshold;
-            s.mask[i] = in;
-            s.inliers += in ? 1u : 0u;
-          }
-          rt::account(rt::op::branch, pairs.size());
-          return s;
-        },
-        [](const score_result& a, const score_result& b) {
-          return a.inliers == b.inliers && a.mask == b.mask;
-        });
-    const std::size_t inliers = scored.inliers;
+    std::vector<bool> mask(pairs.size(), false);
+    std::size_t inliers = 0;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const bool in = error(*model, pairs[i]) <= params.inlier_threshold;
+      mask[i] = in;
+      inliers += in ? 1u : 0u;
+    }
+    rt::account(rt::op::branch, pairs.size());
 
     if (inliers > best.inlier_count) {
       best.inlier_count = inliers;
       best.model = *model;
-      best.inlier_mask = std::move(scored.mask);
+      best.inlier_mask = std::move(mask);
       const double ratio =
           static_cast<double>(inliers) / static_cast<double>(pairs.size());
       limit = std::min(
@@ -151,12 +105,7 @@ std::optional<ransac_result> refit_on_inliers(
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (result.inlier_mask[i]) inliers.push_back(pairs[i]);
   }
-  const auto refined = resil::replicated(
-      pipeline::stage_id::estimate,
-      [&] { return estimator(inliers); },
-      [](const std::optional<mat3>& a, const std::optional<mat3>& b) {
-        return bits_equal(a, b);
-      });
+  const auto refined = estimator(inliers);
   if (refined) result.model = *refined;
   return result;
 }

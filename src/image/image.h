@@ -92,10 +92,9 @@ using image_u8 = basic_image<std::uint8_t>;
 using image_f32 = basic_image<float>;
 
 /// FNV-1a digest over an image's shape and pixel bytes — what the
-/// dual-execution checksum checks (resil::verify_replica) compare for
-/// buffer-producing stages.  Not cryptographic; a 64-bit accidental
-/// collision between a corrupted and a clean buffer is negligible next to
-/// the fault rates being measured.
+/// composite replica (resil::verify_replica) compares.  Not cryptographic;
+/// a 64-bit accidental collision between a corrupted and a clean buffer is
+/// negligible next to the fault rates being measured.
 template <class T>
 [[nodiscard]] std::uint64_t digest(const basic_image<T>& image) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -21,8 +21,7 @@ unsigned dispatch_width(const stage_scheduler* shared) {
 frame_executor::frame_executor(const resil::hardening_config& hardening,
                                int frame_count, int frames_in_flight,
                                acquire_fn acquire, detect_fn detect,
-                               verify_fn verify, stage_scheduler* scheduler,
-                               bool gated)
+                               stage_scheduler* scheduler, bool gated)
     : hardening_(hardening),
       hardened_(hardening.enabled()),
       frame_count_(frame_count),
@@ -41,8 +40,7 @@ frame_executor::frame_executor(const resil::hardening_config& hardening,
                (!rt::instrumented() ||
                 (counting_ && dispatch_width(scheduler) > 1))),
       acquire_(std::move(acquire)),
-      detect_(std::move(detect)),
-      verify_(std::move(verify)) {
+      detect_(std::move(detect)) {
   if (!overlap_) return;
   if (scheduler != nullptr) {
     scheduler_ = scheduler;
@@ -66,26 +64,6 @@ frame_executor::stage_guard::stage_guard(const frame_executor& exec,
     scope_.emplace(budget_value(exec.hardening_.stage_budgets, desc.budget));
   }
   resil::mark(desc.node);
-}
-
-void frame_executor::check_extract_replica(const frame_work& work) const {
-  // detect and describe are fused in one extraction call, so either
-  // stage's replication bit dual-executes the pair; a divergence is
-  // attributed to the stage whose bit requested the check.
-  const bool detect_on = resil::stage_replicated(stage_id::detect);
-  if (!detect_on && !resil::stage_replicated(stage_id::describe)) return;
-  const stage_id blame = detect_on ? stage_id::detect : stage_id::describe;
-  if (verify_) {
-    // Per-keypoint scoring verification: O(keypoints) instead of the
-    // detector's O(pixels) full-frame search, so dual-executing the
-    // extraction pair costs a fraction of the primary run.
-    resil::verify_checked(blame,
-                          [&] { return verify_(work.frame, work.features); });
-    return;
-  }
-  resil::verify_recomputed(blame, work.features,
-                           [&] { return detect_(work.frame); },
-                           std::equal_to<feat::frame_features>());
 }
 
 void frame_executor::drain_stale(int index) {
@@ -132,8 +110,6 @@ prefetched frame_executor::prefetch(int index, rt::fn cur) const {
 }
 
 frame_work frame_executor::acquire_inline(int index) const {
-  // Acquire runs no replica check: it is the I/O boundary, outside the
-  // sphere of replication.
   const stage_guard g = enter(stage_id::acquire);
   frame_work work;
   work.frame = acquire_(index);

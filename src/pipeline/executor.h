@@ -74,20 +74,13 @@ class frame_executor {
  public:
   using acquire_fn = std::function<img::image_u8(int)>;
   using detect_fn = std::function<feat::frame_features(const img::image_u8&)>;
-  /// Cheap dual check of an extraction product: true when every reported
-  /// keypoint's derived fields re-verify against the frame (the
-  /// per-keypoint scoring contract — see feat::orb_verify_features).
-  using verify_fn =
-      std::function<bool(const img::image_u8&, const feat::frame_features&)>;
 
   /// `hardening` must outlive the executor (it is the pipeline_config's).
   /// `frames_in_flight` is the lookahead (clamped to [0, frame_count]); an
   /// armed or hardened instrumented run ignores it and runs strictly
-  /// inline, and so does a counting session whose pool is one wide.  When
-  /// `verify` is provided the extraction stages' replication check uses it
-  /// instead of a full recompute-and-compare of `detect`.  `gated` says the
-  /// gate decides per frame whether and where extraction runs, so a
-  /// counting session prefetches acquisition only.
+  /// inline, and so does a counting session whose pool is one wide.
+  /// `gated` says the gate decides per frame whether and where extraction
+  /// runs, so a counting session prefetches acquisition only.
   ///
   /// Prefetch rides a stage_scheduler's queue.  `scheduler` shares an
   /// external one (pipeline_config::scheduler); when null and the
@@ -96,8 +89,7 @@ class frame_executor {
   /// tickets are consumed in stitch order.
   frame_executor(const resil::hardening_config& hardening, int frame_count,
                  int frames_in_flight, acquire_fn acquire, detect_fn detect,
-                 verify_fn verify = {}, stage_scheduler* scheduler = nullptr,
-                 bool gated = false);
+                 stage_scheduler* scheduler = nullptr, bool gated = false);
   /// Withdraws every still-queued prefetch and waits for the dispatched
   /// ones before the frame source can die.
   ~frame_executor();
@@ -146,18 +138,14 @@ class frame_executor {
   /// The extraction stages (detect + describe) over `w.frame`, on the
   /// calling thread: enters detect, stores `run(w.frame)` in `w.features`
   /// (unless obtain() already handed over the prefetched extraction),
-  /// marks describe — a CFCSS mark only, since describe is fused into the
-  /// same extraction call and rides in detect's watchdog scope — and runs
-  /// the extraction pair's replica check.  `run` is the full extractor, or
-  /// the ROI one on a gated delta frame; either way the check sees only
-  /// freshly extracted features (reused or cached descriptors
-  /// intentionally differ from a re-derivation).
+  /// and marks describe — a CFCSS mark only, since describe is fused into
+  /// the same extraction call and rides in detect's watchdog scope.  `run`
+  /// is the full extractor, or the ROI one on a gated delta frame.
   template <class Run>
   void extract(frame_work& w, Run&& run) const {
     const stage_guard g = enter(stage_id::detect);
     if (!w.extracted) w.features = run(w.frame);
     resil::mark(stage_info(stage_id::describe).node);
-    check_extract_replica(w);
   }
 
   /// Whether the current frame is a recovery retry (gated callers must
@@ -217,14 +205,6 @@ class frame_executor {
   [[nodiscard]] int frames_in_flight() const noexcept { return depth_; }
 
  private:
-  /// Dual-execution check of the extraction stages (selective
-  /// replication): per-keypoint scoring verification when a verify_fn was
-  /// supplied, full recompute-compare otherwise.  No-op unless the
-  /// session's replication mask includes detect or describe.  Called
-  /// inside the detect stage guard so a divergence is detected — and
-  /// budgeted — in the stage it implicates.  (Acquire has no check: it is
-  /// the I/O boundary, outside the sphere of replication.)
-  void check_extract_replica(const frame_work& work) const;
   /// Discards the tickets of frames before `index` (RFD-dropped frames, or
   /// every ticket at teardown): a queued one is withdrawn and never
   /// acquired; a dispatched one must complete before the source dies.
@@ -252,7 +232,6 @@ class frame_executor {
   bool retrying_ = false;
   acquire_fn acquire_;
   detect_fn detect_;
-  verify_fn verify_;
 
   /// Private scheduler when the lookahead is active and none was shared.
   /// Declared before tickets_ and destroyed after the destructor body

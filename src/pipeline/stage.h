@@ -4,8 +4,7 @@
 // estimate -> composite — is the organizing concept of every result this
 // repository reproduces, and every cross-cutting subsystem needs its own
 // view of it: resil::cfcss signs its nodes, the per-stage watchdog budgets
-// its step allowances, the profiler attributes rt::fn scopes to it, and
-// selective replication names the stages that may dual-execute.  This
+// its step allowances, and the profiler attributes rt::fn scopes to it.  This
 // registry is the one shared description those subsystems consume, and it
 // holds only what code reads.  Scheduling facts (only acquisition runs
 // ahead of the stitch point) are stated once, at the code that enforces
@@ -14,7 +13,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "resil/cfcss.h"
 #include "rt/instrument.h"
@@ -74,9 +72,6 @@ struct stage_desc {
   /// unused slot).  This is the mapping perf's stage profile, resil's
   /// budget derivation and fault's stage-attributed reports share.
   rt::fn scopes[3] = {rt::fn::count_, rt::fn::count_, rt::fn::count_};
-  /// Whether the stage can opt into selective replication (dual execution
-  /// with divergence detection).
-  bool replicable = false;
 };
 
 /// The canonical stage graph, in dataflow order.
@@ -95,33 +90,5 @@ struct stage_desc {
 /// The budget allowance a key selects from a stage_budget_config.
 [[nodiscard]] std::uint64_t budget_value(
     const resil::stage_budget_config& budgets, budget_key key) noexcept;
-
-// --- selective-replication stage masks -----------------------------------
-// A replication mask has bit i set when stage_id i dual-executes.  The mask
-// is the unit the hardening config, the CLI --replicate axis, and the
-// frontier bench all speak.
-
-[[nodiscard]] constexpr std::uint32_t stage_bit(stage_id s) noexcept {
-  return 1u << static_cast<int>(s);
-}
-
-/// Mask of every stage whose registry entry is replicable.
-[[nodiscard]] std::uint32_t replicable_stage_mask() noexcept;
-
-/// The legacy HAFT set: geometry model estimation only (what hardening
-/// level `full` enabled before replication became a per-stage attribute).
-[[nodiscard]] std::uint32_t geometry_stage_mask() noexcept;
-
-/// Parses a --replicate specification into a stage mask:
-///   "off" / "none"    -> 0
-///   "geometry"        -> geometry_stage_mask()
-///   "all"             -> replicable_stage_mask()
-///   "a,b,..."         -> union of the named stages (case-insensitive)
-/// Throws invalid_argument on unknown stage names or non-replicable stages.
-[[nodiscard]] std::uint32_t parse_replicate_stages(const std::string& spec);
-
-/// Canonical spelling of a mask ("off", "geometry", "all", or the
-/// comma-separated stage list) — inverse of parse_replicate_stages.
-[[nodiscard]] std::string replicate_stages_name(std::uint32_t mask);
 
 }  // namespace vs::pipeline

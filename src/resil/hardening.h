@@ -8,7 +8,15 @@
 //   detectors  frame-level containment + per-stage watchdog + symptom
 //              detectors on the final output (SWAT-style, Section V-D)
 //   cfcss      + control-flow signatures over the per-frame stage graph
-//   full       + HAFT-style selective replication of the geometry math
+//   full       + dual execution of the composite stage: the warped patch
+//              is re-warped on the clean lane and compared by digest.
+//              It is the one replica a campaign tells apart from none:
+//              pooled over Inputs 1-3 (3000 GPR injections each, 20
+//              frames) crash+SDC fell from 139 to 92 (z = -3.11).  The
+//              dual checks of gate, detect, describe, match and estimate
+//              were deleted: no input, and not the pooled counts, told
+//              them apart from none (|z| < 1.96; DESIGN.md 5h and
+//              bench_out/BENCH_replication_frontier.json).
 #pragma once
 
 #include <cstdint>
@@ -68,14 +76,6 @@ struct hardening_config {
 
   stage_budget_config stage_budgets;
 
-  /// Selective replication: per-stage mask (bit i == pipeline::stage_id i;
-  /// see pipeline::parse_replicate_stages).  nullopt derives the mask from
-  /// the level — `full` replicates the geometry (estimate) stage, the
-  /// legacy HAFT set; lower levels replicate nothing.  An explicit mask is
-  /// honoured at any enabled level: dual execution needs only the
-  /// containment boundary, not CFCSS.
-  std::optional<std::uint32_t> replicate_stages;
-
   /// Envelope for the final-output symptom detectors (calibrated from
   /// fault-free runs; detectors are skipped when absent).
   std::optional<fault::detector_calibration> calibration;
@@ -87,12 +87,6 @@ struct hardening_config {
     return level >= hardening_level::cfcss;
   }
 };
-
-/// Effective replication mask of a config (resolves the level default; 0
-/// whenever hardening is off — replication without a containment boundary
-/// would turn detections into unhandled exceptions).
-[[nodiscard]] std::uint32_t replication_mask(
-    const hardening_config& config) noexcept;
 
 /// What the hardening observed and did during one pipeline run.
 struct run_report {

@@ -17,20 +17,10 @@ const run_report& last_run_report() noexcept { return last_report; }
 
 void clear_last_run_report() noexcept { last_report = run_report{}; }
 
-std::uint32_t replication_mask(const hardening_config& config) noexcept {
-  if (!config.enabled()) return 0;
-  if (config.replicate_stages.has_value()) {
-    return *config.replicate_stages & pipeline::replicable_stage_mask();
-  }
-  return config.level >= hardening_level::full
-             ? pipeline::geometry_stage_mask()
-             : 0;
-}
-
 session::session(const hardening_config& config) : saved_(tls) {
   tls = runtime_state{};
   tls.active = true;
-  tls.replicate_mask = replication_mask(config);
+  tls.replicate_composite = config.level >= hardening_level::full;
   if (config.cfcss_enabled()) {
     monitor_.begin_frame();
     tls.monitor = &monitor_;

@@ -477,9 +477,9 @@ class stage_scope {
   std::uint64_t prev_budget_;
 };
 
-/// RAII lane switch for dual-execution replicas (resil::replicated /
-/// verify_replica): disables the hooks while alive, so the replica re-runs
-/// a stage on the hook-free clean lane.  That keeps the second execution
+/// RAII lane switch for the composite replica (resil::verify_replica):
+/// disables the hooks while alive, so the replica re-runs the warp on the
+/// hook-free clean lane.  That keeps the second execution
 /// cheap and keeps it out of the instrumented lane's dynamic-op stream — a
 /// replica must neither shift the indices fault plans address nor offer the
 /// already-fired injection a second strike.  The clean lane runs the same

@@ -1,7 +1,5 @@
 #include "stitch/stitcher.h"
 
-#include <functional>
-
 #include "geometry/affine.h"
 #include "geometry/homography.h"
 #include "resil/runtime.h"
@@ -14,13 +12,8 @@ std::optional<alignment> align_frames(const feat::frame_features& current,
                                       const match::match_params& match_params,
                                       const alignment_params& params,
                                       std::uint64_t seed) {
-  // Selective replication: matching is a pure function of the two feature
-  // sets, so the replica re-runs it on the clean lane and compares the
-  // accepted correspondences element-wise.
-  const auto matches = resil::replicated(
-      pipeline::stage_id::match,
-      [&] { return match::match_descriptors(current, previous, match_params); },
-      std::equal_to<std::vector<match::match>>());
+  const auto matches =
+      match::match_descriptors(current, previous, match_params);
   const auto pairs = match::to_point_pairs(matches, current, previous);
 
   // The match count is the control value the cascade branches on.
@@ -93,14 +86,14 @@ bool mini_panorama_builder::add_frame(const img::image_u8& frame,
   // application (Fig 8) and per-frame cost grow with panorama size — the
   // polynomial complexity in frames the paper cites (Section IV-A).
   auto patch = geo::warp_perspective(frame, frame_to_anchor, canvas_.bounds());
-  // Selective replication digests the patch rather than recomputing the
-  // stage: composite produces a pixel buffer, and blending mutates the
-  // canvas.  The checked product is the warped patch the blend consumes,
-  // re-warped on the clean lane and compared by digest *before* the canvas
-  // mutates — blending and feathering cannot re-run, so the check sits at
-  // the last pure point of the stage.
+  // The composite replica (hardening level full) digests the patch rather
+  // than recomputing the stage: composite produces a pixel buffer, and
+  // blending mutates the canvas.  The checked product is the warped patch
+  // the blend consumes, re-warped on the clean lane and compared by digest
+  // *before* the canvas mutates — blending and feathering cannot re-run, so
+  // the check sits at the last pure point of the stage.
   resil::verify_replica(
-      pipeline::stage_id::composite, [&] { return patch_digest(patch); },
+      [&] { return patch_digest(patch); },
       [&] {
         return patch_digest(
             geo::warp_perspective(frame, frame_to_anchor, canvas_.bounds()));

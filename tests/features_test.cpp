@@ -356,67 +356,5 @@ TEST(Orb, GrayOnlyInput) {
   EXPECT_THROW((void)orb_extract(rgb, orb_params{}), invalid_argument);
 }
 
-// ---------------------------------------------------------------------------
-// Per-keypoint scoring verification (the extraction stages' replication
-// contract).
-// ---------------------------------------------------------------------------
-
-TEST(OrbVerify, AcceptsAGenuineExtraction) {
-  const img::image_u8 frame = square_frame(96, 96);
-  const orb_params params;
-  const auto features = orb_extract(frame, params);
-  ASSERT_FALSE(features.empty());
-  EXPECT_TRUE(orb_verify_features(frame, features, params));
-}
-
-TEST(OrbVerify, EmptyExtractionOfAFlatFrameVerifies) {
-  const img::image_u8 flat(64, 64, 1, 128);
-  const orb_params params;
-  const auto features = orb_extract(flat, params);
-  EXPECT_TRUE(features.empty());
-  EXPECT_TRUE(orb_verify_features(flat, features, params));
-}
-
-TEST(OrbVerify, CatchesAnyTamperedStoredField) {
-  const img::image_u8 frame = square_frame(96, 96);
-  const orb_params params;
-  const auto features = orb_extract(frame, params);
-  ASSERT_FALSE(features.empty());
-
-  // Every field a register fault can silently perturb diverges: the score
-  // is re-derived at the stored coordinates, so corrupt positions mismatch
-  // exactly like corrupt scores.
-  auto tampered = features;
-  tampered.keypoints[0].x += 1.0f;
-  EXPECT_FALSE(orb_verify_features(frame, tampered, params));
-
-  tampered = features;
-  tampered.keypoints[0].x += 0.5f;  // fractional: FAST never emits these
-  EXPECT_FALSE(orb_verify_features(frame, tampered, params));
-
-  tampered = features;
-  tampered.keypoints[0].score += 1.0f;
-  EXPECT_FALSE(orb_verify_features(frame, tampered, params));
-
-  tampered = features;
-  tampered.keypoints[0].angle += 0.5f;
-  EXPECT_FALSE(orb_verify_features(frame, tampered, params));
-
-  tampered = features;
-  tampered.descriptors[0].bits[1] ^= 1ULL << 13;
-  EXPECT_FALSE(orb_verify_features(frame, tampered, params));
-
-  // A coordinate blown out of the detection window must be rejected by the
-  // bounds pre-check, not chased into an out-of-range load.
-  tampered = features;
-  tampered.keypoints[0].y = 1.0e6f;
-  EXPECT_FALSE(orb_verify_features(frame, tampered, params));
-
-  // A keypoint/descriptor count mismatch can only come from a fault.
-  tampered = features;
-  tampered.descriptors.pop_back();
-  EXPECT_FALSE(orb_verify_features(frame, tampered, params));
-}
-
 }  // namespace
 }  // namespace vs::feat

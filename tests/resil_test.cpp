@@ -1,5 +1,5 @@
 // Tests for the fault containment & recovery subsystem (src/resil/):
-// CFCSS stage signatures, HAFT-style replication, the per-stage watchdog,
+// CFCSS stage signatures, the composite replica, the per-stage watchdog,
 // the recovery boundary (and its rt unwind-state regression guarantees),
 // and the hardened end-to-end pipeline behaviour.
 #include <gtest/gtest.h>
@@ -25,8 +25,6 @@ struct resil_state_guard {
   resil::runtime_state saved = resil::tls;
   ~resil_state_guard() { resil::tls = saved; }
 };
-
-const auto int_eq = [](int a, int b) { return a == b; };
 
 // ---------------------------------------------------------------------------
 // CFCSS signatures
@@ -138,76 +136,62 @@ TEST(Cfcss, RecoveryReanchorsTheSignatureChain) {
 }
 
 // ---------------------------------------------------------------------------
-// HAFT-style replication
+// The composite replica
 // ---------------------------------------------------------------------------
 
 TEST(Replication, RunsOnceWithoutASession) {
   resil_state_guard guard;
-  resil::tls = resil::runtime_state{};  // replication mask empty
-  int calls = 0;
-  EXPECT_EQ(resil::replicated(pipeline::stage_id::estimate,
-                              [&] { ++calls; return 7; }, int_eq),
-            7);
-  EXPECT_EQ(calls, 1);
+  resil::tls = resil::runtime_state{};  // no replica this session
+  int digests = 0;
+  resil::verify_replica([&] { return ++digests; }, [&] { return ++digests; });
+  EXPECT_EQ(digests, 0);  // the stage ran once; nothing re-runs it
 }
 
-TEST(Replication, MaskSelectsStages) {
+TEST(Replication, OnlyLevelFullReplicates) {
   resil_state_guard guard;
-  resil::tls = resil::runtime_state{};
-  resil::tls.replicate_mask = pipeline::stage_bit(pipeline::stage_id::match);
-  EXPECT_TRUE(resil::stage_replicated(pipeline::stage_id::match));
-  EXPECT_FALSE(resil::stage_replicated(pipeline::stage_id::estimate));
-  int calls = 0;
-  // A stage outside the mask runs once, unchecked.
-  EXPECT_EQ(resil::replicated(pipeline::stage_id::estimate,
-                              [&] { ++calls; return 7; }, int_eq),
-            7);
-  EXPECT_EQ(calls, 1);
+  resil::hardening_config config;
+  for (const auto level :
+       {resil::hardening_level::detectors, resil::hardening_level::cfcss}) {
+    config.level = level;
+    const resil::session session(config);
+    EXPECT_FALSE(resil::tls.replicate_composite)
+        << resil::hardening_level_name(level);
+  }
+  config.level = resil::hardening_level::full;
+  const resil::session session(config);
+  EXPECT_TRUE(resil::tls.replicate_composite);
 }
 
-TEST(Replication, AgreementReturnsFirstResult) {
+TEST(Replication, AgreementPasses) {
   resil_state_guard guard;
   resil::tls = resil::runtime_state{};
-  resil::tls.replicate_mask = pipeline::replicable_stage_mask();
-  int calls = 0;
-  EXPECT_EQ(resil::replicated(pipeline::stage_id::estimate,
-                              [&] { ++calls; return 7; }, int_eq),
-            7);
-  EXPECT_EQ(calls, 2);
+  resil::tls.replicate_composite = true;
+  rt::session hooks;
+  bool replica_hooked = true;
+  resil::verify_replica([] { return std::uint64_t{7}; },
+                        [&] {
+                          replica_hooked = rt::instrumented();
+                          return std::uint64_t{7};
+                        });
+  EXPECT_FALSE(replica_hooked);  // the replica runs on the clean lane
+  EXPECT_TRUE(rt::instrumented());
   EXPECT_EQ(resil::tls.report.replica_divergences, 0u);
 }
 
 TEST(Replication, DivergenceThrowsDetectedError) {
   resil_state_guard guard;
   resil::tls = resil::runtime_state{};
-  resil::tls.replicate_mask = pipeline::replicable_stage_mask();
-  int calls = 0;
+  resil::tls.replicate_composite = true;
+  rt::session hooks;
   try {
-    (void)resil::replicated(pipeline::stage_id::estimate,
-                            [&] { return calls++; }, int_eq);
+    resil::verify_replica([] { return std::uint64_t{7}; },
+                          [] { return std::uint64_t{8}; });
     FAIL() << "divergence not flagged";
   } catch (const detected_error& e) {
     EXPECT_EQ(e.kind(), detect_kind::replica_divergence);
   }
-  EXPECT_EQ(calls, 2);
   EXPECT_EQ(resil::tls.report.replica_divergences, 1u);
-  EXPECT_FALSE(resil::tls.in_replica);  // reset even on the throwing path
-}
-
-TEST(Replication, NestedCallsDoNotMultiplyCost) {
-  resil_state_guard guard;
-  resil::tls = resil::runtime_state{};
-  resil::tls.replicate_mask = pipeline::replicable_stage_mask();
-  int inner_calls = 0;
-  const int v = resil::replicated(
-      pipeline::stage_id::estimate,
-      [&] {
-        return resil::replicated(pipeline::stage_id::estimate,
-                                 [&] { ++inner_calls; return 2; }, int_eq);
-      },
-      int_eq);
-  EXPECT_EQ(v, 2);
-  EXPECT_EQ(inner_calls, 2);  // once per outer replica, not 4x
+  EXPECT_TRUE(rt::instrumented());  // hooks back on even on the throwing path
 }
 
 // ---------------------------------------------------------------------------
@@ -381,7 +365,7 @@ TEST(Hardening, SessionPublishesAndRestores) {
   {
     resil::session session(config);
     EXPECT_TRUE(resil::tls.active);
-    EXPECT_EQ(resil::tls.replicate_mask, pipeline::geometry_stage_mask());
+    EXPECT_TRUE(resil::tls.replicate_composite);
     ASSERT_NE(resil::tls.monitor, nullptr);
     ++resil::tls.report.retries;
   }
@@ -553,6 +537,55 @@ TEST(HardenedPipeline, MidClipRetryExhaustionDeadReckonsTheFrame) {
     placed_k = placed_k || placement.frame_index == k;
   }
   EXPECT_TRUE(placed_k);
+}
+
+TEST(HardenedPipeline, LevelFullRecoversARemapStrikeThatIsAnSdcAtCfcss) {
+  // Experiment 362 of `vs inject input1 gpr 3000 VS --frames=20`: a GPR
+  // strike in remapBilinear.  At level cfcss nothing catches it and the
+  // montage comes out wrong.  Level full's composite replica re-warps the
+  // patch on the clean lane, the digests differ, and the frame retry
+  // reproduces the golden output.  The replica runs hook-free, so the plan
+  // addresses the same op at both levels.
+  const auto source = video::make_input(video::input_id::input1, 20);
+  rt::fault_plan plan;
+  plan.cls = rt::reg_class::gpr;
+  plan.target = 241296;
+  plan.bit = 9;
+  plan.reg_id = 10;
+  struct run {
+    fault::injection_record record;
+    img::image_u8 golden;
+    img::image_u8 output;
+  };
+  const auto inject = [&](resil::hardening_level level) {
+    const auto config = hardened_config(*source, level);
+    run r;
+    const fault::workload work = [&] {
+      r.output = app::summarize(*source, config).panorama;
+      return r.output;
+    };
+    fault::campaign_config campaign;
+    campaign.threads = 1;
+    const auto setup = fault::measure_golden(work, campaign);
+    r.record = fault::run_one_injection(work, plan, setup.step_budget,
+                                        setup.golden);
+    r.golden = setup.golden;
+    return r;
+  };
+
+  const run cfcss = inject(resil::hardening_level::cfcss);
+  ASSERT_TRUE(cfcss.record.fired);
+  EXPECT_EQ(cfcss.record.fired_scope, rt::fn::remap);
+  EXPECT_EQ(cfcss.record.result, fault::outcome::sdc);
+  EXPECT_NE(cfcss.output, cfcss.golden);
+
+  const run full = inject(resil::hardening_level::full);
+  ASSERT_TRUE(full.record.fired);
+  EXPECT_EQ(full.record.fired_scope, rt::fn::remap);
+  EXPECT_EQ(full.record.result, fault::outcome::detected_recovered);
+  EXPECT_EQ(full.record.replica_divergences, 1u);
+  EXPECT_EQ(full.output, full.golden);
+  EXPECT_EQ(full.golden, cfcss.golden);
 }
 
 }  // namespace

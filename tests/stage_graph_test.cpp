@@ -677,7 +677,7 @@ TEST(FrameExecutor, SkippedQueuedFramesAreNeverAcquired) {
         acquired_on[at] = std::this_thread::get_id();
         return stamped_frame(index);
       },
-      no_features, {}, &scheduler);
+      no_features, &scheduler);
   ASSERT_TRUE(exec.overlapping());
   dispatch_hold hold(scheduler);
 
@@ -712,14 +712,13 @@ TEST(FrameExecutor, SkippedQueuedFramesAreNeverAcquired) {
 }
 
 TEST(FrameExecutor, ExtractionRunsOnTheObtainingThread) {
-  // Only acquisition is prefetched: at pool widths 1 and 4 every detect_fn
-  // call — the frame body's extraction and the executor's own
-  // recompute-and-compare replica check — runs on the thread that calls
-  // obtain(), never on the dispatcher or a pool worker.
+  // Only acquisition is prefetched: at pool widths 1 and 4 every
+  // extraction runs once per frame on the thread that calls obtain(),
+  // never on the dispatcher or a pool worker.  The detect_fn handed to the
+  // executor counts too: the clean lane must never call it.
   const pool_width_guard guard;
   resil::hardening_config hardening;
   hardening.level = resil::hardening_level::detectors;
-  hardening.replicate_stages = pipeline::stage_bit(stage_id::detect);
   resil::session session(hardening);
   const std::thread::id stitch_thread = std::this_thread::get_id();
   for (const unsigned width : {1u, 4u}) {
@@ -739,7 +738,7 @@ TEST(FrameExecutor, ExtractionRunsOnTheObtainingThread) {
       pipeline::frame_work work = exec.obtain(index);
       exec.extract(work, detect);
     }
-    EXPECT_EQ(calls.load(), 2 * kFrames) << "width " << width;
+    EXPECT_EQ(calls.load(), kFrames) << "width " << width;
     EXPECT_EQ(elsewhere.load(), 0) << "width " << width;
   }
 }
@@ -753,7 +752,7 @@ TEST(FrameExecutor, ExtractionFaultsFailInlineAtTheStitchPoint) {
   pipeline::stage_scheduler scheduler(pool);
   resil::hardening_config hardening;
   pipeline::frame_executor exec(hardening, 4, 2, stamped_frame, no_features,
-                                {}, &scheduler);
+                                &scheduler);
   (void)exec.obtain(0);
   pipeline::frame_work work = exec.obtain(1);
   EXPECT_EQ(work.frame.at(0, 0), 1);
@@ -766,105 +765,6 @@ TEST(FrameExecutor, ExtractionFaultsFailInlineAtTheStitchPoint) {
                detected_error);
   EXPECT_EQ(exec.obtain(2).frame.at(0, 0), 2);
   EXPECT_EQ(scheduler.stats().evicted, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Selective replication: registry contracts and the executor's dual checks.
-// ---------------------------------------------------------------------------
-
-TEST(StageRegistry, ReplicationContractsMatchProductKinds) {
-  // Acquire is the I/O boundary — outside the sphere of replication.
-  EXPECT_FALSE(pipeline::stage_info(stage_id::acquire).replicable);
-  for (const stage_id s : {stage_id::gate, stage_id::detect,
-                           stage_id::describe, stage_id::match,
-                           stage_id::estimate, stage_id::composite}) {
-    EXPECT_TRUE(pipeline::stage_info(s).replicable)
-        << pipeline::stage_name(s);
-  }
-  EXPECT_EQ(pipeline::replicable_stage_mask() &
-                pipeline::stage_bit(stage_id::acquire),
-            0u);
-  EXPECT_EQ(pipeline::geometry_stage_mask(),
-            pipeline::stage_bit(stage_id::estimate));
-}
-
-TEST(StageRegistry, ReplicateSpecParsingAndNaming) {
-  EXPECT_EQ(pipeline::parse_replicate_stages("off"), 0u);
-  EXPECT_EQ(pipeline::parse_replicate_stages(""), 0u);
-  EXPECT_EQ(pipeline::parse_replicate_stages("geometry"),
-            pipeline::geometry_stage_mask());
-  EXPECT_EQ(pipeline::parse_replicate_stages("ALL"),
-            pipeline::replicable_stage_mask());
-  EXPECT_EQ(pipeline::parse_replicate_stages("match,estimate"),
-            pipeline::stage_bit(stage_id::match) |
-                pipeline::stage_bit(stage_id::estimate));
-  // Canonical names round trip through the parser.
-  EXPECT_EQ(pipeline::replicate_stages_name(0), "off");
-  EXPECT_EQ(pipeline::replicate_stages_name(pipeline::geometry_stage_mask()),
-            "geometry");
-  EXPECT_EQ(
-      pipeline::replicate_stages_name(pipeline::replicable_stage_mask()),
-      "all");
-  EXPECT_EQ(pipeline::replicate_stages_name(
-                pipeline::parse_replicate_stages("describe,composite")),
-            "describe,composite");
-  // Acquire is a stage name but not a replicable one.
-  EXPECT_THROW((void)pipeline::parse_replicate_stages("acquire"),
-               invalid_argument);
-  EXPECT_THROW((void)pipeline::parse_replicate_stages("warp"),
-               invalid_argument);
-}
-
-/// Drives the extraction dual check through the clean lane at `depth` with
-/// the verifier disagreeing on the second checked frame — whose acquisition
-/// the scheduler has prefetched by then.  The check runs in the frame
-/// body's extract() at the stitch point, right after obtain() hands the
-/// frame over, and its divergence must surface there.
-void expect_prefetched_replica_divergence_detected(int depth) {
-  // detectors level: containment without the CFCSS monitor, so the
-  // executor can be driven directly; the explicit mask turns the
-  // extraction dual check on.
-  resil::hardening_config hardening;
-  hardening.level = resil::hardening_level::detectors;
-  hardening.replicate_stages = pipeline::stage_bit(stage_id::detect);
-  resil::session session(hardening);
-
-  std::atomic<int> checks{0};
-  pipeline::frame_executor exec(
-      hardening, 6, depth, [](int) { return img::image_u8(4, 4, 1); },
-      no_features,
-      [&checks](const img::image_u8&, const feat::frame_features&) {
-        return ++checks != 2;
-      });
-  ASSERT_TRUE(exec.overlapping());
-  const auto obtain_and_extract = [&exec](int index) {
-    pipeline::frame_work work = exec.obtain(index);
-    exec.extract(work, no_features);
-  };
-  obtain_and_extract(0);  // inline cold start: check runs and passes
-  try {
-    obtain_and_extract(1);  // a prefetched frame: its check diverges
-    FAIL() << "replica divergence was not raised";
-  } catch (const detected_error& e) {
-    EXPECT_EQ(e.kind(), detect_kind::replica_divergence);
-  }
-  EXPECT_EQ(checks.load(), 2);
-  EXPECT_EQ(resil::tls.report.replica_divergences, 1u);
-}
-
-TEST(FrameExecutor, ReplicaDivergenceInAPrefetchedStageIsDetected) {
-  // Pool width 1: every prefetched acquisition is a dispatch of its own.
-  const pool_width_guard guard;
-  core::thread_pool::set_global_threads(1);
-  expect_prefetched_replica_divergence_detected(2);
-}
-
-TEST(FrameExecutor, ReplicaDivergenceInABatchedStageIsDetected) {
-  // Pool width 4 at depth 4: the checked frame's acquisition may come out
-  // of a grouped dispatch; its extraction still runs at the stitch point.
-  const pool_width_guard guard;
-  core::thread_pool::set_global_threads(4);
-  expect_prefetched_replica_divergence_detected(4);
 }
 
 }  // namespace

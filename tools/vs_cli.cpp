@@ -66,7 +66,7 @@ using namespace vs;
       "  vs summarize <input1|input2|input3> [algorithm] [frames] [out.pgm]\n"
       "  vs events    <input1|input2|input3> [frames] [out.ppm]\n"
       "  vs inject    <input1|input2|input3> <gpr|fpr> <injections> [algorithm]\n"
-      "               [--harden[=LEVEL]] [--replicate=STAGES]\n"
+      "               [--harden[=LEVEL]]\n"
       "               [--csv=path] [--json=path] [--jobs=N]\n"
       "               [--journal=path] [--resume] [--timeout=S]\n"
       "               [--serve] [--serve-kill=N] [--frames=N]\n"
@@ -75,7 +75,6 @@ using namespace vs;
       "  vs stages\n"
       "  vs resil     <input1|input2|input3> [algorithm] [frames]\n"
       "               [--level=off|detectors|cfcss|full] [--retries=N]\n"
-      "               [--replicate=off|geometry|all|stage,...]\n"
       "               [--budget-factor=F]\n"
       "  vs fleet     <input1|input2|input3> [algorithms...] [--frames=N]\n"
       "               [--csv=path] [--json=path] [--retries=N]\n"
@@ -98,6 +97,12 @@ video::input_id parse_input(const std::string& name) {
   if (name == "input1") return video::input_id::input1;
   if (name == "input2") return video::input_id::input2;
   if (name == "input3") return video::input_id::input3;
+  usage();
+}
+
+/// An option the command does not take: named, then a usage error.
+[[noreturn]] void unknown_option(const char* command, const char* arg) {
+  std::fprintf(stderr, "vs %s: unknown option %s\n", command, arg);
   usage();
 }
 
@@ -207,8 +212,6 @@ int cmd_inject(int argc, char** argv) {
   std::string csv_path;
   std::string json_path;
   std::string harden_level;
-  std::string replicate_spec;
-  bool replicate_set = false;
   supervise::supervisor_config super;
   bool supervised = false;
   bool serve_campaign = false;
@@ -218,9 +221,6 @@ int cmd_inject(int argc, char** argv) {
     if (std::strncmp(argv[i], "--harden", 8) == 0 &&
         (argv[i][8] == '\0' || argv[i][8] == '=')) {
       harden_level = argv[i][8] == '=' ? argv[i] + 9 : "full";
-    } else if (std::strncmp(argv[i], "--replicate=", 12) == 0) {
-      replicate_spec = argv[i] + 12;
-      replicate_set = true;
     } else if (std::strncmp(argv[i], "--csv=", 6) == 0) {
       csv_path = argv[i] + 6;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
@@ -244,6 +244,8 @@ int cmd_inject(int argc, char** argv) {
       serve_campaign = true;
     } else if (std::strncmp(argv[i], "--frames=", 9) == 0) {
       frames = parse_count(argv[i] + 9);
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      unknown_option("inject", argv[i]);
     } else {
       config.approx.alg = app::parse_algorithm(argv[i]);
     }
@@ -254,11 +256,10 @@ int cmd_inject(int argc, char** argv) {
   // resident supervised server and classified from the client's chair
   // (serve/campaign.h).
   if (serve_campaign) {
-    if (supervised || !harden_level.empty() || replicate_set ||
-        !csv_path.empty()) {
+    if (supervised || !harden_level.empty() || !csv_path.empty()) {
       std::fprintf(stderr,
-                   "vs inject: --serve takes none of --harden, --replicate, "
-                   "--csv, --jobs, --journal, --resume, --timeout\n");
+                   "vs inject: --serve takes none of --harden, --csv, "
+                   "--jobs, --journal, --resume, --timeout\n");
       usage();
     }
     serve::serve_campaign_config sc;
@@ -312,19 +313,12 @@ int cmd_inject(int argc, char** argv) {
               gate::level_name(gating));
   if (!harden_level.empty()) {
     config.hardening.level = resil::parse_hardening_level(harden_level);
-    if (replicate_set) {
-      config.hardening.replicate_stages =
-          pipeline::parse_replicate_stages(replicate_spec);
-    }
     // Stage budgets and the output-detector envelope come from one
     // fault-free profiled (unhardened) run.
     app::calibrate_hardening(*source, config, frames)
         .apply_to(config.hardening);
-    std::printf("hardening: level=%s replication=%s\n",
-                resil::hardening_level_name(config.hardening.level),
-                pipeline::replicate_stages_name(
-                    resil::replication_mask(config.hardening))
-                    .c_str());
+    std::printf("hardening: level=%s\n",
+                resil::hardening_level_name(config.hardening.level));
   }
   fault::campaign_config campaign;
   campaign.cls = fpr ? rt::reg_class::fpr : rt::reg_class::gpr;
@@ -341,8 +335,7 @@ int cmd_inject(int argc, char** argv) {
                            (fpr ? "/fpr" : "/gpr") + "/f" +
                            std::to_string(frames) + "/gate=" +
                            gate::level_name(gating) +
-                           (harden_level.empty() ? "" : "/" + harden_level) +
-                           (replicate_set ? "/r=" + replicate_spec : "");
+                           (harden_level.empty() ? "" : "/" + harden_level);
     auto sharded = supervise::run_sharded_campaign(work, campaign, super);
     result = std::move(sharded.campaign);
     const auto& st = sharded.stats;
@@ -484,8 +477,8 @@ int cmd_stages() {
   std::printf("gating: request=%s (override with --gate=LEVEL or "
               "VS_GATE)\n\n",
               gate::level_name(gate::requested_level()));
-  std::printf("%-10s %-12s %-18s %-8s %-8s %s\n", "stage", "budget",
-              "cfcss signature", "scope?", "replica", "rt scopes");
+  std::printf("%-10s %-12s %-18s %-8s %s\n", "stage", "budget",
+              "cfcss signature", "scope?", "rt scopes");
   for (const auto& stage : pipeline::stage_registry()) {
     std::string scopes;
     for (const rt::fn f : stage.scopes) {
@@ -493,16 +486,15 @@ int cmd_stages() {
       if (!scopes.empty()) scopes += ",";
       scopes += rt::fn_name(f);
     }
-    std::printf("%-10s %-12s 0x%016llx %-8s %-8s %s\n", stage.name,
+    std::printf("%-10s %-12s 0x%016llx %-8s %s\n", stage.name,
                 pipeline::budget_key_name(stage.budget),
                 static_cast<unsigned long long>(
                     resil::cfcss::static_signature(stage.node)),
-                stage.opens_scope ? "opens" : "fused",
-                stage.replicable ? "yes" : "-", scopes.c_str());
+                stage.opens_scope ? "opens" : "fused", scopes.c_str());
   }
   std::printf(
       "\n'fused' stages ride inside the previous stage's watchdog scope.\n"
-      "'replica' stages may dual-execute (--replicate / hardening full).\n");
+      "Hardening level full dual-executes composite (the warped patch).\n");
   return 0;
 }
 
@@ -519,13 +511,12 @@ int cmd_resil(int argc, char** argv) {
       config.hardening.level = resil::parse_hardening_level(argv[i] + 8);
     } else if (std::strncmp(argv[i], "--retries=", 10) == 0) {
       config.hardening.max_frame_retries = parse_count(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--replicate=", 12) == 0) {
-      config.hardening.replicate_stages =
-          pipeline::parse_replicate_stages(argv[i] + 12);
     } else if (std::strncmp(argv[i], "--budget-factor=", 16) == 0) {
       budget_factor = parse_factor(argv[i] + 16);
     } else if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
       frames = parse_count(argv[i]);
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      unknown_option("resil", argv[i]);
     } else {
       config.approx.alg = app::parse_algorithm(argv[i]);
     }
@@ -540,14 +531,10 @@ int cmd_resil(int argc, char** argv) {
 
   const auto result = app::summarize(*source, config);
   const auto& rec = result.recovery;
-  std::printf("hardened run: %s on %s, %d frames, level=%s, retries=%d, "
-              "replicate=%s\n",
+  std::printf("hardened run: %s on %s, %d frames, level=%s, retries=%d\n",
               app::algorithm_name(config.approx.alg), video::input_name(input),
               frames, resil::hardening_level_name(config.hardening.level),
-              config.hardening.max_frame_retries,
-              pipeline::replicate_stages_name(
-                  resil::replication_mask(config.hardening))
-                  .c_str());
+              config.hardening.max_frame_retries);
   std::printf("  stitched %d/%d frames into %d mini-panorama(s)\n",
               result.stats.frames_stitched, result.stats.frames_total,
               result.stats.mini_panoramas);
